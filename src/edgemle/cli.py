@@ -13,7 +13,6 @@ import argparse
 import datetime
 import hashlib
 import json
-import math
 import os
 import re
 import sys
@@ -28,7 +27,7 @@ from .expansion import (ORDERS, collapse_report, compose_check, cornish_fisher_q
                         edgeworth_cdf)
 from .mle import solve_mle
 from .moments import compute_moment_set, validate_conditions
-from .montecarlo import SimulationConfig, run_study
+from .montecarlo import SimulationConfig, _round_floats, run_study
 
 _HANDLED = (DomainError, InversionFailure, MomentDivergence, NoConvergence,
             SingularInformation, StudyAborted, UnsupportedOrder, ValueError,
@@ -41,16 +40,6 @@ def _fmt(value, precision: int) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), f".{precision}g")
-
-
-def _round_floats(obj, precision: int):
-    if isinstance(obj, float):
-        return float(format(obj, f".{precision}g")) if math.isfinite(obj) else obj
-    if isinstance(obj, dict):
-        return {k: _round_floats(v, precision) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, precision) for v in obj]
-    return obj
 
 
 def _print_json(payload: dict, precision: int):

@@ -198,11 +198,12 @@ class CorrectionPolynomials:
         return max(float(np.max(np.abs(c))) for c in self.polys.values())
 
 
-def _build_polynomials(table, eta) -> dict[int, np.ndarray]:
+def _build_polynomials(table, eta, max_order: int = ORDERS[-1]) -> dict[int, np.ndarray]:
+    """Coefficient vectors of the table's orders 2..max_order at the given etas."""
     out = {}
-    for order, powers in table.items():
-        deg = max(powers)
-        coeffs = np.zeros(deg + 1)
+    for order in range(2, max_order + 1):
+        powers = table[order]
+        coeffs = np.zeros(max(powers) + 1)
         for power, terms in powers.items():
             coeffs[power] = float(evaluate_terms(terms, eta))
         out[order] = coeffs
@@ -396,13 +397,9 @@ def edgeworth_cdf(moments, n, order, x, clamp: bool = False, return_flag: bool =
     xa = np.asarray(x, dtype=float)
     out = np.asarray(special.ndtr(xa), dtype=float)
     if k >= 2:
-        eta = _eta_mapping(moments)
         phi = np.exp(-0.5 * xa * xa) / np.sqrt(2 * np.pi)
         corr = np.zeros_like(xa, dtype=float)
-        for o in range(2, k + 1):
-            coeffs = np.zeros(max(EDGEWORTH_TABLE[o]) + 1)
-            for power, terms in EDGEWORTH_TABLE[o].items():
-                coeffs[power] = float(evaluate_terms(terms, eta))
+        for o, coeffs in _build_polynomials(EDGEWORTH_TABLE, _eta_mapping(moments), k).items():
             corr = corr + float(m) ** (-(o - 1) / 2) * _polyval(coeffs, xa)
         out = out + corr * phi
     flag = (out < 0.0) | (out > 1.0)
@@ -425,10 +422,7 @@ def cornish_fisher_quantile(moments, n, order, v):
     out = z.copy()
     if k >= 2:
         eta = _eta_mapping(moments)
-        for o in range(2, k + 1):
-            coeffs = np.zeros(max(CORNISH_FISHER_TABLE[o]) + 1)
-            for power, terms in CORNISH_FISHER_TABLE[o].items():
-                coeffs[power] = float(evaluate_terms(terms, eta))
+        for o, coeffs in _build_polynomials(CORNISH_FISHER_TABLE, eta, k).items():
             out = out + float(m) ** (-(o - 1) / 2) * _polyval(coeffs, z)
     return _as_scalar(v, out)
 

@@ -16,9 +16,10 @@ the expansion tables can be read against this list without renumbering.
 
 Integration uses scipy's adaptive Gauss-Kronrod panels (QUADPACK), which map
 infinite tails through a rational change of variables.  Tolerances are
-absolute per functional.  A functional that fails to converge, or whose
-value keeps drifting as the integration window widens, raises
-:class:`MomentDivergence` naming the entry.
+absolute per functional.  A functional that fails to converge, whose
+integrand is not finite somewhere on the support, or whose value keeps
+drifting as the integration window widens, raises
+:class:`MomentDivergence` naming the entry and the cause.
 """
 from __future__ import annotations
 
@@ -132,24 +133,38 @@ def _window_drift(fn, model: DensityModel, tol: float):
     return vals, abs(vals[-1] - vals[-2])
 
 
-def _integrate_functional(model: DensityModel, h: Callable, tol: float, name: str):
-    fn = _weighted(model, h)
+def _probe_quad(model: DensityModel, h: Callable, tol: float) -> QuadOutcome:
+    """One adaptive pass of int h f over the whole support."""
     lo, hi = model.support
-    res = _raw_quad(fn, lo, hi, epsabs=tol / 10)
+    return _raw_quad(_weighted(model, h), lo, hi, epsabs=tol / 10)
+
+
+def _integrate_functional(model: DensityModel, h: Callable, tol: float, name: str):
+    res = _probe_quad(model, h, tol)
     if res.converged:
         return res.value, res.error
-    vals, drift = _window_drift(fn, model, tol)
-    if drift > 100 * tol or not math.isfinite(res.value):
-        raise MomentDivergence(name, f"value drifts across tail windows {vals}; {res.note}")
-    raise MomentDivergence(name, f"quadrature error {res.error:.2e} above tolerance; {res.note}")
+    note = f"; {res.note}" if res.note else ""
+    if not math.isfinite(res.value):
+        # _weighted turns a non-finite h f into inf, which the integral inherits
+        raise MomentDivergence(name, "non-finite integrand value on the support: the density "
+                                     f"or its derivatives overflow there{note}")
+    vals, drift = _window_drift(_weighted(model, h), model, tol)
+    if drift > 100 * tol:
+        raise MomentDivergence(name, f"value drifts across tail windows {vals}{note}")
+    raise MomentDivergence(name, f"quadrature error {res.error:.2e} above tolerance{note}")
+
+
+def _fisher(model: DensityModel, tol: float) -> tuple:
+    """(value, error) of the Fisher information int (f'/f)^2 f."""
+    value, err = _integrate_functional(model, lambda x: model.psis[0](x) ** 2, tol, "fisher")
+    if not value > 0.0:
+        raise MomentDivergence("fisher", f"nonpositive value {value}")
+    return value, err
 
 
 def fisher_information(model: DensityModel, tol: float = 1e-10) -> float:
     """Fisher information for location, int (f'/f)^2 f over the support."""
-    value, _ = _integrate_functional(model, lambda x: model.psis[0](x) ** 2, tol, "fisher")
-    if not value > 0.0:
-        raise MomentDivergence("fisher", f"nonpositive value {value}")
-    return value
+    return _fisher(model, tol)[0]
 
 
 def compute_moment_set(model: DensityModel, tol: float = 1e-10) -> MomentSet:
@@ -162,15 +177,7 @@ def compute_moment_set(model: DensityModel, tol: float = 1e-10) -> MomentSet:
     if not tol > 0:
         raise ValueError("tol must be positive")
     errors: dict[str, float] = {}
-    fn = _weighted(model, lambda x: model.psis[0](x) ** 2)
-    lo, hi = model.support
-    res = _raw_quad(fn, lo, hi, epsabs=tol / 10)
-    if not res.converged:
-        _integrate_functional(model, lambda x: model.psis[0](x) ** 2, tol, "fisher")
-    fisher = res.value
-    if not fisher > 0.0:
-        raise MomentDivergence("fisher", f"nonpositive value {fisher}")
-    errors["fisher"] = res.error
+    fisher, errors["fisher"] = _fisher(model, tol)
 
     a = []
     for j in range(1, 7):
@@ -264,12 +271,6 @@ def _tail_exponents(fn, model: DensityModel) -> dict:
             else:
                 out[side] = -math.inf if g2 <= g1 else math.inf
     return out
-
-
-def _probe_quad(model: DensityModel, h: Callable, tol: float) -> QuadOutcome:
-    fn = _weighted(model, h)
-    lo, hi = model.support
-    return _raw_quad(fn, lo, hi, epsabs=tol / 10)
 
 
 def validate_conditions(model: DensityModel, tol: float = 1e-8,

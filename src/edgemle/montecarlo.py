@@ -25,15 +25,16 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .density import DensityModel, model_from_descriptor
 from .errors import StudyAborted
-from .expansion import ORDERS, XiVector, compute_xi, compute_xi_batch, edgeworth_cdf, \
+from .expansion import ORDERS, XiVector, compute_xi_batch, edgeworth_cdf, \
     stochastic_expansion_batch
 from .mle import solve_mle_batch
 from .moments import MomentSet, compute_moment_set, validate_conditions
@@ -149,17 +150,13 @@ class ReplicationResult:
 
 def replicate(model: DensityModel, moments: MomentSet, n: int, seed: int,
               orders=ORDERS, tol: float = 1e-11) -> ReplicationResult:
-    """Run a single replicate: sample, solve, expand, take remainders."""
-    sample = sample_iid(model, n, seed)
-    batch = solve_mle_batch(sample[None, :], model, tol=tol)
-    if batch.failed[0]:
+    """Run a single replicate: the block pipeline on one row seeded ``seed``."""
+    row = _simulate_block(model, n, 0, 1, seed, moments.a, moments.fisher, orders, tol)
+    if row["failed"][0]:
         raise StudyAborted("replicate solver failed")
-    theta = float(batch.theta_hat[0])
-    xi = compute_xi(sample, 0.0, model, moments.a)
-    truncs = stochastic_expansion_batch(xi.xi[None, :], n, moments.a, orders)
-    root_n = math.sqrt(n)
-    rem = {k: root_n * theta - float(truncs[k][0]) for k in orders}
-    return ReplicationResult(theta, math.sqrt(n * moments.fisher) * theta, xi, rem)
+    rem = {k: float(row["gamma"][0, i]) for i, k in enumerate(orders)}
+    return ReplicationResult(float(row["theta"][0]), float(row["standardized"][0]),
+                             XiVector(row["xi"][0], n), rem)
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +168,12 @@ def _cached_model(descriptor_json: str) -> DensityModel:
     return model_from_descriptor(json.loads(descriptor_json))
 
 
-def _run_block(payload: tuple) -> dict:
-    """Work item: replicates [start, stop) at sample size n.
+def _simulate_block(model: DensityModel, n, start, stop, base_seed, a, fisher, orders,
+                    tol) -> dict:
+    """Replicates [start, stop) at sample size n; replicate r is seeded base_seed XOR r.
 
-    Returns per-replicate arrays; NaN rows mark solver failures.  All inputs
-    arrive as plain data so the item can cross a process boundary.
+    Returns per-replicate arrays; NaN rows mark solver failures.
     """
-    descriptor_json, n, start, stop, base_seed, a, fisher, orders, tol = payload
-    model = _cached_model(descriptor_json)
     count = stop - start
     samples = np.empty((count, n))
     for r in range(count):
@@ -201,6 +196,12 @@ def _run_block(payload: tuple) -> dict:
     }
 
 
+def _run_block(payload: tuple) -> dict:
+    """Work item: :func:`_simulate_block` on plain data, so it can cross a process boundary."""
+    descriptor_json, *args = payload
+    return _simulate_block(_cached_model(descriptor_json), *args)
+
+
 def _wilson_interval(successes: int, total: int, z: float = 1.959964) -> tuple:
     if total == 0:
         return (0.0, 1.0)
@@ -209,6 +210,125 @@ def _wilson_interval(successes: int, total: int, z: float = 1.959964) -> tuple:
     centre = (p + z * z / (2 * total)) / denom
     half = z * math.sqrt(p * (1 - p) / total + z * z / (4 * total * total)) / denom
     return (max(0.0, centre - half), min(1.0, centre + half))
+
+
+def _aggregate(blocks, n: int, grid: np.ndarray, moments: MomentSet,
+               config: SimulationConfig) -> tuple:
+    """Merge the blocks of one sample size, in replicate order, without file I/O.
+
+    Returns the report entry of ``n`` and its curves: the ECDF of the
+    standardized statistic on ``grid`` from both sides and every order's
+    Edgeworth prediction there, keyed by their ``ecdf_<n>.csv`` column names.
+    The remainder quantiles come from the full-precision |gamma|.
+    """
+    thr = config.epsilon_threshold(n)
+    counts_lt = np.zeros(grid.size, dtype=np.int64)
+    counts_le = np.zeros(grid.size, dtype=np.int64)
+    n_fail = tail_hits = 0
+    abs_gamma = []
+    for block in blocks:
+        ok = ~block["failed"]
+        std_ok = np.sort(block["standardized"][ok])
+        counts_lt += np.searchsorted(std_ok, grid, side="left")
+        counts_le += np.searchsorted(std_ok, grid, side="right")
+        n_fail += int(block["failed"].sum())
+        g = np.abs(block["gamma"][ok])
+        tail_hits += int(np.sum(g[:, -1] >= thr))
+        abs_gamma.append(g)
+    m_total = config.replications
+    if n_fail > 0.01 * m_total:
+        raise StudyAborted(
+            f"{n_fail} of {m_total} replicates failed at n={n} (over the 1% cap)")
+    n_ok = m_total - n_fail
+
+    curves = {"ecdf_lower": counts_lt / n_ok, "ecdf_upper": counts_le / n_ok}
+    dist = {}
+    for k in config.orders:
+        pred = curves[f"pred_order{k}"] = np.asarray(edgeworth_cdf(moments, n, k, grid))
+        dev = np.maximum(np.abs(curves["ecdf_lower"] - pred),
+                         np.abs(curves["ecdf_upper"] - pred))
+        dist[str(k)] = {"sup": float(np.max(dev)), "l1": float(np.mean(dev))}
+    abs_gamma = np.concatenate(abs_gamma)
+    rem_stats = {str(k): {"median_abs": float(np.median(col)),
+                          "q90_abs": float(np.quantile(col, 0.9)),
+                          "max_abs": float(np.max(col))}
+                 for k, col in zip(config.orders, abs_gamma.T)}
+    ci = _wilson_interval(tail_hits, n_ok)
+    entry = {
+        "replications": m_total,
+        "solver_failures": n_fail,
+        "ecdf_distance": dist,
+        "remainders": rem_stats,
+        "tail": {"threshold": thr, "fraction": tail_hits / n_ok, "hits": tail_hits,
+                 "ci95": list(ci)},
+    }
+    return entry, curves
+
+
+# ---------------------------------------------------------------------------
+# output files
+# ---------------------------------------------------------------------------
+
+def _round_floats(obj, precision: int):
+    if isinstance(obj, float):
+        return float(format(obj, f".{precision}g")) if math.isfinite(obj) else obj
+    if isinstance(obj, dict):
+        return {k: _round_floats(v, precision) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v, precision) for v in obj]
+    return obj
+
+
+class _StudyWriter:
+    """Writes a study's files into ``out_dir`` from memory; reads none of them back."""
+
+    def __init__(self, out_dir, orders, precision: int):
+        self.out_dir = str(out_dir)
+        os.makedirs(self.out_dir, exist_ok=True)
+        self.orders = orders
+        self.precision = precision
+        self.files = []
+
+    def _open(self, name: str):
+        path = os.path.join(self.out_dir, name)
+        self.files.append(path)
+        return open(path, "w", encoding="utf-8", newline="\n")
+
+    def remainders(self, n: int, blocks):
+        """Pass ``blocks`` through, streaming each one's rows to remainders_<n>.csv."""
+        header = (["replicate", "theta_hat", "standardized"] + [f"xi{j}" for j in range(1, 7)]
+                  + [f"gamma_order{k}" for k in self.orders])
+        fmt = ["%d"] + [f"%.{self.precision}g"] * (len(header) - 1)
+        with self._open(f"remainders_{n}.csv") as fh:
+            fh.write(",".join(header) + "\n")
+            for block in blocks:
+                replicate_ids = block["start"] + np.arange(block["theta"].size)
+                rows = np.column_stack([replicate_ids, block["theta"], block["standardized"],
+                                        block["xi"], block["gamma"]])
+                np.savetxt(fh, rows, fmt=fmt, delimiter=",")
+                yield block
+
+    def ecdf(self, n: int, grid: np.ndarray, curves: dict):
+        with self._open(f"ecdf_{n}.csv") as fh:
+            np.savetxt(fh, np.column_stack([grid, *curves.values()]),
+                       fmt=f"%.{self.precision}g", delimiter=",",
+                       header=",".join(["x", *curves]), comments="")
+
+    def finish(self, grid: np.ndarray, curves_by_n: dict, report: dict) -> list:
+        """Write curves.csv and report.json; returns every file written."""
+        p = self.precision
+        with self._open("curves.csv") as fh:
+            fh.write("x,order,value\n")
+            for n, curves in curves_by_n.items():
+                columns = {f"ecdf_n{n}": curves["ecdf_upper"]}
+                columns.update({f"order{k}_n{n}": curves[f"pred_order{k}"] for k in self.orders})
+                for i, x in enumerate(grid):
+                    fh.writelines(f"{x:.{p}g},{label},{col[i]:.{p}g}\n"
+                                  for label, col in columns.items())
+        with self._open("report.json") as fh:
+            json.dump(_round_floats(report, p), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return self.files
 
 
 # ---------------------------------------------------------------------------
@@ -240,20 +360,17 @@ class ComparisonReport:
         }
 
 
-def _format_row(values, precision):
-    return ",".join(format(v, f".{precision}g") for v in values)
-
-
 def run_study(config: SimulationConfig, out_dir=None, workers: int = 1,
               precision: int = 12) -> ComparisonReport:
     """Run the full simulation study described by ``config``.
 
-    With ``out_dir`` set, per-replicate rows stream to ``remainders_<n>.csv``
-    as blocks finish (memory stays at block scale; only the per-replicate
-    summary columns are ever re-read for the order statistics), the ECDF
-    against every order's prediction lands in ``ecdf_<n>.csv``, a long-format
-    ``curves.csv`` serves plotting, and ``report.json`` holds the aggregate.
-    The report is bit-identical for any ``workers`` value.
+    The blocks of each sample size are merged in memory, in replicate order,
+    so the report is the same with or without ``out_dir`` and bit-identical
+    for any ``workers`` value.  With ``out_dir`` set, per-replicate rows
+    stream to ``remainders_<n>.csv`` as blocks finish, the ECDF against every
+    order's prediction lands in ``ecdf_<n>.csv``, a long-format
+    ``curves.csv`` serves plotting, and ``report.json`` holds the aggregate;
+    every file is written from memory and none is read back.
     """
     model = model_from_descriptor({"family": config.family, "params": config.family_params})
     if config.require_valid_conditions:
@@ -264,131 +381,30 @@ def run_study(config: SimulationConfig, out_dir=None, workers: int = 1,
                 f"family {model.name!r} fails regularity condition(s) {failed}; "
                 "set require_valid_conditions=False to override")
     moments = compute_moment_set(model, tol=config.moment_tol)
-    a = tuple(float(v) for v in moments.a)
-    fisher = moments.fisher
     grid = np.asarray(config.eval_grid, dtype=float)
-    orders = config.orders
     m_total = config.replications
     desc_json = json.dumps(model.descriptor(), sort_keys=True)
+    writer = None if out_dir is None else _StudyWriter(out_dir, config.orders, precision)
 
-    files = []
-    out = None
-    if out_dir is not None:
-        out = str(out_dir)
-        os.makedirs(out, exist_ok=True)
-
-    def block_payloads(n):
-        for start in range(0, m_total, BLOCK_SIZE):
-            stop = min(start + BLOCK_SIZE, m_total)
-            yield (desc_json, n, start, stop, config.base_seed, a, fisher,
-                   orders, config.solver_tol)
-
-    per_n: dict[str, dict] = {}
-    medians = {k: [] for k in orders}
-    tail_rows = []
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
+    per_n, curves = {}, {}
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for n in config.n_grid:
-            thr = config.epsilon_threshold(n)
-            counts_lt = np.zeros(grid.size, dtype=np.int64)
-            counts_le = np.zeros(grid.size, dtype=np.int64)
-            n_ok = 0
-            n_fail = 0
-            tail_hits = 0
-            gamma_kept = []
-            writer = None
-            gamma_cols = [f"gamma_order{k}" for k in orders]
-            if out is not None:
-                path = os.path.join(out, f"remainders_{n}.csv")
-                writer = open(path, "w", encoding="utf-8", newline="\n")
-                writer.write(",".join(
-                    ["replicate", "theta_hat", "standardized"]
-                    + [f"xi{j}" for j in range(1, 7)] + gamma_cols) + "\n")
-                files.append(path)
-
-            payloads = block_payloads(n)
-            results = executor.map(_run_block, payloads) if executor else map(_run_block, payloads)
-            for block in results:
-                ok = ~block["failed"]
-                std_ok = np.sort(block["standardized"][ok])
-                counts_lt += np.searchsorted(std_ok, grid, side="left")
-                counts_le += np.searchsorted(std_ok, grid, side="right")
-                n_ok += int(ok.sum())
-                n_fail += int((~ok).sum())
-                g_last = np.abs(block["gamma"][ok, -1])
-                tail_hits += int(np.sum(g_last >= thr))
-                if writer is not None:
-                    start = block["start"]
-                    for r in range(block["theta"].size):
-                        row = [start + r, block["theta"][r], block["standardized"][r]]
-                        row += list(block["xi"][r])
-                        row += list(block["gamma"][r])
-                        writer.write(str(row[0]) + "," + _format_row(row[1:], precision) + "\n")
-                else:
-                    gamma_kept.append(np.abs(block["gamma"][ok]))
-                del block
+            payloads = [(desc_json, n, start, min(start + BLOCK_SIZE, m_total),
+                         config.base_seed, moments.a, moments.fisher, config.orders,
+                         config.solver_tol)
+                        for start in range(0, m_total, BLOCK_SIZE)]
+            blocks = pool.map(_run_block, payloads) if pool else map(_run_block, payloads)
             if writer is not None:
-                writer.close()
-                data = np.loadtxt(os.path.join(out, f"remainders_{n}.csv"),
-                                  delimiter=",", skiprows=1,
-                                  usecols=range(9, 9 + len(orders)), ndmin=2)
-                abs_gamma = np.abs(data[~np.isnan(data[:, 0])])
-            else:
-                abs_gamma = np.concatenate(gamma_kept, axis=0) if gamma_kept else np.empty((0, len(orders)))
-
-            if n_fail > 0.01 * m_total:
-                raise StudyAborted(
-                    f"{n_fail} of {m_total} replicates failed at n={n} (over the 1% cap)")
-
-            ecdf_lo = counts_lt / max(n_ok, 1)
-            ecdf_hi = counts_le / max(n_ok, 1)
-            dist = {}
-            preds = {}
-            for k in orders:
-                pred = np.asarray(edgeworth_cdf(moments, n, k, grid))
-                preds[k] = pred
-                dev = np.maximum(np.abs(ecdf_lo - pred), np.abs(ecdf_hi - pred))
-                dist[str(k)] = {"sup": float(np.max(dev)), "l1": float(np.mean(dev))}
-
-            rem_stats = {}
-            for i, k in enumerate(orders):
-                col = abs_gamma[:, i]
-                med = float(np.median(col)) if col.size else math.nan
-                rem_stats[str(k)] = {
-                    "median_abs": med,
-                    "q90_abs": float(np.quantile(col, 0.9)) if col.size else math.nan,
-                    "max_abs": float(np.max(col)) if col.size else math.nan,
-                }
-                medians[k].append(med)
-            ci = _wilson_interval(tail_hits, n_ok)
-            frac = tail_hits / max(n_ok, 1)
-            tail_rows.append((n, frac, ci))
-            per_n[str(n)] = {
-                "replications": m_total,
-                "solver_failures": n_fail,
-                "ecdf_distance": dist,
-                "remainders": rem_stats,
-                "tail": {"threshold": thr, "fraction": frac, "hits": tail_hits,
-                         "ci95": [ci[0], ci[1]]},
-            }
-
-            if out is not None:
-                epath = os.path.join(out, f"ecdf_{n}.csv")
-                with open(epath, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write("x,ecdf_lower,ecdf_upper," +
-                             ",".join(f"pred_order{k}" for k in orders) + "\n")
-                    for i, x in enumerate(grid):
-                        vals = [x, ecdf_lo[i], ecdf_hi[i]] + [preds[k][i] for k in orders]
-                        fh.write(_format_row(vals, precision) + "\n")
-                files.append(epath)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+                blocks = writer.remainders(n, blocks)
+            per_n[str(n)], curves[n] = _aggregate(blocks, n, grid, moments, config)
+            if writer is not None:
+                writer.ecdf(n, grid, curves[n])
 
     slopes = {}
     logn = np.log(np.asarray(config.n_grid, dtype=float))
-    for k in orders:
-        med = np.asarray(medians[k], dtype=float)
+    for k in config.orders:
+        med = np.array([per_n[str(n)]["remainders"][str(k)]["median_abs"]
+                        for n in config.n_grid])
         if len(config.n_grid) >= 2 and np.all(med > 0):
             slope = float(np.polyfit(logn, np.log(med), 1)[0])
         else:
@@ -396,57 +412,21 @@ def run_study(config: SimulationConfig, out_dir=None, workers: int = 1,
         # first omitted bracket of the order-k truncation carries n^-(k/2)
         slopes[str(k)] = {"slope": slope, "expected": -k / 2.0}
 
-    trend_ok = []
-    for (n1, f1, c1), (n2, f2, c2) in zip(tail_rows, tail_rows[1:]):
-        trend_ok.append(bool(c2[0] <= c1[1]))
-    tail_trend = {
-        "nonincreasing_within_ci": bool(all(trend_ok)) if trend_ok else True,
-        "pairs": [{"from_n": a_[0], "to_n": b_[0], "ok": ok}
-                  for (a_, b_, ok) in zip(tail_rows, tail_rows[1:], trend_ok)],
-    }
-
-    if out is not None:
-        cpath = os.path.join(out, "curves.csv")
-        with open(cpath, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("x,order,value\n")
-            for n in config.n_grid:
-                epath = os.path.join(out, f"ecdf_{n}.csv")
-                rows = np.loadtxt(epath, delimiter=",", skiprows=1, ndmin=2)
-                for i, x in enumerate(rows[:, 0]):
-                    fh.write(f"{format(x, f'.{precision}g')},ecdf_n{n},"
-                             f"{format(rows[i, 2], f'.{precision}g')}\n")
-                    for j, k in enumerate(orders):
-                        fh.write(f"{format(x, f'.{precision}g')},order{k}_n{n},"
-                                 f"{format(rows[i, 3 + j], f'.{precision}g')}\n")
-        files.append(cpath)
-
+    ci95 = [(n, per_n[str(n)]["tail"]["ci95"]) for n in config.n_grid]
+    pairs = [{"from_n": n1, "to_n": n2, "ok": bool(c2[0] <= c1[1])}
+             for (n1, c1), (n2, c2) in zip(ci95, ci95[1:])]
     report = ComparisonReport(
         config=config.to_dict(),
-        fisher=fisher,
+        fisher=moments.fisher,
         moment_values=moments.to_dict(),
         dkw_noise_floor={"value": _DKW_95 / math.sqrt(m_total),
                          "note": "95% DKW bound on ECDF sup-norm fluctuation, ~1.36/sqrt(M)"},
         per_n=per_n,
         slopes=slopes,
-        tail_trend=tail_trend,
-        output_files=tuple(files),
+        tail_trend={"nonincreasing_within_ci": all(p["ok"] for p in pairs), "pairs": pairs},
+        output_files=(),
     )
-
-    if out is not None:
-        rpath = os.path.join(out, "report.json")
-        with open(rpath, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(_round_floats(report.to_dict(), precision), fh,
-                      indent=2, sort_keys=True)
-            fh.write("\n")
-        object.__setattr__(report, "output_files", tuple(files + [rpath]))
+    if writer is not None:
+        files = writer.finish(grid, curves, report.to_dict())
+        report = replace(report, output_files=tuple(files))
     return report
-
-
-def _round_floats(obj, precision: int):
-    if isinstance(obj, float):
-        return float(format(obj, f".{precision}g")) if math.isfinite(obj) else obj
-    if isinstance(obj, dict):
-        return {k: _round_floats(v, precision) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, precision) for v in obj]
-    return obj

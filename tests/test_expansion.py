@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -70,14 +71,40 @@ def test_quantile_table_inverts_cdf_table_up_to_known_block():
     """
     sp, z, eta, qs, ds = _symbolic_polys()
     eps = sp.Symbol("eps")
-    h = sum(eps ** (o - 1) * ds[o] for o in (2, 3, 4, 5))
-    # Phi(z + h) - Phi(z), using phi^(k) = (-1)^k He_k phi
-    He = [sp.Integer(1), z, z**2 - 1, z**3 - 3 * z]
-    gauss_part = sum((-1) ** k * He[k] * h ** (k + 1) / sp.factorial(k + 1) for k in range(4))
-    phi_ratio = sp.exp(-z * h - h**2 / 2)
-    corr = sum(eps ** (o - 1) * qs[o].subs(z, z + h) for o in (2, 3, 4, 5)) * phi_ratio
-    series = sp.series(gauss_part + corr, eps, 0, 5).removeO()
-    poly = sp.Poly(sp.expand(series), eps)
+    # truncated power series in eps: exact polynomial arithmetic over QQ,
+    # dropping every term beyond eps^4
+    R, E, Z = sp.ring([eps, z] + [eta[j] for j in range(2, 11)], sp.QQ)[:3]
+
+    def trunc(p):
+        return R({m: c for m, c in p.items() if m[0] <= 4})
+
+    def mul(p, q):
+        return trunc(p * q)
+
+    def power(p, k):
+        out = R.one
+        for _ in range(k):
+            out = mul(out, p)
+        return out
+
+    h = sum((E ** (o - 1) * R(ds[o]) for o in (2, 3, 4, 5)), R.zero)
+    hs = [power(h, k) for k in range(5)]
+    # Phi(z + h) - Phi(z), using phi^(k) = (-1)^k He_k phi; h = O(eps)
+    He = [R.one, Z, Z**2 - 1, Z**3 - 3 * Z]
+    gauss_part = sum((sp.QQ((-1) ** k, math.factorial(k + 1)) * mul(He[k], hs[k + 1])
+                      for k in range(4)), R.zero)
+    # phi(z + h) / phi(z) = exp(w), w = O(eps)
+    w = trunc(-Z * h) - mul(h, h) / 2
+    phi_ratio = sum((power(w, j) / math.factorial(j) for j in range(5)), R.zero)
+    corr = R.zero
+    for o in (2, 3, 4, 5):
+        # Taylor expansion of q_o(z + h) in h
+        q, shifted = R(qs[o]), R.zero
+        for j in range(5):
+            shifted += mul(q, hs[j]) / math.factorial(j)
+            q = q.diff(Z)
+        corr += mul(E ** (o - 1), shifted)
+    poly = sp.Poly((gauss_part + mul(corr, phi_ratio)).as_expr(), eps)
 
     for k in (1, 2, 3):
         assert sp.simplify(poly.coeff_monomial(eps**k)) == 0, f"eps^{k} block"

@@ -130,3 +130,14 @@ def test_condition_report_serializes(normal_model):
     d = e.validate_conditions(normal_model).to_dict()
     assert set(d["verdicts"]) == {"1", "2", "3", "4"}
     assert d["all_pass"] is True
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_integrand_is_named_as_the_cause():
+    # Gumbel written as an expression: the lambdified contrast derivatives
+    # overflow (exp(2x) * exp(-2x)) far in the right tail
+    model = e.from_expression("exp(-x - exp(-x))")
+    with pytest.raises(e.MomentDivergence) as info:
+        e.compute_moment_set(model)
+    assert "non-finite integrand" in str(info.value)
+    assert "drifts" not in str(info.value)

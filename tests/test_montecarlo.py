@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +162,16 @@ def test_study_outputs_are_worker_independent(tmp_path):
         b1 = (tmp_path / "w1" / name).read_bytes()
         b2 = (tmp_path / "w2" / name).read_bytes()
         assert b1 == b2, name
+
+
+def test_study_report_does_not_depend_on_out_dir(tmp_path):
+    cfg = e.SimulationConfig(family="logistic", n_grid=(25, 50), replications=512,
+                             base_seed=20260810)
+    written = e.run_study(cfg, out_dir=tmp_path)
+    assert written.to_dict() == e.run_study(cfg).to_dict()
+    assert sorted(Path(p).name for p in written.output_files) == [
+        "curves.csv", "ecdf_25.csv", "ecdf_50.csv", "remainders_25.csv",
+        "remainders_50.csv", "report.json"]
 
 
 def test_study_rejects_family_failing_conditions():
