@@ -250,11 +250,19 @@ class DensityModel:
 
     The integrates-to-one and positivity invariants are not enforced here
     (models are built in hot paths); :func:`check_density` verifies them.
+
+    ``log_concave`` (read-only) states that f is log-concave, so the contrast
+    rho = -log f is convex and every sample's empirical contrast has a single
+    basin; the MLE solver then brackets the score's root instead of scanning
+    for basins.  It is a property of the family, not a tuning option: only
+    the built-in normal and logistic constructors set it, and it is neither
+    part of the descriptor nor settable through :func:`make_model`, so it
+    holds for exactly the models those constructors build.
     """
 
     def __init__(self, name, support, pdf, *, pdf_derivs=None, cdf=None, ppf=None,
                  rho=None, rho_derivs=None, psis=None, derivative_mode="analytic",
-                 params=None, descriptor=None, length_scale=1.0):
+                 params=None, descriptor=None, length_scale=1.0, log_concave=False):
         lo, hi = float(support[0]), float(support[1])
         if not lo < hi:
             raise ValueError(f"empty support ({lo}, {hi})")
@@ -277,18 +285,30 @@ class DensityModel:
         self.ppf = ppf if ppf is not None else _numeric_ppf(self.cdf, self.support)
         self._descriptor = dict(descriptor) if descriptor is not None else {
             "family": self.name, "params": dict(self.params)}
+        self._log_concave = bool(log_concave)
+
+    @property
+    def log_concave(self) -> bool:
+        return self._log_concave
 
     def interior(self, x):
         lo, hi = self.support
         return (np.asarray(x, dtype=float) > lo) & (np.asarray(x, dtype=float) < hi)
 
-    def feasible_shift_interval(self, sample):
-        """Open interval of shifts theta keeping every sample point interior."""
+    def feasible_shift_interval(self, samples, margin=0.0):
+        """Per-row shifts theta keeping every point of that row interior.
+
+        ``samples`` is an (M, n) array; returns arrays (t_lo, t_hi) of length
+        M bounding the open interval of feasible shifts, each end pulled in by
+        ``margin`` (a scalar or one value per row).  An infinite end of the
+        support leaves the matching end infinite.
+        """
         lo, hi = self.support
-        sample = np.asarray(sample, dtype=float)
-        t_lo = -np.inf if not np.isfinite(hi) else float(np.max(sample)) - hi
-        t_hi = np.inf if not np.isfinite(lo) else float(np.min(sample)) - lo
-        return (t_lo, t_hi)
+        s = np.asarray(samples, dtype=float)
+        rows = s.shape[0]
+        t_lo = np.max(s, axis=1) - hi + margin if np.isfinite(hi) else np.full(rows, -np.inf)
+        t_hi = np.min(s, axis=1) - lo - margin if np.isfinite(lo) else np.full(rows, np.inf)
+        return t_lo, t_hi
 
     def descriptor(self) -> dict:
         """Plain-data recipe from which this model can be rebuilt."""
@@ -385,6 +405,7 @@ def normal(loc: float = 0.0) -> DensityModel:
         rho_derivs=rho_derivs,
         psis=psis,
         params={"loc": lc},
+        log_concave=True,
     )
 
 
@@ -437,6 +458,7 @@ def logistic(loc: float = 0.0) -> DensityModel:
         rho_derivs=rho_derivs,
         psis=psis,
         params={"loc": lc},
+        log_concave=True,
     )
 
 

@@ -1,12 +1,23 @@
 """Maximum likelihood estimation of location.
 
 The estimator minimizes the empirical contrast
-L_n(theta) = n^-1 sum_i rho(X_i - theta) with rho = -log f.  The solver
-initializes at the sample median, scans a 41-point grid over
-median +/- 5 robust scales to locate (and count) likelihood basins, then
-runs Newton iterations on the score safeguarded by bisection inside the
-bracketing interval.  Convergence is declared on the score,
-|L_n'(theta)| <= tol, because everything downstream is score-driven.
+L_n(theta) = n^-1 sum_i rho(X_i - theta) with rho = -log f.  Both solver
+paths start from the sample median and the interval median +/- 5 robust
+scales, kept inside the shifts that leave the sample feasible:
+
+* log-concave families (:attr:`DensityModel.log_concave`) have a convex
+  contrast, hence one basin per sample.  The solver checks the sign of the
+  score at both ends, widens any end that does not bracket the root, and
+  runs Newton from the median inside the bracket; the multimodal flag is
+  always false;
+* every other family gets a 41-point grid scan of the contrast over the
+  interval to locate (and count) likelihood basins, then Newton from the
+  best grid point, and on multimodal rows every basin is refined and the
+  lowest contrast kept.
+
+Newton steps are safeguarded by bisection inside the bracket.  Convergence
+is declared on the score, |L_n'(theta)| <= tol, because everything
+downstream is score-driven.
 
 A vectorized batch path solves many replicates at once; the scalar
 :func:`solve_mle` is the batch path with a single row, so both always agree.
@@ -22,6 +33,7 @@ from .errors import DomainError, NoConvergence
 
 GRID_POINTS = 41
 GRID_SPAN = 5.0
+_WIDEN_STEPS = 8  # times a search interval may grow by its own width
 _IQR_TO_SIGMA = 1.349  # normal-consistent scale from the interquartile range
 
 
@@ -128,49 +140,46 @@ def _newton_refine(samples, model, theta, lo, hi, tol, max_iter):
     return theta, grad, iterations, lo, hi, active
 
 
-def solve_mle_batch(samples, model: DensityModel, tol: float = 1e-10,
-                    max_iter: int = 200, grid_points: int = GRID_POINTS,
-                    span: float = GRID_SPAN) -> BatchMleResult:
-    """Solve one MLE per row of ``samples`` (an (M, n) array)."""
-    s = np.atleast_2d(np.asarray(samples, dtype=float))
-    if s.ndim != 2 or s.shape[1] == 0:
-        raise ValueError("samples must be a nonempty (M, n) array")
-    _require_feasible(s, model)
+def _widen(lo, hi, idx, left, right, t_lo, t_hi):
+    """Extend rows ``idx`` by their width on the flagged sides, inside the feasible shifts."""
+    width = hi[idx] - lo[idx]
+    lo[idx] = np.maximum(np.where(left, lo[idx] - width, lo[idx]), t_lo[idx])
+    hi[idx] = np.minimum(np.where(right, hi[idx] + width, hi[idx]), t_hi[idx])
+
+
+def _solve_convex(s, model, med, lo, hi, t_lo, t_hi, tol, max_iter):
+    """Bracketed Newton from the median, for a convex contrast (one basin per row)."""
+    g_lo = _score_rows(s, model, lo)
+    g_hi = _score_rows(s, model, hi)
+    # the score increases through the minimum, so L'(lo) <= 0 <= L'(hi) brackets it
+    for _ in range(_WIDEN_STEPS):
+        edge = np.flatnonzero((g_lo > 0) | (g_hi < 0))
+        if edge.size == 0:
+            break
+        _widen(lo, hi, edge, g_lo[edge] > 0, g_hi[edge] < 0, t_lo, t_hi)
+        g_lo[edge] = _score_rows(s[edge], model, lo[edge])
+        g_hi[edge] = _score_rows(s[edge], model, hi[edge])
+    unbracketed = (g_lo > 0) | (g_hi < 0)
+    # with a finite end of the support the median itself can be an infeasible shift
+    theta, grad, iters, lo, hi, active = _newton_refine(
+        s, model, np.clip(med, lo, hi), lo, hi, tol, max_iter)
+    multimodal = np.zeros(s.shape[0], dtype=bool)
+    return theta, grad, iters, lo, hi, multimodal, active | unbracketed
+
+
+def _solve_scanned(s, model, lo, hi, t_lo, t_hi, tol, max_iter, grid_points):
+    """Grid scan for basins, Newton in the best one, and every basin refined on multimodal rows."""
     rows = s.shape[0]
-
-    med = np.median(s, axis=1)
-    scale = _robust_scale(s)
-    lo = med - span * scale
-    hi = med + span * scale
-    # keep the scan inside the set of shifts that leave the sample feasible
-    s_lo, s_hi = model.support
-    if np.isfinite(s_hi) or np.isfinite(s_lo):
-        t_lo = np.max(s, axis=1) - s_hi if np.isfinite(s_hi) else np.full(rows, -np.inf)
-        t_hi = np.min(s, axis=1) - s_lo if np.isfinite(s_lo) else np.full(rows, np.inf)
-        margin = 1e-9 * np.maximum(scale, 1.0)
-        lo = np.maximum(lo, t_lo + margin)
-        hi = np.minimum(hi, t_hi - margin)
-        bad = ~(lo < hi)
-        if np.any(bad):
-            raise DomainError("no feasible shift interval for some rows")
-
     thetas, values = _grid_scan(s, model, lo, hi, grid_points)
     multimodal = _local_min_count(values) > 1
     j = np.argmin(values, axis=1)
 
     # widen the scan for rows whose minimum sits on the grid edge
-    for _ in range(8):
+    for _ in range(_WIDEN_STEPS):
         edge = np.flatnonzero((j == 0) | (j == grid_points - 1))
         if edge.size == 0:
             break
-        width = hi[edge] - lo[edge]
-        lo[edge] = np.where(j[edge] == 0, lo[edge] - width, lo[edge])
-        hi[edge] = np.where(j[edge] == grid_points - 1, hi[edge] + width, hi[edge])
-        if np.isfinite(s_hi) or np.isfinite(s_lo):
-            t_lo = np.max(s[edge], axis=1) - s_hi if np.isfinite(s_hi) else -np.inf
-            t_hi = np.min(s[edge], axis=1) - s_lo if np.isfinite(s_lo) else np.inf
-            lo[edge] = np.maximum(lo[edge], t_lo + 1e-12)
-            hi[edge] = np.minimum(hi[edge], t_hi - 1e-12)
+        _widen(lo, hi, edge, j[edge] == 0, j[edge] == grid_points - 1, t_lo, t_hi)
         th_e, val_e = _grid_scan(s[edge], model, lo[edge], hi[edge], grid_points)
         thetas[edge] = th_e
         values[edge] = val_e
@@ -209,7 +218,37 @@ def solve_mle_batch(samples, model: DensityModel, tol: float = 1e-10,
         b_lo[r] = min(b_lo[r], best_theta)
         b_hi[r] = max(b_hi[r], best_theta)
 
-    failed = active | stuck_on_edge
+    return theta, grad, iters, b_lo, b_hi, multimodal, active | stuck_on_edge
+
+
+def solve_mle_batch(samples, model: DensityModel, tol: float = 1e-10,
+                    max_iter: int = 200, grid_points: int = GRID_POINTS,
+                    span: float = GRID_SPAN) -> BatchMleResult:
+    """Solve one MLE per row of ``samples`` (an (M, n) array).
+
+    Log-concave models take the bracketed Newton path from the median and
+    never evaluate the contrast before the final value; other models take
+    the grid scan over ``grid_points`` points.
+    """
+    s = np.atleast_2d(np.asarray(samples, dtype=float))
+    if s.ndim != 2 or s.shape[1] == 0:
+        raise ValueError("samples must be a nonempty (M, n) array")
+    _require_feasible(s, model)
+
+    med = np.median(s, axis=1)
+    scale = _robust_scale(s)
+    # every search interval stays inside the shifts that leave the sample feasible
+    t_lo, t_hi = model.feasible_shift_interval(s, margin=1e-9 * np.maximum(scale, 1.0))
+    lo = np.maximum(med - span * scale, t_lo)
+    hi = np.minimum(med + span * scale, t_hi)
+    if not np.all(lo < hi):
+        raise DomainError("no feasible shift interval for some rows")
+
+    if model.log_concave:
+        solved = _solve_convex(s, model, med, lo, hi, t_lo, t_hi, tol, max_iter)
+    else:
+        solved = _solve_scanned(s, model, lo, hi, t_lo, t_hi, tol, max_iter, grid_points)
+    theta, grad, iters, b_lo, b_hi, multimodal, failed = solved
     value = _contrast_rows(s, model, theta)
     return BatchMleResult(theta, grad, iters, b_lo, b_hi, multimodal, value, failed)
 

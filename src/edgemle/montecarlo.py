@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
@@ -172,7 +173,8 @@ def _simulate_block(model: DensityModel, n, start, stop, base_seed, a, fisher, o
                     tol) -> dict:
     """Replicates [start, stop) at sample size n; replicate r is seeded base_seed XOR r.
 
-    Returns per-replicate arrays; NaN rows mark solver failures.
+    Returns per-replicate arrays, the solver's iteration counts and
+    multimodal flags among them; NaN rows mark solver failures.
     """
     count = stop - start
     samples = np.empty((count, n))
@@ -193,6 +195,8 @@ def _simulate_block(model: DensityModel, n, start, stop, base_seed, a, fisher, o
         "xi": xi,
         "gamma": gamma,
         "failed": failed,
+        "iterations": batch.iterations,
+        "multimodal": batch.multimodal_flag,
     }
 
 
@@ -219,12 +223,15 @@ def _aggregate(blocks, n: int, grid: np.ndarray, moments: MomentSet,
     Returns the report entry of ``n`` and its curves: the ECDF of the
     standardized statistic on ``grid`` from both sides and every order's
     Edgeworth prediction there, keyed by their ``ecdf_<n>.csv`` column names.
-    The remainder quantiles come from the full-precision |gamma|.
+    The remainder quantiles come from the full-precision |gamma|; the solver
+    counters (multimodal rows, histogram of Newton iterations) cover every
+    replicate, failed ones included.
     """
     thr = config.epsilon_threshold(n)
     counts_lt = np.zeros(grid.size, dtype=np.int64)
     counts_le = np.zeros(grid.size, dtype=np.int64)
-    n_fail = tail_hits = 0
+    n_fail = tail_hits = multimodal_rows = 0
+    iteration_counts = Counter()
     abs_gamma = []
     for block in blocks:
         ok = ~block["failed"]
@@ -232,6 +239,8 @@ def _aggregate(blocks, n: int, grid: np.ndarray, moments: MomentSet,
         counts_lt += np.searchsorted(std_ok, grid, side="left")
         counts_le += np.searchsorted(std_ok, grid, side="right")
         n_fail += int(block["failed"].sum())
+        multimodal_rows += int(block["multimodal"].sum())
+        iteration_counts.update(block["iterations"].tolist())
         g = np.abs(block["gamma"][ok])
         tail_hits += int(np.sum(g[:, -1] >= thr))
         abs_gamma.append(g)
@@ -257,6 +266,9 @@ def _aggregate(blocks, n: int, grid: np.ndarray, moments: MomentSet,
     entry = {
         "replications": m_total,
         "solver_failures": n_fail,
+        "solver": {"multimodal_rows": multimodal_rows,
+                   "newton_iterations": {str(k): iteration_counts[k]
+                                         for k in sorted(iteration_counts)}},
         "ecdf_distance": dist,
         "remainders": rem_stats,
         "tail": {"threshold": thr, "fraction": tail_hits / n_ok, "hits": tail_hits,

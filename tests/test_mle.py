@@ -101,13 +101,50 @@ def test_no_convergence_raises(logistic_model):
         e.solve_mle(x, logistic_model, tol=1e-14, max_iter=1)
 
 
-def test_batch_rows_match_scalar_solves(logistic_model):
-    samples = np.stack([e.sample_iid(logistic_model, 40, 1000 ^ r) for r in range(5)])
-    batch = e.solve_mle_batch(samples, logistic_model, tol=1e-11)
-    for r in range(5):
-        single = e.solve_mle(samples[r], logistic_model, tol=1e-11)
-        assert batch.theta_hat[r] == single.theta_hat
-        assert batch.iterations[r] == single.iterations
+def test_batch_rows_match_scalar_solves(logistic_model, normal_model):
+    for model in (logistic_model, normal_model):
+        samples = np.stack([e.sample_iid(model, 40, 1000 ^ r) for r in range(5)])
+        batch = e.solve_mle_batch(samples, model, tol=1e-11)
+        for r in range(5):
+            single = e.solve_mle(samples[r], model, tol=1e-11)
+            assert batch.theta_hat[r] == single.theta_hat
+            assert batch.iterations[r] == single.iterations
+
+
+@pytest.mark.parametrize("make", [e.normal, e.logistic])
+def test_log_concave_solve_evaluates_the_contrast_only_at_the_solution(make):
+    model = make()
+    samples = np.stack([e.sample_iid(model, 30, 600 ^ r) for r in range(8)])
+    points = []
+    rho = model.rho
+
+    def counted_rho(y):
+        points.append(np.size(y))
+        return rho(y)
+
+    model.rho = counted_rho
+    batch = e.solve_mle_batch(samples, model, tol=1e-11)
+    assert not batch.failed.any() and not batch.multimodal_flag.any()
+    assert sum(points) <= samples.size
+
+
+def test_log_concave_bracket_widens_to_a_distant_root(normal_model):
+    # the mean sits far outside median +/- 5 robust scales (median 0, scale ~741)
+    x = np.concatenate([np.zeros(51), np.full(48, 1000.0), [1e6]])
+    res = e.solve_mle(x, normal_model, tol=1e-11)
+    assert res.theta_hat == pytest.approx(float(np.mean(x)), rel=1e-12)
+    assert not res.multimodal_flag
+
+
+def test_log_concave_flag_is_fixed_per_family_and_survives_descriptors():
+    expected = {"normal": True, "logistic": True, "student_t": False}
+    for model in (e.normal(), e.logistic(), e.student_t(7)):
+        assert model.log_concave is expected[model.name]
+        rebuilt = e.model_from_descriptor(model.descriptor())
+        assert rebuilt.log_concave is model.log_concave
+        with pytest.raises(AttributeError):
+            model.log_concave = True
+    assert not e.from_expression("exp(-x**2/2)/sqrt(2*pi)").log_concave
 
 
 def test_empty_sample_rejected(logistic_model):

@@ -174,6 +174,15 @@ def test_study_report_does_not_depend_on_out_dir(tmp_path):
         "remainders_50.csv", "report.json"]
 
 
+def test_study_reports_solver_counters():
+    cfg = e.SimulationConfig(family="logistic", n_grid=(25, 50), replications=300,
+                             base_seed=99)
+    for entry in e.run_study(cfg).per_n.values():
+        solver = entry["solver"]
+        assert solver["multimodal_rows"] == 0
+        assert sum(solver["newton_iterations"].values()) == cfg.replications
+
+
 def test_study_rejects_family_failing_conditions():
     cfg = e.SimulationConfig(
         family="expression",
