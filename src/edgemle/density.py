@@ -14,9 +14,12 @@ derivatives.  User families come either from a sympy expression string or
 from a tabulated grid; anything missing is filled in by Richardson central
 differences and the model is labelled ``numeric-fallback``.
 
-Contrast derivatives are assembled from the psi ratios through the
-logarithmic-derivative recursion rather than by differencing -log f, which
-would cancel catastrophically in the tails where f is tiny.
+Each family states one set of derivatives.  Analytic families (built-in and
+expression) state rho^(1)..rho^(6), and psi follows by the logarithmic-
+derivative recursion, f^(j) as psi_j f.  Pdf-based families (tables, bare
+density callables) state f^(1)..f^(6); psi is the ratio f^(i)/f and rho^(j)
+follows by the inverse recursion.  Neither direction differences -log f,
+which would cancel catastrophically in the tails where f is tiny.
 """
 from __future__ import annotations
 
@@ -61,12 +64,23 @@ class DerivativeEstimate:
     precision_warning: bool
 
 
-def _central_difference(f, j, x, h):
-    # j-th symmetric difference quotient; O(h^2) truncation error
+def _difference_quotient(f, j, x, h):
+    # j-th symmetric difference quotient and the f values it used; O(h^2)
+    # truncation error
+    values = [f(x + (j / 2 - i) * h) for i in range(j + 1)]
     acc = 0.0
-    for i in range(j + 1):
-        acc = acc + (-1) ** i * comb(j, i) * f(x + (j / 2 - i) * h)
-    return acc / h**j
+    for i, v in enumerate(values):
+        acc = acc + (-1) ** i * comb(j, i) * v
+    return acc / h**j, values
+
+
+def _richardson(f, j, x, scale):
+    # Richardson step from h to h/2 with base step scale * eps^(1/(j+2));
+    # returns the estimate, the h/2 quotient, h/2 and every f value used
+    h = scale * _EPS ** (1.0 / (j + 2))
+    d1, values1 = _difference_quotient(f, j, x, h)
+    d2, values2 = _difference_quotient(f, j, x, h / 2)
+    return (4.0 * d2 - d1) / 3.0, d2, h / 2, values1 + values2
 
 
 def numeric_derivative(f: Callable, j: int, x: float, scale: float = 1.0) -> DerivativeEstimate:
@@ -82,14 +96,10 @@ def numeric_derivative(f: Callable, j: int, x: float, scale: float = 1.0) -> Der
         raise UnsupportedOrder(f"derivative order must be in 1..{MAX_DERIVATIVE_ORDER}, got {j}")
     if scale <= 0:
         raise ValueError("scale must be positive")
-    h = scale * _EPS ** (1.0 / (j + 2))
-    evals = [f(x + (j / 2 - i) * hh) for hh in (h, h / 2) for i in range(j + 1)]
-    d1 = sum((-1) ** i * comb(j, i) * evals[i] for i in range(j + 1)) / h**j
-    d2 = sum((-1) ** i * comb(j, i) * evals[j + 1 + i] for i in range(j + 1)) / (h / 2) ** j
-    value = (4.0 * d2 - d1) / 3.0
+    value, d2, h2, evals = _richardson(f, j, x, scale)
     # |value - d2| tracks the h^2 truncation term; the floor is the rounding
     # noise 2^j eps max|f| amplified by the 1/h^j of the difference quotient
-    floor = 2.0**j * _EPS * max(abs(v) for v in evals) / (h / 2) ** j
+    floor = 2.0**j * _EPS * max(abs(v) for v in evals) / h2**j
     error = max(abs(value - d2), floor)
     ref = max(abs(value), abs(d2), 1e-300)
     return DerivativeEstimate(float(value), float(error), bool(error / ref > 1e-4))
@@ -115,50 +125,43 @@ def _log_derivs_from_psis(psi_values: Sequence):
 
 
 def _psis_from_log_derivs(g_values: Sequence):
-    """Ratios psi_m = f^(m)/f from derivatives of log f (forward recursion)."""
-    psis = [1.0]
+    """Ratios psi_m = f^(m)/f from derivatives of log f (forward recursion).
+
+    The integer seeds keep sympy input exact and give float input the values
+    1.0 and 0.0 would.
+    """
+    psis = [1]
     for m in range(1, len(g_values) + 1):
-        s = 0.0
+        s = 0
         for i in range(m):
             s = s + comb(m - 1, i) * psis[i] * g_values[m - i - 1]
         psis.append(s)
     return psis[1:]
 
 
-def _rho_derivs_from_psis(psi_fns):
-    def make(j):
-        def rho_j(x):
-            vals = [psi_fns[m](x) for m in range(j)]
-            return -_log_derivs_from_psis(vals)[j - 1]
-
-        return rho_j
-
+def _six(make):
+    # the per-order callables make(1), ..., make(6)
     return tuple(make(j) for j in range(1, MAX_DERIVATIVE_ORDER + 1))
+
+
+def _psis_from_rho_derivs(rho_derivs):
+    return _six(lambda i: lambda x: _psis_from_log_derivs([-r(x) for r in rho_derivs[:i]])[i - 1])
+
+
+def _pdf_derivs_from_psis(pdf, psis):
+    return _six(lambda j: lambda x: psis[j - 1](x) * pdf(x))
 
 
 def _psi_fns_from_ratio(pdf, pdf_derivs):
-    def make(i):
-        def psi_i(x):
-            return pdf_derivs[i - 1](x) / pdf(x)
+    return _six(lambda i: lambda x: pdf_derivs[i - 1](x) / pdf(x))
 
-        return psi_i
 
-    return tuple(make(i) for i in range(1, MAX_DERIVATIVE_ORDER + 1))
+def _rho_derivs_from_psis(psis):
+    return _six(lambda j: lambda x: -_log_derivs_from_psis([p(x) for p in psis[:j]])[j - 1])
 
 
 def _numeric_pdf_derivs(pdf, scale):
-    def make(j):
-        h = scale * _EPS ** (1.0 / (j + 2))
-
-        def deriv(x):
-            x = np.asarray(x, dtype=float)
-            d1 = _central_difference(pdf, j, x, h)
-            d2 = _central_difference(pdf, j, x, h / 2)
-            return (4.0 * d2 - d1) / 3.0
-
-        return deriv
-
-    return tuple(make(j) for j in range(1, MAX_DERIVATIVE_ORDER + 1))
+    return _six(lambda j: lambda x: _richardson(pdf, j, np.asarray(x, dtype=float), scale)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +251,17 @@ class DensityModel:
     processes; :meth:`descriptor` returns a plain dict from which
     :func:`model_from_descriptor` rebuilds an identical model.
 
+    A family states one set of six derivatives (passing both raises
+    ValueError).  Analytic families pass ``rho_derivs``; psi_i comes from the
+    logarithmic-derivative recursion on -rho^(j) and f^(j) is psi_j f.  Their
+    ``psis`` may replace the derived psi: the normal and logistic
+    constructors pass closed forms because the generic recursion doubles
+    the cost of their moment sets, and :func:`from_expression` passes the
+    recursion carried out symbolically, one compiled call per psi.
+    Pdf-based families pass ``pdf_derivs``, or nothing for Richardson
+    differences of f and the ``numeric-fallback`` label; psi_i is the ratio
+    f^(i)/f and rho^(j) comes from the inverse recursion.
+
     The integrates-to-one and positivity invariants are not enforced here
     (models are built in hot paths); :func:`check_density` verifies them.
 
@@ -266,21 +280,31 @@ class DensityModel:
         lo, hi = float(support[0]), float(support[1])
         if not lo < hi:
             raise ValueError(f"empty support ({lo}, {hi})")
+        if rho_derivs is not None and pdf_derivs is not None:
+            raise ValueError("pass rho_derivs (analytic family) or pdf_derivs "
+                             "(pdf-based family), not both")
         self.name = str(name)
         self.support = (lo, hi)
         self.length_scale = float(length_scale)
         self.params = dict(params or {})
         self.pdf = pdf
-        if pdf_derivs is None:
-            pdf_derivs = _numeric_pdf_derivs(pdf, self.length_scale)
-            derivative_mode = "numeric-fallback"
-        self.pdf_derivs = tuple(pdf_derivs)
-        if len(self.pdf_derivs) != MAX_DERIVATIVE_ORDER:
-            raise ValueError("expected six density derivatives")
+        if rho_derivs is not None:
+            self.rho_derivs = tuple(rho_derivs)
+            if len(self.rho_derivs) != MAX_DERIVATIVE_ORDER:
+                raise ValueError("expected six contrast derivatives")
+            self.psis = tuple(psis) if psis is not None else _psis_from_rho_derivs(self.rho_derivs)
+            self.pdf_derivs = _pdf_derivs_from_psis(pdf, self.psis)
+        else:
+            if pdf_derivs is None:
+                pdf_derivs = _numeric_pdf_derivs(pdf, self.length_scale)
+                derivative_mode = "numeric-fallback"
+            self.pdf_derivs = tuple(pdf_derivs)
+            if len(self.pdf_derivs) != MAX_DERIVATIVE_ORDER:
+                raise ValueError("expected six density derivatives")
+            self.psis = tuple(psis) if psis is not None else _psi_fns_from_ratio(pdf, self.pdf_derivs)
+            self.rho_derivs = _rho_derivs_from_psis(self.psis)
         self.derivative_mode = derivative_mode
-        self.psis = tuple(psis) if psis is not None else _psi_fns_from_ratio(self.pdf, self.pdf_derivs)
         self.rho = rho if rho is not None else (lambda x, _p=pdf: _neg_log(_p(x)))
-        self.rho_derivs = tuple(rho_derivs) if rho_derivs is not None else _rho_derivs_from_psis(self.psis)
         self.cdf = cdf if cdf is not None else _numeric_cdf(self.pdf, self.support)
         self.ppf = ppf if ppf is not None else _numeric_ppf(self.cdf, self.support)
         self._descriptor = dict(descriptor) if descriptor is not None else {
@@ -319,11 +343,19 @@ class DensityModel:
         return f"DensityModel({self.name}{', ' + ps if ps else ''})"
 
 
-def _require_interior(model, x):
-    ok = model.interior(x)
+def _evaluate(model, fns, order, what, x):
+    # fns[order - 1](x), for x inside the open support where f > 0
+    if not 1 <= int(order) <= MAX_DERIVATIVE_ORDER:
+        raise UnsupportedOrder(f"{what} order must be in 1..{MAX_DERIVATIVE_ORDER}, got {order}")
+    xs = np.asarray(x, dtype=float)
+    ok = model.interior(xs)
     if not np.all(ok):
-        bad = np.asarray(x, dtype=float)[~np.asarray(ok)] if np.ndim(x) else x
+        bad = xs[~np.asarray(ok)] if np.ndim(x) else x
         raise DomainError(f"point outside open support {model.support}: {bad}")
+    fx = np.asarray(model.pdf(xs), dtype=float)
+    if not np.all(fx > 0.0):
+        raise DomainError("density vanishes at an evaluation point")
+    return _scalar_like(x, fns[int(order) - 1](xs))
 
 
 def psi(model: DensityModel, i: int, x):
@@ -331,26 +363,12 @@ def psi(model: DensityModel, i: int, x):
 
     Raises DomainError when x is outside the open support or f(x) = 0 there.
     """
-    if not 1 <= int(i) <= MAX_DERIVATIVE_ORDER:
-        raise UnsupportedOrder(f"psi order must be in 1..{MAX_DERIVATIVE_ORDER}, got {i}")
-    xs = np.asarray(x, dtype=float)
-    _require_interior(model, xs)
-    fx = np.asarray(model.pdf(xs), dtype=float)
-    if not np.all(fx > 0.0):
-        raise DomainError("density vanishes at an evaluation point")
-    return _scalar_like(x, model.psis[int(i) - 1](xs))
+    return _evaluate(model, model.psis, i, "psi", x)
 
 
 def rho_deriv(model: DensityModel, j: int, x):
     """j-th derivative of the contrast rho = -log f at x, for j in 1..6."""
-    if not 1 <= int(j) <= MAX_DERIVATIVE_ORDER:
-        raise UnsupportedOrder(f"contrast derivative order must be in 1..{MAX_DERIVATIVE_ORDER}, got {j}")
-    xs = np.asarray(x, dtype=float)
-    _require_interior(model, xs)
-    fx = np.asarray(model.pdf(xs), dtype=float)
-    if not np.all(fx > 0.0):
-        raise DomainError("density vanishes at an evaluation point")
-    return _scalar_like(x, model.rho_derivs[int(j) - 1](xs))
+    return _evaluate(model, model.rho_derivs, j, "contrast derivative", x)
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +398,6 @@ def normal(loc: float = 0.0) -> DensityModel:
 
         return psi_j
 
-    psis = tuple(make_psi(j) for j in range(1, 7))
-
-    def make_fderiv(j):
-        def fj(x):
-            return psis[j - 1](x) * pdf(x)
-
-        return fj
-
     rho_derivs = (
         lambda x: y_of(x),
         lambda x: np.ones_like(y_of(x)),
@@ -398,12 +408,11 @@ def normal(loc: float = 0.0) -> DensityModel:
     )
     return DensityModel(
         "normal", (-np.inf, np.inf), pdf,
-        pdf_derivs=tuple(make_fderiv(j) for j in range(1, 7)),
         cdf=lambda x: special.ndtr(y_of(x)),
         ppf=lambda u: lc + special.ndtri(np.asarray(u, dtype=float)),
         rho=lambda x: 0.5 * y_of(x) ** 2 + half_log_2pi,
         rho_derivs=rho_derivs,
-        psis=psis,
+        psis=tuple(make_psi(j) for j in range(1, 7)),
         params={"loc": lc},
         log_concave=True,
     )
@@ -443,15 +452,8 @@ def logistic(loc: float = 0.0) -> DensityModel:
         lambda x: 0.25 * (1.0 - t_of(x) ** 2) * (15.0 * t_of(x) ** 4 - 15.0 * t_of(x) ** 2 + 2.0),
     )
 
-    def make_fderiv(j):
-        def fj(x):
-            return psis[j - 1](x) * pdf(x)
-
-        return fj
-
     return DensityModel(
         "logistic", (-np.inf, np.inf), pdf,
-        pdf_derivs=tuple(make_fderiv(j) for j in range(1, 7)),
         cdf=lambda x: special.expit(np.asarray(x, dtype=float) - lc),
         ppf=lambda u: lc + special.logit(np.asarray(u, dtype=float)),
         rho=rho,
@@ -491,31 +493,12 @@ def student_t(nu: float = 7.0, loc: float = 0.0) -> DensityModel:
 
         return rj
 
-    rho_derivs = tuple(make_rho_deriv(j) for j in range(1, 7))
-
-    def make_psi(i):
-        def psi_i(x):
-            gs = [-rho_derivs[m](x) for m in range(i)]
-            return _psis_from_log_derivs(gs)[i - 1]
-
-        return psi_i
-
-    psis = tuple(make_psi(i) for i in range(1, 7))
-
-    def make_fderiv(j):
-        def fj(x):
-            return psis[j - 1](x) * pdf(x)
-
-        return fj
-
     return DensityModel(
         "student_t", (-np.inf, np.inf), pdf,
-        pdf_derivs=tuple(make_fderiv(j) for j in range(1, 7)),
         cdf=lambda x: special.stdtr(nu, y_of(x)),
         ppf=lambda u: lc + special.stdtrit(nu, np.asarray(u, dtype=float)),
         rho=lambda x: 0.5 * (nu + 1) * np.log1p(y_of(x) ** 2 / nu) - log_c,
-        rho_derivs=rho_derivs,
-        psis=psis,
+        rho_derivs=tuple(make_rho_deriv(j) for j in range(1, 7)),
         params={"nu": nu, "loc": lc},
     )
 
@@ -528,10 +511,14 @@ def from_expression(expr: str, support=(-np.inf, np.inf), name: str = "expressio
                     length_scale: float = 1.0) -> DensityModel:
     """Build a family from a density expression in the variable ``x``.
 
-    The expression is parsed with sympy; the six derivatives and the psi
-    ratios are derived symbolically, so the model counts as analytic.  The
-    CDF and quantile function fall back to quadrature and root finding, which
-    makes sampling from expression families comparatively slow.
+    The expression is parsed with sympy.  The contrast rho = -log f is
+    expanded symbolically and differentiated six times, and the psi ratios
+    come from those derivatives through the logarithmic-derivative
+    recursion rather than as ratios f^(i)/f, whose numerators and
+    denominators overflow or underflow together in exponential tails.  The
+    model counts as analytic.  The CDF and quantile function fall back to
+    quadrature and root finding, which makes sampling from expression
+    families comparatively slow.
     """
     import sympy as sp
 
@@ -553,15 +540,14 @@ def from_expression(expr: str, support=(-np.inf, np.inf), name: str = "expressio
 
         return wrapped
 
-    dexprs = [sp.diff(fexpr, xsym, j) for j in range(1, 7)]
-    psi_exprs = [sp.cancel(d / fexpr) for d in dexprs]
-    pdf = lambdify_vec(fexpr)
     # expanding -log f symbolically keeps the contrast finite in the tails
     # where the density itself underflows (safe: f > 0 on its support)
     rho_expr = sp.expand_log(-sp.log(fexpr), force=True)
+    rho_exprs = [sp.diff(rho_expr, xsym, j) for j in range(1, 7)]
+    psi_exprs = _psis_from_log_derivs([-r for r in rho_exprs])
     return DensityModel(
-        name, support, pdf,
-        pdf_derivs=tuple(lambdify_vec(d) for d in dexprs),
+        name, support, lambdify_vec(fexpr),
+        rho_derivs=tuple(lambdify_vec(r) for r in rho_exprs),
         psis=tuple(lambdify_vec(p) for p in psi_exprs),
         rho=lambdify_vec(rho_expr),
         derivative_mode="analytic",
@@ -690,14 +676,16 @@ def model_from_descriptor(descriptor: dict) -> DensityModel:
 # validation
 # ---------------------------------------------------------------------------
 
-def check_density(model: DensityModel, tol: float = 1e-9, deriv_rtol: float = 1e-6,
-                  probe=None) -> dict:
+_DERIV_RTOL = 1e-6  # relative agreement asked of f^(j) against the difference quotients
+
+
+def check_density(model: DensityModel, tol: float = 1e-9, probe=None) -> dict:
     """Run the density sanity checks and return a report dict.
 
     Checks: f integrates to one over the support (to ``tol``); f is positive
-    at the probe points; the supplied derivatives match Richardson central
-    differences of f to ``deriv_rtol`` relative; the first three derivatives
-    integrate to zero (boundary decay).
+    at the probe points; the model's derivatives f^(j) match Richardson
+    central differences of f to ``_DERIV_RTOL`` relative; the first three
+    derivatives integrate to zero (boundary decay).
     """
     lo, hi = model.support
     if probe is None:
@@ -719,9 +707,9 @@ def check_density(model: DensityModel, tol: float = 1e-9, deriv_rtol: float = 1e
             est = numeric_derivative(model.pdf, j, float(x0), scale=model.length_scale)
             have = float(np.asarray(model.pdf_derivs[j - 1](x0)))
             ref = max(abs(est.value), abs(have), 1e-8)
-            budget = max(deriv_rtol * ref, 8.0 * est.error)
+            budget = max(_DERIV_RTOL * ref, 8.0 * est.error)
             max_excess = max(max_excess, abs(have - est.value) / budget)
-            if est.error <= deriv_rtol * ref:
+            if est.error <= _DERIV_RTOL * ref:
                 max_rel = max(max_rel, abs(have - est.value) / ref)
 
     boundary = {}

@@ -260,23 +260,21 @@ class XiVector:
 
 
 def compute_xi(sample, theta0: float, model: DensityModel, a) -> XiVector:
-    """Normalized sums xi_1..xi_6 of one sample around the shift theta0."""
+    """Normalized sums xi_1..xi_6 of one sample around the shift theta0.
+
+    The one-row :func:`compute_xi_batch`.
+    """
     x = np.asarray(sample, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("sample must be nonempty")
     a = np.asarray(a, dtype=float)
     if a.shape != (6,):
         raise ValueError("a must hold the six contrast-derivative means")
-    y = x - float(theta0)
-    if not np.all(model.interior(y)):
-        raise DomainError("a centred sample point left the open support")
-    root_n = np.sqrt(x.size)
-    xi = np.array([np.sum(model.rho_derivs[j](y) - a[j]) / root_n for j in range(6)])
-    return XiVector(xi, x.size)
+    return XiVector(compute_xi_batch(x[None, :], theta0, model, a)[0], x.size)
 
 
 def compute_xi_batch(samples, theta0: float, model: DensityModel, a) -> np.ndarray:
-    """Row-wise :func:`compute_xi` for an (M, n) array; returns (M, 6)."""
+    """Normalized sums xi_1..xi_6 of each row of an (M, n) array; returns (M, 6)."""
     s = np.asarray(samples, dtype=float)
     a = np.asarray(a, dtype=float)
     y = s - float(theta0)
@@ -338,16 +336,12 @@ _A2_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 
 
 def stochastic_expansion(xi: XiVector, a, order) -> float:
-    """Truncated stochastic expansion of sqrt(n)(thetahat - theta0)."""
+    """Truncated stochastic expansion of sqrt(n)(thetahat - theta0).
+
+    The one-row :func:`stochastic_expansion_batch`.
+    """
     k = _check_order(order)
-    a = np.asarray(a, dtype=float)
-    if abs(a[1]) <= _A2_FLOOR:
-        raise SingularInformation(f"|a2| = {abs(a[1])} below machine threshold")
-    brackets = _expansion_brackets(*xi.xi, a[1], a[2], a[3], a[4], a[5])
-    total = brackets[0]
-    for m in range(2, k + 1):
-        total += xi.n ** (-(m - 1) / 2) * brackets[m - 1]
-    return float(total)
+    return float(stochastic_expansion_batch(xi.xi[None, :], xi.n, a, orders=(k,))[k][0])
 
 
 def stochastic_expansion_batch(xi_matrix: np.ndarray, n: int, a, orders=ORDERS) -> dict:
@@ -477,9 +471,10 @@ class CompositionReport:
 
 
 _ROUNDOFF_FLOOR = 1e-13
+_DECAY_SLACK = 0.3  # shortfall of a fitted decay exponent below k/2 that flags order k
 
 
-def compose_check(moments, n, v_grid=None, orders=ORDERS, decay_slack: float = 0.3) -> CompositionReport:
+def compose_check(moments, n, v_grid=None, orders=ORDERS) -> CompositionReport:
     """Check that the quantile expansion inverts the CDF expansion.
 
     ``n`` may be a single size or a grid; with at least two sizes the decay
@@ -521,7 +516,7 @@ def compose_check(moments, n, v_grid=None, orders=ORDERS, decay_slack: float = 0
                 continue
             slope = float(np.polyfit(logn, np.log(np.maximum(vals, 1e-300)), 1)[0])
             exponents[k] = -slope
-            if exponents[k] < expected[k] - decay_slack and flagged is None:
+            if exponents[k] < expected[k] - _DECAY_SLACK and flagged is None:
                 flagged = k
                 notes.append(
                     f"order {k}: residual decays like n^-{exponents[k]:.2f}, short of the "

@@ -100,12 +100,12 @@ def _robust_scale(samples: np.ndarray) -> np.ndarray:
     return np.where(scale > 0, scale, 1.0)
 
 
-def _grid_scan(samples, model, lo, hi, grid_points):
+def _grid_scan(samples, model, lo, hi):
     rows = samples.shape[0]
-    frac = np.linspace(0.0, 1.0, grid_points)
+    frac = np.linspace(0.0, 1.0, GRID_POINTS)
     thetas = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
-    values = np.empty((rows, grid_points))
-    for g in range(grid_points):
+    values = np.empty((rows, GRID_POINTS))
+    for g in range(GRID_POINTS):
         values[:, g] = _contrast_rows(samples, model, thetas[:, g])
     return thetas, values
 
@@ -167,29 +167,29 @@ def _solve_convex(s, model, med, lo, hi, t_lo, t_hi, tol, max_iter):
     return theta, grad, iters, lo, hi, multimodal, active | unbracketed
 
 
-def _solve_scanned(s, model, lo, hi, t_lo, t_hi, tol, max_iter, grid_points):
+def _solve_scanned(s, model, lo, hi, t_lo, t_hi, tol, max_iter):
     """Grid scan for basins, Newton in the best one, and every basin refined on multimodal rows."""
     rows = s.shape[0]
-    thetas, values = _grid_scan(s, model, lo, hi, grid_points)
+    thetas, values = _grid_scan(s, model, lo, hi)
     multimodal = _local_min_count(values) > 1
     j = np.argmin(values, axis=1)
 
     # widen the scan for rows whose minimum sits on the grid edge
     for _ in range(_WIDEN_STEPS):
-        edge = np.flatnonzero((j == 0) | (j == grid_points - 1))
+        edge = np.flatnonzero((j == 0) | (j == GRID_POINTS - 1))
         if edge.size == 0:
             break
-        _widen(lo, hi, edge, j[edge] == 0, j[edge] == grid_points - 1, t_lo, t_hi)
-        th_e, val_e = _grid_scan(s[edge], model, lo[edge], hi[edge], grid_points)
+        _widen(lo, hi, edge, j[edge] == 0, j[edge] == GRID_POINTS - 1, t_lo, t_hi)
+        th_e, val_e = _grid_scan(s[edge], model, lo[edge], hi[edge])
         thetas[edge] = th_e
         values[edge] = val_e
         multimodal[edge] = _local_min_count(val_e) > 1
         j[edge] = np.argmin(val_e, axis=1)
 
-    stuck_on_edge = (j == 0) | (j == grid_points - 1)
+    stuck_on_edge = (j == 0) | (j == GRID_POINTS - 1)
 
     jl = np.maximum(j - 1, 0)
-    jr = np.minimum(j + 1, grid_points - 1)
+    jr = np.minimum(j + 1, GRID_POINTS - 1)
     b_lo = thetas[np.arange(rows), jl]
     b_hi = thetas[np.arange(rows), jr]
     theta0 = thetas[np.arange(rows), j]
@@ -206,7 +206,7 @@ def _solve_scanned(s, model, lo, hi, t_lo, t_hi, tol, max_iter, grid_points):
         for b in basin_idx:
             t0 = np.array([thetas[r, b]])
             bl = np.array([thetas[r, max(b - 1, 0)]])
-            bh = np.array([thetas[r, min(b + 1, grid_points - 1)]])
+            bh = np.array([thetas[r, min(b + 1, GRID_POINTS - 1)]])
             tt, gg, ii, bl, bh, act = _newton_refine(
                 s[r:r + 1], model, t0, bl, bh, tol, max_iter)
             if act[0]:
@@ -222,13 +222,12 @@ def _solve_scanned(s, model, lo, hi, t_lo, t_hi, tol, max_iter, grid_points):
 
 
 def solve_mle_batch(samples, model: DensityModel, tol: float = 1e-10,
-                    max_iter: int = 200, grid_points: int = GRID_POINTS,
-                    span: float = GRID_SPAN) -> BatchMleResult:
+                    max_iter: int = 200) -> BatchMleResult:
     """Solve one MLE per row of ``samples`` (an (M, n) array).
 
     Log-concave models take the bracketed Newton path from the median and
     never evaluate the contrast before the final value; other models take
-    the grid scan over ``grid_points`` points.
+    the grid scan over ``GRID_POINTS`` points.
     """
     s = np.atleast_2d(np.asarray(samples, dtype=float))
     if s.ndim != 2 or s.shape[1] == 0:
@@ -239,22 +238,21 @@ def solve_mle_batch(samples, model: DensityModel, tol: float = 1e-10,
     scale = _robust_scale(s)
     # every search interval stays inside the shifts that leave the sample feasible
     t_lo, t_hi = model.feasible_shift_interval(s, margin=1e-9 * np.maximum(scale, 1.0))
-    lo = np.maximum(med - span * scale, t_lo)
-    hi = np.minimum(med + span * scale, t_hi)
+    lo = np.maximum(med - GRID_SPAN * scale, t_lo)
+    hi = np.minimum(med + GRID_SPAN * scale, t_hi)
     if not np.all(lo < hi):
         raise DomainError("no feasible shift interval for some rows")
 
     if model.log_concave:
         solved = _solve_convex(s, model, med, lo, hi, t_lo, t_hi, tol, max_iter)
     else:
-        solved = _solve_scanned(s, model, lo, hi, t_lo, t_hi, tol, max_iter, grid_points)
+        solved = _solve_scanned(s, model, lo, hi, t_lo, t_hi, tol, max_iter)
     theta, grad, iters, b_lo, b_hi, multimodal, failed = solved
     value = _contrast_rows(s, model, theta)
     return BatchMleResult(theta, grad, iters, b_lo, b_hi, multimodal, value, failed)
 
 
-def solve_mle(sample, model: DensityModel, tol: float = 1e-10, max_iter: int = 200,
-              grid_points: int = GRID_POINTS, span: float = GRID_SPAN) -> MleResult:
+def solve_mle(sample, model: DensityModel, tol: float = 1e-10, max_iter: int = 200) -> MleResult:
     """Solve the location MLE for one sample.
 
     Raises NoConvergence after ``max_iter`` Newton/bisection steps; the
@@ -263,8 +261,7 @@ def solve_mle(sample, model: DensityModel, tol: float = 1e-10, max_iter: int = 2
     x = np.asarray(sample, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("sample must be nonempty")
-    batch = solve_mle_batch(x[None, :], model, tol=tol, max_iter=max_iter,
-                            grid_points=grid_points, span=span)
+    batch = solve_mle_batch(x[None, :], model, tol=tol, max_iter=max_iter)
     if batch.failed[0]:
         raise NoConvergence(f"MLE solver did not meet |score| <= {tol} in {max_iter} iterations")
     return MleResult(

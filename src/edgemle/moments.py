@@ -117,13 +117,18 @@ def _raw_quad(fn, lo, hi, epsabs) -> QuadOutcome:
     return QuadOutcome(value, abserr, converged, str(out[3]) if trouble else "")
 
 
+def _tail_reference(model: DensityModel) -> float:
+    """Length scale of the tail probes: the larger |0.1% / 99.9% quantile|, at least 1."""
+    try:
+        return max(abs(float(model.ppf(0.001))), abs(float(model.ppf(0.999))), 1.0)
+    except Exception:
+        return 1.0
+
+
 def _window_drift(fn, model: DensityModel, tol: float):
     """Integral over nested windows; returns (values, drift of the last step)."""
     lo, hi = model.support
-    try:
-        ref = max(abs(float(model.ppf(0.001))), abs(float(model.ppf(0.999))), 1.0)
-    except Exception:
-        ref = 1.0
+    ref = _tail_reference(model)
     vals = []
     for mult in (8.0, 16.0, 32.0):
         wlo = lo if math.isfinite(lo) else -mult * ref
@@ -232,19 +237,15 @@ class ConditionReport:
         }
 
 
-def _tail_exponents(fn, model: DensityModel) -> dict:
+def _tail_exponents(fn, model: DensityModel, ref: float) -> dict:
     """Crude decay-exponent estimates of an integrand at the support ends.
 
-    For an infinite end, the local slope of log|g| against log|x| far out;
-    for a finite end, the exponent alpha in g ~ C (x - end)^alpha.  Values
-    <= -1 at a finite end, or >= -1 at an infinite end, indicate a
-    non-integrable integrand.
+    For an infinite end, the local slope of log|g| against log|x| beyond
+    8 ``ref`` (see :func:`_tail_reference`); for a finite end, the exponent
+    alpha in g ~ C (x - end)^alpha.  Values <= -1 at a finite end, or >= -1
+    at an infinite end, indicate a non-integrable integrand.
     """
     lo, hi = model.support
-    try:
-        ref = max(abs(float(model.ppf(0.001))), abs(float(model.ppf(0.999))), 1.0)
-    except Exception:
-        ref = 1.0
     out = {}
 
     def log_ratio_slope(x1, x2):
@@ -273,9 +274,11 @@ def _tail_exponents(fn, model: DensityModel) -> dict:
     return out
 
 
-def validate_conditions(model: DensityModel, tol: float = 1e-8,
-                        shift_probe=(-2.0, -1.0, 0.0, 1.0, 2.0),
-                        modulus_delta: float = 1e-2) -> ConditionReport:
+_SHIFT_PROBE = (-2.0, -1.0, 0.0, 1.0, 2.0)  # compact theta probe of condition 1
+_MODULUS_DELTA = 1e-2  # largest offset of the rho^(6) modulus probe (condition 3)
+
+
+def validate_conditions(model: DensityModel, tol: float = 1e-8) -> ConditionReport:
     """Numerically probe the regularity conditions behind the expansions.
 
     Failures are verdicts, not exceptions.  Condition 3 can only ever be
@@ -286,10 +289,11 @@ def validate_conditions(model: DensityModel, tol: float = 1e-8,
     details: dict[int, dict] = {}
     lo, hi = model.support
     rho = model.rho
+    ref = _tail_reference(model)
 
     # condition 1: sup over compact theta probe of E_theta rho^2
     vals, ok, diverging = {}, True, False
-    for th in shift_probe:
+    for th in _SHIFT_PROBE:
         a = max(lo, lo - th) if math.isfinite(lo) else -math.inf
         b = min(hi, hi - th) if math.isfinite(hi) else math.inf
         if not a < b:
@@ -299,7 +303,7 @@ def validate_conditions(model: DensityModel, tol: float = 1e-8,
         vals[th] = res.value
         ok = ok and res.converged
         diverging = diverging or not math.isfinite(res.value)
-    tails = _tail_exponents(_weighted(model, lambda x: rho(x) ** 2), model)
+    tails = _tail_exponents(_weighted(model, lambda x: rho(x) ** 2), model, ref)
     slow_tail = any(
         (side in ("lower", "upper") and not math.isfinite(lo if side == "lower" else hi)
          and s > -1.2) or
@@ -330,7 +334,7 @@ def validate_conditions(model: DensityModel, tol: float = 1e-8,
 
     # condition 3: modulus probe for rho^(6)
     r6 = model.rho_derivs[5]
-    deltas = (modulus_delta, modulus_delta / 2, -modulus_delta, -modulus_delta / 2)
+    deltas = (_MODULUS_DELTA, _MODULUS_DELTA / 2, -_MODULUS_DELTA, -_MODULUS_DELTA / 2)
 
     def modulus(x):
         base = float(r6(x))
@@ -356,7 +360,7 @@ def validate_conditions(model: DensityModel, tol: float = 1e-8,
     for alpha in range(1, 7):
         h = (lambda aa: lambda x: abs(float(model.rho_derivs[aa - 1](x))) ** 6)(alpha)
         res = _probe_quad(model, h, tol)
-        tails = _tail_exponents(_weighted(model, h), model)
+        tails = _tail_exponents(_weighted(model, h), model, ref)
         diverging_end = any(
             (math.isfinite(lo if side == "lower" else hi) and s <= -0.95) or
             (not math.isfinite(lo if side == "lower" else hi) and s >= -1.05)

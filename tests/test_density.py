@@ -111,6 +111,13 @@ def test_psi_and_rho_deriv_reject_bad_orders(models):
         e.rho_deriv(models["normal"], 7, 0.0)
 
 
+def test_model_takes_one_derivative_chain():
+    base = e.normal()
+    with pytest.raises(ValueError):
+        e.DensityModel("both", base.support, base.pdf,
+                       rho_derivs=base.rho_derivs, pdf_derivs=base.pdf_derivs)
+
+
 def test_psi_domain_errors():
     # valid density with an interior zero: psi undefined there
     bump = e.from_expression("x**2*exp(-x**2/2)/sqrt(2*pi)")

@@ -88,6 +88,26 @@ def test_moment_divergence_names_the_failing_entry():
     assert exc.value.entry == "a5"
 
 
+GUMBEL_ETA = dict(zip(range(2, 11), (5, 2, 9, 44, 13, 265, 142, 73, 102)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("expr, a, eta", [
+    # Gumbel: with W = e^-X ~ Exp(1) every functional is a polynomial moment of W
+    ("exp(-x - exp(-x))", (0.0, 1.0, -1.0, 1.0, -1.0, 1.0), GUMBEL_ETA),
+    ("exp(-x**2/2)/sqrt(2*pi)", (0.0, 1.0, 0.0, 0.0, 0.0, 0.0), e.GAUSSIAN_ETA),
+], ids=["gumbel", "gaussian"])
+def test_expression_families_match_closed_form_moments(expr, a, eta):
+    model = e.from_expression(expr)
+    ms = e.compute_moment_set(model)
+    assert ms.fisher == pytest.approx(1.0, abs=1e-9)
+    for j in range(6):
+        assert ms.a[j] == pytest.approx(a[j], abs=1e-9), f"a{j + 1}"
+    for k in range(2, 11):
+        assert ms.eta[k] == pytest.approx(float(eta[k]), abs=1e-9), f"eta{k}"
+    assert e.validate_conditions(model).all_pass
+
+
 def test_from_values_requires_all_eta_indices():
     with pytest.raises(ValueError):
         e.MomentSet.from_values(1.0, {2: 2.0, 4: 3.0})
@@ -134,9 +154,18 @@ def test_condition_report_serializes(normal_model):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_integrand_is_named_as_the_cause():
-    # Gumbel written as an expression: the lambdified contrast derivatives
-    # overflow (exp(2x) * exp(-2x)) far in the right tail
-    model = e.from_expression("exp(-x - exp(-x))")
+    # rho'' = exp(x^2) overflows for 26.6 < |x| < 38.5, where the normal
+    # density is still positive, so the a2 integrand is infinite there
+    base = e.normal()
+
+    def zero(x):
+        return np.zeros_like(np.asarray(x, dtype=float))
+
+    rho_derivs = (lambda x: np.asarray(x, dtype=float),
+                  lambda x: np.exp(np.asarray(x, dtype=float) ** 2),
+                  zero, zero, zero, zero)
+    model = e.DensityModel("steep_curvature", base.support, base.pdf, cdf=base.cdf,
+                           ppf=base.ppf, rho_derivs=rho_derivs)
     with pytest.raises(e.MomentDivergence) as info:
         e.compute_moment_set(model)
     assert "non-finite integrand" in str(info.value)
