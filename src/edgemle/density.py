@@ -527,6 +527,10 @@ def from_expression(expr: str, support=(-np.inf, np.inf), name: str = "expressio
     extra = fexpr.free_symbols - {xsym}
     if extra:
         raise ValueError(f"expression may only use the variable x; found {sorted(map(str, extra))}")
+    kinks = sorted({str(a.func).lower() for a in fexpr.atoms(sp.Abs, sp.sign)})
+    if kinks:
+        raise ValueError(f"unsupported function(s) {', '.join(kinks)} in expression: the "
+                         "contrast must be six times differentiable")
 
     def lambdify_vec(e):
         fn = sp.lambdify(xsym, e, modules=["scipy", "numpy"])

@@ -59,7 +59,6 @@ class BatchMleResult:
     bracket_lo: np.ndarray
     bracket_hi: np.ndarray
     multimodal_flag: np.ndarray
-    contrast_value: np.ndarray
     failed: np.ndarray
 
 
@@ -226,8 +225,8 @@ def solve_mle_batch(samples, model: DensityModel, tol: float = 1e-10,
     """Solve one MLE per row of ``samples`` (an (M, n) array).
 
     Log-concave models take the bracketed Newton path from the median and
-    never evaluate the contrast before the final value; other models take
-    the grid scan over ``GRID_POINTS`` points.
+    never evaluate the contrast; other models take the grid scan over
+    ``GRID_POINTS`` points.
     """
     s = np.atleast_2d(np.asarray(samples, dtype=float))
     if s.ndim != 2 or s.shape[1] == 0:
@@ -247,9 +246,7 @@ def solve_mle_batch(samples, model: DensityModel, tol: float = 1e-10,
         solved = _solve_convex(s, model, med, lo, hi, t_lo, t_hi, tol, max_iter)
     else:
         solved = _solve_scanned(s, model, lo, hi, t_lo, t_hi, tol, max_iter)
-    theta, grad, iters, b_lo, b_hi, multimodal, failed = solved
-    value = _contrast_rows(s, model, theta)
-    return BatchMleResult(theta, grad, iters, b_lo, b_hi, multimodal, value, failed)
+    return BatchMleResult(*solved)
 
 
 def solve_mle(sample, model: DensityModel, tol: float = 1e-10, max_iter: int = 200) -> MleResult:
@@ -270,7 +267,7 @@ def solve_mle(sample, model: DensityModel, tol: float = 1e-10, max_iter: int = 2
         iterations=int(batch.iterations[0]),
         bracket=(float(batch.bracket_lo[0]), float(batch.bracket_hi[0])),
         multimodal_flag=bool(batch.multimodal_flag[0]),
-        contrast_value=float(batch.contrast_value[0]),
+        contrast_value=float(_contrast_rows(x[None, :], model, batch.theta_hat)[0]),
     )
 
 

@@ -12,9 +12,11 @@ counter-based generator, solves each replicate's MLE, and measures
   eps_n = (log n)^(2 + epsilon_exponent) / sqrt(n), a sequence chosen so
   that eps_n sqrt(n) (log n)^-2 still grows.
 
-Reproducibility contract: replicate r is seeded with base_seed XOR r, work
-is split into fixed-size blocks, and aggregation is a deterministic merge in
-replicate order, so the report bytes never depend on the worker count.
+Reproducibility contract: replicate r is seeded with base_seed XOR r, a
+work item at sample size n holds a number of replicates that follows from n
+and a fixed element budget alone (so one block's arrays stay cache-sized),
+and aggregation is a deterministic merge in replicate order, so the report
+bytes never depend on the worker count.
 
 theta0 = 0 throughout; location equivariance of the MLE makes any other
 choice redundant.
@@ -40,27 +42,84 @@ from .expansion import ORDERS, XiVector, compute_xi_batch, edgeworth_cdf, \
 from .mle import solve_mle_batch
 from .moments import MomentSet, compute_moment_set, validate_conditions
 
-#: replicates per work item; fixed so results cannot depend on scheduling
-BLOCK_SIZE = 4096
+#: replicates x sample size held by one work item: small enough that the
+#: solver's and the xi sums' per-block temporaries stay in cache
+BLOCK_ELEMENTS = 2**15
 
 _DKW_95 = 1.3581  # sqrt(log(2/0.05)/2): ECDF sup-norm noise floor at 95%
 
 
-def sample_iid(model: DensityModel, n: int, seed: int) -> np.ndarray:
+# numpy's Philox4x64-10: round multipliers and Weyl key increments
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_ROUNDS = 10
+_LO32 = np.uint64(0xFFFFFFFF)
+_U64 = 2**64
+
+
+def _mulhilo(m, x):
+    """High and low words of the 128-bit products m * x, through 32-bit halves."""
+    m_lo, m_hi = m & _LO32, m >> np.uint64(32)
+    x_lo, x_hi = x & _LO32, x >> np.uint64(32)
+    lh = m_lo * x_hi
+    hl = m_hi * x_lo
+    cross = ((m_lo * x_lo) >> np.uint64(32)) + (lh & _LO32) + (hl & _LO32)
+    hi = m_hi * x_hi + (lh >> np.uint64(32)) + (hl >> np.uint64(32)) + (cross >> np.uint64(32))
+    return hi, m * x
+
+
+def _philox_uint64(seeds, count: int) -> np.ndarray:
+    """The first ``count`` 64-bit outputs of ``np.random.Philox(key=s)`` for each seed s.
+
+    One row per seed.  The 128-bit key of seed s is its low and high 64-bit
+    words; the stream is the Philox4x64-10 bijection of the counters
+    1, 2, 3, ... (the generator increments before it draws), four words per
+    counter, so all keys are drawn in one vectorized pass (Salmon et al.,
+    "Parallel random numbers: as easy as 1, 2, 3", SC'11).
+    """
+    keys = [int(s) for s in seeds]
+    if any(not 0 <= s < _U64 * _U64 for s in keys):
+        raise ValueError("seeds must lie in [0, 2**128)")
+    k0 = np.array([s % _U64 for s in keys], dtype=np.uint64)[:, None]
+    k1 = np.array([s // _U64 for s in keys], dtype=np.uint64)[:, None]
+    counters = -(-count // 4)
+    c0 = np.broadcast_to(np.arange(1, counters + 1, dtype=np.uint64), (len(keys), counters))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(keys), 4 * counters)[:, :count]
+
+
+def sample_iid(model: DensityModel, n: int, seed) -> np.ndarray:
     """Draw ``n`` i.i.d. points by inverting the model CDF.
 
-    Uniforms come from a Philox counter-based stream keyed on ``seed``; the
-    same (model, n, seed) gives bit-identical output on any platform and
-    under any threading, and the uniforms live strictly inside (0, 1).
+    Uniforms come from a Philox counter-based stream keyed on ``seed``, an
+    integer in [0, 2**128); the same (model, n, seed) gives bit-identical
+    output on any platform and under any threading, and the uniforms live
+    strictly inside (0, 1).  They are the 53-bit draws
+    ``np.random.Generator(np.random.Philox(key=seed)).integers(0, 2**53,
+    size=n, dtype=np.uint64)``, offset by half a unit.
+
+    ``seed`` may also be a 1-D sequence of seeds: the result is then a
+    (len(seed), n) array whose row i is the sample of ``seed[i]``, all rows
+    drawn in one vectorized pass.  A scalar seed is the one-row case.
     """
     n = int(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return np.empty(0, dtype=float)
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    u = (gen.integers(0, 1 << 53, size=n, dtype=np.uint64) + 0.5) * 2.0**-53
-    return np.asarray(model.ppf(u), dtype=float)
+    if np.ndim(seed) > 1:
+        raise ValueError("seed must be an integer or a 1-D sequence of integers")
+    batched = np.ndim(seed) == 1
+    seeds = seed if batched else [seed]
+    # next_uint64 >> 11 is numpy's Lemire draw on [0, 2**53): that range never rejects
+    bits = _philox_uint64(seeds, n) >> np.uint64(11)
+    u = (bits + 0.5) * 2.0**-53
+    x = np.asarray(model.ppf(u), dtype=float) if u.size else np.empty(u.shape)
+    return x if batched else x[0]
 
 
 def ecdf_distance(sample, prediction, grid) -> tuple:
@@ -113,6 +172,8 @@ class SimulationConfig:
             raise ValueError("replications must be at least 100")
         if list(self.n_grid) != sorted(set(self.n_grid)):
             raise ValueError("n_grid must be strictly increasing")
+        if self.n_grid and self.n_grid[0] < 1:
+            raise ValueError("n_grid must hold positive sample sizes")
         if not set(self.orders) <= set(ORDERS):
             raise ValueError(f"orders must be a subset of {ORDERS}")
         if not self.orders:
@@ -176,10 +237,7 @@ def _simulate_block(model: DensityModel, n, start, stop, base_seed, a, fisher, o
     Returns per-replicate arrays, the solver's iteration counts and
     multimodal flags among them; NaN rows mark solver failures.
     """
-    count = stop - start
-    samples = np.empty((count, n))
-    for r in range(count):
-        samples[r] = sample_iid(model, n, base_seed ^ (start + r))
+    samples = sample_iid(model, n, [base_seed ^ r for r in range(start, stop)])
     batch = solve_mle_batch(samples, model, tol=tol)
     theta = batch.theta_hat.copy()
     failed = batch.failed.copy()
@@ -401,10 +459,11 @@ def run_study(config: SimulationConfig, out_dir=None, workers: int = 1,
     per_n, curves = {}, {}
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for n in config.n_grid:
-            payloads = [(desc_json, n, start, min(start + BLOCK_SIZE, m_total),
+            rows = max(1, BLOCK_ELEMENTS // n)
+            payloads = [(desc_json, n, start, min(start + rows, m_total),
                          config.base_seed, moments.a, moments.fisher, config.orders,
                          config.solver_tol)
-                        for start in range(0, m_total, BLOCK_SIZE)]
+                        for start in range(0, m_total, rows)]
             blocks = pool.map(_run_block, payloads) if pool else map(_run_block, payloads)
             if writer is not None:
                 blocks = writer.remainders(n, blocks)

@@ -198,6 +198,11 @@ def test_expression_family_rejects_foreign_symbols():
         e.from_expression("a*exp(-x**2)")
 
 
+def test_expression_family_names_abs_as_unsupported():
+    with pytest.raises(ValueError, match="abs"):
+        e.from_expression("exp(-abs(x)**3)/(2*gamma(4/3))")
+
+
 def test_table_family_reproduces_logistic(tmp_path, models):
     built = models["logistic"]
     x = np.linspace(-14, 14, 1401)

@@ -8,7 +8,7 @@ from scipy import stats
 from scipy.special import ndtr
 
 import edgemle as e
-from edgemle.montecarlo import _run_block
+from edgemle.montecarlo import _run_block, _simulate_block
 
 
 def test_sample_iid_is_deterministic(logistic_model):
@@ -21,6 +21,33 @@ def test_sample_iid_is_deterministic(logistic_model):
 
 def test_sample_iid_empty(logistic_model):
     assert e.sample_iid(logistic_model, 0, 1).size == 0
+
+
+#: replicate seeds base_seed ^ r and the edges of the two 64-bit key words
+SAMPLER_SEEDS = [0, *(20260810 ^ r for r in range(4)), 2**64 - 1, 2**64 + 5]
+
+
+@pytest.mark.parametrize("n", [1, 3, 25, 100, 401])
+def test_batched_sample_iid_matches_numpy_philox_bit_for_bit(logistic_model, n):
+    def reference(seed):
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        u = (gen.integers(0, 2**53, size=n, dtype=np.uint64) + 0.5) * 2.0**-53
+        return logistic_model.ppf(u)
+
+    expected = np.stack([reference(s) for s in SAMPLER_SEEDS])
+    assert e.sample_iid(logistic_model, n, SAMPLER_SEEDS).tobytes() == expected.tobytes()
+    small = np.array(SAMPLER_SEEDS[:5], dtype=np.int64)
+    assert e.sample_iid(logistic_model, n, small).tobytes() == expected[:5].tobytes()
+    for seed, row in zip(SAMPLER_SEEDS, expected):
+        assert e.sample_iid(logistic_model, n, seed).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_sample_iid_rejects_seeds_outside_128_bits(logistic_model, seed):
+    with pytest.raises(ValueError):
+        e.sample_iid(logistic_model, 5, seed)
+    with pytest.raises(ValueError):
+        e.sample_iid(logistic_model, 5, [3, seed])
 
 
 def test_sample_iid_matches_model_distribution(logistic_model):
@@ -87,6 +114,27 @@ def test_block_rows_match_single_replicates(logistic_model, logistic_moments):
             assert block["gamma"][r, i] == rep.remainders[k]
 
 
+@pytest.mark.parametrize("n", [25, 400])
+@pytest.mark.parametrize("family", ["logistic", "t7"])
+def test_block_results_do_not_depend_on_the_block_split(request, family, n):
+    model = request.getfixturevalue(f"{family}_model")
+    moments = request.getfixturevalue(f"{family}_moments")
+    m = 90
+
+    def run(start, stop):
+        return _simulate_block(model, n, start, stop, 20260810, moments.a, moments.fisher,
+                               e.ORDERS, 1e-11)
+
+    whole = run(0, m)
+    for rows in (1, 7, 81):
+        parts = [run(start, min(start + rows, m)) for start in range(0, m, rows)]
+        for key in ("theta", "standardized", "xi", "gamma", "failed", "iterations",
+                    "multimodal"):
+            joined = np.concatenate([p[key] for p in parts])
+            assert joined.dtype == whole[key].dtype, (rows, key)
+            assert joined.tobytes() == whole[key].tobytes(), (rows, key)
+
+
 def test_replication_result_normal_remainders_are_solver_noise(normal_model, normal_moments):
     rep = e.replicate(normal_model, normal_moments, 50, 7, tol=1e-12)
     for k, gamma in rep.remainders.items():
@@ -102,6 +150,8 @@ def test_config_validation():
         e.SimulationConfig(replications=50)
     with pytest.raises(ValueError):
         e.SimulationConfig(n_grid=(100, 50))
+    with pytest.raises(ValueError):
+        e.SimulationConfig(n_grid=(0, 50))
     with pytest.raises(ValueError):
         e.SimulationConfig(orders=(0, 1))
     with pytest.raises(ValueError):
