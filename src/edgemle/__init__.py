@@ -17,7 +17,7 @@ The package computes, for a smooth location family:
 __version__ = "0.1.0"
 
 from .density import (BUILTIN_FAMILIES, DensityModel, DerivativeEstimate, check_density,
-                      from_expression, from_pdf, from_table, logistic, make_model,
+                      from_expression, from_table, logistic, make_model,
                       model_from_descriptor, normal, numeric_derivative, psi, rho_deriv,
                       student_t)
 from .errors import (DomainError, InversionFailure, MomentDivergence, NoConvergence,
@@ -37,7 +37,7 @@ __all__ = [
     "__version__",
     # families
     "BUILTIN_FAMILIES", "DensityModel", "DerivativeEstimate", "check_density",
-    "from_expression", "from_pdf", "from_table", "logistic", "make_model",
+    "from_expression", "from_table", "logistic", "make_model",
     "model_from_descriptor", "normal", "numeric_derivative", "psi", "rho_deriv",
     "student_t",
     # errors

@@ -11,18 +11,21 @@ supplies everything downstream code needs at theta = 0:
 
 Built-in families (standard normal, logistic, Student-t) carry closed-form
 derivatives.  User families come either from a sympy expression string or
-from a tabulated grid; anything missing is filled in by Richardson central
-differences and the model is labelled ``numeric-fallback``.
+from a tabulated grid that lists f and its six derivatives.  No family's
+derivatives are differenced numerically: the fifth-order expansions need
+rho^(1)..rho^(6), and sixth-order differences of f are noise.
 
 Each family states one set of derivatives.  Analytic families (built-in and
 expression) state rho^(1)..rho^(6), and psi follows by the logarithmic-
-derivative recursion, f^(j) as psi_j f.  Pdf-based families (tables, bare
-density callables) state f^(1)..f^(6); psi is the ratio f^(i)/f and rho^(j)
-follows by the inverse recursion.  Neither direction differences -log f,
-which would cancel catastrophically in the tails where f is tiny.
+derivative recursion, f^(j) as psi_j f.  Tables state f^(1)..f^(6); psi is
+the ratio f^(i)/f and rho^(j) follows by the inverse recursion.  Neither
+direction differences -log f, which would cancel catastrophically in the
+tails where f is tiny.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 from math import comb
@@ -74,15 +77,6 @@ def _difference_quotient(f, j, x, h):
     return acc / h**j, values
 
 
-def _richardson(f, j, x, scale):
-    # Richardson step from h to h/2 with base step scale * eps^(1/(j+2));
-    # returns the estimate, the h/2 quotient, h/2 and every f value used
-    h = scale * _EPS ** (1.0 / (j + 2))
-    d1, values1 = _difference_quotient(f, j, x, h)
-    d2, values2 = _difference_quotient(f, j, x, h / 2)
-    return (4.0 * d2 - d1) / 3.0, d2, h / 2, values1 + values2
-
-
 def numeric_derivative(f: Callable, j: int, x: float, scale: float = 1.0) -> DerivativeEstimate:
     """Estimate the j-th derivative of ``f`` at ``x`` by central differences.
 
@@ -96,10 +90,13 @@ def numeric_derivative(f: Callable, j: int, x: float, scale: float = 1.0) -> Der
         raise UnsupportedOrder(f"derivative order must be in 1..{MAX_DERIVATIVE_ORDER}, got {j}")
     if scale <= 0:
         raise ValueError("scale must be positive")
-    value, d2, h2, evals = _richardson(f, j, x, scale)
+    h = scale * _EPS ** (1.0 / (j + 2))
+    d1, values1 = _difference_quotient(f, j, x, h)
+    d2, values2 = _difference_quotient(f, j, x, h / 2)
+    value = (4.0 * d2 - d1) / 3.0
     # |value - d2| tracks the h^2 truncation term; the floor is the rounding
     # noise 2^j eps max|f| amplified by the 1/h^j of the difference quotient
-    floor = 2.0**j * _EPS * max(abs(v) for v in evals) / h2**j
+    floor = 2.0**j * _EPS * max(abs(v) for v in values1 + values2) / (h / 2)**j
     error = max(abs(value - d2), floor)
     ref = max(abs(value), abs(d2), 1e-300)
     return DerivativeEstimate(float(value), float(error), bool(error / ref > 1e-4))
@@ -158,10 +155,6 @@ def _psi_fns_from_ratio(pdf, pdf_derivs):
 
 def _rho_derivs_from_psis(psis):
     return _six(lambda j: lambda x: -_log_derivs_from_psis([p(x) for p in psis[:j]])[j - 1])
-
-
-def _numeric_pdf_derivs(pdf, scale):
-    return _six(lambda j: lambda x: _richardson(pdf, j, np.asarray(x, dtype=float), scale)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +244,20 @@ class DensityModel:
     processes; :meth:`descriptor` returns a plain dict from which
     :func:`model_from_descriptor` rebuilds an identical model.
 
-    A family states one set of six derivatives (passing both raises
-    ValueError).  Analytic families pass ``rho_derivs``; psi_i comes from the
-    logarithmic-derivative recursion on -rho^(j) and f^(j) is psi_j f.  Their
-    ``psis`` may replace the derived psi: the normal and logistic
-    constructors pass closed forms because the generic recursion doubles
-    the cost of their moment sets, and :func:`from_expression` passes the
-    recursion carried out symbolically, one compiled call per psi.
-    Pdf-based families pass ``pdf_derivs``, or nothing for Richardson
-    differences of f and the ``numeric-fallback`` label; psi_i is the ratio
-    f^(i)/f and rho^(j) comes from the inverse recursion.
+    A family states exactly one set of six derivatives; passing both or
+    neither raises ValueError.  Analytic families pass ``rho_derivs``; psi_i
+    comes from the logarithmic-derivative recursion on -rho^(j) and f^(j) is
+    psi_j f.  Their ``psis`` may replace the derived psi: the normal and
+    logistic constructors pass closed forms because the generic recursion
+    doubles the cost of their moment sets, and :func:`from_expression` passes
+    the recursion carried out symbolically, one compiled call per psi.
+    Pdf-based families (tables) pass ``pdf_derivs``; psi_i is the ratio
+    f^(i)/f and rho^(j) comes from the inverse recursion.  Derivatives are
+    never estimated from f by differences.
+
+    ``length_scale`` is the base step of the difference quotients with which
+    :func:`check_density` cross-checks f^(j); :func:`from_table` sets it from
+    its grid spacing, every other family leaves it at 1.
 
     The integrates-to-one and positivity invariants are not enforced here
     (models are built in hot paths); :func:`check_density` verifies them.
@@ -275,14 +272,14 @@ class DensityModel:
     """
 
     def __init__(self, name, support, pdf, *, pdf_derivs=None, cdf=None, ppf=None,
-                 rho=None, rho_derivs=None, psis=None, derivative_mode="analytic",
-                 params=None, descriptor=None, length_scale=1.0, log_concave=False):
+                 rho=None, rho_derivs=None, psis=None, params=None, descriptor=None,
+                 length_scale=1.0, log_concave=False):
         lo, hi = float(support[0]), float(support[1])
         if not lo < hi:
             raise ValueError(f"empty support ({lo}, {hi})")
-        if rho_derivs is not None and pdf_derivs is not None:
-            raise ValueError("pass rho_derivs (analytic family) or pdf_derivs "
-                             "(pdf-based family), not both")
+        if (rho_derivs is None) == (pdf_derivs is None):
+            raise ValueError("pass exactly one of rho_derivs (analytic family) and "
+                             "pdf_derivs (pdf-based family)")
         self.name = str(name)
         self.support = (lo, hi)
         self.length_scale = float(length_scale)
@@ -295,15 +292,11 @@ class DensityModel:
             self.psis = tuple(psis) if psis is not None else _psis_from_rho_derivs(self.rho_derivs)
             self.pdf_derivs = _pdf_derivs_from_psis(pdf, self.psis)
         else:
-            if pdf_derivs is None:
-                pdf_derivs = _numeric_pdf_derivs(pdf, self.length_scale)
-                derivative_mode = "numeric-fallback"
             self.pdf_derivs = tuple(pdf_derivs)
             if len(self.pdf_derivs) != MAX_DERIVATIVE_ORDER:
                 raise ValueError("expected six density derivatives")
             self.psis = tuple(psis) if psis is not None else _psi_fns_from_ratio(pdf, self.pdf_derivs)
             self.rho_derivs = _rho_derivs_from_psis(self.psis)
-        self.derivative_mode = derivative_mode
         self.rho = rho if rho is not None else (lambda x, _p=pdf: _neg_log(_p(x)))
         self.cdf = cdf if cdf is not None else _numeric_cdf(self.pdf, self.support)
         self.ppf = ppf if ppf is not None else _numeric_ppf(self.cdf, self.support)
@@ -507,8 +500,7 @@ def student_t(nu: float = 7.0, loc: float = 0.0) -> DensityModel:
 # user-supplied families
 # ---------------------------------------------------------------------------
 
-def from_expression(expr: str, support=(-np.inf, np.inf), name: str = "expression",
-                    length_scale: float = 1.0) -> DensityModel:
+def from_expression(expr: str, support=(-np.inf, np.inf), name: str = "expression") -> DensityModel:
     """Build a family from a density expression in the variable ``x``.
 
     The expression is parsed with sympy.  The contrast rho = -log f is
@@ -554,21 +546,12 @@ def from_expression(expr: str, support=(-np.inf, np.inf), name: str = "expressio
         rho_derivs=tuple(lambdify_vec(r) for r in rho_exprs),
         psis=tuple(lambdify_vec(p) for p in psi_exprs),
         rho=lambdify_vec(rho_expr),
-        derivative_mode="analytic",
         params={"expr": str(expr)},
         descriptor={"family": "expression",
                     "params": {"expr": str(expr),
                                "support": [float(support[0]), float(support[1])],
-                               "name": name, "length_scale": float(length_scale)}},
-        length_scale=length_scale,
+                               "name": name}},
     )
-
-
-def from_pdf(pdf: Callable, support=(-np.inf, np.inf), name: str = "custom",
-             length_scale: float = 1.0) -> DensityModel:
-    """Build a family from a bare density callable; derivatives are numeric."""
-    return DensityModel(name, support, pdf, length_scale=length_scale,
-                        params={}, descriptor={"family": "pdf", "params": {"name": name}})
 
 
 _TABLE_COLUMNS = ("x", "f", "f1", "f2", "f3", "f4", "f5", "f6")
@@ -577,11 +560,13 @@ _TABLE_COLUMNS = ("x", "f", "f1", "f2", "f3", "f4", "f5", "f6")
 def from_table(source, name: str = "table") -> DensityModel:
     """Build a family from a tabulated grid.
 
-    ``source`` is a CSV path or a mapping of arrays.  Column order for CSV is
-    x, f, f1..f6 (a header row is allowed and detected).  With only the x and
-    f columns present the derivatives are estimated from the fitted spline
-    and the model is labelled ``numeric-fallback``.  Support is the table's x
-    range; the density is treated as zero outside it.
+    ``source`` is a CSV path or a mapping of arrays.  Every column x, f,
+    f1..f6 is required, in that order for CSV (a header row is allowed and
+    detected); a table without the six derivative columns raises ValueError,
+    since they cannot be differenced out of f accurately enough.  A density
+    known as a formula can be given to :func:`from_expression` instead.
+    Support is the table's x range; the density is treated as zero outside
+    it.
     """
     from scipy.interpolate import CubicSpline
 
@@ -601,8 +586,11 @@ def from_table(source, name: str = "table") -> DensityModel:
         cols = {k: np.asarray(v, dtype=float) for k, v in dict(source).items()}
         desc = {"family": "table",
                 "params": {"columns": {k: v.tolist() for k, v in cols.items()}, "name": name}}
-    if "x" not in cols or "f" not in cols:
-        raise ValueError("table needs at least columns x and f")
+    missing = [c for c in _TABLE_COLUMNS if c not in cols]
+    if missing:
+        raise ValueError(f"table lacks column(s) {', '.join(missing)}: a table gives x, f "
+                         "and the derivatives f1..f6; for a density known only as a "
+                         "formula use from_expression")
     xg = cols["x"]
     if xg.ndim != 1 or xg.size < 4 or np.any(np.diff(xg) <= 0):
         raise ValueError("table x column must be strictly increasing with >= 4 points")
@@ -618,13 +606,7 @@ def from_table(source, name: str = "table") -> DensityModel:
 
     f_spline = CubicSpline(xg, cols["f"])
     pdf = clipped(f_spline)
-    have_derivs = all(f"f{j}" in cols for j in range(1, 7))
-    if have_derivs:
-        pdf_derivs = tuple(clipped(CubicSpline(xg, cols[f"f{j}"])) for j in range(1, 7))
-        mode = "analytic"
-    else:
-        pdf_derivs = None
-        mode = "numeric-fallback"
+    pdf_derivs = tuple(clipped(CubicSpline(xg, cols[f"f{j}"])) for j in range(1, 7))
 
     anti = f_spline.antiderivative()
     a0 = float(anti(lo))
@@ -634,12 +616,10 @@ def from_table(source, name: str = "table") -> DensityModel:
         out = np.clip(anti(xa) - a0, 0.0, None)
         return out if np.ndim(x) else float(out)
 
-    scale = (hi - lo) / max(xg.size - 1, 1) * 4.0
-    kwargs = dict(cdf=cdf, derivative_mode=mode, params={"name": name},
-                  descriptor=desc, length_scale=scale)
-    if pdf_derivs is not None:
-        kwargs["pdf_derivs"] = pdf_derivs
-    return DensityModel(name, (lo, hi), pdf, **kwargs)
+    # check_density's difference step follows the grid: four cells
+    return DensityModel(name, (lo, hi), pdf, pdf_derivs=pdf_derivs, cdf=cdf,
+                        params={"name": name}, descriptor=desc,
+                        length_scale=(hi - lo) / (xg.size - 1) * 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -653,21 +633,39 @@ BUILTIN_FAMILIES = {
 }
 
 
+def _table(path=None, columns=None, name="table"):
+    # the table family's make_model parameters: a CSV path or a column mapping
+    if (path is None) == (columns is None):
+        raise ValueError("table family takes exactly one of the parameters path and columns")
+    return from_table(path if path is not None else columns, name=name)
+
+
+_USER_FAMILIES = {"expression": from_expression, "table": _table}
+
+
+@functools.cache
+def _signature(build):
+    return inspect.signature(build).parameters
+
+
 def make_model(family: str, **params) -> DensityModel:
-    """Construct a model by family name (built-ins, ``expression``, ``table``)."""
-    if family in BUILTIN_FAMILIES:
-        return BUILTIN_FAMILIES[family](**params)
-    if family == "expression":
-        return from_expression(params.pop("expr"),
-                               support=tuple(params.pop("support", (-np.inf, np.inf))),
-                               name=params.pop("name", "expression"),
-                               length_scale=params.pop("length_scale", 1.0))
-    if family == "table":
-        if "path" in params:
-            return from_table(params["path"], name=params.get("name", "table"))
-        return from_table(params["columns"], name=params.get("name", "table"))
-    raise ValueError(f"unknown family {family!r}; known: {sorted(BUILTIN_FAMILIES)} "
-                     f"plus 'expression' and 'table'")
+    """Construct a model by family name (built-ins, ``expression``, ``table``).
+
+    ``params`` are the family's constructor arguments; an unknown or missing
+    one raises ValueError naming it and the accepted ones.
+    """
+    build = BUILTIN_FAMILIES.get(family) or _USER_FAMILIES.get(family)
+    if build is None:
+        raise ValueError(f"unknown family {family!r}; known: {sorted(BUILTIN_FAMILIES)} "
+                         f"plus 'expression' and 'table'")
+    accepted = _signature(build)
+    unknown = sorted(set(params) - set(accepted))
+    missing = [k for k, p in accepted.items() if p.default is p.empty and k not in params]
+    for problem, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            raise ValueError(f"{problem} parameter(s) {', '.join(keys)} for family "
+                             f"{family!r}; accepted: {', '.join(accepted)}")
+    return build(**params)
 
 
 def model_from_descriptor(descriptor: dict) -> DensityModel:

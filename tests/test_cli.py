@@ -144,6 +144,20 @@ def test_error_reporting_returns_one(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("params", [
+    ("--family", "normal", "--param", "foo=1"),
+    ("--family", "expression", "--param", "expr=exp(-x**2/2)/sqrt(2*pi)", "--param", "nu=7"),
+])
+def test_unknown_family_parameter_is_reported(capsys, params):
+    # dispatch returns instead of raising: the error is handled, not a traceback
+    bad = params[-1].split("=")[0]
+    code, out, err = run(capsys, "moments", *params)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: unknown parameter(s) " + bad)
+    assert "Traceback" not in err
+
+
 def test_simulate_without_config_is_usage_error(capsys):
     code, _, err = run(capsys, "simulate")
     assert code == 2

@@ -116,6 +116,8 @@ def test_model_takes_one_derivative_chain():
     with pytest.raises(ValueError):
         e.DensityModel("both", base.support, base.pdf,
                        rho_derivs=base.rho_derivs, pdf_derivs=base.pdf_derivs)
+    with pytest.raises(ValueError):
+        e.DensityModel("neither", base.support, base.pdf)
 
 
 def test_psi_domain_errors():
@@ -203,15 +205,19 @@ def test_expression_family_names_abs_as_unsupported():
         e.from_expression("exp(-abs(x)**3)/(2*gamma(4/3))")
 
 
+def _logistic_table(built):
+    # x, f, f1..f6 of the logistic on 1401 points of [-14, 14]
+    x = np.linspace(-14, 14, 1401)
+    return {"x": x, "f": built.pdf(x), **{f"f{j}": built.pdf_derivs[j - 1](x) for j in range(1, 7)}}
+
+
 def test_table_family_reproduces_logistic(tmp_path, models):
     built = models["logistic"]
-    x = np.linspace(-14, 14, 1401)
-    cols = [x, built.pdf(x)] + [built.pdf_derivs[j](x) for j in range(6)]
+    cols = _logistic_table(built)
     path = tmp_path / "logistic.csv"
-    header = "x,f,f1,f2,f3,f4,f5,f6"
-    np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="")
+    np.savetxt(path, np.column_stack(list(cols.values())), delimiter=",",
+               header=",".join(cols), comments="")
     tab = e.from_table(str(path))
-    assert tab.derivative_mode == "analytic"
     grid = np.linspace(-3, 3, 11)
     assert np.allclose(tab.pdf(grid), built.pdf(grid), atol=1e-9)
     assert np.allclose(np.asarray(e.psi(tab, 2, grid)),
@@ -221,14 +227,25 @@ def test_table_family_reproduces_logistic(tmp_path, models):
         e.psi(tab, 1, 20.0)
 
 
-def test_table_family_without_derivative_columns_falls_back(tmp_path, models):
+def test_table_check_density_uses_a_grid_derived_step(models):
+    # the difference step of check_density follows the grid (four cells);
+    # a unit step would report a mismatch here.  The table ends at |x| = 14,
+    # cutting off ~1.7e-6 of the logistic's mass.
+    report = check_density(e.from_table(_logistic_table(models["logistic"])))
+    assert report["derivs_match"], report
+    assert report["deriv_max_rel_err"] < 1e-6
+    assert not report["integrates_to_one"]
+    assert 1.0 - report["integral"] == pytest.approx(2 / (1 + math.exp(14)), rel=1e-3)
+
+
+def test_table_without_derivative_columns_points_to_from_expression(tmp_path, models):
     built = models["logistic"]
     x = np.linspace(-12, 12, 961)
     path = tmp_path / "fonly.csv"
     np.savetxt(path, np.column_stack([x, built.pdf(x)]), delimiter=",")
-    tab = e.from_table(str(path))
-    assert tab.derivative_mode == "numeric-fallback"
-    assert np.asarray(e.psi(tab, 1, 0.5)) == pytest.approx(e.psi(built, 1, 0.5), abs=1e-4)
+    for source in (str(path), {"x": x, "f": built.pdf(x)}):
+        with pytest.raises(ValueError, match="from_expression"):
+            e.from_table(source)
 
 
 def test_descriptor_round_trip(models):
@@ -244,6 +261,27 @@ def test_descriptor_round_trip(models):
 def test_make_model_rejects_unknown_family():
     with pytest.raises(ValueError):
         e.make_model("laplace")
+
+
+@pytest.mark.parametrize("family, params, bad", [
+    ("normal", {"foo": 1}, "foo"),
+    ("student_t", {"nu": 7, "df": 7}, "df"),
+    ("expression", {"expr": "exp(-x**2/2)/sqrt(2*pi)", "nu": 7}, "nu"),
+    ("expression", {"expr": "exp(-x**2/2)/sqrt(2*pi)", "length_scale": 1.0}, "length_scale"),
+    ("table", {"columns": {"x": [0, 1, 2, 3]}, "bogus": 1}, "bogus"),
+])
+def test_make_model_names_unknown_parameters(family, params, bad):
+    accepted = {"normal": "loc", "student_t": "nu, loc", "expression": "expr, support, name",
+                "table": "path, columns, name"}[family]
+    with pytest.raises(ValueError, match=f"unknown parameter.*{bad}.*accepted: {accepted}$"):
+        e.make_model(family, **params)
+
+
+def test_make_model_names_missing_parameters():
+    with pytest.raises(ValueError, match="missing parameter.*expr"):
+        e.make_model("expression")
+    with pytest.raises(ValueError, match="path and columns"):
+        e.make_model("table")
 
 
 def test_location_shift_moves_everything(models):
