@@ -22,11 +22,10 @@ from .density import (BUILTIN_FAMILIES, DensityModel, DerivativeEstimate, check_
                       student_t)
 from .errors import (DomainError, InversionFailure, MomentDivergence, NoConvergence,
                      SingularInformation, StudyAborted, UnsupportedOrder)
-from .expansion import (GAUSSIAN_ETA, ORDERS, CompositionReport, CorrectionPolynomials,
-                        XiVector, collapse_report, compose_check, compute_xi,
-                        compute_xi_batch, cornish_fisher_coefficients,
-                        cornish_fisher_quantile, edgeworth_cdf, edgeworth_coefficients,
-                        stochastic_expansion, stochastic_expansion_batch)
+from .expansion import (GAUSSIAN_ETA, ORDERS, CompositionReport, XiVector,
+                        collapse_report, compose_check, compute_xi, compute_xi_batch,
+                        cornish_fisher_quantile, edgeworth_cdf, stochastic_expansion,
+                        stochastic_expansion_batch)
 from .mle import BatchMleResult, LocationMLE, MleResult, contrast, solve_mle, solve_mle_batch
 from .moments import (ConditionReport, MomentSet, compute_moment_set, fisher_information,
                       validate_conditions)
@@ -47,10 +46,9 @@ __all__ = [
     "ConditionReport", "MomentSet", "compute_moment_set", "fisher_information",
     "validate_conditions",
     # expansions
-    "GAUSSIAN_ETA", "ORDERS", "CompositionReport", "CorrectionPolynomials", "XiVector",
-    "collapse_report", "compose_check", "compute_xi", "compute_xi_batch",
-    "cornish_fisher_coefficients", "cornish_fisher_quantile", "edgeworth_cdf",
-    "edgeworth_coefficients", "stochastic_expansion", "stochastic_expansion_batch",
+    "GAUSSIAN_ETA", "ORDERS", "CompositionReport", "XiVector", "collapse_report",
+    "compose_check", "compute_xi", "compute_xi_batch", "cornish_fisher_quantile",
+    "edgeworth_cdf", "stochastic_expansion", "stochastic_expansion_batch",
     # mle
     "BatchMleResult", "LocationMLE", "MleResult", "contrast", "solve_mle",
     "solve_mle_batch",

@@ -5,7 +5,8 @@ collapse-check, compose-check.  Exit codes: 0 success, 1 validation failure
 or runtime error, 2 usage error.  Every run that writes an output directory
 also writes a manifest.json recording the resolved configuration, the seed
 and a checksum per output file; ``simulate --replay manifest.json`` re-runs
-the study and verifies the new outputs reproduce those checksums.
+the study (in a temporary directory unless --out-dir names another one) and
+verifies the new outputs reproduce those checksums.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import json
 import os
 import re
 import sys
+import tempfile
 
 import numpy as np
 
@@ -85,6 +87,10 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _checksums(files) -> dict:
+    return {os.path.basename(p): _sha256(p) for p in files}
+
+
 def _write_manifest(out_dir: str, config: dict, base_seed, files, execution=None) -> str:
     manifest = {
         "tool": "edgemle",
@@ -93,7 +99,7 @@ def _write_manifest(out_dir: str, config: dict, base_seed, files, execution=None
         "base_seed": base_seed,
         "config": config,
         "execution": execution or {},
-        "outputs": {os.path.basename(p): _sha256(p) for p in files},
+        "outputs": _checksums(files),
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -230,25 +236,23 @@ def _cmd_compose_check(args) -> int:
 
 def _cmd_simulate(args) -> int:
     if args.replay:
-        with open(args.replay, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        config = SimulationConfig.from_dict(manifest["config"])
-        expected = manifest.get("outputs", {})
-    else:
-        if not args.config:
-            print("usage: edgemle simulate --config FILE [or --replay MANIFEST]",
-                  file=sys.stderr)
-            return 2
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config_dict = json.load(fh)
-        if args.seed is not None:
-            config_dict["base_seed"] = args.seed
-        if args.reps is not None:
-            config_dict["replications"] = args.reps
-        config = SimulationConfig.from_dict(config_dict)
-        expected = None
+        return _replay(args)
+    if not args.config:
+        print("usage: edgemle simulate --config FILE [or --replay MANIFEST]",
+              file=sys.stderr)
+        return 2
+    with open(args.config, "r", encoding="utf-8") as fh:
+        config_dict = json.load(fh)
+    if args.seed is not None:
+        config_dict["base_seed"] = args.seed
+    if args.reps is not None:
+        config_dict["replications"] = args.reps
+    _simulate_into(SimulationConfig.from_dict(config_dict), args.out_dir or "edgemle-out", args)
+    return 0
 
-    out_dir = args.out_dir or "edgemle-out"
+
+def _simulate_into(config, out_dir, args):
+    """Run the study into ``out_dir``, write its manifest and return the report."""
     report = run_study(config, out_dir=out_dir, workers=args.workers,
                        precision=args.precision)
     manifest_path = _write_manifest(out_dir, config.to_dict(), config.base_seed,
@@ -256,15 +260,30 @@ def _cmd_simulate(args) -> int:
                                     execution={"workers": args.workers})
     print(f"wrote {len(report.output_files)} files + {os.path.basename(manifest_path)} "
           f"to {out_dir}")
-    if expected is not None:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            produced = json.load(fh)["outputs"]
-        mismatched = sorted(k for k in expected
-                            if produced.get(k) != expected[k])
-        if mismatched:
-            print(f"replay mismatch in: {', '.join(mismatched)}", file=sys.stderr)
-            return 1
-        print(f"replay verified: {len(expected)} files bit-identical")
+    return report
+
+
+def _replay(args) -> int:
+    with open(args.replay, "r", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    config = SimulationConfig.from_dict(manifest["config"])
+    expected = manifest.get("outputs", {})
+    if args.out_dir is None:
+        # the re-run goes where it cannot touch the outputs it verifies
+        with tempfile.TemporaryDirectory(prefix="edgemle-replay-") as tmp:
+            report = run_study(config, out_dir=tmp, workers=args.workers,
+                               precision=args.precision)
+            produced = _checksums(report.output_files)
+    elif os.path.realpath(args.out_dir) == os.path.dirname(os.path.realpath(args.replay)):
+        raise ValueError(f"--out-dir {args.out_dir} holds the replayed manifest; a replay "
+                         "there would overwrite the outputs it verifies")
+    else:
+        produced = _checksums(_simulate_into(config, args.out_dir, args).output_files)
+    mismatched = sorted(k for k in expected if produced.get(k) != expected[k])
+    if mismatched:
+        print(f"replay mismatch in: {', '.join(mismatched)}", file=sys.stderr)
+        return 1
+    print(f"replay verified: {len(expected)} files bit-identical")
     return 0
 
 
@@ -323,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a Monte Carlo study from a config file")
     p.add_argument("--config", help="JSON config (keys mirror SimulationConfig)")
     p.add_argument("--replay", help="manifest.json from a previous run; verify reproduction")
-    p.add_argument("--out-dir", help="output directory (default edgemle-out)")
+    p.add_argument("--out-dir", help="output directory (default edgemle-out; a replay "
+                                     "without it runs in a temporary directory)")
     p.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--seed", type=int, help="override base_seed")
     p.add_argument("--reps", type=int, help="override replications")

@@ -15,12 +15,12 @@ from a tabulated grid that lists f and its six derivatives.  No family's
 derivatives are differenced numerically: the fifth-order expansions need
 rho^(1)..rho^(6), and sixth-order differences of f are noise.
 
-Each family states one set of derivatives.  Analytic families (built-in and
-expression) state rho^(1)..rho^(6), and psi follows by the logarithmic-
-derivative recursion, f^(j) as psi_j f.  Tables state f^(1)..f^(6); psi is
-the ratio f^(i)/f and rho^(j) follows by the inverse recursion.  Neither
-direction differences -log f, which would cancel catastrophically in the
-tails where f is tiny.
+Every model states rho^(1)..rho^(6); psi follows by the logarithmic-
+derivative recursion unless the family passes closed forms, and f^(j) is
+psi_j f.  A table's columns f^(1)..f^(6) are converted once, when the table
+is built: psi is the ratio f^(i)/f and rho^(j) follows by the inverse
+recursion.  Neither direction differences -log f, which would cancel
+catastrophically in the tails where f is tiny.
 """
 from __future__ import annotations
 
@@ -41,11 +41,11 @@ MAX_DERIVATIVE_ORDER = 6
 _EPS = float(np.finfo(float).eps)
 
 
-def _scalar_like(template, value):
-    """Return a float when the input point was scalar, else the array."""
+def _scalar_like(template, value, cast=float):
+    """Return ``cast(value)`` when the input point was scalar, else the array."""
     if np.ndim(template) == 0:
-        return float(value)
-    return np.asarray(value, dtype=float)
+        return cast(np.asarray(value).item())
+    return np.asarray(value)
 
 
 def _neg_log(value):
@@ -188,6 +188,24 @@ def _numeric_cdf(pdf, support):
     return cdf
 
 
+def _bracket_end(cdf, end, direction, brackets, side, u):
+    # a finite support end is used as it is; from an infinite one the search
+    # walks in from +-1 by doubling steps
+    if np.isfinite(end):
+        value = float(cdf(end))
+        if not brackets(value):
+            raise InversionFailure(f"could not bracket quantile {u} from {side}: the CDF "
+                                   f"is {value!r} at the support end {end}")
+        return end
+    t, step = direction, 1.0
+    for _ in range(200):
+        if brackets(cdf(t)):
+            return t
+        t += direction * step
+        step *= 2
+    raise InversionFailure(f"could not bracket quantile {u} from {side}")
+
+
 def _numeric_ppf(cdf, support):
     lo, hi = support
 
@@ -195,30 +213,8 @@ def _numeric_ppf(cdf, support):
         u = float(u)
         if not 0.0 < u < 1.0:
             raise InversionFailure(f"probability {u} outside (0, 1)")
-        a = lo if np.isfinite(lo) else -1.0
-        b = hi if np.isfinite(hi) else 1.0
-        step = 1.0
-        for _ in range(200):
-            if cdf(a) <= u:
-                break
-            if np.isfinite(lo):
-                a = lo + (a - lo) / 2
-            else:
-                a -= step
-                step *= 2
-        else:
-            raise InversionFailure("could not bracket quantile from below")
-        step = 1.0
-        for _ in range(200):
-            if cdf(b) >= u:
-                break
-            if np.isfinite(hi):
-                b = hi - (hi - b) / 2
-            else:
-                b += step
-                step *= 2
-        else:
-            raise InversionFailure("could not bracket quantile from above")
+        a = _bracket_end(cdf, lo, -1.0, lambda c: c <= u, "below", u)
+        b = _bracket_end(cdf, hi, 1.0, lambda c: c >= u, "above", u)
         try:
             return float(optimize.brentq(lambda t: cdf(t) - u, a, b, xtol=1e-13))
         except ValueError as exc:
@@ -244,16 +240,15 @@ class DensityModel:
     processes; :meth:`descriptor` returns a plain dict from which
     :func:`model_from_descriptor` rebuilds an identical model.
 
-    A family states exactly one set of six derivatives; passing both or
-    neither raises ValueError.  Analytic families pass ``rho_derivs``; psi_i
-    comes from the logarithmic-derivative recursion on -rho^(j) and f^(j) is
-    psi_j f.  Their ``psis`` may replace the derived psi: the normal and
-    logistic constructors pass closed forms because the generic recursion
-    doubles the cost of their moment sets, and :func:`from_expression` passes
-    the recursion carried out symbolically, one compiled call per psi.
-    Pdf-based families (tables) pass ``pdf_derivs``; psi_i is the ratio
-    f^(i)/f and rho^(j) comes from the inverse recursion.  Derivatives are
-    never estimated from f by differences.
+    Every model states ``rho_derivs``, the six contrast derivatives
+    rho^(1)..rho^(6); a model without them raises ValueError.  psi_i comes
+    from the logarithmic-derivative recursion on -rho^(j), and f^(j) is
+    psi_j f.  ``psis`` may replace the derived psi: the normal and logistic
+    constructors pass closed forms because the generic recursion doubles the
+    cost of their moment sets, :func:`from_expression` passes the recursion
+    carried out symbolically, one compiled call per psi, and
+    :func:`from_table` passes the ratios of its derivative columns to f.
+    Derivatives are never estimated from f by differences.
 
     ``length_scale`` is the base step of the difference quotients with which
     :func:`check_density` cross-checks f^(j); :func:`from_table` sets it from
@@ -271,37 +266,27 @@ class DensityModel:
     holds for exactly the models those constructors build.
     """
 
-    def __init__(self, name, support, pdf, *, pdf_derivs=None, cdf=None, ppf=None,
-                 rho=None, rho_derivs=None, psis=None, params=None, descriptor=None,
-                 length_scale=1.0, log_concave=False):
+    def __init__(self, name, support, pdf, *, rho_derivs=None, psis=None, cdf=None,
+                 ppf=None, rho=None, descriptor=None, length_scale=1.0, log_concave=False):
         lo, hi = float(support[0]), float(support[1])
         if not lo < hi:
             raise ValueError(f"empty support ({lo}, {hi})")
-        if (rho_derivs is None) == (pdf_derivs is None):
-            raise ValueError("pass exactly one of rho_derivs (analytic family) and "
-                             "pdf_derivs (pdf-based family)")
+        if rho_derivs is None:
+            raise ValueError("a model states its contrast derivatives rho_derivs")
         self.name = str(name)
         self.support = (lo, hi)
         self.length_scale = float(length_scale)
-        self.params = dict(params or {})
         self.pdf = pdf
-        if rho_derivs is not None:
-            self.rho_derivs = tuple(rho_derivs)
-            if len(self.rho_derivs) != MAX_DERIVATIVE_ORDER:
-                raise ValueError("expected six contrast derivatives")
-            self.psis = tuple(psis) if psis is not None else _psis_from_rho_derivs(self.rho_derivs)
-            self.pdf_derivs = _pdf_derivs_from_psis(pdf, self.psis)
-        else:
-            self.pdf_derivs = tuple(pdf_derivs)
-            if len(self.pdf_derivs) != MAX_DERIVATIVE_ORDER:
-                raise ValueError("expected six density derivatives")
-            self.psis = tuple(psis) if psis is not None else _psi_fns_from_ratio(pdf, self.pdf_derivs)
-            self.rho_derivs = _rho_derivs_from_psis(self.psis)
+        self.rho_derivs = tuple(rho_derivs)
+        if len(self.rho_derivs) != MAX_DERIVATIVE_ORDER:
+            raise ValueError("expected six contrast derivatives")
+        self.psis = tuple(psis) if psis is not None else _psis_from_rho_derivs(self.rho_derivs)
+        self.pdf_derivs = _pdf_derivs_from_psis(pdf, self.psis)
         self.rho = rho if rho is not None else (lambda x, _p=pdf: _neg_log(_p(x)))
         self.cdf = cdf if cdf is not None else _numeric_cdf(self.pdf, self.support)
         self.ppf = ppf if ppf is not None else _numeric_ppf(self.cdf, self.support)
         self._descriptor = dict(descriptor) if descriptor is not None else {
-            "family": self.name, "params": dict(self.params)}
+            "family": self.name, "params": {}}
         self._log_concave = bool(log_concave)
 
     @property
@@ -332,7 +317,9 @@ class DensityModel:
         return dict(self._descriptor)
 
     def __repr__(self):
-        ps = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
+        # scalar parameters only: a table's columns would swamp the line
+        ps = ", ".join(f"{k}={v!r}" for k, v in self._descriptor["params"].items()
+                       if not isinstance(v, (list, dict)))
         return f"DensityModel({self.name}{', ' + ps if ps else ''})"
 
 
@@ -406,7 +393,7 @@ def normal(loc: float = 0.0) -> DensityModel:
         rho=lambda x: 0.5 * y_of(x) ** 2 + half_log_2pi,
         rho_derivs=rho_derivs,
         psis=tuple(make_psi(j) for j in range(1, 7)),
-        params={"loc": lc},
+        descriptor={"family": "normal", "params": {"loc": lc}},
         log_concave=True,
     )
 
@@ -452,7 +439,7 @@ def logistic(loc: float = 0.0) -> DensityModel:
         rho=rho,
         rho_derivs=rho_derivs,
         psis=psis,
-        params={"loc": lc},
+        descriptor={"family": "logistic", "params": {"loc": lc}},
         log_concave=True,
     )
 
@@ -492,7 +479,7 @@ def student_t(nu: float = 7.0, loc: float = 0.0) -> DensityModel:
         ppf=lambda u: lc + special.stdtrit(nu, np.asarray(u, dtype=float)),
         rho=lambda x: 0.5 * (nu + 1) * np.log1p(y_of(x) ** 2 / nu) - log_c,
         rho_derivs=tuple(make_rho_deriv(j) for j in range(1, 7)),
-        params={"nu": nu, "loc": lc},
+        descriptor={"family": "student_t", "params": {"nu": nu, "loc": lc}},
     )
 
 
@@ -546,7 +533,6 @@ def from_expression(expr: str, support=(-np.inf, np.inf), name: str = "expressio
         rho_derivs=tuple(lambdify_vec(r) for r in rho_exprs),
         psis=tuple(lambdify_vec(p) for p in psi_exprs),
         rho=lambdify_vec(rho_expr),
-        params={"expr": str(expr)},
         descriptor={"family": "expression",
                     "params": {"expr": str(expr),
                                "support": [float(support[0]), float(support[1])],
@@ -566,7 +552,10 @@ def from_table(source, name: str = "table") -> DensityModel:
     since they cannot be differenced out of f accurately enough.  A density
     known as a formula can be given to :func:`from_expression` instead.
     Support is the table's x range; the density is treated as zero outside
-    it.
+    it.  Each column is interpolated by a cubic spline; psi_i is the spline
+    ratio f_i/f and rho^(j) follows from psi by the inverse of the
+    logarithmic-derivative recursion, so the model's f^(j) = psi_j f
+    reproduce the f_j columns up to rounding.
     """
     from scipy.interpolate import CubicSpline
 
@@ -606,7 +595,8 @@ def from_table(source, name: str = "table") -> DensityModel:
 
     f_spline = CubicSpline(xg, cols["f"])
     pdf = clipped(f_spline)
-    pdf_derivs = tuple(clipped(CubicSpline(xg, cols[f"f{j}"])) for j in range(1, 7))
+    psis = _psi_fns_from_ratio(pdf, tuple(clipped(CubicSpline(xg, cols[f"f{j}"]))
+                                          for j in range(1, 7)))
 
     anti = f_spline.antiderivative()
     a0 = float(anti(lo))
@@ -617,8 +607,8 @@ def from_table(source, name: str = "table") -> DensityModel:
         return out if np.ndim(x) else float(out)
 
     # check_density's difference step follows the grid: four cells
-    return DensityModel(name, (lo, hi), pdf, pdf_derivs=pdf_derivs, cdf=cdf,
-                        params={"name": name}, descriptor=desc,
+    return DensityModel(name, (lo, hi), pdf, rho_derivs=_rho_derivs_from_psis(psis),
+                        psis=psis, cdf=cdf, descriptor=desc,
                         length_scale=(hi - lo) / (xg.size - 1) * 4.0)
 
 

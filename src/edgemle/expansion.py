@@ -10,7 +10,10 @@ truncation order k in 1..5 ("include every term up to n^-((k-1)/2)"):
 * the Cornish-Fisher expansion of the quantile function G_n^{-1}(v).
 
 The correction-polynomial coefficients are stored once as exact rationals
-over eta-monomials and frozen behind tests: substituting the Gaussian values
+over eta-monomials.  One private loop evaluates a table at a family's etas
+for both :func:`edgeworth_cdf` and :func:`cornish_fisher_quantile`, and
+:func:`collapse_report` lists every coefficient at any etas.  The tables are
+frozen behind tests: substituting the Gaussian values
 (eta2, eta4, eta7, eta8, eta9, eta10) = (2, 3, 15, 8, 6, 6) with the odd
 functionals zero makes every coefficient vanish identically, and the
 quantile table is the exact series inverse of the CDF table through order
@@ -31,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import special
 
-from .density import DensityModel
+from .density import DensityModel, _scalar_like
 from .errors import DomainError, SingularInformation, UnsupportedOrder
 from .moments import MomentSet
 
@@ -178,52 +181,6 @@ def evaluate_terms(terms, eta: Mapping[int, object]):
     return total if total is not None else 0
 
 
-@dataclass(frozen=True)
-class CorrectionPolynomials:
-    """Dense coefficient vectors of the correction polynomials of one table.
-
-    ``polys[o]`` holds the order-o polynomial's coefficients indexed by
-    power, ready for polyval; ``recipe`` keeps the exact rational source
-    terms so every number remains auditable.
-    """
-
-    kind: str
-    polys: Mapping[int, np.ndarray]
-    recipe: Mapping[int, Mapping[int, list]]
-
-    def polynomial(self, order: int) -> np.ndarray:
-        return self.polys[int(order)]
-
-    def max_abs_coefficient(self) -> float:
-        return max(float(np.max(np.abs(c))) for c in self.polys.values())
-
-
-def _build_polynomials(table, eta, max_order: int = ORDERS[-1]) -> dict[int, np.ndarray]:
-    """Coefficient vectors of the table's orders 2..max_order at the given etas."""
-    out = {}
-    for order in range(2, max_order + 1):
-        powers = table[order]
-        coeffs = np.zeros(max(powers) + 1)
-        for power, terms in powers.items():
-            coeffs[power] = float(evaluate_terms(terms, eta))
-        out[order] = coeffs
-    return out
-
-
-def edgeworth_coefficients(moments) -> CorrectionPolynomials:
-    """CDF correction polynomials P_2..P_5 assembled from eta values."""
-    eta = _eta_mapping(moments)
-    return CorrectionPolynomials("edgeworth", _build_polynomials(EDGEWORTH_TABLE, eta),
-                                 EDGEWORTH_TABLE)
-
-
-def cornish_fisher_coefficients(moments) -> CorrectionPolynomials:
-    """Quantile displacement polynomials D_2..D_5 assembled from eta values."""
-    eta = _eta_mapping(moments)
-    return CorrectionPolynomials("cornish-fisher", _build_polynomials(CORNISH_FISHER_TABLE, eta),
-                                 CORNISH_FISHER_TABLE)
-
-
 def collapse_report(eta=None) -> dict:
     """Evaluate every correction coefficient, by default at the Gaussian etas.
 
@@ -366,8 +323,22 @@ def stochastic_expansion_batch(xi_matrix: np.ndarray, n: int, a, orders=ORDERS) 
 # Edgeworth CDF and Cornish-Fisher quantiles
 # ---------------------------------------------------------------------------
 
-def _polyval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.polynomial.polynomial.polyval(x, coeffs)
+def _add_corrections(start, table, moments, n: int, order: int, t):
+    """``start`` plus n^-((o-1)/2) P_o(t) for o = 2..order, added in that order.
+
+    P_o is the table's order-o polynomial, its coefficients evaluated at the
+    family's etas and indexed by power of t.
+    """
+    if order < 2:
+        return start
+    eta = _eta_mapping(moments)
+    out = start
+    for o in range(2, order + 1):
+        coeffs = np.zeros(max(table[o]) + 1)
+        for power, terms in table[o].items():
+            coeffs[power] = float(evaluate_terms(terms, eta))
+        out = out + float(n) ** (-(o - 1) / 2) * np.polynomial.polynomial.polyval(t, coeffs)
+    return out
 
 
 def _check_n(n) -> int:
@@ -392,16 +363,14 @@ def edgeworth_cdf(moments, n, order, x, clamp: bool = False, return_flag: bool =
     out = np.asarray(special.ndtr(xa), dtype=float)
     if k >= 2:
         phi = np.exp(-0.5 * xa * xa) / np.sqrt(2 * np.pi)
-        corr = np.zeros_like(xa, dtype=float)
-        for o, coeffs in _build_polynomials(EDGEWORTH_TABLE, _eta_mapping(moments), k).items():
-            corr = corr + float(m) ** (-(o - 1) / 2) * _polyval(coeffs, xa)
+        corr = _add_corrections(np.zeros_like(xa, dtype=float), EDGEWORTH_TABLE, moments, m, k, xa)
         out = out + corr * phi
     flag = (out < 0.0) | (out > 1.0)
     if clamp:
         out = np.clip(out, 0.0, 1.0)
-    value = _as_scalar(x, out)
+    value = _scalar_like(x, out)
     if return_flag:
-        return value, _as_scalar(x, flag, bool)
+        return value, _scalar_like(x, flag, bool)
     return value
 
 
@@ -413,18 +382,7 @@ def cornish_fisher_quantile(moments, n, order, v):
     if np.any((va <= 0.0) | (va >= 1.0)):
         raise ValueError("probabilities must lie strictly inside (0, 1)")
     z = np.asarray(special.ndtri(va), dtype=float)
-    out = z.copy()
-    if k >= 2:
-        eta = _eta_mapping(moments)
-        for o, coeffs in _build_polynomials(CORNISH_FISHER_TABLE, eta, k).items():
-            out = out + float(m) ** (-(o - 1) / 2) * _polyval(coeffs, z)
-    return _as_scalar(v, out)
-
-
-def _as_scalar(template, arr, cast=float):
-    if np.ndim(template) == 0:
-        return cast(np.asarray(arr).item())
-    return np.asarray(arr)
+    return _scalar_like(v, _add_corrections(z, CORNISH_FISHER_TABLE, moments, m, k, z))
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,5 @@ class LocationMLE:
         ms = moments if moments is not None else compute_moment_set(self.model_)
         s = np.sqrt(self.n_samples_ * ms.fisher)
         alpha = (1.0 - level) / 2.0
-        q_lo = cornish_fisher_quantile(ms, self.n_samples_, order, alpha)
-        q_hi = cornish_fisher_quantile(ms, self.n_samples_, order, 1.0 - alpha)
+        q_lo, q_hi = cornish_fisher_quantile(ms, self.n_samples_, order, [alpha, 1.0 - alpha])
         return (self.theta_ - q_hi / s, self.theta_ - q_lo / s)

@@ -201,6 +201,36 @@ def test_simulate_replay_verifies_bitwise(capsys, tmp_path):
     assert "replay verified" in out
 
 
+def _snapshot(directory):
+    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in directory.iterdir()}
+
+
+def test_simulate_replay_leaves_the_default_out_dir_untouched(capsys, tmp_path, monkeypatch):
+    cfg_path = _config_file(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "simulate", "--config", str(cfg_path))
+    assert code == 0
+    before = _snapshot(tmp_path / "edgemle-out")
+    listing = sorted(p.name for p in tmp_path.iterdir())
+    code, out, _ = run(capsys, "simulate", "--replay", "edgemle-out/manifest.json")
+    assert code == 0
+    assert "replay verified" in out
+    assert _snapshot(tmp_path / "edgemle-out") == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
+
+def test_simulate_replay_refuses_the_manifest_directory(capsys, tmp_path):
+    cfg_path = _config_file(tmp_path)
+    first = tmp_path / "first"
+    run(capsys, "simulate", "--config", str(cfg_path), "--out-dir", str(first))
+    before = _snapshot(first)
+    code, _, err = run(capsys, "simulate", "--replay", str(first / "manifest.json"),
+                       "--out-dir", str(first))
+    assert code == 1
+    assert err.startswith("error:")
+    assert _snapshot(first) == before
+
+
 def test_simulate_replay_detects_tampering(capsys, tmp_path):
     cfg_path = _config_file(tmp_path)
     first = tmp_path / "first"

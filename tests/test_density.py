@@ -114,9 +114,6 @@ def test_psi_and_rho_deriv_reject_bad_orders(models):
 def test_model_takes_one_derivative_chain():
     base = e.normal()
     with pytest.raises(ValueError):
-        e.DensityModel("both", base.support, base.pdf,
-                       rho_derivs=base.rho_derivs, pdf_derivs=base.pdf_derivs)
-    with pytest.raises(ValueError):
         e.DensityModel("neither", base.support, base.pdf)
 
 
@@ -225,6 +222,25 @@ def test_table_family_reproduces_logistic(tmp_path, models):
     assert tab.cdf(1.2) == pytest.approx(built.cdf(1.2), abs=1e-6)
     with pytest.raises(e.DomainError):
         e.psi(tab, 1, 20.0)
+
+
+def test_table_derivative_columns_survive_the_psi_conversion(models):
+    # the table states f^(j) as psi_j f with psi_j the spline ratio f_j/f
+    cols = _logistic_table(models["logistic"])
+    tab = e.from_table(cols)
+    inner = cols["x"][1:-1]
+    for j in range(1, 7):
+        want = cols[f"f{j}"][1:-1]
+        assert np.all(np.abs(tab.pdf_derivs[j - 1](inner) - want) <= 1e-15 * np.abs(want)), j
+
+
+def test_table_quantile_above_its_mass_names_the_cdf_at_the_end(models):
+    # the table ends at |x| = 14 and holds 1 - 1.7e-6 of the mass
+    tab = e.from_table(_logistic_table(models["logistic"]))
+    top = tab.cdf(14.0)
+    assert tab.ppf(top - 1e-7) < 14.0
+    with pytest.raises(e.InversionFailure, match=f"CDF is {top!r} at the support end 14.0"):
+        tab.ppf(0.9999995)
 
 
 def test_table_check_density_uses_a_grid_derived_step(models):

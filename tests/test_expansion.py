@@ -138,12 +138,21 @@ def test_tables_only_carry_the_displayed_powers():
         2: [0, 2], 3: [1, 3], 4: [0, 2, 4], 5: [1, 3, 5]}
 
 
-def test_correction_polynomials_expose_recipe(logistic_moments):
-    table = e.edgeworth_coefficients(logistic_moments)
-    assert table.recipe is EDGEWORTH_TABLE
-    # eta3 = 0 kills the order-2 polynomial entirely
-    assert np.allclose(table.polynomial(2), 0.0)
-    assert table.max_abs_coefficient() > 0
+def _edgeworth_polynomials(moments):
+    # dense order -> coefficient vector of the CDF table at the family's etas
+    polys = {o: np.zeros(max(EDGEWORTH_TABLE[o]) + 1) for o in EDGEWORTH_TABLE}
+    for kind, order, power, value in e.collapse_report(moments)["entries"]:
+        if kind == "edgeworth":
+            polys[order][power] = float(value)
+    return polys
+
+
+def test_collapse_report_at_logistic_eta_drops_order_two(logistic_moments):
+    report = e.collapse_report(logistic_moments)
+    # eta3 = 0 kills the order-2 Edgeworth polynomial entirely
+    order2 = [v for kind, o, _, v in report["entries"] if kind == "edgeworth" and o == 2]
+    assert len(order2) == 2 and np.allclose(np.asarray(order2, dtype=float), 0.0)
+    assert report["max_abs_coefficient"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +178,7 @@ def test_xi_clt_means(logistic_model, logistic_moments):
     sums = np.zeros(6)
     sq_sums = np.zeros(6)
     for start in range(0, reps, 1000):
-        samples = np.stack([e.sample_iid(logistic_model, n, 777 ^ r)
-                            for r in range(start, start + 1000)])
+        samples = e.sample_iid(logistic_model, n, [777 ^ r for r in range(start, start + 1000)])
         xi = e.compute_xi_batch(samples, 0.0, logistic_model, logistic_moments.a)
         sums += xi.sum(axis=0)
         sq_sums += (xi**2).sum(axis=0)
@@ -300,9 +308,9 @@ def test_cdf_validates_inputs(logistic_moments):
 def test_truncation_steps_scale_with_their_omitted_term(logistic_moments):
     grid = np.linspace(-4, 4, 81)
     phi = np.exp(-grid**2 / 2) / np.sqrt(2 * np.pi)
-    polys = e.edgeworth_coefficients(logistic_moments)
+    polys = _edgeworth_polynomials(logistic_moments)
     for k in (1, 2, 3, 4):
-        pk = np.polynomial.polynomial.polyval(grid, polys.polynomial(k + 1))
+        pk = np.polynomial.polynomial.polyval(grid, polys[k + 1])
         c = np.max(np.abs(pk * phi))
         for n in (25, 100, 400):
             gap = np.abs(np.asarray(e.edgeworth_cdf(logistic_moments, n, k + 1, grid))
