@@ -11,7 +11,8 @@ truncation order k in 1..5 ("include every term up to n^-((k-1)/2)"):
 
 The correction-polynomial coefficients are stored once as exact rationals
 over eta-monomials.  One private loop evaluates a table at a family's etas
-for both :func:`edgeworth_cdf` and :func:`cornish_fisher_quantile`, and
+for both :func:`edgeworth_cdf` and :func:`cornish_fisher_quantile`, keeping
+the coefficient arrays of each eta tuple in a bounded cache, and
 :func:`collapse_report` lists every coefficient at any etas.  The tables are
 frozen behind tests: substituting the Gaussian values
 (eta2, eta4, eta7, eta8, eta9, eta10) = (2, 3, 15, 8, 6, 6) with the odd
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as F
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -153,6 +155,8 @@ CORNISH_FISHER_TABLE = {
     },
 }
 
+_TABLES = {"edgeworth": EDGEWORTH_TABLE, "cornish-fisher": CORNISH_FISHER_TABLE}
+
 
 def _check_order(order) -> int:
     k = int(order)
@@ -190,7 +194,7 @@ def collapse_report(eta=None) -> dict:
     """
     eta = GAUSSIAN_ETA if eta is None else _eta_mapping(eta)
     entries = []
-    for kind, table in (("edgeworth", EDGEWORTH_TABLE), ("cornish-fisher", CORNISH_FISHER_TABLE)):
+    for kind, table in _TABLES.items():
         for order in sorted(table):
             for power in sorted(table[order]):
                 val = evaluate_terms(table[order][power], eta)
@@ -323,20 +327,39 @@ def stochastic_expansion_batch(xi_matrix: np.ndarray, n: int, a, orders=ORDERS) 
 # Edgeworth CDF and Cornish-Fisher quantiles
 # ---------------------------------------------------------------------------
 
-def _add_corrections(start, table, moments, n: int, order: int, t):
-    """``start`` plus n^-((o-1)/2) P_o(t) for o = 2..order, added in that order.
+@lru_cache(maxsize=128)
+def _coefficient_arrays(kind: str, order: int, eta_key: tuple) -> tuple:
+    """Read-only coefficient arrays, indexed by power, of orders 2..order of one table.
 
-    P_o is the table's order-o polynomial, its coefficients evaluated at the
-    family's etas and indexed by power of t.
+    ``eta_key`` holds (index, value, repr(value)) triples: the repr keeps
+    apart equal values that evaluate differently, such as a Fraction and its
+    float, or 0.0 and -0.0.
     """
-    if order < 2:
-        return start
-    eta = _eta_mapping(moments)
-    out = start
+    eta = {idx: value for idx, value, _repr in eta_key}
+    table = _TABLES[kind]
+    arrays = []
     for o in range(2, order + 1):
         coeffs = np.zeros(max(table[o]) + 1)
         for power, terms in table[o].items():
             coeffs[power] = float(evaluate_terms(terms, eta))
+        coeffs.flags.writeable = False
+        arrays.append(coeffs)
+    return tuple(arrays)
+
+
+def _add_corrections(start, kind: str, moments, n: int, order: int, t):
+    """``start`` plus n^-((o-1)/2) P_o(t) for o = 2..order, added in that order.
+
+    P_o is the order-o polynomial of table ``kind``, its coefficients
+    evaluated at the family's etas (once per eta tuple and order) and indexed
+    by power of t.
+    """
+    if order < 2:
+        return start
+    eta = _eta_mapping(moments)
+    eta_key = tuple((idx, v, repr(v)) for idx, v in sorted(eta.items()))
+    out = start
+    for o, coeffs in enumerate(_coefficient_arrays(kind, order, eta_key), start=2):
         out = out + float(n) ** (-(o - 1) / 2) * np.polynomial.polynomial.polyval(t, coeffs)
     return out
 
@@ -363,7 +386,7 @@ def edgeworth_cdf(moments, n, order, x, clamp: bool = False, return_flag: bool =
     out = np.asarray(special.ndtr(xa), dtype=float)
     if k >= 2:
         phi = np.exp(-0.5 * xa * xa) / np.sqrt(2 * np.pi)
-        corr = _add_corrections(np.zeros_like(xa, dtype=float), EDGEWORTH_TABLE, moments, m, k, xa)
+        corr = _add_corrections(np.zeros_like(xa, dtype=float), "edgeworth", moments, m, k, xa)
         out = out + corr * phi
     flag = (out < 0.0) | (out > 1.0)
     if clamp:
@@ -382,7 +405,7 @@ def cornish_fisher_quantile(moments, n, order, v):
     if np.any((va <= 0.0) | (va >= 1.0)):
         raise ValueError("probabilities must lie strictly inside (0, 1)")
     z = np.asarray(special.ndtri(va), dtype=float)
-    return _scalar_like(v, _add_corrections(z, CORNISH_FISHER_TABLE, moments, m, k, z))
+    return _scalar_like(v, _add_corrections(z, "cornish-fisher", moments, m, k, z))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,16 @@ scales, kept inside the shifts that leave the sample feasible:
 * every other family gets a 41-point grid scan of the contrast over the
   interval to locate (and count) likelihood basins, then Newton from the
   best grid point, and on multimodal rows every basin is refined and the
-  lowest contrast kept.
+  lowest contrast kept.  The scan is evaluated in budgeted chunks: one
+  ``rho`` call covers as many grid points as fit in ``BLOCK_ELEMENTS``
+  points (at least one), so a single row of up to 799 points scans the
+  whole grid in one call and a Monte Carlo block, already at the budget,
+  takes one grid point per call.
+
+The median and quartiles come from one sort per row, in the float steps of
+``np.median`` and ``np.percentile``, so the median and the scale are
+bit-identical to theirs.
+Non-finite sample values are rejected with ValueError before anything else.
 
 Newton steps are safeguarded by bisection inside the bracket.  Convergence
 is declared on the score, |L_n'(theta)| <= tol, because everything
@@ -33,6 +42,11 @@ from .errors import DomainError, NoConvergence
 
 GRID_POINTS = 41
 GRID_SPAN = 5.0
+#: element budget of one vectorized step, small enough that its temporaries
+#: stay in cache: a Monte Carlo work item holds replicates x sample size
+#: within it, and one grid-scan call evaluates rows x sample size x grid
+#: points within it
+BLOCK_ELEMENTS = 2**15
 _WIDEN_STEPS = 8  # times a search interval may grow by its own width
 _IQR_TO_SIGMA = 1.349  # normal-consistent scale from the interquartile range
 
@@ -63,6 +77,8 @@ class BatchMleResult:
 
 
 def _require_feasible(samples: np.ndarray, model: DensityModel):
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("sample contains non-finite values")
     if not np.all(model.interior(samples)):
         raise DomainError("sample contains points outside the open support")
 
@@ -91,21 +107,52 @@ def _curvature_rows(samples, model, thetas):
     return np.mean(model.rho_derivs[1](samples - thetas[:, None]), axis=1)
 
 
-def _robust_scale(samples: np.ndarray) -> np.ndarray:
-    q75, q25 = np.percentile(samples, [75, 25], axis=1)
-    scale = (q75 - q25) / _IQR_TO_SIGMA
+def _sorted_quantile(srt: np.ndarray, q: float) -> np.ndarray:
+    """Per-row q-quantile of row-sorted data, in the float steps of numpy's "linear" method."""
+    n = srt.shape[1]
+    if n == 1:
+        return srt[:, 0]
+    v = n * q + (1 - q) - 1  # numpy's virtual index, exact for quartiles
+    i = int(v)
+    g = v - i
+    a, b = srt[:, i], srt[:, i + 1]
+    d = b - a
+    return a + d * g if g < 0.5 else b - d * (1 - g)
+
+
+def _median_and_scale(samples: np.ndarray) -> tuple:
+    """Row medians and robust scales (IQR, else std, else 1) from one sort per row.
+
+    The median is bit-identical to ``np.median`` (the mean of the middle one
+    or two values) and the scale to the one from ``np.percentile(..., [75,
+    25])``.  A sort may order -0.0 and 0.0 unlike numpy's partition; that
+    moves only the sign of a zero quartile, which cancels in the IQR.
+    """
+    srt = np.sort(samples, axis=1)
+    n = srt.shape[1]
+    med = np.mean(srt[:, (n - 1) // 2:n // 2 + 1], axis=1)
+    scale = (_sorted_quantile(srt, 0.75) - _sorted_quantile(srt, 0.25)) / _IQR_TO_SIGMA
     std = np.std(samples, axis=1)
     scale = np.where(scale > 0, scale, std)
-    return np.where(scale > 0, scale, 1.0)
+    return med, np.where(scale > 0, scale, 1.0)
 
 
 def _grid_scan(samples, model, lo, hi):
-    rows = samples.shape[0]
+    """Contrast at ``GRID_POINTS`` points per row, evaluated in budgeted chunks.
+
+    Each chunk of grid points is one ``model.rho`` call over at most
+    ``BLOCK_ELEMENTS`` points (at least one grid point), so a single row
+    scans the whole grid in one call while a study block keeps one point per
+    call.  Row means are taken along the contiguous sample axis, exactly as
+    for one point at a time.
+    """
     frac = np.linspace(0.0, 1.0, GRID_POINTS)
     thetas = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
-    values = np.empty((rows, GRID_POINTS))
-    for g in range(GRID_POINTS):
-        values[:, g] = _contrast_rows(samples, model, thetas[:, g])
+    step = max(1, BLOCK_ELEMENTS // samples.size)
+    values = np.empty(thetas.shape)
+    for g in range(0, GRID_POINTS, step):
+        shifted = samples[:, None, :] - thetas[:, g:g + step, None]
+        values[:, g:g + step] = np.mean(model.rho(shifted), axis=2)
     return thetas, values
 
 
@@ -233,8 +280,7 @@ def solve_mle_batch(samples, model: DensityModel, tol: float = 1e-10,
         raise ValueError("samples must be a nonempty (M, n) array")
     _require_feasible(s, model)
 
-    med = np.median(s, axis=1)
-    scale = _robust_scale(s)
+    med, scale = _median_and_scale(s)
     # every search interval stays inside the shifts that leave the sample feasible
     t_lo, t_hi = model.feasible_shift_interval(s, margin=1e-9 * np.maximum(scale, 1.0))
     lo = np.maximum(med - GRID_SPAN * scale, t_lo)

@@ -24,6 +24,7 @@ choice redundant.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 from collections import Counter
@@ -39,12 +40,10 @@ from .density import DensityModel, model_from_descriptor
 from .errors import StudyAborted
 from .expansion import ORDERS, XiVector, compute_xi_batch, edgeworth_cdf, \
     stochastic_expansion_batch
-from .mle import solve_mle_batch
+from .mle import BLOCK_ELEMENTS, solve_mle_batch
 from .moments import MomentSet, compute_moment_set, validate_conditions
 
-#: replicates x sample size held by one work item: small enough that the
-#: solver's and the xi sums' per-block temporaries stay in cache
-BLOCK_ELEMENTS = 2**15
+logger = logging.getLogger(__name__)
 
 _DKW_95 = 1.3581  # sqrt(log(2/0.05)/2): ECDF sup-norm noise floor at 95%
 
@@ -264,6 +263,14 @@ def _run_block(payload: tuple) -> dict:
     return _simulate_block(_cached_model(descriptor_json), *args)
 
 
+def _logged_blocks(n: int, blocks):
+    """Pass ``blocks`` through, logging each one at DEBUG as it finishes."""
+    for block in blocks:
+        logger.debug("n=%d: replicates %d-%d done, %d solver failures", n, block["start"],
+                     block["start"] + block["theta"].size - 1, int(block["failed"].sum()))
+        yield block
+
+
 def _wilson_interval(successes: int, total: int, z: float = 1.959964) -> tuple:
     if total == 0:
         return (0.0, 1.0)
@@ -441,6 +448,11 @@ def run_study(config: SimulationConfig, out_dir=None, workers: int = 1,
     order's prediction lands in ``ecdf_<n>.csv``, a long-format
     ``curves.csv`` serves plotting, and ``report.json`` holds the aggregate;
     every file is written from memory and none is read back.
+
+    Progress goes to the ``edgemle.montecarlo`` logger: one DEBUG record per
+    finished block (sample size, replicate range, solver failures) and one
+    INFO record per sample size.  The package installs no handler, so the
+    study is silent unless the caller configures logging.
     """
     model = model_from_descriptor({"family": config.family, "params": config.family_params})
     if config.require_valid_conditions:
@@ -465,9 +477,12 @@ def run_study(config: SimulationConfig, out_dir=None, workers: int = 1,
                          config.solver_tol)
                         for start in range(0, m_total, rows)]
             blocks = pool.map(_run_block, payloads) if pool else map(_run_block, payloads)
+            blocks = _logged_blocks(n, blocks)
             if writer is not None:
                 blocks = writer.remainders(n, blocks)
             per_n[str(n)], curves[n] = _aggregate(blocks, n, grid, moments, config)
+            logger.info("n=%d: %d replicates, %d blocks, %d solver failures", n, m_total,
+                        len(payloads), per_n[str(n)]["solver_failures"])
             if writer is not None:
                 writer.ecdf(n, grid, curves[n])
 

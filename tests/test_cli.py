@@ -99,6 +99,15 @@ def test_mle_reads_csv_file(capsys, tmp_path):
     assert json.loads(out)["theta_hat"] == pytest.approx(2.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_mle_names_non_finite_input(capsys, monkeypatch, bad):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"1 2 {bad} 0.5\n"))
+    code, out, err = run(capsys, "mle", "--family", "student_t", "--input", "-")
+    assert code == 1
+    assert out == ""
+    assert err == "error: sample contains non-finite values\n"
+
+
 def test_validate_passes_builtin(capsys):
     code, out, _ = run(capsys, "validate", "--family", "logistic")
     assert code == 0

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 
 import edgemle as e
-from edgemle.expansion import (CORNISH_FISHER_TABLE, EDGEWORTH_TABLE, _expansion_brackets,
-                               evaluate_terms)
+from edgemle.expansion import (CORNISH_FISHER_TABLE, EDGEWORTH_TABLE, GAUSSIAN_ETA,
+                               _coefficient_arrays, _expansion_brackets, evaluate_terms)
 
 NORMAL_EXACT_A = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
@@ -348,6 +348,47 @@ def test_quantile_rejects_probabilities_outside_unit_interval(logistic_moments):
 # ---------------------------------------------------------------------------
 # composition diagnostic
 # ---------------------------------------------------------------------------
+
+def _cdf_and_quantile(moments):
+    x = np.linspace(-3.0, 3.0, 13)
+    return (np.asarray(e.edgeworth_cdf(moments, 40, 5, x)).tobytes(),
+            np.asarray(e.cornish_fisher_quantile(moments, 40, 5, [0.025, 0.5, 0.975])).tobytes())
+
+
+def test_coefficient_cache_follows_the_eta_values(logistic_moments, t7_moments):
+    fresh = {}
+    for name, ms in (("logistic", logistic_moments), ("t7", t7_moments)):
+        _coefficient_arrays.cache_clear()
+        fresh[name] = _cdf_and_quantile(ms)
+    for _ in range(3):
+        assert _cdf_and_quantile(logistic_moments) == fresh["logistic"]
+        assert _cdf_and_quantile(t7_moments) == fresh["t7"]
+
+    eta = dict(t7_moments.eta)
+    before = e.cornish_fisher_quantile(eta, 50, 5, 0.9)
+    eta[4] += 0.5  # the same dict object, mutated between calls
+    after = e.cornish_fisher_quantile(eta, 50, 5, 0.9)
+    _coefficient_arrays.cache_clear()
+    assert after == e.cornish_fisher_quantile(eta, 50, 5, 0.9) != before
+
+
+def test_coefficient_cache_keeps_fraction_etas_exact():
+    # dyadic Fractions equal their floats, so both eta dicts compare equal,
+    # yet the floats round term by term and move the CDF in its last bits
+    exact = {2: F(7, 2), 3: F(5, 4), 4: F(0), 5: F(-19, 8), 6: F(-2),
+             7: F(-37, 8), 8: F(-17, 4), 9: F(-39, 8), 10: F(-13, 4)}
+    floats = {k: float(val) for k, val in exact.items()}
+    assert floats == exact
+    x = np.linspace(-3.0, 3.0, 25)
+    _coefficient_arrays.cache_clear()
+    fresh = e.edgeworth_cdf(exact, 30, 5, x)
+    assert e.edgeworth_cdf(floats, 30, 5, x).tobytes() != fresh.tobytes()
+    assert e.edgeworth_cdf(exact, 30, 5, x).tobytes() == fresh.tobytes()
+    v = np.array([0.1, 0.5, 0.9])
+    e.cornish_fisher_quantile({k: float(val) for k, val in GAUSSIAN_ETA.items()}, 30, 5, v)
+    assert np.array_equal(e.cornish_fisher_quantile(GAUSSIAN_ETA, 30, 5, v), ndtri(v))
+    assert e.collapse_report()["max_abs_coefficient"] == 0
+
 
 def test_compose_normal_is_identity(normal_moments):
     report = e.compose_check(normal_moments, [20, 80])

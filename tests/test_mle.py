@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import edgemle as e
+from edgemle.mle import (BLOCK_ELEMENTS, GRID_POINTS, _contrast_rows, _grid_scan,
+                         _median_and_scale, _sorted_quantile)
 
 
 def test_contrast_normal_at_zero(normal_model):
@@ -150,6 +152,75 @@ def test_log_concave_flag_is_fixed_per_family_and_survives_descriptors():
 def test_empty_sample_rejected(logistic_model):
     with pytest.raises(ValueError):
         e.solve_mle([], logistic_model)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_is_named(t7_model, bad):
+    with pytest.raises(ValueError, match="sample contains non-finite values"):
+        e.solve_mle([1.0, 2.0, bad, 0.5], t7_model)
+    with pytest.raises(ValueError, match="sample contains non-finite values"):
+        e.solve_mle_batch(np.array([[1.0, 2.0], [bad, 0.5]]), t7_model)
+
+
+def _scan_rows(rows, n, seed=17):
+    samples = np.random.default_rng(seed).standard_t(7, size=(rows, n))
+    med = np.median(samples, axis=1)
+    return samples, med - 4.0, med + 4.0
+
+
+# (1, 1000) scans 32 grid points per call, a chunk that does not divide the grid
+@pytest.mark.parametrize("rows, n", [(1, 25), (1, 400), (327, 100), (1, 1000)])
+def test_chunked_grid_scan_matches_point_by_point_contrasts(t7_model, rows, n):
+    samples, lo, hi = _scan_rows(rows, n)
+    thetas, values = _grid_scan(samples, t7_model, lo, hi)
+    expected = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, GRID_POINTS)[None, :]
+    assert thetas.tobytes() == expected.tobytes()
+    for g in range(GRID_POINTS):
+        reference = _contrast_rows(samples, t7_model, thetas[:, g])
+        assert values[:, g].tobytes() == reference.tobytes()
+
+
+def test_grid_scan_calls_stay_within_the_element_budget(monkeypatch):
+    model = e.student_t(7)
+    rho, sizes = model.rho, []
+
+    def counted(y):
+        sizes.append(y.size)
+        return rho(y)
+
+    monkeypatch.setattr(model, "rho", counted)
+    samples, lo, hi = _scan_rows(1, 100)
+    _grid_scan(samples, model, lo, hi)
+    assert sizes == [GRID_POINTS * 100]
+    sizes.clear()
+    samples, lo, hi = _scan_rows(327, 100)
+    _grid_scan(samples, model, lo, hi)
+    assert max(sizes) <= BLOCK_ELEMENTS
+    assert sum(sizes) == GRID_POINTS * 327 * 100
+
+
+def test_sorted_row_statistics_match_numpy_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n in list(range(1, 61)) + [100, 101, 400, 401]:
+        samples = rng.standard_t(3, size=(6, n))
+        samples[1] = np.round(samples[1])  # ties
+        samples[2] = samples[2, 0]  # one repeated value: zero IQR and std
+        samples[3, : n // 2] = samples[3, 0]  # ties across the lower quartile
+        samples[4, ::2] = -0.0  # signed zeros
+        samples[4, 1::2] = 0.0
+        srt = np.sort(samples, axis=1)
+        q75, q25 = np.percentile(samples, [75, 25], axis=1)
+        # a sort and numpy's partition may order -0.0 and 0.0 differently, so a
+        # quartile matches up to the sign of a zero (+ 0.0 clears it); the scale
+        # uses only the quartiles' difference, where that sign cancels
+        assert (_sorted_quantile(srt, 0.75) + 0.0).tobytes() == (q75 + 0.0).tobytes()
+        assert (_sorted_quantile(srt, 0.25) + 0.0).tobytes() == (q25 + 0.0).tobytes()
+        med, scale = _median_and_scale(samples)
+        assert med.tobytes() == np.median(samples, axis=1).tobytes()
+        iqr_scale = (q75 - q25) / 1.349
+        std = np.std(samples, axis=1)
+        expected = np.where(iqr_scale > 0, iqr_scale, np.where(std > 0, std, 1.0))
+        assert scale.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -231,6 +232,27 @@ def test_study_reports_solver_counters():
         solver = entry["solver"]
         assert solver["multimodal_rows"] == 0
         assert sum(solver["newton_iterations"].values()) == cfg.replications
+
+
+def test_study_logs_progress_per_block_and_per_n(caplog):
+    cfg = e.SimulationConfig(family="logistic", n_grid=(25, 400), replications=300,
+                             base_seed=99)
+    quiet = e.run_study(cfg).to_dict()
+    assert not logging.getLogger("edgemle.montecarlo").handlers
+    assert not logging.getLogger("edgemle").handlers
+    with caplog.at_level(logging.DEBUG, logger="edgemle.montecarlo"):
+        assert e.run_study(cfg).to_dict() == quiet
+    records = [r for r in caplog.records if r.name == "edgemle.montecarlo"]
+    # n=25 fills one block of 1310 rows; n=400 takes blocks of 81 rows
+    assert [r.getMessage() for r in records if r.levelno == logging.DEBUG] == [
+        "n=25: replicates 0-299 done, 0 solver failures",
+        "n=400: replicates 0-80 done, 0 solver failures",
+        "n=400: replicates 81-161 done, 0 solver failures",
+        "n=400: replicates 162-242 done, 0 solver failures",
+        "n=400: replicates 243-299 done, 0 solver failures"]
+    assert [r.getMessage() for r in records if r.levelno == logging.INFO] == [
+        "n=25: 300 replicates, 1 blocks, 0 solver failures",
+        "n=400: 300 replicates, 4 blocks, 0 solver failures"]
 
 
 def test_study_rejects_family_failing_conditions():
