@@ -323,15 +323,21 @@ class DensityModel:
         return f"DensityModel({self.name}{', ' + ps if ps else ''})"
 
 
+def _require_usable(model: DensityModel, x):
+    """Raise ValueError unless every point of ``x`` is finite, then DomainError unless interior."""
+    xs = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("sample contains non-finite values")
+    if not np.all(model.interior(xs)):
+        raise DomainError(f"sample contains points outside the open support {model.support}")
+
+
 def _evaluate(model, fns, order, what, x):
     # fns[order - 1](x), for x inside the open support where f > 0
     if not 1 <= int(order) <= MAX_DERIVATIVE_ORDER:
         raise UnsupportedOrder(f"{what} order must be in 1..{MAX_DERIVATIVE_ORDER}, got {order}")
     xs = np.asarray(x, dtype=float)
-    ok = model.interior(xs)
-    if not np.all(ok):
-        bad = xs[~np.asarray(ok)] if np.ndim(x) else x
-        raise DomainError(f"point outside open support {model.support}: {bad}")
+    _require_usable(model, xs)
     fx = np.asarray(model.pdf(xs), dtype=float)
     if not np.all(fx > 0.0):
         raise DomainError("density vanishes at an evaluation point")
@@ -341,7 +347,8 @@ def _evaluate(model, fns, order, what, x):
 def psi(model: DensityModel, i: int, x):
     """Score-derivative ratio f^(i)(x)/f(x).
 
-    Raises DomainError when x is outside the open support or f(x) = 0 there.
+    Raises ValueError when x is not finite, DomainError when it is outside
+    the open support or f(x) = 0 there.
     """
     return _evaluate(model, model.psis, i, "psi", x)
 

@@ -28,6 +28,7 @@ skewed families (it vanishes when eta3 = 0).
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction as F
 from functools import lru_cache
@@ -36,8 +37,8 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import special
 
-from .density import DensityModel, _scalar_like
-from .errors import DomainError, SingularInformation, UnsupportedOrder
+from .density import DensityModel, _require_usable, _scalar_like
+from .errors import SingularInformation, UnsupportedOrder
 from .moments import MomentSet
 
 ORDERS = (1, 2, 3, 4, 5)
@@ -239,8 +240,7 @@ def compute_xi_batch(samples, theta0: float, model: DensityModel, a) -> np.ndarr
     s = np.asarray(samples, dtype=float)
     a = np.asarray(a, dtype=float)
     y = s - float(theta0)
-    if not np.all(model.interior(y)):
-        raise DomainError("a centred sample point left the open support")
+    _require_usable(model, y)
     root_n = np.sqrt(s.shape[1])
     cols = [np.sum(model.rho_derivs[j](y) - a[j], axis=1) / root_n for j in range(6)]
     return np.stack(cols, axis=1)
@@ -347,16 +347,25 @@ def _coefficient_arrays(kind: str, order: int, eta_key: tuple) -> tuple:
     return tuple(arrays)
 
 
+#: |eta3| above which order 5 is flagged: its tables carry an n^-2 error for
+#: skewed families (symmetric families have eta3 = 0 exactly)
+_SKEW_FLOOR = 1e-8
+
+
 def _add_corrections(start, kind: str, moments, n: int, order: int, t):
     """``start`` plus n^-((o-1)/2) P_o(t) for o = 2..order, added in that order.
 
     P_o is the order-o polynomial of table ``kind``, its coefficients
     evaluated at the family's etas (once per eta tuple and order) and indexed
-    by power of t.
+    by power of t.  Order 5 warns for a skewed family.
     """
     if order < 2:
         return start
     eta = _eta_mapping(moments)
+    if order == 5 and abs(eta[3]) > _SKEW_FLOOR:
+        warnings.warn(f"order 5 is unreliable for a skewed family (eta3 = {float(eta[3]):.6g}): "
+                      "its error decays like n^-2 instead of n^-5/2; use order 4",
+                      UserWarning, stacklevel=3)
     eta_key = tuple((idx, v, repr(v)) for idx, v in sorted(eta.items()))
     out = start
     for o, coeffs in enumerate(_coefficient_arrays(kind, order, eta_key), start=2):

@@ -1,28 +1,32 @@
 """Maximum likelihood estimation of location.
 
 The estimator minimizes the empirical contrast
-L_n(theta) = n^-1 sum_i rho(X_i - theta) with rho = -log f.  Both solver
-paths start from the sample median and the interval median +/- 5 robust
-scales, kept inside the shifts that leave the sample feasible:
+L_n(theta) = n^-1 sum_i rho(X_i - theta) with rho = -log f.  One pipeline
+solves every family: it checks that every sample point is finite and inside
+the support, a basin search on median +/- 5 robust scales (kept inside the
+feasible shifts) gives each row a Newton start and bracket, and one
+safeguarded Newton run refines all rows.  The family picks only the search
+(:attr:`DensityModel.log_concave`):
 
-* log-concave families (:attr:`DensityModel.log_concave`) have a convex
-  contrast, hence one basin per sample.  The solver checks the sign of the
-  score at both ends, widens any end that does not bracket the root, and
-  runs Newton from the median inside the bracket; the multimodal flag is
-  always false;
-* every other family gets a 41-point grid scan of the contrast over the
-  interval to locate (and count) likelihood basins, then Newton from the
-  best grid point, and on multimodal rows every basin is refined and the
-  lowest contrast kept.  The scan is evaluated in budgeted chunks: one
+* ``_score_bracket``: a log-concave family has a convex contrast, hence one
+  basin per sample.  The search widens any end of the interval at which the
+  score does not bracket the root, and starts at the median;
+* ``_grid_basins``: every other family gets a 41-point grid scan of the
+  contrast, widened while its minimum sits on the grid edge, and starts at
+  the best grid point.  The scan is evaluated in budgeted chunks: one
   ``rho`` call covers as many grid points as fit in ``BLOCK_ELEMENTS``
   points (at least one), so a single row of up to 799 points scans the
   whole grid in one call and a Monte Carlo block, already at the budget,
   takes one grid point per call.
 
+A row fails when Newton does not converge or its search could not bracket
+the root.  A row whose final scan shows several basins is multimodal: each
+of its basins is refined on its own, and a converged basin with strictly
+lower contrast replaces the best grid point's solution.
+
 The median and quartiles come from one sort per row, in the float steps of
 ``np.median`` and ``np.percentile``, so the median and the scale are
 bit-identical to theirs.
-Non-finite sample values are rejected with ValueError before anything else.
 
 Newton steps are safeguarded by bisection inside the bracket.  Convergence
 is declared on the score, |L_n'(theta)| <= tol, because everything
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel, make_model
+from .density import DensityModel, _require_usable, make_model
 from .errors import DomainError, NoConvergence
 
 GRID_POINTS = 41
@@ -76,22 +80,14 @@ class BatchMleResult:
     failed: np.ndarray
 
 
-def _require_feasible(samples: np.ndarray, model: DensityModel):
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("sample contains non-finite values")
-    if not np.all(model.interior(samples)):
-        raise DomainError("sample contains points outside the open support")
-
-
 def contrast(sample, model: DensityModel, theta: float) -> float:
-    """Empirical contrast: mean of rho(X_i - theta)."""
+    """Empirical contrast: mean of rho(X_i - theta).  The one-row :func:`_contrast_rows`."""
     x = np.asarray(sample, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("sample must be nonempty")
-    y = x - float(theta)
-    if not np.all(model.interior(y)):
-        raise DomainError(f"shift {theta} moves a sample point outside the support")
-    return float(np.mean(model.rho(y)))
+    # a non-finite sample point or shift leaves a non-finite shifted point
+    _require_usable(model, x - float(theta))
+    return float(_contrast_rows(x[None, :], model, np.array([float(theta)]))[0])
 
 
 def _contrast_rows(samples: np.ndarray, model: DensityModel, thetas: np.ndarray) -> np.ndarray:
@@ -156,9 +152,10 @@ def _grid_scan(samples, model, lo, hi):
     return thetas, values
 
 
-def _local_min_count(values: np.ndarray) -> np.ndarray:
+def _basins(values: np.ndarray) -> np.ndarray:
+    """Interior local minima of each row's scan; column k is grid point k + 1."""
     d = np.diff(values, axis=1)
-    return np.sum((d[:, :-1] < 0) & (d[:, 1:] >= 0), axis=1)
+    return (d[:, :-1] < 0) & (d[:, 1:] >= 0)
 
 
 def _newton_refine(samples, model, theta, lo, hi, tol, max_iter):
@@ -193,8 +190,12 @@ def _widen(lo, hi, idx, left, right, t_lo, t_hi):
     hi[idx] = np.minimum(np.where(right, hi[idx] + width, hi[idx]), t_hi[idx])
 
 
-def _solve_convex(s, model, med, lo, hi, t_lo, t_hi, tol, max_iter):
-    """Bracketed Newton from the median, for a convex contrast (one basin per row)."""
+# The two basin searches return (start, lo, hi, unresolved, scan): Newton's
+# start and bracket per row, the rows whose search gave up, and the grid scan
+# (thetas, values) or None.
+
+def _score_bracket(s, model, med, lo, hi, t_lo, t_hi):
+    """Widen each interval until the score changes sign; start at the clipped median."""
     g_lo = _score_rows(s, model, lo)
     g_hi = _score_rows(s, model, hi)
     # the score increases through the minimum, so L'(lo) <= 0 <= L'(hi) brackets it
@@ -205,80 +206,57 @@ def _solve_convex(s, model, med, lo, hi, t_lo, t_hi, tol, max_iter):
         _widen(lo, hi, edge, g_lo[edge] > 0, g_hi[edge] < 0, t_lo, t_hi)
         g_lo[edge] = _score_rows(s[edge], model, lo[edge])
         g_hi[edge] = _score_rows(s[edge], model, hi[edge])
-    unbracketed = (g_lo > 0) | (g_hi < 0)
     # with a finite end of the support the median itself can be an infeasible shift
-    theta, grad, iters, lo, hi, active = _newton_refine(
-        s, model, np.clip(med, lo, hi), lo, hi, tol, max_iter)
-    multimodal = np.zeros(s.shape[0], dtype=bool)
-    return theta, grad, iters, lo, hi, multimodal, active | unbracketed
+    return np.clip(med, lo, hi), lo, hi, (g_lo > 0) | (g_hi < 0), None
 
 
-def _solve_scanned(s, model, lo, hi, t_lo, t_hi, tol, max_iter):
-    """Grid scan for basins, Newton in the best one, and every basin refined on multimodal rows."""
-    rows = s.shape[0]
+def _grid_basins(s, model, med, lo, hi, t_lo, t_hi):
+    """Scan the contrast, widening rows with an edge minimum; start at the best grid point."""
     thetas, values = _grid_scan(s, model, lo, hi)
-    multimodal = _local_min_count(values) > 1
     j = np.argmin(values, axis=1)
-
-    # widen the scan for rows whose minimum sits on the grid edge
     for _ in range(_WIDEN_STEPS):
         edge = np.flatnonzero((j == 0) | (j == GRID_POINTS - 1))
         if edge.size == 0:
             break
         _widen(lo, hi, edge, j[edge] == 0, j[edge] == GRID_POINTS - 1, t_lo, t_hi)
-        th_e, val_e = _grid_scan(s[edge], model, lo[edge], hi[edge])
-        thetas[edge] = th_e
-        values[edge] = val_e
-        multimodal[edge] = _local_min_count(val_e) > 1
-        j[edge] = np.argmin(val_e, axis=1)
+        thetas[edge], values[edge] = _grid_scan(s[edge], model, lo[edge], hi[edge])
+        j[edge] = np.argmin(values[edge], axis=1)
+    rows = np.arange(s.shape[0])
+    return (thetas[rows, j], thetas[rows, np.maximum(j - 1, 0)],
+            thetas[rows, np.minimum(j + 1, GRID_POINTS - 1)],
+            (j == 0) | (j == GRID_POINTS - 1), (thetas, values))
 
-    stuck_on_edge = (j == 0) | (j == GRID_POINTS - 1)
 
-    jl = np.maximum(j - 1, 0)
-    jr = np.minimum(j + 1, GRID_POINTS - 1)
-    b_lo = thetas[np.arange(rows), jl]
-    b_hi = thetas[np.arange(rows), jr]
-    theta0 = thetas[np.arange(rows), j]
+def _lowest_basin(x, model, thetas, basins, best, tol, max_iter):
+    """Refine every basin of one row's scan and return the lowest (theta, gradient, iterations).
 
-    theta, grad, iters, b_lo, b_hi, active = _newton_refine(
-        s, model, theta0.copy(), b_lo.copy(), b_hi.copy(), tol, max_iter)
-
-    # rows with several basins: refine each one and keep the lowest contrast
-    for r in np.flatnonzero(multimodal):
-        d = np.diff(values[r])
-        basin_idx = np.flatnonzero((d[:-1] < 0) & (d[1:] >= 0)) + 1
-        best_theta, best_val = theta[r], float(np.mean(model.rho(s[r] - theta[r])))
-        best_grad, best_it = grad[r], iters[r]
-        for b in basin_idx:
-            t0 = np.array([thetas[r, b]])
-            bl = np.array([thetas[r, max(b - 1, 0)]])
-            bh = np.array([thetas[r, min(b + 1, GRID_POINTS - 1)]])
-            tt, gg, ii, bl, bh, act = _newton_refine(
-                s[r:r + 1], model, t0, bl, bh, tol, max_iter)
-            if act[0]:
-                continue
-            val = float(np.mean(model.rho(s[r] - tt[0])))
-            if val < best_val:
-                best_theta, best_val, best_grad, best_it = tt[0], val, gg[0], ii[0]
-        theta[r], grad[r], iters[r] = best_theta, best_grad, best_it
-        b_lo[r] = min(b_lo[r], best_theta)
-        b_hi[r] = max(b_hi[r], best_theta)
-
-    return theta, grad, iters, b_lo, b_hi, multimodal, active | stuck_on_edge
+    ``best`` is the argmin basin's solution; it stands unless a converged
+    basin has strictly lower contrast.
+    """
+    best_val = _contrast_rows(x, model, np.array([best[0]]))[0]
+    for b in np.flatnonzero(basins) + 1:
+        tt, gg, ii, _lo, _hi, act = _newton_refine(
+            x, model, thetas[[b]], thetas[[b - 1]], thetas[[b + 1]], tol, max_iter)
+        if act[0]:
+            continue
+        val = _contrast_rows(x, model, tt)[0]
+        if val < best_val:
+            best, best_val = (tt[0], gg[0], ii[0]), val
+    return best
 
 
 def solve_mle_batch(samples, model: DensityModel, tol: float = 1e-10,
                     max_iter: int = 200) -> BatchMleResult:
     """Solve one MLE per row of ``samples`` (an (M, n) array).
 
-    Log-concave models take the bracketed Newton path from the median and
-    never evaluate the contrast; other models take the grid scan over
-    ``GRID_POINTS`` points.
+    Log-concave models find each row's bracket from the score's sign and
+    never evaluate the contrast; other models scan it over ``GRID_POINTS``
+    points.  One safeguarded Newton run then solves every row.
     """
     s = np.atleast_2d(np.asarray(samples, dtype=float))
     if s.ndim != 2 or s.shape[1] == 0:
         raise ValueError("samples must be a nonempty (M, n) array")
-    _require_feasible(s, model)
+    _require_usable(model, s)
 
     med, scale = _median_and_scale(s)
     # every search interval stays inside the shifts that leave the sample feasible
@@ -288,11 +266,21 @@ def solve_mle_batch(samples, model: DensityModel, tol: float = 1e-10,
     if not np.all(lo < hi):
         raise DomainError("no feasible shift interval for some rows")
 
-    if model.log_concave:
-        solved = _solve_convex(s, model, med, lo, hi, t_lo, t_hi, tol, max_iter)
-    else:
-        solved = _solve_scanned(s, model, lo, hi, t_lo, t_hi, tol, max_iter)
-    return BatchMleResult(*solved)
+    search = _score_bracket if model.log_concave else _grid_basins
+    start, lo, hi, unresolved, scan = search(s, model, med, lo, hi, t_lo, t_hi)
+    theta, grad, iters, lo, hi, active = _newton_refine(s, model, start, lo, hi, tol, max_iter)
+    multimodal = np.zeros(s.shape[0], dtype=bool)
+    if scan is not None:
+        thetas, values = scan
+        basins = _basins(values)
+        multimodal = np.sum(basins, axis=1) > 1
+        for r in np.flatnonzero(multimodal):
+            theta[r], grad[r], iters[r] = _lowest_basin(
+                s[r:r + 1], model, thetas[r], basins[r], (theta[r], grad[r], iters[r]),
+                tol, max_iter)
+            lo[r] = min(lo[r], theta[r])
+            hi[r] = max(hi[r], theta[r])
+    return BatchMleResult(theta, grad, iters, lo, hi, multimodal, active | unresolved)
 
 
 def solve_mle(sample, model: DensityModel, tol: float = 1e-10, max_iter: int = 200) -> MleResult:
@@ -302,8 +290,6 @@ def solve_mle(sample, model: DensityModel, tol: float = 1e-10, max_iter: int = 2
     returned gradient always satisfies |L'| <= tol on success.
     """
     x = np.asarray(sample, dtype=float).ravel()
-    if x.size == 0:
-        raise ValueError("sample must be nonempty")
     batch = solve_mle_batch(x[None, :], model, tol=tol, max_iter=max_iter)
     if batch.failed[0]:
         raise NoConvergence(f"MLE solver did not meet |score| <= {tol} in {max_iter} iterations")
@@ -327,10 +313,6 @@ def _validate_sample(X) -> np.ndarray:
         x = x[:, 0]
     if x.ndim != 1:
         raise ValueError(f"expected a 1-d sample or an (n, 1) column, got shape {x.shape}")
-    if x.size == 0:
-        raise ValueError("sample must be nonempty")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("sample contains non-finite values")
     return x
 
 

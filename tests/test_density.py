@@ -234,6 +234,19 @@ def test_table_derivative_columns_survive_the_psi_conversion(models):
         assert np.all(np.abs(tab.pdf_derivs[j - 1](inner) - want) <= 1e-15 * np.abs(want)), j
 
 
+def test_table_contrast_chain_matches_logistic(models):
+    # rho = -log f of the spline and rho^(j) from the psi ratios, between grid nodes
+    built = models["logistic"]
+    tab = e.from_table(_logistic_table(built))
+    off_grid = np.linspace(-6.0, 6.0, 1200, endpoint=False) + 0.0073  # nodes are 0.02 apart
+    for j in range(1, 7):
+        diff = np.asarray(e.rho_deriv(tab, j, off_grid)) - np.asarray(e.rho_deriv(built, j, off_grid))
+        assert np.max(np.abs(diff)) <= 1e-7, j
+    assert np.max(np.abs(tab.rho(off_grid) - built.rho(off_grid))) <= 1e-9
+    x = np.asarray(e.sample_iid(built, 100, 2024))
+    assert e.solve_mle(x, tab).theta_hat == pytest.approx(e.solve_mle(x, built).theta_hat, abs=1e-9)
+
+
 def test_table_quantile_above_its_mass_names_the_cdf_at_the_end(models):
     # the table ends at |x| = 14 and holds 1 - 1.7e-6 of the mass
     tab = e.from_table(_logistic_table(models["logistic"]))
@@ -305,3 +318,41 @@ def test_location_shift_moves_everything(models):
     assert shifted.pdf(1.5) == pytest.approx(0.25, abs=1e-14)
     assert shifted.cdf(1.5) == pytest.approx(0.5, abs=1e-14)
     assert shifted.ppf(0.5) == pytest.approx(1.5, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the usable-point guard
+# ---------------------------------------------------------------------------
+
+_T7 = e.student_t(7)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: e.contrast([1.0, np.nan], _T7, 0.0),
+    lambda: e.contrast([1.0, 2.0], _T7, np.nan),
+    lambda: e.compute_xi([1.0, np.inf], 0.0, _T7, np.zeros(6)),
+    lambda: e.compute_xi_batch([[1.0, np.nan]], 0.0, _T7, np.zeros(6)),
+    lambda: e.psi(_T7, 1, np.nan),
+    lambda: e.rho_deriv(_T7, 2, [0.0, np.inf]),
+], ids=["contrast-sample", "contrast-shift", "xi", "xi-batch", "psi", "rho-deriv"])
+def test_non_finite_points_are_named_before_the_support(call):
+    with pytest.raises(ValueError, match="non-finite") as info:
+        call()
+    assert not isinstance(info.value, e.DomainError)
+
+
+@pytest.fixture(scope="module")
+def half_line():
+    return e.from_expression("sqrt(2/pi)*x**2*exp(-x**2/2)", support=(0, np.inf))
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: e.contrast([1.0, 2.0], m, 1.5),
+    lambda m: e.solve_mle([-1.0, 2.0], m),
+    lambda m: e.compute_xi_batch([[0.5, 1.0]], 0.7, m, np.zeros(6)),
+    lambda m: e.psi(m, 1, -1.0),
+    lambda m: e.rho_deriv(m, 2, [1.0, -0.5]),
+], ids=["contrast", "solve", "xi-batch", "psi", "rho-deriv"])
+def test_points_outside_a_half_line_support_are_a_domain_error(half_line, call):
+    with pytest.raises(e.DomainError, match=r"outside the open support \(0.0, inf\)"):
+        call(half_line)

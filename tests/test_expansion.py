@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -424,3 +425,52 @@ def test_compose_flags_the_known_block_for_skewed_etas():
 def test_compose_rejects_unsorted_grid(logistic_moments):
     with pytest.raises(ValueError):
         e.compose_check(logistic_moments, [400, 100])
+
+
+# ---------------------------------------------------------------------------
+# order-5 guard for skewed families
+# ---------------------------------------------------------------------------
+
+_GUMBEL = "exp(-x - exp(-x))"
+
+
+@pytest.fixture(scope="module")
+def gumbel():
+    model = e.from_expression(_GUMBEL, name="gumbel")
+    x = -np.log(-np.log(np.linspace(0.05, 0.95, 40)))  # Gumbel quantiles
+    est = e.LocationMLE(family="expression", family_params={"expr": _GUMBEL}).fit(x)
+    return est, e.compute_moment_set(model)
+
+
+def _study(family, params, order):
+    return e.run_study(e.SimulationConfig(
+        family=family, family_params=params, n_grid=(1,), replications=100,
+        orders=(order,), eval_grid=(0.0,), require_valid_conditions=False))
+
+
+def test_order_five_warns_for_a_skewed_family(gumbel):
+    est, ms = gumbel
+    assert ms.eta[3] == pytest.approx(2.0, abs=1e-9)
+    with pytest.warns(UserWarning, match="eta3 = 2.*use order 4"):
+        e.edgeworth_cdf(ms, 50, 5, [0.0, 1.0])
+    with pytest.warns(UserWarning, match="eta3"):
+        e.cornish_fisher_quantile(ms, 50, 5, [0.1, 0.9])
+    with pytest.warns(UserWarning, match="eta3"):
+        est.confidence_interval(order=5, moments=ms)
+    with pytest.warns(UserWarning, match="eta3"):
+        _study("expression", {"expr": _GUMBEL}, 5)
+
+
+def test_order_four_and_symmetric_families_stay_silent(gumbel, logistic_model, logistic_moments):
+    est, ms = gumbel
+    x = np.asarray(e.sample_iid(logistic_model, 40, 3))
+    logistic_est = e.LocationMLE(family="logistic").fit(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e.edgeworth_cdf(ms, 50, 4, [0.0, 1.0])
+        e.cornish_fisher_quantile(ms, 50, 4, [0.1, 0.9])
+        est.confidence_interval(order=4, moments=ms)
+        e.edgeworth_cdf(logistic_moments, 50, 5, [0.0, 1.0])
+        e.cornish_fisher_quantile(logistic_moments, 50, 5, [0.1, 0.9])
+        logistic_est.confidence_interval(order=5, moments=logistic_moments)
+        _study("logistic", {}, 5)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import edgemle as e
+import edgemle.mle as mle
 from edgemle.mle import (BLOCK_ELEMENTS, GRID_POINTS, _contrast_rows, _grid_scan,
                          _median_and_scale, _sorted_quantile)
 
@@ -95,6 +96,74 @@ def test_multimodal_likelihood_is_flagged_and_globally_minimized():
     probes = np.linspace(-12, 12, 2401)
     vals = [e.contrast(x, cauchy, t) for t in probes]
     assert res.contrast_value <= min(vals) + 1e-9
+
+
+def _dense_scan_min(x, model, points=40001):
+    # the contrast on a dense grid spanning the sample
+    x = np.asarray(x, dtype=float)
+    probes = np.linspace(x.min() - 1.0, x.max() + 1.0, points)
+    return float(np.min(_contrast_rows(x[None, :], model, probes)))
+
+
+def _spy(monkeypatch, name, record):
+    # wrap edgemle.mle.<name>, passing each call's (args, result) to record
+    fn = getattr(mle, name)
+
+    def spied(*args):
+        out = fn(*args)
+        record(args, out)
+        return out
+
+    monkeypatch.setattr(mle, name, spied)
+
+
+def test_scan_widens_while_its_minimum_sits_on_the_grid_edge(monkeypatch):
+    # four points within 0.01 of zero give a scan interval of width ~0.1; the
+    # minimum, pulled towards the point at 8, lies beyond its right edge
+    model = e.student_t(7)
+    x = [0.0, 0.01, -0.01, 0.005, 8.0]
+    scans = []
+    _spy(monkeypatch, "_grid_scan", lambda args, out: scans.append(args[0].shape[0]))
+    res = e.solve_mle(x, model)
+    assert scans == [1, 1, 1]  # the first scan and two widenings
+    assert res.theta_hat == pytest.approx(0.20371834456604557, abs=1e-12)
+    assert not res.multimodal_flag
+    assert res.contrast_value <= _dense_scan_min(x, model) + 1e-12
+
+
+def test_lower_basin_replaces_the_best_grid_point():
+    # the best grid point lies in the basin near 0; the basin of the pair at
+    # 18.24, 18.25 has the lower contrast once refined
+    model = e.student_t(1)
+    x = [0.0, -0.02, 18.24, 18.25]
+    res = e.solve_mle(x, model)
+    assert res.multimodal_flag
+    assert res.theta_hat == pytest.approx(18.190050965588632, abs=1e-12)
+    # the bracket is the first basin's, widened to the chosen theta
+    assert res.bracket == pytest.approx((0.04495253232018758, 18.190050965588632), abs=1e-12)
+    assert res.contrast_value <= _dense_scan_min(x, model) + 1e-12
+
+
+_SPREAD_CAUCHY = [-86.4, -289.1, 105.8, -175.4, 64.6, -35.0, 58.0, 23.2, 169.2]
+
+
+def test_basin_whose_newton_fails_is_skipped(monkeypatch):
+    model = e.student_t(1)
+    unconverged = []
+    _spy(monkeypatch, "_newton_refine", lambda args, out: unconverged.append(bool(out[5][0])))
+    res = e.solve_mle(_SPREAD_CAUCHY, model)
+    # the best grid point's run, then one run per basin of the scan
+    assert unconverged[0] is False and unconverged.count(True) == 1
+    assert res.multimodal_flag
+    assert res.theta_hat == pytest.approx(23.237396224925238, abs=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="the 41-point scan (step ~28) straddles the narrow "
+                   "global basin at 58.13, so the solver returns the basin at 23.24")
+def test_spread_cauchy_sample_beats_a_dense_scan():
+    model = e.student_t(1)
+    res = e.solve_mle(_SPREAD_CAUCHY, model)
+    assert res.contrast_value <= _dense_scan_min(_SPREAD_CAUCHY, model) + 1e-12
 
 
 def test_no_convergence_raises(logistic_model):
