@@ -15,17 +15,20 @@ from a tabulated grid that lists f and its six derivatives.  No family's
 derivatives are differenced numerically: the fifth-order expansions need
 rho^(1)..rho^(6), and sixth-order differences of f are noise.
 
-Every model states rho^(1)..rho^(6); psi follows by the logarithmic-
-derivative recursion unless the family passes closed forms, and f^(j) is
-psi_j f.  A table's columns f^(1)..f^(6) are converted once, when the table
-is built: psi is the ratio f^(i)/f and rho^(j) follows by the inverse
-recursion.  Neither direction differences -log f, which would cancel
-catastrophically in the tails where f is tiny.
+Every model has one derivative chain, ``rho_chain(x, k)``, which yields
+rho^(1)(x), ..., rho^(k)(x) in order and shares its intermediates between
+the orders; ``rho_derivs`` are views onto it.  psi follows by the
+logarithmic-derivative recursion unless the family passes closed forms, and
+f^(j) is psi_j f.  A table's columns f^(1)..f^(6) become psi as the ratio
+f^(i)/f, and its chain runs the inverse recursion.  Neither direction
+differences -log f, which would cancel catastrophically in the tails where
+f is tiny.
 """
 from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import math
 from dataclasses import dataclass
 from math import comb
@@ -106,19 +109,21 @@ def numeric_derivative(f: Callable, j: int, x: float, scale: float = 1.0) -> Der
 # psi <-> log-derivative machinery
 # ---------------------------------------------------------------------------
 
-def _log_derivs_from_psis(psi_values: Sequence):
-    """Derivatives of log f from the ratios psi_m = f^(m)/f.
+def _log_derivs_from_psis(psi_values):
+    """Derivatives g_1, g_2, ... of log f from the ratios psi_m = f^(m)/f, lazily.
 
     Inverts the product rule f^(m) = sum_i C(m-1,i) f^(i) g^(m-i) for
     g = log f, i.e. g_m = psi_m - sum_{i=1..m-1} C(m-1,i) psi_i g_{m-i}.
+    ``psi_values`` may be any iterable; g_m is yielded once psi_m is read.
     """
-    gs = []
-    for m in range(1, len(psi_values) + 1):
-        g = psi_values[m - 1]
+    psis, gs = [], []
+    for m, p in enumerate(psi_values, start=1):
+        psis.append(p)
+        g = p
         for i in range(1, m):
-            g = g - comb(m - 1, i) * psi_values[i - 1] * gs[m - i - 1]
+            g = g - comb(m - 1, i) * psis[i - 1] * gs[m - i - 1]
         gs.append(g)
-    return gs
+        yield g
 
 
 def _psis_from_log_derivs(g_values: Sequence):
@@ -141,20 +146,37 @@ def _six(make):
     return tuple(make(j) for j in range(1, MAX_DERIVATIVE_ORDER + 1))
 
 
-def _psis_from_rho_derivs(rho_derivs):
-    return _six(lambda i: lambda x: _psis_from_log_derivs([-r(x) for r in rho_derivs[:i]])[i - 1])
+def _first_orders(orders):
+    """``rho_chain`` from a generator function yielding rho^(1)(x), rho^(2)(x), ...
+
+    The chain stops pulling after order k, so the orders above k are never
+    computed.
+    """
+    return lambda x, k: itertools.islice(orders(x), k)
+
+
+def _view(chain, j):
+    # rho^(j) alone: the j-th value of the chain
+    def rj(x):
+        for r in chain(x, j):
+            pass
+        return r
+
+    return rj
+
+
+def _psis_from_chain(chain):
+    # psi_i from one pass of the chain to order i
+    return _six(lambda i: lambda x: _psis_from_log_derivs([-r for r in chain(x, i)])[i - 1])
 
 
 def _pdf_derivs_from_psis(pdf, psis):
     return _six(lambda j: lambda x: psis[j - 1](x) * pdf(x))
 
 
-def _psi_fns_from_ratio(pdf, pdf_derivs):
-    return _six(lambda i: lambda x: pdf_derivs[i - 1](x) / pdf(x))
-
-
-def _rho_derivs_from_psis(psis):
-    return _six(lambda j: lambda x: -_log_derivs_from_psis([p(x) for p in psis[:j]])[j - 1])
+def _full(y, value):
+    # the constant ``value`` shaped like y: an array for an array, else a float
+    return np.full_like(y, value) if isinstance(y, np.ndarray) else value
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +257,37 @@ def _numeric_ppf(cdf, support):
 class DensityModel:
     """One location family: density, derivatives, CDF, sampling support.
 
-    All stored callables accept floats or numpy arrays.  Models never mutate
-    after construction, so they are safe to share between threads and worker
-    processes; :meth:`descriptor` returns a plain dict from which
-    :func:`model_from_descriptor` rebuilds an identical model.
+    All stored callables accept floats or numpy arrays; the derivative
+    chain and its views return a float for a float and an array for an
+    array.  Models never mutate after construction, so they are safe to
+    share between threads and worker processes; :meth:`descriptor` returns a
+    plain dict from which :func:`model_from_descriptor` rebuilds an
+    identical model.
 
-    Every model states ``rho_derivs``, the six contrast derivatives
-    rho^(1)..rho^(6); a model without them raises ValueError.  psi_i comes
-    from the logarithmic-derivative recursion on -rho^(j), and f^(j) is
-    psi_j f.  ``psis`` may replace the derived psi: the normal and logistic
-    constructors pass closed forms because the generic recursion doubles the
-    cost of their moment sets, :func:`from_expression` passes the recursion
-    carried out symbolically, one compiled call per psi, and
-    :func:`from_table` passes the ratios of its derivative columns to f.
-    Derivatives are never estimated from f by differences.
+    Every model has one contrast-derivative chain, ``rho_chain(x, k)``, an
+    iterator over rho^(1)(x), ..., rho^(k)(x) for k <= 6.  Consumers take
+    the orders one at a time: the xi sums, Newton's score and curvature
+    (k = 2) and the psi recursion each evaluate a point once.  A family
+    states exactly one of two forms, else ValueError:
+
+    * ``rho_chain``: the normal, logistic, Student-t and table families
+      compute their shared intermediates once per call (tanh(y/2) for the
+      logistic, y^2 + nu and the recurrence for Re(y + i sqrt(nu))^j for
+      Student-t, f and the spline ratios f_i/f for a table) and use only
+      arithmetic after them;
+    * ``rho_derivs``, six callables rho^(1)..rho^(6): :func:`from_expression`
+      and hand-built models; their chain calls the callables in turn.
+
+    ``rho_derivs`` is always the 6-tuple of per-order callables; for a
+    stated chain each is a view returning the chain's j-th value, bit for
+    bit.  psi_i comes from the logarithmic-derivative recursion on one pass
+    of the chain, and f^(j) is psi_j f.  ``psis`` may replace the derived
+    psi: the normal and logistic constructors pass closed forms because the
+    generic recursion doubles the cost of their moment sets,
+    :func:`from_expression` passes the recursion carried out symbolically,
+    one compiled call per psi, and :func:`from_table` passes the ratios of
+    its derivative columns to f.  Derivatives are never estimated from f by
+    differences.
 
     ``length_scale`` is the base step of the difference quotients with which
     :func:`check_density` cross-checks f^(j); :func:`from_table` sets it from
@@ -266,21 +305,28 @@ class DensityModel:
     holds for exactly the models those constructors build.
     """
 
-    def __init__(self, name, support, pdf, *, rho_derivs=None, psis=None, cdf=None,
-                 ppf=None, rho=None, descriptor=None, length_scale=1.0, log_concave=False):
+    def __init__(self, name, support, pdf, *, rho_derivs=None, rho_chain=None, psis=None,
+                 cdf=None, ppf=None, rho=None, descriptor=None, length_scale=1.0,
+                 log_concave=False):
         lo, hi = float(support[0]), float(support[1])
         if not lo < hi:
             raise ValueError(f"empty support ({lo}, {hi})")
-        if rho_derivs is None:
-            raise ValueError("a model states its contrast derivatives rho_derivs")
+        if (rho_derivs is None) == (rho_chain is None):
+            raise ValueError("a model states its contrast derivatives as exactly one of "
+                             "rho_chain and rho_derivs")
         self.name = str(name)
         self.support = (lo, hi)
         self.length_scale = float(length_scale)
         self.pdf = pdf
-        self.rho_derivs = tuple(rho_derivs)
-        if len(self.rho_derivs) != MAX_DERIVATIVE_ORDER:
-            raise ValueError("expected six contrast derivatives")
-        self.psis = tuple(psis) if psis is not None else _psis_from_rho_derivs(self.rho_derivs)
+        if rho_chain is None:
+            self.rho_derivs = tuple(rho_derivs)
+            if len(self.rho_derivs) != MAX_DERIVATIVE_ORDER:
+                raise ValueError("expected six contrast derivatives")
+            self.rho_chain = lambda x, k: (r(x) for r in self.rho_derivs[:k])
+        else:
+            self.rho_chain = rho_chain
+            self.rho_derivs = _six(functools.partial(_view, rho_chain))
+        self.psis = tuple(psis) if psis is not None else _psis_from_chain(self.rho_chain)
         self.pdf_derivs = _pdf_derivs_from_psis(pdf, self.psis)
         self.rho = rho if rho is not None else (lambda x, _p=pdf: _neg_log(_p(x)))
         self.cdf = cdf if cdf is not None else _numeric_cdf(self.pdf, self.support)
@@ -385,20 +431,20 @@ def normal(loc: float = 0.0) -> DensityModel:
 
         return psi_j
 
-    rho_derivs = (
-        lambda x: y_of(x),
-        lambda x: np.ones_like(y_of(x)),
-        lambda x: np.zeros_like(y_of(x)),
-        lambda x: np.zeros_like(y_of(x)),
-        lambda x: np.zeros_like(y_of(x)),
-        lambda x: np.zeros_like(y_of(x)),
-    )
+    def orders(x):
+        # rho = y^2/2 + const: rho' = y, rho'' = 1, the rest vanish
+        y = x - lc
+        yield y
+        yield _full(y, 1.0)
+        for _ in range(3, MAX_DERIVATIVE_ORDER + 1):
+            yield _full(y, 0.0)
+
     return DensityModel(
         "normal", (-np.inf, np.inf), pdf,
         cdf=lambda x: special.ndtr(y_of(x)),
         ppf=lambda u: lc + special.ndtri(np.asarray(u, dtype=float)),
         rho=lambda x: 0.5 * y_of(x) ** 2 + half_log_2pi,
-        rho_derivs=rho_derivs,
+        rho_chain=_first_orders(orders),
         psis=tuple(make_psi(j) for j in range(1, 7)),
         descriptor={"family": "normal", "params": {"loc": lc}},
         log_concave=True,
@@ -430,21 +476,50 @@ def logistic(loc: float = 0.0) -> DensityModel:
         y = np.asarray(x, dtype=float) - lc
         return y + 2.0 * np.logaddexp(0.0, -y)
 
-    rho_derivs = (
-        lambda x: t_of(x),
-        lambda x: 0.5 * (1.0 - t_of(x) ** 2),
-        lambda x: -0.5 * t_of(x) * (1.0 - t_of(x) ** 2),
-        lambda x: -0.25 * (1.0 - t_of(x) ** 2) * (1.0 - 3.0 * t_of(x) ** 2),
-        lambda x: 0.5 * t_of(x) * (1.0 - t_of(x) ** 2) * (2.0 - 3.0 * t_of(x) ** 2),
-        lambda x: 0.25 * (1.0 - t_of(x) ** 2) * (15.0 * t_of(x) ** 4 - 15.0 * t_of(x) ** 2 + 2.0),
-    )
+    def orders(x):
+        # rho^(j) are polynomials in t = tanh(y/2) and u = 1 - t^2.  The
+        # augmented assignments update private arrays in place (a float just
+        # rebinds), with the bits of the plain products: scaling by 0.25 is
+        # exact and 3 t^2 - 1 = -(1 - 3 t^2).  A yielded value is never
+        # changed afterwards and its local is deleted, so the consumer alone
+        # keeps it alive; u is recomputed rather than kept, so the chain holds
+        # at most two arrays between orders.
+        t = np.tanh(0.5 * (x - lc))
+        del x
+        yield t
+        t2 = t * t
+        r = 1.0 - t2
+        r *= 0.5
+        yield r
+        del r
+        p = 0.5 * t
+        del t
+        p *= 1.0 - t2
+        yield -p
+        r = 3.0 * t2
+        r -= 1.0
+        r *= 0.25
+        r *= 1.0 - t2
+        yield r
+        del r
+        p *= 2.0 - 3.0 * t2
+        yield p
+        del p
+        r = t2 * t2
+        r *= 15.0
+        r -= 15.0 * t2
+        r += 2.0
+        u = 1.0 - t2
+        u *= 0.25
+        u *= r
+        yield u
 
     return DensityModel(
         "logistic", (-np.inf, np.inf), pdf,
         cdf=lambda x: special.expit(np.asarray(x, dtype=float) - lc),
         ppf=lambda u: lc + special.logit(np.asarray(u, dtype=float)),
         rho=rho,
-        rho_derivs=rho_derivs,
+        rho_chain=_first_orders(orders),
         psis=psis,
         descriptor={"family": "logistic", "params": {"loc": lc}},
         log_concave=True,
@@ -471,21 +546,49 @@ def student_t(nu: float = 7.0, loc: float = 0.0) -> DensityModel:
         y = y_of(x)
         return np.exp(log_c - 0.5 * (nu + 1) * np.log1p(y * y / nu))
 
-    def make_rho_deriv(j):
-        fac = (nu + 1) * (-1.0) ** (j + 1) * math.factorial(j - 1)
+    # rho^(j)(y) = (nu+1) (-1)^(j+1) (j-1)! Re((y + i w)^j) / (y^2 + nu)^j
+    coef = [(nu + 1) * (-1.0) ** (j + 1) * math.factorial(j - 1)
+            for j in range(1, MAX_DERIVATIVE_ORDER + 1)]
 
-        def rj(x):
-            y = y_of(x)
-            return fac * np.real((y + 1j * w) ** j) / (y * y + nu) ** j
-
-        return rj
+    def orders(x):
+        # re + i im = (y + i w)^j and dj = d^j, one order at a time.  The
+        # augmented assignments update private arrays in place (a float just
+        # rebinds), with the bits of the plain expressions.  A yielded
+        # value's local is deleted, so the consumer alone keeps it alive.
+        y = x - lc
+        del x
+        re = y * y
+        d = re + nu
+        r = coef[0] * y
+        r /= d
+        yield r
+        del r
+        re -= w * w
+        dj = d * d
+        r = coef[1] * re
+        r /= dj
+        yield r
+        del r
+        im = (2.0 * w) * y
+        for c in coef[2:]:
+            t = re * w
+            re *= y
+            re -= im * w
+            im *= y
+            im += t
+            del t
+            dj *= d
+            r = c * re
+            r /= dj
+            yield r
+            del r
 
     return DensityModel(
         "student_t", (-np.inf, np.inf), pdf,
         cdf=lambda x: special.stdtr(nu, y_of(x)),
         ppf=lambda u: lc + special.stdtrit(nu, np.asarray(u, dtype=float)),
         rho=lambda x: 0.5 * (nu + 1) * np.log1p(y_of(x) ** 2 / nu) - log_c,
-        rho_derivs=tuple(make_rho_deriv(j) for j in range(1, 7)),
+        rho_chain=_first_orders(orders),
         descriptor={"family": "student_t", "params": {"nu": nu, "loc": lc}},
     )
 
@@ -602,8 +705,14 @@ def from_table(source, name: str = "table") -> DensityModel:
 
     f_spline = CubicSpline(xg, cols["f"])
     pdf = clipped(f_spline)
-    psis = _psi_fns_from_ratio(pdf, tuple(clipped(CubicSpline(xg, cols[f"f{j}"]))
-                                          for j in range(1, 7)))
+    derivs = tuple(clipped(CubicSpline(xg, cols[f"f{j}"])) for j in range(1, 7))
+    psis = _six(lambda i: lambda x: derivs[i - 1](x) / pdf(x))
+
+    def orders(x):
+        # psi_i = f_i/f for one f evaluation, then the inverse recursion
+        fx = pdf(x)
+        for g in _log_derivs_from_psis(d(x) / fx for d in derivs):
+            yield -g
 
     anti = f_spline.antiderivative()
     a0 = float(anti(lo))
@@ -614,9 +723,8 @@ def from_table(source, name: str = "table") -> DensityModel:
         return out if np.ndim(x) else float(out)
 
     # check_density's difference step follows the grid: four cells
-    return DensityModel(name, (lo, hi), pdf, rho_derivs=_rho_derivs_from_psis(psis),
-                        psis=psis, cdf=cdf, descriptor=desc,
-                        length_scale=(hi - lo) / (xg.size - 1) * 4.0)
+    return DensityModel(name, (lo, hi), pdf, rho_chain=_first_orders(orders), psis=psis,
+                        cdf=cdf, descriptor=desc, length_scale=(hi - lo) / (xg.size - 1) * 4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -242,7 +242,14 @@ def compute_xi_batch(samples, theta0: float, model: DensityModel, a) -> np.ndarr
     y = s - float(theta0)
     _require_usable(model, y)
     root_n = np.sqrt(s.shape[1])
-    cols = [np.sum(model.rho_derivs[j](y) - a[j], axis=1) / root_n for j in range(6)]
+    # one pass of the chain, which alone holds the shifted points from here;
+    # each order is summed and dropped before the chain computes the next
+    chain = model.rho_chain(y, 6)
+    del y
+    cols = []
+    for r in chain:
+        cols.append(np.sum(r - a[len(cols)], axis=1) / root_n)
+        del r
     return np.stack(cols, axis=1)
 
 

@@ -21,16 +21,18 @@ safeguarded Newton run refines all rows.  The family picks only the search
 
 A row fails when Newton does not converge or its search could not bracket
 the root.  A row whose final scan shows several basins is multimodal: each
-of its basins is refined on its own, and a converged basin with strictly
-lower contrast replaces the best grid point's solution.
+of its other basins is refined on its own, and a converged basin with
+strictly lower contrast replaces the best grid point's solution.
 
 The median and quartiles come from one sort per row, in the float steps of
 ``np.median`` and ``np.percentile``, so the median and the scale are
 bit-identical to theirs.
 
-Newton steps are safeguarded by bisection inside the bracket.  Convergence
-is declared on the score, |L_n'(theta)| <= tol, because everything
-downstream is score-driven.
+Newton steps are safeguarded by bisection inside the bracket.  The score
+and the curvature at a theta come from one pass of the model's derivative
+chain (``rho_chain(., 2)``); the curvature is pulled only for rows that
+take another step.  Convergence is declared on the score,
+|L_n'(theta)| <= tol, because everything downstream is score-driven.
 
 A vectorized batch path solves many replicates at once; the scalar
 :func:`solve_mle` is the batch path with a single row, so both always agree.
@@ -96,11 +98,14 @@ def _contrast_rows(samples: np.ndarray, model: DensityModel, thetas: np.ndarray)
 
 def _score_rows(samples, model, thetas):
     # L' (theta) = -mean rho^(1)(X - theta)
-    return -np.mean(model.rho_derivs[0](samples - thetas[:, None]), axis=1)
+    (r1,) = model.rho_chain(samples - thetas[:, None], 1)
+    return -np.mean(r1, axis=1)
 
 
-def _curvature_rows(samples, model, thetas):
-    return np.mean(model.rho_derivs[1](samples - thetas[:, None]), axis=1)
+def _score_and_chain(samples, model, thetas):
+    # L'(theta), and the chain that goes on to rho'' at the same points
+    chain = model.rho_chain(samples - thetas[:, None], 2)
+    return -np.mean(next(chain), axis=1), chain
 
 
 def _sorted_quantile(srt: np.ndarray, q: float) -> np.ndarray:
@@ -162,22 +167,28 @@ def _newton_refine(samples, model, theta, lo, hi, tol, max_iter):
     """Safeguarded Newton on the score, vectorized over rows."""
     rows = theta.shape[0]
     iterations = np.zeros(rows, dtype=np.int64)
-    grad = _score_rows(samples, model, theta)
+    grad, chain = _score_and_chain(samples, model, theta)
+    evaluated = np.arange(rows)
     active = np.abs(grad) > tol
     it = 0
     while np.any(active) and it < max_iter:
         it += 1
         idx = np.flatnonzero(active)
         g = grad[idx]
+        # the curvature comes from the chain of the last score evaluation
+        # (rows ``evaluated``, which include idx), and only when some row
+        # takes another step; the spent chain is dropped before the next one
+        h = np.mean(next(chain), axis=1)[active[evaluated]]
+        del chain
         # the score increases through a minimum: negative means the root is right
         lo[idx] = np.where(g < 0, theta[idx], lo[idx])
         hi[idx] = np.where(g > 0, theta[idx], hi[idx])
-        h = _curvature_rows(samples[idx], model, theta[idx])
         with np.errstate(divide="ignore", invalid="ignore"):
             cand = theta[idx] - g / h
         ok = (h > 0) & np.isfinite(cand) & (cand > lo[idx]) & (cand < hi[idx])
         theta[idx] = np.where(ok, cand, 0.5 * (lo[idx] + hi[idx]))
-        grad[idx] = _score_rows(samples[idx], model, theta[idx])
+        grad[idx], chain = _score_and_chain(samples[idx], model, theta[idx])
+        evaluated = idx
         iterations[idx] += 1
         active[idx] = np.abs(grad[idx]) > tol
     return theta, grad, iterations, lo, hi, active
@@ -227,14 +238,18 @@ def _grid_basins(s, model, med, lo, hi, t_lo, t_hi):
             (j == 0) | (j == GRID_POINTS - 1), (thetas, values))
 
 
-def _lowest_basin(x, model, thetas, basins, best, tol, max_iter):
-    """Refine every basin of one row's scan and return the lowest (theta, gradient, iterations).
+def _lowest_basin(x, model, thetas, basins, argmin, best, tol, max_iter):
+    """Refine the other basins of one row's scan; return the lowest (theta, gradient, iterations).
 
-    ``best`` is the argmin basin's solution; it stands unless a converged
-    basin has strictly lower contrast.
+    ``best`` is the solution of the basin at grid point ``argmin``; it
+    stands unless a converged basin has strictly lower contrast.  That basin
+    is not refined again: the same start and bracket would give the same
+    solution, which cannot be strictly lower.
     """
     best_val = _contrast_rows(x, model, np.array([best[0]]))[0]
     for b in np.flatnonzero(basins) + 1:
+        if b == argmin:
+            continue
         tt, gg, ii, _lo, _hi, act = _newton_refine(
             x, model, thetas[[b]], thetas[[b - 1]], thetas[[b + 1]], tol, max_iter)
         if act[0]:
@@ -276,8 +291,8 @@ def solve_mle_batch(samples, model: DensityModel, tol: float = 1e-10,
         multimodal = np.sum(basins, axis=1) > 1
         for r in np.flatnonzero(multimodal):
             theta[r], grad[r], iters[r] = _lowest_basin(
-                s[r:r + 1], model, thetas[r], basins[r], (theta[r], grad[r], iters[r]),
-                tol, max_iter)
+                s[r:r + 1], model, thetas[r], basins[r], np.argmin(values[r]),
+                (theta[r], grad[r], iters[r]), tol, max_iter)
             lo[r] = min(lo[r], theta[r])
             hi[r] = max(hi[r], theta[r])
     return BatchMleResult(theta, grad, iters, lo, hi, multimodal, active | unresolved)

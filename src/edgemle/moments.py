@@ -186,8 +186,7 @@ def compute_moment_set(model: DensityModel, tol: float = 1e-10) -> MomentSet:
 
     a = []
     for j in range(1, 7):
-        value, err = _integrate_functional(
-            model, (lambda jj: lambda x: model.rho_derivs[jj - 1](x))(j), tol, f"a{j}")
+        value, err = _integrate_functional(model, model.rho_derivs[j - 1], tol, f"a{j}")
         a.append(value)
         errors[f"a{j}"] = err
 
@@ -321,9 +320,8 @@ def validate_conditions(model: DensityModel, tol: float = 1e-8) -> ConditionRepo
 
     # condition 2: every family states rho^(1..6); they must be finite
     probe = np.asarray([model.ppf(q) for q in np.linspace(0.05, 0.95, 9)], dtype=float)
-    finite = all(
-        np.all(np.isfinite(np.asarray(model.rho_derivs[j - 1](probe), dtype=float)))
-        for j in range(1, 7))
+    finite = all(np.all(np.isfinite(np.asarray(r, dtype=float)))
+                 for r in model.rho_chain(probe, 6))
     verdicts[2] = "pass" if finite else "fail"
     details[2] = {"finite_on_probe": finite}
 

@@ -97,9 +97,12 @@ def sample_iid(model: DensityModel, n: int, seed) -> np.ndarray:
     """Draw ``n`` i.i.d. points by inverting the model CDF.
 
     Uniforms come from a Philox counter-based stream keyed on ``seed``, an
-    integer in [0, 2**128); the same (model, n, seed) gives bit-identical
-    output on any platform and under any threading, and the uniforms live
-    strictly inside (0, 1).  They are the 53-bit draws
+    integer in [0, 2**128); they are the same on any platform and under any
+    threading, and they live strictly inside (0, 1).  The points are the
+    model's quantile function at those uniforms, whose last bits depend on
+    the numpy/scipy build and on the SIMD paths the CPU selects; on one
+    installation the same (model, n, seed) gives bit-identical output for
+    any worker count.  The uniforms are the 53-bit draws
     ``np.random.Generator(np.random.Philox(key=seed)).integers(0, 2**53,
     size=n, dtype=np.uint64)``, offset by half a unit.
 

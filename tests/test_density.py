@@ -11,17 +11,22 @@ from edgemle.density import check_density
 PROBE = np.array([-2.7, -1.3, -0.4, 0.0, 0.6, 1.1, 2.9])
 
 
-def _mp_density(name):
+def _mp_density(name, nu=7):
     # densities rebuilt in mpmath so the derivative oracle is independent
     if name == "normal":
         return lambda t: mp.exp(-t**2 / 2) / mp.sqrt(2 * mp.pi)
     if name == "logistic":
         return lambda t: mp.e**(-t) / (1 + mp.e**(-t)) ** 2
     if name == "student_t":
-        nu = 7
-        c = mp.gamma((nu + 1) / 2) / (mp.sqrt(nu * mp.pi) * mp.gamma(nu / 2))
-        return lambda t: c * (1 + t**2 / nu) ** (-(nu + 1) / 2)
+        c = mp.gamma(mp.mpf(nu + 1) / 2) / (mp.sqrt(nu * mp.pi) * mp.gamma(mp.mpf(nu) / 2))
+        return lambda t: c * (1 + t**2 / nu) ** (-mp.mpf(nu + 1) / 2)
     raise KeyError(name)
+
+
+def _mp_contrast_derivs(f, x):
+    # rho^(1..6)(x) of rho = -log f, all orders from one mpmath differentiation
+    with mp.workdps(40):
+        return [float(d) for d in list(mp.diffs(lambda t: -mp.log(f(t)), mp.mpf(float(x)), 6))[1:]]
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +68,86 @@ def test_contrast_derivatives_match_highprec_differentiation(models, name, j):
             assert have == pytest.approx(oracle, rel=1e-5, abs=1e-9)
     finally:
         mp.mp.dps = old
+
+
+# ---------------------------------------------------------------------------
+# the derivative chain
+# ---------------------------------------------------------------------------
+
+_CHAIN_GRID = np.linspace(-30.0, 30.0, 61) + 0.0073  # off the table's nodes
+
+
+def _chain_models():
+    # label -> (model, mpmath density, tolerance relative to max(1, |rho^(j)|))
+    built = e.logistic()
+    return {
+        "normal": (e.normal(), _mp_density("normal"), 1e-14),
+        "logistic": (built, _mp_density("logistic"), 1e-14),
+        "t7": (e.student_t(7), _mp_density("student_t", 7), 1e-14),
+        "t3": (e.student_t(3), _mp_density("student_t", 3), 1e-14),
+        # spline-accurate only (see test_table_contrast_chain_matches_logistic)
+        "table": (e.from_table(_logistic_table(built)), _mp_density("logistic"), 1e-7),
+    }
+
+
+@pytest.mark.parametrize("label", ["normal", "logistic", "t7", "t3", "table"])
+def test_chain_matches_highprec_differentiation(label):
+    model, f, tol = _chain_models()[label]
+    lo, hi = model.support
+    grid = _CHAIN_GRID[(_CHAIN_GRID > lo) & (_CHAIN_GRID < hi)]
+    have = np.array(list(model.rho_chain(grid, 6)))
+    want = np.array([_mp_contrast_derivs(f, x) for x in grid]).T
+    assert have.shape == want.shape == (6, grid.size)
+    err = np.abs(have - want) / np.maximum(1.0, np.abs(want))
+    assert np.all(err <= tol), err.max(axis=1)
+
+
+@pytest.mark.parametrize("y", [1e3, -1e3, 1e6, -1e6])
+def test_student_t_chain_is_accurate_in_the_far_tails(y):
+    # |rho^(6)| is ~1e-34 at 1e6, so the tolerance follows |rho^(j)|
+    want = _mp_contrast_derivs(_mp_density("student_t", 7), y)
+    have = list(e.student_t(7).rho_chain(y, 6))
+    for j in range(6):
+        assert abs(have[j] - want[j]) <= 1e-14 * abs(want[j]), j + 1
+
+
+@pytest.mark.parametrize("label", ["normal", "logistic", "t7", "table", "expression"])
+def test_views_are_the_chain_bit_for_bit(label):
+    model = (e.from_expression("exp(-x)/(1+exp(-x))**2") if label == "expression"
+             else _chain_models()[label][0])
+    grid = np.linspace(-5.0, 5.0, 23)
+    chain = list(model.rho_chain(grid, 6))
+    assert len(model.rho_derivs) == 6
+    for j in range(6):
+        assert np.array_equal(model.rho_derivs[j](grid), chain[j])
+        # a shorter chain stops after its last order with the same values
+        assert np.array_equal(list(model.rho_chain(grid, j + 1))[-1], chain[j])
+        for x in (-2.5, 0.0, 0.7):
+            assert model.rho_derivs[j](x) == list(model.rho_chain(x, 6))[j]
+
+
+@pytest.mark.parametrize("label", ["normal", "logistic", "t7", "table", "expression"])
+def test_chain_keeps_scalars_scalar_and_arrays_arrays(label):
+    model = (e.from_expression("exp(-x)/(1+exp(-x))**2") if label == "expression"
+             else _chain_models()[label][0])
+    for r in model.rho_chain(0.7, 6):
+        assert not isinstance(r, np.ndarray) and isinstance(r, float)
+    for r in model.rho_chain(np.array([-1.0, 0.7]), 6):
+        assert isinstance(r, np.ndarray) and r.shape == (2,)
+    for j in range(1, 7):
+        listed = e.rho_deriv(model, j, [-1.0, 0.7])
+        assert np.array_equal(listed, model.rho_derivs[j - 1](np.array([-1.0, 0.7])))
+
+
+def test_a_hand_built_model_gets_the_generic_chain():
+    base = e.logistic()
+    # a hand-built model states six callables and gets the generic chain
+    hand = e.DensityModel("hand", base.support, base.pdf, cdf=base.cdf, ppf=base.ppf,
+                          rho_derivs=base.rho_derivs)
+    grid = np.linspace(-3.0, 3.0, 7)
+    assert all(np.array_equal(a, b) for a, b in zip(hand.rho_chain(grid, 6),
+                                                    base.rho_chain(grid, 6)))
+    assert len(list(hand.rho_chain(grid, 2))) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +198,11 @@ def test_psi_and_rho_deriv_reject_bad_orders(models):
 
 def test_model_takes_one_derivative_chain():
     base = e.normal()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exactly one"):
         e.DensityModel("neither", base.support, base.pdf)
+    with pytest.raises(ValueError, match="exactly one"):
+        e.DensityModel("both", base.support, base.pdf, rho_chain=base.rho_chain,
+                       rho_derivs=base.rho_derivs)
 
 
 def test_psi_domain_errors():
