@@ -14,6 +14,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -34,6 +35,7 @@ from .montecarlo import SimulationConfig, _round_floats, run_study
 _HANDLED = (DomainError, InversionFailure, MomentDivergence, NoConvergence,
             SingularInformation, StudyAborted, UnsupportedOrder, ValueError,
             OSError, json.JSONDecodeError)
+_MAX_GRID_POINTS = 10**6  # most points a start:stop:step grid may hold
 
 
 def _fmt(value, precision: int) -> str:
@@ -62,17 +64,23 @@ def _parse_params(pairs) -> dict:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """Grid syntax: 'start:stop:step' (inclusive ends) or a comma list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ValueError("grid needs step > 0 and stop >= start")
-        count = int(round((stop - start) / step)) + 1
-        return np.round(start + step * np.arange(count), 12)
-    return np.asarray([float(tok) for tok in text.split(",") if tok], dtype=float)
+    """Grid syntax: 'start:stop:step' (inclusive ends; the point count is checked
+    before allocating) or a comma list, of finite numbers only."""
+    values = [float(tok) for tok in (text.split(":") if ":" in text else text.split(",")) if tok]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"grid {text!r} holds a non-finite number")
+    if ":" not in text:
+        return np.asarray(values, dtype=float)
+    if len(values) != 3:
+        raise ValueError(f"grid must be start:stop:step, got {text!r}")
+    start, stop, step = values
+    if step <= 0 or stop < start:
+        raise ValueError("grid needs step > 0 and stop >= start")
+    span = (stop - start) / step  # inf when the division overflows
+    count = round(span) + 1 if math.isfinite(span) else math.inf
+    if count > _MAX_GRID_POINTS:
+        raise ValueError(f"grid {text!r} has {count} points; at most {_MAX_GRID_POINTS} allowed")
+    return np.round(start + step * np.arange(count), 12)
 
 
 def _model_from_args(args):
@@ -128,9 +136,9 @@ def _cmd_moments(args) -> int:
 
 
 def _grid_table(args, evaluate, header_tail, flag_fn=None) -> int:
+    grid = _parse_grid(args.grid)
     model = _model_from_args(args)
     ms = compute_moment_set(model, tol=args.tol)
-    grid = _parse_grid(args.grid)
     orders = range(1, args.order + 1)
     cols = [evaluate(ms, k, grid) for k in orders]
     lines = ["point," + ",".join(f"value_order{k}" for k in orders) + header_tail]
@@ -224,11 +232,11 @@ def _cmd_collapse_check(args) -> int:
 
 
 def _cmd_compose_check(args) -> int:
-    model = _model_from_args(args)
-    ms = compute_moment_set(model, tol=args.tol)
     n_grid = [int(v) for v in _parse_grid(args.n_grid)]
     v_grid = _parse_grid(args.grid) if args.grid else None
     orders = tuple(int(k) for k in _parse_grid(args.orders)) if args.orders else ORDERS
+    model = _model_from_args(args)
+    ms = compute_moment_set(model, tol=args.tol)
     report = compose_check(ms, n_grid, v_grid=v_grid, orders=orders)
     _print_json(report.to_dict(), args.precision)
     return 1 if report.flagged_order is not None else 0

@@ -17,12 +17,11 @@ rho^(1)..rho^(6), and sixth-order differences of f are noise.
 
 Every model has one derivative chain, ``rho_chain(x, k)``, which yields
 rho^(1)(x), ..., rho^(k)(x) in order and shares its intermediates between
-the orders; ``rho_derivs`` are views onto it.  psi follows by the
-logarithmic-derivative recursion unless the family passes closed forms, and
-f^(j) is psi_j f.  A table's columns f^(1)..f^(6) become psi as the ratio
-f^(i)/f, and its chain runs the inverse recursion.  Neither direction
-differences -log f, which would cancel catastrophically in the tails where
-f is tiny.
+the orders; ``rho_derivs`` are views onto it.  psi follows from the chain by
+the logarithmic-derivative recursion, and f^(j) is psi_j f.  Only a table
+states psi itself: its columns f^(1)..f^(6) become psi as the ratio f^(i)/f,
+and its chain runs the inverse recursion.  Neither direction differences
+-log f, which would cancel catastrophically in the tails where f is tiny.
 """
 from __future__ import annotations
 
@@ -36,7 +35,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate, optimize, special
-from numpy.polynomial import hermite_e
 
 from .errors import DomainError, InversionFailure, UnsupportedOrder
 
@@ -129,8 +127,8 @@ def _log_derivs_from_psis(psi_values):
 def _psis_from_log_derivs(g_values: Sequence):
     """Ratios psi_m = f^(m)/f from derivatives of log f (forward recursion).
 
-    The integer seeds keep sympy input exact and give float input the values
-    1.0 and 0.0 would.
+    The inputs are floats or arrays; the integer seeds 1 and 0 give them the
+    values 1.0 and 0.0 would.
     """
     psis = [1]
     for m in range(1, len(g_values) + 1):
@@ -163,15 +161,6 @@ def _view(chain, j):
         return r
 
     return rj
-
-
-def _psis_from_chain(chain):
-    # psi_i from one pass of the chain to order i
-    return _six(lambda i: lambda x: _psis_from_log_derivs([-r for r in chain(x, i)])[i - 1])
-
-
-def _pdf_derivs_from_psis(pdf, psis):
-    return _six(lambda j: lambda x: psis[j - 1](x) * pdf(x))
 
 
 def _full(y, value):
@@ -257,9 +246,9 @@ def _numeric_ppf(cdf, support):
 class DensityModel:
     """One location family: density, derivatives, CDF, sampling support.
 
-    All stored callables accept floats or numpy arrays; the derivative
-    chain and its views return a float for a float and an array for an
-    array.  Models never mutate after construction, so they are safe to
+    All stored callables accept floats or numpy arrays; f, rho, the
+    derivative chain and its views return a float for a float and an array
+    for an array.  Models never mutate after construction, so they are safe to
     share between threads and worker processes; :meth:`descriptor` returns a
     plain dict from which :func:`model_from_descriptor` rebuilds an
     identical model.
@@ -267,8 +256,8 @@ class DensityModel:
     Every model has one contrast-derivative chain, ``rho_chain(x, k)``, an
     iterator over rho^(1)(x), ..., rho^(k)(x) for k <= 6.  Consumers take
     the orders one at a time: the xi sums, Newton's score and curvature
-    (k = 2) and the psi recursion each evaluate a point once.  A family
-    states exactly one of two forms, else ValueError:
+    (k = 2), the moment integrands and the psi recursion each evaluate a
+    point once.  A family states exactly one of two forms, else ValueError:
 
     * ``rho_chain``: the normal, logistic, Student-t and table families
       compute their shared intermediates once per call (tanh(y/2) for the
@@ -281,13 +270,10 @@ class DensityModel:
     ``rho_derivs`` is always the 6-tuple of per-order callables; for a
     stated chain each is a view returning the chain's j-th value, bit for
     bit.  psi_i comes from the logarithmic-derivative recursion on one pass
-    of the chain, and f^(j) is psi_j f.  ``psis`` may replace the derived
-    psi: the normal and logistic constructors pass closed forms because the
-    generic recursion doubles the cost of their moment sets,
-    :func:`from_expression` passes the recursion carried out symbolically,
-    one compiled call per psi, and :func:`from_table` passes the ratios of
-    its derivative columns to f.  Derivatives are never estimated from f by
-    differences.
+    of the chain, and f^(j) is psi_j f.  ``psis`` replaces the derived psi
+    for one family only: :func:`from_table` passes the ratios of its
+    derivative columns to f, so that its f^(j) reproduce those columns.
+    Derivatives are never estimated from f by differences.
 
     ``length_scale`` is the base step of the difference quotients with which
     :func:`check_density` cross-checks f^(j); :func:`from_table` sets it from
@@ -326,8 +312,10 @@ class DensityModel:
         else:
             self.rho_chain = rho_chain
             self.rho_derivs = _six(functools.partial(_view, rho_chain))
-        self.psis = tuple(psis) if psis is not None else _psis_from_chain(self.rho_chain)
-        self.pdf_derivs = _pdf_derivs_from_psis(pdf, self.psis)
+        chain = self.rho_chain  # psi_i from one pass of the chain to order i
+        self.psis = psis = tuple(psis) if psis is not None else _six(
+            lambda i: lambda x: _psis_from_log_derivs([-r for r in chain(x, i)])[i - 1])
+        self.pdf_derivs = _six(lambda j: lambda x: psis[j - 1](x) * pdf(x))
         self.rho = rho if rho is not None else (lambda x, _p=pdf: _neg_log(_p(x)))
         self.cdf = cdf if cdf is not None else _numeric_cdf(self.pdf, self.support)
         self.ppf = ppf if ppf is not None else _numeric_ppf(self.cdf, self.support)
@@ -414,22 +402,13 @@ def normal(loc: float = 0.0) -> DensityModel:
     inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
     half_log_2pi = 0.5 * math.log(2.0 * math.pi)
 
-    def y_of(x):
-        return np.asarray(x, dtype=float) - lc
-
     def pdf(x):
-        y = y_of(x)
+        y = x - lc
         return inv_sqrt_2pi * np.exp(-0.5 * y * y)
 
-    def make_psi(j):
-        c = np.zeros(j + 1)
-        c[j] = 1.0
-        sgn = (-1.0) ** j
-
-        def psi_j(x):
-            return sgn * hermite_e.hermeval(y_of(x), c)
-
-        return psi_j
+    def rho(x):
+        y = x - lc
+        return 0.5 * (y * y) + half_log_2pi
 
     def orders(x):
         # rho = y^2/2 + const: rho' = y, rho'' = 1, the rest vanish
@@ -441,11 +420,10 @@ def normal(loc: float = 0.0) -> DensityModel:
 
     return DensityModel(
         "normal", (-np.inf, np.inf), pdf,
-        cdf=lambda x: special.ndtr(y_of(x)),
+        cdf=lambda x: special.ndtr(x - lc),
         ppf=lambda u: lc + special.ndtri(np.asarray(u, dtype=float)),
-        rho=lambda x: 0.5 * y_of(x) ** 2 + half_log_2pi,
+        rho=rho,
         rho_chain=_first_orders(orders),
-        psis=tuple(make_psi(j) for j in range(1, 7)),
         descriptor={"family": "normal", "params": {"loc": lc}},
         log_concave=True,
     )
@@ -455,25 +433,12 @@ def logistic(loc: float = 0.0) -> DensityModel:
     """Standard logistic density f(x) = e^-x / (1+e^-x)^2, recentred at ``loc``."""
     lc = float(loc)
 
-    def t_of(x):
-        return np.tanh(0.5 * (np.asarray(x, dtype=float) - lc))
-
     def pdf(x):
-        t = t_of(x)
+        t = np.tanh(0.5 * (x - lc))
         return 0.25 * (1.0 - t * t)
 
-    # psi_i and rho^(i) are polynomials in t = tanh((x-loc)/2)
-    psis = (
-        lambda x: -t_of(x),
-        lambda x: (3.0 * t_of(x) ** 2 - 1.0) / 2.0,
-        lambda x: t_of(x) * (2.0 - 3.0 * t_of(x) ** 2),
-        lambda x: (15.0 * t_of(x) ** 4 - 15.0 * t_of(x) ** 2 + 2.0) / 2.0,
-        lambda x: (-45.0 * t_of(x) ** 5 + 60.0 * t_of(x) ** 3 - 17.0 * t_of(x)) / 2.0,
-        lambda x: (315.0 * t_of(x) ** 6 - 525.0 * t_of(x) ** 4 + 231.0 * t_of(x) ** 2 - 17.0) / 4.0,
-    )
-
     def rho(x):
-        y = np.asarray(x, dtype=float) - lc
+        y = x - lc
         return y + 2.0 * np.logaddexp(0.0, -y)
 
     def orders(x):
@@ -516,11 +481,10 @@ def logistic(loc: float = 0.0) -> DensityModel:
 
     return DensityModel(
         "logistic", (-np.inf, np.inf), pdf,
-        cdf=lambda x: special.expit(np.asarray(x, dtype=float) - lc),
+        cdf=lambda x: special.expit(x - lc),
         ppf=lambda u: lc + special.logit(np.asarray(u, dtype=float)),
         rho=rho,
         rho_chain=_first_orders(orders),
-        psis=psis,
         descriptor={"family": "logistic", "params": {"loc": lc}},
         log_concave=True,
     )
@@ -539,12 +503,13 @@ def student_t(nu: float = 7.0, loc: float = 0.0) -> DensityModel:
     w = math.sqrt(nu)
     log_c = math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2) - 0.5 * math.log(nu * math.pi)
 
-    def y_of(x):
-        return np.asarray(x, dtype=float) - lc
-
     def pdf(x):
-        y = y_of(x)
+        y = x - lc
         return np.exp(log_c - 0.5 * (nu + 1) * np.log1p(y * y / nu))
+
+    def rho(x):
+        y = x - lc
+        return 0.5 * (nu + 1) * np.log1p(y * y / nu) - log_c
 
     # rho^(j)(y) = (nu+1) (-1)^(j+1) (j-1)! Re((y + i w)^j) / (y^2 + nu)^j
     coef = [(nu + 1) * (-1.0) ** (j + 1) * math.factorial(j - 1)
@@ -585,9 +550,9 @@ def student_t(nu: float = 7.0, loc: float = 0.0) -> DensityModel:
 
     return DensityModel(
         "student_t", (-np.inf, np.inf), pdf,
-        cdf=lambda x: special.stdtr(nu, y_of(x)),
+        cdf=lambda x: special.stdtr(nu, x - lc),
         ppf=lambda u: lc + special.stdtrit(nu, np.asarray(u, dtype=float)),
-        rho=lambda x: 0.5 * (nu + 1) * np.log1p(y_of(x) ** 2 / nu) - log_c,
+        rho=rho,
         rho_chain=_first_orders(orders),
         descriptor={"family": "student_t", "params": {"nu": nu, "loc": lc}},
     )
@@ -601,13 +566,14 @@ def from_expression(expr: str, support=(-np.inf, np.inf), name: str = "expressio
     """Build a family from a density expression in the variable ``x``.
 
     The expression is parsed with sympy.  The contrast rho = -log f is
-    expanded symbolically and differentiated six times, and the psi ratios
-    come from those derivatives through the logarithmic-derivative
-    recursion rather than as ratios f^(i)/f, whose numerators and
-    denominators overflow or underflow together in exponential tails.  The
-    model counts as analytic.  The CDF and quantile function fall back to
-    quadrature and root finding, which makes sampling from expression
-    families comparatively slow.
+    expanded symbolically and differentiated six times; each derivative is
+    compiled to one numpy callable, which takes a float as a float and an
+    array as an array.  The psi ratios come from those derivatives through
+    the logarithmic-derivative recursion rather than as ratios f^(i)/f,
+    whose numerators and denominators overflow or underflow together in
+    exponential tails.  The model counts as analytic.  The CDF and quantile
+    function fall back to quadrature and root finding, which makes sampling
+    from expression families comparatively slow.
     """
     import sympy as sp
 
@@ -625,11 +591,11 @@ def from_expression(expr: str, support=(-np.inf, np.inf), name: str = "expressio
         fn = sp.lambdify(xsym, e, modules=["scipy", "numpy"])
 
         def wrapped(x):
-            out = fn(np.asarray(x, dtype=float))
-            out = np.asarray(out, dtype=float)
-            if out.shape != np.shape(x):
-                out = np.broadcast_to(out, np.shape(x)).copy()
-            return out if np.ndim(x) else float(out)
+            if not isinstance(x, np.ndarray):
+                # a numpy scalar overflows to inf, where a float would raise
+                return float(fn(np.float64(x)))
+            out = np.asarray(fn(np.asarray(x, dtype=float)), dtype=float)
+            return out if out.shape == x.shape else np.broadcast_to(out, x.shape).copy()
 
         return wrapped
 
@@ -637,11 +603,9 @@ def from_expression(expr: str, support=(-np.inf, np.inf), name: str = "expressio
     # where the density itself underflows (safe: f > 0 on its support)
     rho_expr = sp.expand_log(-sp.log(fexpr), force=True)
     rho_exprs = [sp.diff(rho_expr, xsym, j) for j in range(1, 7)]
-    psi_exprs = _psis_from_log_derivs([-r for r in rho_exprs])
     return DensityModel(
         name, support, lambdify_vec(fexpr),
         rho_derivs=tuple(lambdify_vec(r) for r in rho_exprs),
-        psis=tuple(lambdify_vec(p) for p in psi_exprs),
         rho=lambdify_vec(rho_expr),
         descriptor={"family": "expression",
                     "params": {"expr": str(expr),

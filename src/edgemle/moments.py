@@ -14,6 +14,13 @@ eta_2..eta_10 built from psi_i = f^(i)/f,
 Indexing starts at 2 on purpose (there is no eta_1) so every coefficient in
 the expansion tables can be read against this list without renumbering.
 
+Every integrand takes one pass of the derivative chain
+``model.rho_chain(x, k)`` to the highest psi order k it uses and, with
+r_j = rho^(j)(x), forms psi_1 = -r_1, psi_2 = r_1^2 - r_2 and
+psi_3 = 2 r_1 r_2 - r_3 - psi_2 r_1 in the operation order of the density
+module's recursion: bit for bit :func:`edgemle.density.psi`, except for a
+table, whose psi are the ratios of its columns.
+
 Integration uses scipy's adaptive Gauss-Kronrod panels (QUADPACK), which map
 infinite tails through a rational change of variables.  Tolerances are
 absolute per functional.  A functional that fails to converge, whose
@@ -35,17 +42,18 @@ from .errors import MomentDivergence
 
 ETA_INDICES = tuple(range(2, 11))
 
-# functional name -> (integrand builder over psi tuple, power of I in the denominator)
+# eta index -> (highest psi order k used, integrand over psi_1..psi_k,
+#               power of I in the denominator)
 _ETA_RECIPES = {
-    2: (lambda p: lambda x: p[1](x) ** 2, 2.0),
-    3: (lambda p: lambda x: p[0](x) ** 3, 1.5),
-    4: (lambda p: lambda x: p[0](x) ** 4, 2.0),
-    5: (lambda p: lambda x: p[0](x) ** 5, 2.5),
-    6: (lambda p: lambda x: p[1](x) * p[2](x), 2.5),
-    7: (lambda p: lambda x: p[0](x) ** 6, 3.0),
-    8: (lambda p: lambda x: p[1](x) ** 3, 3.0),
-    9: (lambda p: lambda x: p[2](x) ** 2, 3.0),
-    10: (lambda p: lambda x: p[0](x) * p[1](x) * p[2](x), 3.0),
+    2: (2, lambda p1, p2: p2 ** 2, 2.0),
+    3: (1, lambda p1: p1 ** 3, 1.5),
+    4: (1, lambda p1: p1 ** 4, 2.0),
+    5: (1, lambda p1: p1 ** 5, 2.5),
+    6: (3, lambda p1, p2, p3: p2 * p3, 2.5),
+    7: (1, lambda p1: p1 ** 6, 3.0),
+    8: (2, lambda p1, p2: p2 ** 3, 3.0),
+    9: (3, lambda p1, p2, p3: p3 ** 2, 3.0),
+    10: (3, lambda p1, p2, p3: p1 * p2 * p3, 3.0),
 }
 
 
@@ -107,6 +115,22 @@ def _weighted(model: DensityModel, h: Callable) -> Callable:
     return fn
 
 
+def _psi_integrand(model: DensityModel, k: int, g: Callable) -> Callable:
+    """x -> g(psi_1(x), ..., psi_k(x)), from one pass of the chain to order k <= 3."""
+    chain = model.rho_chain
+
+    def h(x):
+        orders = chain(x, k)
+        r1 = next(orders)
+        if k == 1:
+            return g(-r1)
+        r2 = next(orders)
+        p2 = r1 * r1 - r2
+        return g(-r1, p2) if k == 2 else g(-r1, p2, (2.0 * r1 * r2 - next(orders)) - p2 * r1)
+
+    return h
+
+
 def _raw_quad(fn, lo, hi, epsabs) -> QuadOutcome:
     out = integrate.quad(fn, lo, hi, epsabs=epsabs, epsrel=1e-12, limit=300, full_output=1)
     value, abserr = float(out[0]), float(out[1])
@@ -161,7 +185,8 @@ def _integrate_functional(model: DensityModel, h: Callable, tol: float, name: st
 
 def _fisher(model: DensityModel, tol: float) -> tuple:
     """(value, error) of the Fisher information int (f'/f)^2 f."""
-    value, err = _integrate_functional(model, lambda x: model.psis[0](x) ** 2, tol, "fisher")
+    value, err = _integrate_functional(model, _psi_integrand(model, 1, lambda p1: p1 ** 2), tol,
+                                       "fisher")
     if not value > 0.0:
         raise MomentDivergence("fisher", f"nonpositive value {value}")
     return value, err
@@ -192,9 +217,10 @@ def compute_moment_set(model: DensityModel, tol: float = 1e-10) -> MomentSet:
 
     eta: dict[int, float] = {}
     for k in ETA_INDICES:
-        build, power = _ETA_RECIPES[k]
+        order, g, power = _ETA_RECIPES[k]
         scale = fisher**power
-        num, err = _integrate_functional(model, build(model.psis), tol * scale, f"eta{k}")
+        num, err = _integrate_functional(model, _psi_integrand(model, order, g), tol * scale,
+                                         f"eta{k}")
         eta[k] = num / scale
         # propagate the numerator error plus the I-error through the scaling
         errors[f"eta{k}"] = err / scale + abs(eta[k]) * power * errors["fisher"] / fisher

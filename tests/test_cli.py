@@ -82,6 +82,23 @@ def test_quantile_grid(capsys):
     assert float(mid[0]) == 0.5 and float(mid[3]) == 0.0
 
 
+@pytest.mark.parametrize("grid, problem", [
+    ("0:inf:1", "non-finite"),
+    ("-inf:0:1", "non-finite"),
+    ("100,inf", "non-finite"),
+    # 10^12 points: refused by its count, before any array is allocated
+    ("0:1:1e-12", "1000000000001 points; at most 1000000 allowed"),
+])
+def test_unbounded_grid_ranges_are_errors(capsys, grid, problem):
+    # --flag=value, so that argparse reads "-inf:0:1" as a value
+    code, out, err = run(capsys, "quantile", "--family", "normal", "--n", "100",
+                         f"--grid={grid}")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and problem in err
+    code, _, err = run(capsys, "compose-check", "--family", "normal", f"--n-grid={grid}")
+    assert code == 1 and err.startswith("error:") and problem in err
+
+
 def test_mle_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("0.5\n1.5\n-0.25\n2.0\n"))
     code, out, _ = run(capsys, "mle", "--family", "normal", "--input", "-")

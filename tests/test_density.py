@@ -134,6 +134,10 @@ def test_chain_keeps_scalars_scalar_and_arrays_arrays(label):
         assert not isinstance(r, np.ndarray) and isinstance(r, float)
     for r in model.rho_chain(np.array([-1.0, 0.7]), 6):
         assert isinstance(r, np.ndarray) and r.shape == (2,)
+    # f and rho follow the same convention as the chain
+    for fn in (model.pdf, model.rho):
+        assert not isinstance(fn(0.7), np.ndarray) and isinstance(fn(0.7), float)
+        assert isinstance(fn(np.array([-1.0, 0.7])), np.ndarray)
     for j in range(1, 7):
         listed = e.rho_deriv(model, j, [-1.0, 0.7])
         assert np.array_equal(listed, model.rho_derivs[j - 1](np.array([-1.0, 0.7])))
@@ -165,7 +169,7 @@ def test_logistic_psi1_vanishes_at_centre(models):
 
 
 @pytest.mark.parametrize("name", ["normal", "logistic", "student_t"])
-@pytest.mark.parametrize("i", [1, 2, 3])
+@pytest.mark.parametrize("i", [1, 2, 3, 4, 5, 6])
 def test_psi_matches_highprec_differentiation(models, name, i):
     f = _mp_density(name)
     old = mp.mp.dps
@@ -333,6 +337,16 @@ def test_table_contrast_chain_matches_logistic(models):
     assert np.max(np.abs(tab.rho(off_grid) - built.rho(off_grid))) <= 1e-9
     x = np.asarray(e.sample_iid(built, 100, 2024))
     assert e.solve_mle(x, tab).theta_hat == pytest.approx(e.solve_mle(x, built).theta_hat, abs=1e-9)
+
+
+def test_table_moment_set_matches_logistic(models):
+    # the table's eta come through its chain; the gap in eta is mostly the
+    # 2 e^-14 of tail mass beyond |x| = 14 that the table cuts off
+    tab = e.compute_moment_set(e.from_table(_logistic_table(models["logistic"])), tol=1e-7)
+    built = e.compute_moment_set(models["logistic"], tol=1e-7)
+    assert abs(tab.fisher - built.fisher) <= 5e-6
+    assert max(abs(s - t) for s, t in zip(tab.a, built.a)) <= 1e-8
+    assert max(abs(tab.eta[k] - built.eta[k]) for k in range(2, 11)) <= 1e-4
 
 
 def test_table_quantile_above_its_mass_names_the_cdf_at_the_end(models):
