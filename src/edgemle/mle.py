@@ -4,8 +4,8 @@ The estimator minimizes the empirical contrast
 L_n(theta) = n^-1 sum_i rho(X_i - theta) with rho = -log f.  One pipeline
 solves every family: it checks that every sample point is finite and inside
 the support, a basin search on median +/- 5 robust scales (kept inside the
-feasible shifts) gives each row a Newton start and bracket, and one
-safeguarded Newton run refines all rows.  The family picks only the search
+feasible shifts) gives Newton candidates (a row, start and bracket), and
+one safeguarded Newton run refines them all.  The family picks only the search
 (:attr:`DensityModel.log_concave`):
 
 * ``_score_bracket``: a log-concave family has a convex contrast, hence one
@@ -19,10 +19,11 @@ safeguarded Newton run refines all rows.  The family picks only the search
   whole grid in one call and a Monte Carlo block, already at the budget,
   takes one grid point per call.
 
-A row fails when Newton does not converge or its search could not bracket
-the root.  A row whose final scan shows several basins is multimodal: each
-of its other basins is refined on its own, and a converged basin with
-strictly lower contrast replaces the best grid point's solution.
+Each search lists every row's own Newton candidate; a row whose final scan
+shows several basins is multimodal and adds one candidate per other basin
+to the same Newton run.  A converged candidate with strictly lower contrast
+replaces the row's own.  A row fails when Newton does not converge on its
+own candidate or its search could not bracket the root.
 
 The median and quartiles come from one sort per row, in the float steps of
 ``np.median`` and ``np.percentile``, so the median and the scale are
@@ -149,18 +150,12 @@ def _grid_scan(samples, model, lo, hi):
     """
     frac = np.linspace(0.0, 1.0, GRID_POINTS)
     thetas = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
-    step = max(1, BLOCK_ELEMENTS // samples.size)
+    step = max(1, BLOCK_ELEMENTS // max(samples.size, 1))
     values = np.empty(thetas.shape)
     for g in range(0, GRID_POINTS, step):
         shifted = samples[:, None, :] - thetas[:, g:g + step, None]
         values[:, g:g + step] = np.mean(model.rho(shifted), axis=2)
     return thetas, values
-
-
-def _basins(values: np.ndarray) -> np.ndarray:
-    """Interior local minima of each row's scan; column k is grid point k + 1."""
-    d = np.diff(values, axis=1)
-    return (d[:, :-1] < 0) & (d[:, 1:] >= 0)
 
 
 def _newton_refine(samples, model, theta, lo, hi, tol, max_iter):
@@ -201,9 +196,9 @@ def _widen(lo, hi, idx, left, right, t_lo, t_hi):
     hi[idx] = np.minimum(np.where(right, hi[idx] + width, hi[idx]), t_hi[idx])
 
 
-# The two basin searches return (start, lo, hi, unresolved, scan): Newton's
-# start and bracket per row, the rows whose search gave up, and the grid scan
-# (thetas, values) or None.
+# The two basin searches return (rows, start, lo, hi, unresolved): Newton
+# candidates (a sample row, a start and a bracket each) with every row's own
+# candidate first and in row order, and per row whether its search gave up.
 
 def _score_bracket(s, model, med, lo, hi, t_lo, t_hi):
     """Widen each interval until the score changes sign; start at the clipped median."""
@@ -218,11 +213,16 @@ def _score_bracket(s, model, med, lo, hi, t_lo, t_hi):
         g_lo[edge] = _score_rows(s[edge], model, lo[edge])
         g_hi[edge] = _score_rows(s[edge], model, hi[edge])
     # with a finite end of the support the median itself can be an infeasible shift
-    return np.clip(med, lo, hi), lo, hi, (g_lo > 0) | (g_hi < 0), None
+    return (np.arange(s.shape[0]), np.clip(med, lo, hi), lo, hi,
+            (g_lo > 0) | (g_hi < 0))
 
 
 def _grid_basins(s, model, med, lo, hi, t_lo, t_hi):
-    """Scan the contrast, widening rows with an edge minimum; start at the best grid point."""
+    """Scan the contrast, widening rows with an edge minimum; start at the best grid point.
+
+    A row with several basins (interior local minima) adds a candidate for
+    each other basin, bracketed by its neighbouring grid points.
+    """
     thetas, values = _grid_scan(s, model, lo, hi)
     j = np.argmin(values, axis=1)
     for _ in range(_WIDEN_STEPS):
@@ -232,32 +232,17 @@ def _grid_basins(s, model, med, lo, hi, t_lo, t_hi):
         _widen(lo, hi, edge, j[edge] == 0, j[edge] == GRID_POINTS - 1, t_lo, t_hi)
         thetas[edge], values[edge] = _grid_scan(s[edge], model, lo[edge], hi[edge])
         j[edge] = np.argmin(values[edge], axis=1)
-    rows = np.arange(s.shape[0])
-    return (thetas[rows, j], thetas[rows, np.maximum(j - 1, 0)],
-            thetas[rows, np.minimum(j + 1, GRID_POINTS - 1)],
-            (j == 0) | (j == GRID_POINTS - 1), (thetas, values))
-
-
-def _lowest_basin(x, model, thetas, basins, argmin, best, tol, max_iter):
-    """Refine the other basins of one row's scan; return the lowest (theta, gradient, iterations).
-
-    ``best`` is the solution of the basin at grid point ``argmin``; it
-    stands unless a converged basin has strictly lower contrast.  That basin
-    is not refined again: the same start and bracket would give the same
-    solution, which cannot be strictly lower.
-    """
-    best_val = _contrast_rows(x, model, np.array([best[0]]))[0]
-    for b in np.flatnonzero(basins) + 1:
-        if b == argmin:
-            continue
-        tt, gg, ii, _lo, _hi, act = _newton_refine(
-            x, model, thetas[[b]], thetas[[b - 1]], thetas[[b + 1]], tol, max_iter)
-        if act[0]:
-            continue
-        val = _contrast_rows(x, model, tt)[0]
-        if val < best_val:
-            best, best_val = (tt[0], gg[0], ii[0]), val
-    return best
+    d = np.diff(values, axis=1)
+    basins = (d[:, :-1] < 0) & (d[:, 1:] >= 0)  # column k is grid point k + 1
+    # an edge argmin is not a basin, so then every basin is another one
+    other = (basins & (np.sum(basins, axis=1) > 1)[:, None]
+             & (np.arange(1, GRID_POINTS - 1) != j[:, None]))
+    extra_rows, extra_cols = np.nonzero(other)
+    rows = np.concatenate([np.arange(s.shape[0]), extra_rows])
+    b = np.concatenate([j, extra_cols + 1])
+    return (rows, thetas[rows, b], thetas[rows, np.maximum(b - 1, 0)],
+            thetas[rows, np.minimum(b + 1, GRID_POINTS - 1)],
+            (j == 0) | (j == GRID_POINTS - 1))
 
 
 def solve_mle_batch(samples, model: DensityModel, tol: float = 1e-10,
@@ -266,7 +251,9 @@ def solve_mle_batch(samples, model: DensityModel, tol: float = 1e-10,
 
     Log-concave models find each row's bracket from the score's sign and
     never evaluate the contrast; other models scan it over ``GRID_POINTS``
-    points.  One safeguarded Newton run then solves every row.
+    points.  One safeguarded Newton run then refines every candidate, and a
+    row keeps its own unless a converged other basin has strictly lower
+    contrast.
     """
     s = np.atleast_2d(np.asarray(samples, dtype=float))
     if s.ndim != 2 or s.shape[1] == 0:
@@ -282,20 +269,24 @@ def solve_mle_batch(samples, model: DensityModel, tol: float = 1e-10,
         raise DomainError("no feasible shift interval for some rows")
 
     search = _score_bracket if model.log_concave else _grid_basins
-    start, lo, hi, unresolved, scan = search(s, model, med, lo, hi, t_lo, t_hi)
-    theta, grad, iters, lo, hi, active = _newton_refine(s, model, start, lo, hi, tol, max_iter)
-    multimodal = np.zeros(s.shape[0], dtype=bool)
-    if scan is not None:
-        thetas, values = scan
-        basins = _basins(values)
-        multimodal = np.sum(basins, axis=1) > 1
-        for r in np.flatnonzero(multimodal):
-            theta[r], grad[r], iters[r] = _lowest_basin(
-                s[r:r + 1], model, thetas[r], basins[r], np.argmin(values[r]),
-                (theta[r], grad[r], iters[r]), tol, max_iter)
-            lo[r] = min(lo[r], theta[r])
-            hi[r] = max(hi[r], theta[r])
-    return BatchMleResult(theta, grad, iters, lo, hi, multimodal, active | unresolved)
+    rows, start, lo, hi, unresolved = search(s, model, med, lo, hi, t_lo, t_hi)
+    m = s.shape[0]
+    x = s if rows.size == m else s[rows]
+    theta, grad, iters, lo, hi, active = _newton_refine(x, model, start, lo, hi, tol, max_iter)
+    multimodal = np.bincount(rows, minlength=m) > 1
+    if rows.size > m:
+        # a stable sort by (row, contrast) puts first each row's lowest
+        # candidate, its own or else the earliest basin among ties
+        val = np.full(rows.size, np.inf)
+        rival = np.flatnonzero(multimodal[rows])
+        val[rival] = _contrast_rows(x[rival], model, theta[rival])
+        val[m:][active[m:]] = np.inf  # an unconverged other basin never wins
+        order = np.lexsort((val, rows))
+        pick = order[np.searchsorted(rows[order], np.arange(m))]
+        theta, grad, iters = theta[pick], grad[pick], iters[pick]
+        lo = np.where(theta < lo[:m], theta, lo[:m])
+        hi = np.where(theta > hi[:m], theta, hi[:m])
+    return BatchMleResult(theta, grad, iters, lo, hi, multimodal, active[:m] | unresolved)
 
 
 def solve_mle(sample, model: DensityModel, tol: float = 1e-10, max_iter: int = 200) -> MleResult:

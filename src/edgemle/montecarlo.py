@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -150,6 +151,16 @@ def _default_eval_grid():
     return tuple(np.round(np.linspace(-4.0, 4.0, 81), 10))
 
 
+def _integer(key: str, value) -> int:
+    """``value`` as an int; a bool, float or string is a ValueError naming ``key``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 @dataclass
 class SimulationConfig:
     """Resolved study configuration; the JSON config file mirrors the fields."""
@@ -167,14 +178,18 @@ class SimulationConfig:
     require_valid_conditions: bool = True
 
     def __post_init__(self):
-        self.n_grid = tuple(int(v) for v in self.n_grid)
+        self.replications = _integer("replications", self.replications)
+        self.base_seed = _integer("base_seed", self.base_seed)
+        self.n_grid = tuple(_integer("n_grid", v) for v in self.n_grid)
         self.orders = tuple(sorted(int(k) for k in self.orders))
         self.eval_grid = tuple(float(v) for v in self.eval_grid)
         if self.replications < 100:
             raise ValueError("replications must be at least 100")
+        if not self.n_grid:
+            raise ValueError("n_grid must be nonempty")
         if list(self.n_grid) != sorted(set(self.n_grid)):
             raise ValueError("n_grid must be strictly increasing")
-        if self.n_grid and self.n_grid[0] < 1:
+        if self.n_grid[0] < 1:
             raise ValueError("n_grid must hold positive sample sizes")
         if not set(self.orders) <= set(ORDERS):
             raise ValueError(f"orders must be a subset of {ORDERS}")

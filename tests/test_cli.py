@@ -198,6 +198,19 @@ def _config_file(tmp_path, **overrides):
     return path
 
 
+@pytest.mark.parametrize("key, value", [("replications", 150.5), ("replications", "200"),
+                                        ("base_seed", 1.5), ("n_grid", [10.7]),
+                                        ("n_grid", [])])
+def test_simulate_malformed_config_is_an_error(capsys, tmp_path, key, value):
+    cfg_path = _config_file(tmp_path, **{key: value})
+    code, out, err = run(capsys, "simulate", "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path / "run"))
+    assert code == 1
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_simulate_writes_outputs_and_manifest(capsys, tmp_path):
     cfg_path = _config_file(tmp_path)
     out_dir = tmp_path / "run"

@@ -148,12 +148,28 @@ def test_lower_basin_replaces_the_best_grid_point():
 _SPREAD_CAUCHY = [-86.4, -289.1, 105.8, -175.4, 64.6, -35.0, 58.0, 23.2, 169.2]
 
 
+def _refine_once(monkeypatch):
+    # record the starts and results of every _newton_refine call
+    calls = []
+    refine = mle._newton_refine
+
+    def spied(samples, model, theta, *rest):
+        start = theta.tolist()  # before Newton moves theta in place
+        out = refine(samples, model, theta, *rest)
+        calls.append((start, out))
+        return out
+
+    monkeypatch.setattr(mle, "_newton_refine", spied)
+    return calls
+
+
 def test_basin_whose_newton_fails_is_skipped(monkeypatch):
     model = e.student_t(1)
-    unconverged = []
-    _spy(monkeypatch, "_newton_refine", lambda args, out: unconverged.append(bool(out[5][0])))
+    calls = _refine_once(monkeypatch)
     res = e.solve_mle(_SPREAD_CAUCHY, model)
-    # the best grid point's run, then one run per basin of the scan
+    (_start, out), = calls
+    unconverged = out[5].tolist()
+    # the best grid point's candidate converges; one of the other basins does not
     assert unconverged[0] is False and unconverged.count(True) == 1
     assert res.multimodal_flag
     assert res.theta_hat == pytest.approx(23.237396224925238, abs=1e-12)
@@ -161,24 +177,118 @@ def test_basin_whose_newton_fails_is_skipped(monkeypatch):
 
 def test_argmin_basin_is_not_refined_twice(monkeypatch):
     model = e.student_t(1)
-    starts, scans = [], []
-    refine = mle._newton_refine
-
-    def spied(samples, model, theta, *rest):
-        starts.append(theta.tolist())  # before Newton moves theta in place
-        return refine(samples, model, theta, *rest)
-
-    monkeypatch.setattr(mle, "_newton_refine", spied)
-    _spy(monkeypatch, "_grid_basins", lambda args, out: scans.append((out[0].tolist(), out[4])))
+    calls = _refine_once(monkeypatch)
+    searches = []
+    _spy(monkeypatch, "_grid_basins", lambda args, out: searches.append(
+        [a.copy() for a in out]))  # before Newton moves start, lo and hi in place
     res = e.solve_mle(_SPREAD_CAUCHY, model)
-    (start, (_thetas, values)), = scans
-    basins = mle._basins(values)[0]
-    assert res.multimodal_flag and basins.sum() > 1
-    # the batch run from the best grid point, then one run per other basin
-    assert starts[0] == start
-    assert len(starts) == basins.sum()
-    assert start not in starts[1:]
+    (rows, start, _lo, _hi, _unresolved), = searches
+    (starts, _out), = calls
+    assert res.multimodal_flag and rows.tolist() == [0] * len(starts) and len(starts) > 1
+    # one run: the best grid point first, then each other basin once
+    assert starts == start.tolist()
+    assert starts.count(starts[0]) == 1
     assert res.theta_hat == pytest.approx(23.237396224925238, abs=1e-12)
+
+
+def test_an_edge_argmin_makes_every_basin_a_candidate(monkeypatch):
+    # a scan whose minimum stays on the left edge, with interior basins at
+    # grid points 7, 20 and 33
+    k = np.arange(GRID_POINTS)
+    shape = 1.0 + 0.5 * np.cos(6 * np.pi * k / (GRID_POINTS - 1))
+    shape[0] = -1.0
+
+    scans = []
+
+    def edge_scan(samples, model, lo, hi):
+        thetas = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, GRID_POINTS)
+        scans.append(thetas)
+        return thetas, np.tile(shape, (samples.shape[0], 1))
+
+    monkeypatch.setattr(mle, "_grid_scan", edge_scan)
+    searches = []
+    _spy(monkeypatch, "_grid_basins", lambda args, out: searches.append(
+        [a.copy() for a in out]))
+    calls = _refine_once(monkeypatch)
+    batch = e.solve_mle_batch(np.array([_SPREAD_CAUCHY]), e.student_t(1))
+    (rows, start, lo, hi, unresolved), = searches
+    assert len(scans) == 1 + mle._WIDEN_STEPS  # the minimum never leaves the edge
+    thetas = scans[-1][0]
+    assert rows.tolist() == [0, 0, 0, 0]
+    assert start.tolist() == thetas[[0, 7, 20, 33]].tolist()
+    assert lo.tolist() == thetas[[0, 6, 19, 32]].tolist()
+    assert hi.tolist() == thetas[[1, 8, 21, 34]].tolist()
+    assert len(calls) == 1
+    assert unresolved.tolist() == [True]
+    assert batch.multimodal_flag.tolist() == [True] and batch.failed.tolist() == [True]
+
+
+_FIELDS = ("theta_hat", "gradient_at_solution", "iterations", "bracket_lo", "bracket_hi",
+           "multimodal_flag", "failed")
+
+
+def _reference_row(x, model, tol=1e-10, max_iter=200):
+    """One row solved by the multimodal rule, each other basin refined alone.
+
+    The best grid point's basin is refined first; a converged other basin
+    with strictly lower contrast replaces it, and the bracket widens to the
+    chosen theta.  Returns the seven ``BatchMleResult`` fields and whether
+    another basin won.
+    """
+    x = x[None, :]
+    med, scale = _median_and_scale(x)
+    t_lo, t_hi = model.feasible_shift_interval(x, margin=1e-9 * np.maximum(scale, 1.0))
+    lo = np.maximum(med - mle.GRID_SPAN * scale, t_lo)
+    hi = np.minimum(med + mle.GRID_SPAN * scale, t_hi)
+    thetas, values = _grid_scan(x, model, lo, hi)
+    for _ in range(mle._WIDEN_STEPS):
+        j = int(np.argmin(values[0]))
+        if 0 < j < GRID_POINTS - 1:
+            break
+        mle._widen(lo, hi, np.array([0]), j == 0, j == GRID_POINTS - 1, t_lo, t_hi)
+        thetas, values = _grid_scan(x, model, lo, hi)
+    j, th = int(np.argmin(values[0])), thetas[0]
+
+    def refine(b):
+        return mle._newton_refine(x, model, th[[b]], th[[max(b - 1, 0)]],
+                                  th[[min(b + 1, GRID_POINTS - 1)]], tol, max_iter)
+
+    theta, grad, iters, b_lo, b_hi, active = refine(j)
+    best, b_lo, b_hi = (theta[0], grad[0], iters[0]), b_lo[0], b_hi[0]
+    d = np.diff(values[0])
+    basins = np.flatnonzero((d[:-1] < 0) & (d[1:] >= 0)) + 1
+    replaced = False
+    if basins.size > 1:
+        best_val = mle._contrast_rows(x, model, theta)[0]
+        for b in basins[basins != j]:
+            tt, gg, ii, _lo, _hi, act = refine(b)
+            val = mle._contrast_rows(x, model, tt)[0]
+            if not act[0] and val < best_val:
+                best, best_val, replaced = (tt[0], gg[0], ii[0]), val, True
+        b_lo, b_hi = min(b_lo, best[0]), max(b_hi, best[0])
+    fields = (*best, b_lo, b_hi, basins.size > 1, active[0] or j in (0, GRID_POINTS - 1))
+    return fields, replaced
+
+
+# max_iter=5 leaves many candidates unconverged; contrasts rounded to
+# integers make basins tie, within a row and with its own candidate
+@pytest.mark.parametrize("max_iter, rounded", [(200, False), (5, False), (200, True)])
+def test_one_newton_run_matches_the_per_row_basin_rule(monkeypatch, max_iter, rounded):
+    if rounded:
+        exact = mle._contrast_rows
+        monkeypatch.setattr(mle, "_contrast_rows", lambda *args: np.round(exact(*args)))
+    replaced = 0
+    for nu in (0.5, 1.0, 3.0):
+        model = e.student_t(nu)
+        for n in (3, 5, 9, 25):
+            samples = 30.0 * np.random.default_rng(int(10 * nu) + n).standard_cauchy((40, n))
+            batch = e.solve_mle_batch(samples, model, max_iter=max_iter)
+            rows = [_reference_row(x, model, max_iter=max_iter) for x in samples]
+            replaced += sum(won for _fields, won in rows)
+            for name, column in zip(_FIELDS, zip(*(fields for fields, _won in rows))):
+                got = getattr(batch, name)
+                assert got.tobytes() == np.array(column, dtype=got.dtype).tobytes(), (nu, n, name)
+    assert replaced > 0
 
 
 @pytest.mark.xfail(strict=True, reason="the 41-point scan (step ~28) straddles the narrow "
@@ -212,13 +322,20 @@ def test_log_concave_solver_output_is_pinned():
 
 
 def test_batch_rows_match_scalar_solves(logistic_model, normal_model):
-    for model in (logistic_model, normal_model):
-        samples = np.stack([e.sample_iid(model, 40, 1000 ^ r) for r in range(5)])
+    cases = [(model, np.stack([e.sample_iid(model, 40, 1000 ^ r) for r in range(5)]))
+             for model in (logistic_model, normal_model)]
+    # a grid-searched family whose rows all have several basins
+    cases.append((e.student_t(1), 30.0 * np.random.default_rng(4).standard_cauchy((5, 7))))
+    for model, samples in cases:
         batch = e.solve_mle_batch(samples, model, tol=1e-11)
+        assert batch.multimodal_flag.all() == (model.name == "student_t")
         for r in range(5):
             single = e.solve_mle(samples[r], model, tol=1e-11)
             assert batch.theta_hat[r] == single.theta_hat
             assert batch.iterations[r] == single.iterations
+            assert batch.bracket_lo[r] == single.bracket[0]
+            assert batch.bracket_hi[r] == single.bracket[1]
+            assert batch.multimodal_flag[r] == single.multimodal_flag
 
 
 @pytest.mark.parametrize("make", [e.normal, e.logistic])
@@ -255,6 +372,16 @@ def test_log_concave_flag_is_fixed_per_family_and_survives_descriptors():
         with pytest.raises(AttributeError):
             model.log_concave = True
     assert not e.from_expression("exp(-x**2/2)/sqrt(2*pi)").log_concave
+
+
+@pytest.mark.parametrize("make", [e.normal, e.logistic, lambda: e.student_t(7),
+                                  lambda: e.from_expression("exp(-x**2/2)/sqrt(2*pi)")])
+def test_empty_batch_gives_empty_results(make):
+    batch = e.solve_mle_batch(np.empty((0, 5)), make())
+    for name in _FIELDS:
+        assert getattr(batch, name).shape == (0,), name
+    assert batch.iterations.dtype == np.int64
+    assert batch.multimodal_flag.dtype == bool and batch.failed.dtype == bool
 
 
 def test_empty_sample_rejected(logistic_model):

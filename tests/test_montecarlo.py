@@ -157,6 +157,18 @@ def test_config_validation():
         e.SimulationConfig(orders=(0, 1))
     with pytest.raises(ValueError):
         e.SimulationConfig.from_dict({"unknown_key": 1})
+    # integers only, each error naming its key
+    for key, value in [("replications", 150.5), ("replications", "200"),
+                       ("replications", True), ("base_seed", 1.5), ("base_seed", "7"),
+                       ("n_grid", [10.7]), ("n_grid", [25, True]), ("n_grid", "25")]:
+        with pytest.raises(ValueError, match=key):
+            e.SimulationConfig.from_dict({key: value})
+    with pytest.raises(ValueError, match="n_grid must be nonempty"):
+        e.SimulationConfig(n_grid=[])
+    # numpy integers are integers
+    cfg = e.SimulationConfig(n_grid=[np.int64(25)], replications=np.int32(200),
+                             base_seed=np.uint64(3))
+    assert type(cfg.replications) is int and type(cfg.n_grid[0]) is int
 
 
 def test_config_round_trip():
