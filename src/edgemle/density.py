@@ -172,14 +172,17 @@ def _full(y, value):
 # numeric CDF / inverse-CDF fallbacks
 # ---------------------------------------------------------------------------
 
+def _pointwise(scalar_fn):
+    # scalar_fn on a float, and point by point on an array of any shape
+    each = np.vectorize(scalar_fn, otypes=[float])
+    return lambda x: scalar_fn(x) if np.ndim(x) == 0 else each(np.asarray(x, dtype=float))
+
+
 def _numeric_cdf(pdf, support):
     lo, hi = support
 
     def integrand(t):
-        # expression densities can overflow intermediately deep in a tail
-        # where the true value has already decayed to zero
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = float(pdf(t))
+        v = float(pdf(t))
         return v if math.isfinite(v) else 0.0
 
     def cdf_scalar(x):
@@ -188,15 +191,13 @@ def _numeric_cdf(pdf, support):
             return 0.0
         if x >= hi:
             return 1.0
-        val, _ = integrate.quad(integrand, lo, x, limit=200)
+        # expression densities can overflow intermediately deep in a tail
+        # where the true value has already decayed to zero
+        with np.errstate(over="ignore", invalid="ignore"):
+            val, _ = integrate.quad(integrand, lo, x, limit=200)
         return min(max(val, 0.0), 1.0)
 
-    def cdf(x):
-        if np.ndim(x) == 0:
-            return cdf_scalar(x)
-        return np.array([cdf_scalar(v) for v in np.asarray(x, dtype=float).ravel()]).reshape(np.shape(x))
-
-    return cdf
+    return _pointwise(cdf_scalar)
 
 
 def _bracket_end(cdf, end, direction, brackets, side, u):
@@ -231,12 +232,7 @@ def _numeric_ppf(cdf, support):
         except ValueError as exc:
             raise InversionFailure(str(exc)) from exc
 
-    def ppf(u):
-        if np.ndim(u) == 0:
-            return ppf_scalar(u)
-        return np.array([ppf_scalar(v) for v in np.asarray(u, dtype=float).ravel()]).reshape(np.shape(u))
-
-    return ppf
+    return _pointwise(ppf_scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +622,12 @@ def from_table(source, name: str = "table") -> DensityModel:
     since they cannot be differenced out of f accurately enough.  A density
     known as a formula can be given to :func:`from_expression` instead.
     Support is the table's x range; the density is treated as zero outside
-    it.  Each column is interpolated by a cubic spline; psi_i is the spline
-    ratio f_i/f and rho^(j) follows from psi by the inverse of the
-    logarithmic-derivative recursion, so the model's f^(j) = psi_j f
-    reproduce the f_j columns up to rounding.
+    it.  One cubic spline over the seven columns f, f1..f6 is evaluated once
+    per point: psi_i is its ratio f_i/f, rho^(j) follows by the inverse
+    logarithmic-derivative recursion, and f^(j) = psi_j f reproduce the f_j
+    columns up to rounding; f, rho and the CDF read the f column alone.
     """
-    from scipy.interpolate import CubicSpline
+    from scipy.interpolate import CubicSpline, PPoly
 
     if isinstance(source, (str,)) or hasattr(source, "__fspath__"):
         path = str(source)
@@ -659,36 +655,40 @@ def from_table(source, name: str = "table") -> DensityModel:
         raise ValueError("table x column must be strictly increasing with >= 4 points")
     lo, hi = float(xg[0]), float(xg[-1])
 
-    def clipped(spline):
-        def ev(x):
-            xa = np.asarray(x, dtype=float)
-            out = np.where((xa >= lo) & (xa <= hi), spline(np.clip(xa, lo, hi)), 0.0)
-            return out if np.ndim(x) else float(out)
+    # one spline over f, f1..f6 (the columns along its first axis), and the
+    # f column alone as a piece with the same coefficients
+    spline = CubicSpline(xg, [cols[c] for c in _TABLE_COLUMNS[1:]], axis=1)
+    f_piece = PPoly(spline.c[..., 0], spline.x)
 
-        return ev
+    def on_support(piece, x):
+        # the piece at x, zero outside [lo, hi]; a float point gives floats
+        xa = np.asarray(x, dtype=float)
+        out = np.where((xa >= lo) & (xa <= hi), piece(np.clip(xa, lo, hi)), 0.0)
+        return out if np.ndim(x) else out.tolist()
 
-    f_spline = CubicSpline(xg, cols["f"])
-    pdf = clipped(f_spline)
-    derivs = tuple(clipped(CubicSpline(xg, cols[f"f{j}"])) for j in range(1, 7))
-    psis = _six(lambda i: lambda x: derivs[i - 1](x) / pdf(x))
+    columns = functools.partial(on_support, spline)  # f, f1..f6 from one evaluation
+
+    def psi(i, x):
+        c = columns(x)
+        return c[i] / c[0]
 
     def orders(x):
-        # psi_i = f_i/f for one f evaluation, then the inverse recursion
-        fx = pdf(x)
-        for g in _log_derivs_from_psis(d(x) / fx for d in derivs):
-            yield -g
+        # psi_i = f_i/f from one evaluation, then the inverse recursion
+        fx, *derivs = columns(x)
+        return (-g for g in _log_derivs_from_psis(d / fx for d in derivs))
 
-    anti = f_spline.antiderivative()
+    anti = f_piece.antiderivative()
     a0 = float(anti(lo))
 
     def cdf(x):
         xa = np.clip(np.asarray(x, dtype=float), lo, hi)
-        out = np.clip(anti(xa) - a0, 0.0, None)
-        return out if np.ndim(x) else float(out)
+        return _scalar_like(x, np.clip(anti(xa) - a0, 0.0, None))
 
     # check_density's difference step follows the grid: four cells
-    return DensityModel(name, (lo, hi), pdf, rho_chain=_first_orders(orders), psis=psis,
-                        cdf=cdf, descriptor=desc, length_scale=(hi - lo) / (xg.size - 1) * 4.0)
+    return DensityModel(name, (lo, hi), functools.partial(on_support, f_piece),
+                        rho_chain=_first_orders(orders),
+                        psis=_six(lambda i: functools.partial(psi, i)), cdf=cdf,
+                        descriptor=desc, length_scale=(hi - lo) / (xg.size - 1) * 4.0)
 
 
 # ---------------------------------------------------------------------------

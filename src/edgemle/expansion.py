@@ -355,7 +355,10 @@ def _coefficient_arrays(kind: str, order: int, eta_key: tuple) -> tuple:
 
 
 #: |eta3| above which order 5 is flagged: its tables carry an n^-2 error for
-#: skewed families (symmetric families have eta3 = 0 exactly)
+#: skewed families.  Symmetric families (eta3 = 0 exactly) pass silently, but
+#: their order 5 is wrong too: the x^5/x^3 and z^5/z^3 blocks miss +-D with
+#: D = eta2/2 - eta4/3 + eta7/5 - eta10/2 - eta3^2/8 (3/70 for the logistic);
+#: see ROADMAP item 1
 _SKEW_FLOOR = 1e-8
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import operator
 import os
 from collections import Counter
@@ -161,6 +162,22 @@ def _integer(key: str, value) -> int:
     raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
+def _sequence(key: str, value) -> tuple:
+    """``value`` as a tuple; all but a list, tuple or 1-d array is a ValueError naming ``key``."""
+    if isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim == 1):
+        return tuple(value)
+    raise ValueError(f"{key} must be a list, got {value!r}")
+
+
+def _real(key: str, value, positive=False):
+    """``value`` if a finite real (positive if asked), else a ValueError naming ``key``."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and (value > 0 or not positive)):
+        return value
+    raise ValueError(f"{key} must be a finite {'positive ' if positive else ''}real number, "
+                     f"got {value!r}")
+
+
 @dataclass
 class SimulationConfig:
     """Resolved study configuration; the JSON config file mirrors the fields."""
@@ -180,9 +197,18 @@ class SimulationConfig:
     def __post_init__(self):
         self.replications = _integer("replications", self.replications)
         self.base_seed = _integer("base_seed", self.base_seed)
-        self.n_grid = tuple(_integer("n_grid", v) for v in self.n_grid)
-        self.orders = tuple(sorted(int(k) for k in self.orders))
-        self.eval_grid = tuple(float(v) for v in self.eval_grid)
+        self.n_grid = tuple(_integer("n_grid", v) for v in _sequence("n_grid", self.n_grid))
+        self.orders = tuple(sorted(_integer("orders", k) for k in _sequence("orders", self.orders)))
+        self.eval_grid = tuple(float(_real("eval_grid", v))
+                               for v in _sequence("eval_grid", self.eval_grid))
+        self.epsilon_exponent = _real("epsilon_exponent", self.epsilon_exponent)
+        self.solver_tol = _real("solver_tol", self.solver_tol, positive=True)
+        self.moment_tol = _real("moment_tol", self.moment_tol, positive=True)
+        if not isinstance(self.require_valid_conditions, bool):
+            raise ValueError("require_valid_conditions must be true or false, "
+                             f"got {self.require_valid_conditions!r}")
+        if not isinstance(self.family_params, Mapping):
+            raise ValueError(f"family_params must be a mapping, got {self.family_params!r}")
         if self.replications < 100:
             raise ValueError("replications must be at least 100")
         if not self.n_grid:

@@ -200,7 +200,11 @@ def _config_file(tmp_path, **overrides):
 
 @pytest.mark.parametrize("key, value", [("replications", 150.5), ("replications", "200"),
                                         ("base_seed", 1.5), ("n_grid", [10.7]),
-                                        ("n_grid", [])])
+                                        ("n_grid", []), ("n_grid", 25), ("orders", [1.5, 2]),
+                                        ("orders", [True, 2]), ("orders", 2), ("eval_grid", 0.5),
+                                        ("solver_tol", "1e-11"), ("epsilon_exponent", "0.5"),
+                                        ("family_params", [1]),
+                                        ("require_valid_conditions", "no")])
 def test_simulate_malformed_config_is_an_error(capsys, tmp_path, key, value):
     cfg_path = _config_file(tmp_path, **{key: value})
     code, out, err = run(capsys, "simulate", "--config", str(cfg_path),

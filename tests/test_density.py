@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -324,6 +325,117 @@ def test_table_derivative_columns_survive_the_psi_conversion(models):
     for j in range(1, 7):
         want = cols[f"f{j}"][1:-1]
         assert np.all(np.abs(tab.pdf_derivs[j - 1](inner) - want) <= 1e-15 * np.abs(want)), j
+
+
+def _spline_calls(monkeypatch):
+    # every spline evaluation, as the number of columns of the spline called
+    from scipy.interpolate import PPoly
+    owner = next(k for k in PPoly.__mro__ if "__call__" in vars(k))
+    evaluate = owner.__call__
+    calls = []
+
+    def spy(self, *args, **kwargs):
+        calls.append(1 if self.c.ndim == 2 else self.c.shape[2])
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, "__call__", spy)
+    return calls
+
+
+def test_table_evaluates_its_spline_once_per_point(monkeypatch, models):
+    tab = e.from_table(_logistic_table(models["logistic"]))
+    calls = _spline_calls(monkeypatch)
+    for x in (0.3, np.array([-2.0, 0.3, 7.5])):
+        # the chain and each psi read all seven columns from one evaluation
+        for consume in [lambda: list(tab.rho_chain(x, 6))] + [
+                lambda i=i: tab.psis[i](x) for i in range(6)]:
+            calls.clear()
+            consume()
+            assert calls == [7]
+        # f, rho and the CDF read the f column alone
+        for fn in (tab.pdf, tab.rho, tab.cdf):
+            calls.clear()
+            fn(x)
+            assert calls == [1]
+
+
+def _per_column_table(cols):
+    # the table family rebuilt from seven per-column splines, each clipped
+    # and masked on its own: the reference the shared spline must equal
+    from math import comb
+
+    from scipy.interpolate import CubicSpline
+    xg = cols["x"]
+    lo, hi = xg[0], xg[-1]
+    splines = [CubicSpline(xg, cols[c]) for c in ("f", "f1", "f2", "f3", "f4", "f5", "f6")]
+
+    def column(j, x):
+        xa = np.asarray(x, dtype=float)
+        return np.where((xa >= lo) & (xa <= hi), splines[j](np.clip(xa, lo, hi)), 0.0)
+
+    def psi(i, x):
+        return column(i, x) / column(0, x)
+
+    def chain(x):
+        # rho^(m) = -g_m, g_m = psi_m - sum_i C(m-1, i) psi_i g_{m-i}
+        psis, gs = [psi(i, x) for i in range(1, 7)], []
+        for m in range(1, 7):
+            g = psis[m - 1]
+            for i in range(1, m):
+                g = g - comb(m - 1, i) * psis[i - 1] * gs[m - i - 1]
+            gs.append(g)
+        return [-g for g in gs]
+
+    anti = splines[0].antiderivative()
+    def cdf(x):
+        return np.clip(anti(np.clip(np.asarray(x, dtype=float), lo, hi)) - anti(lo), 0.0, None)
+
+    return column, psi, chain, cdf
+
+
+def test_table_matches_per_column_splines_bit_for_bit(models):
+    cols = _logistic_table(models["logistic"])
+    tab = e.from_table(cols)
+    column, psi, chain, cdf = _per_column_table(cols)
+    # off the nodes, on them, at the ends and outside the table
+    inside = np.concatenate([np.linspace(-13.9, 13.9, 301) + 0.0037, cols["x"][::50]])
+    outside = np.array([-20.0, -14.5, 14.5, 20.0])
+    every = np.concatenate([inside, outside])
+    with np.errstate(invalid="ignore"):  # psi is 0/0 outside the table
+        assert np.array_equal(tab.pdf(every), column(0, every))
+        assert np.array_equal(tab.cdf(every), cdf(every))
+        for i in range(1, 7):
+            assert np.array_equal(tab.psis[i - 1](every), psi(i, every), equal_nan=True), i
+            assert np.array_equal(tab.pdf_derivs[i - 1](every), psi(i, every) * column(0, every),
+                                  equal_nan=True), i
+        assert np.array_equal(np.array(list(tab.rho_chain(every, 6))), np.array(chain(every)),
+                              equal_nan=True)
+    for x in inside[::7]:
+        x = float(x)
+        assert tab.pdf(x) == column(0, x) and tab.cdf(x) == cdf(x)
+        assert list(tab.rho_chain(x, 6)) == [float(r) for r in chain(x)]
+        for i in range(1, 7):
+            assert tab.psis[i - 1](x) == psi(i, x)
+            assert tab.pdf_derivs[i - 1](x) == psi(i, x) * column(0, x)
+    for x in outside:
+        assert tab.pdf(float(x)) == 0.0 and tab.cdf(float(x)) == float(cdf(x))
+
+
+@pytest.mark.parametrize("expr, x, exact_cdf, u", [
+    # Gumbel and its mirror image, far in the tail where the lambdified
+    # density overflows on its way to zero
+    ("exp(-x - exp(-x))", -30.0, 0.0, 1e-6),
+    ("exp(x - exp(x))", -40.0, math.exp(-40.0), 1e-9),
+])
+def test_numeric_cdf_and_quantile_are_silent_in_deep_tails(expr, x, exact_cdf, u):
+    model = e.from_expression(expr)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = model.cdf(x)
+        q = model.ppf(u)
+        back = model.cdf(q)
+    assert value == pytest.approx(exact_cdf, rel=1e-4, abs=1e-300)
+    assert back == pytest.approx(u, rel=1e-9)
 
 
 def test_table_contrast_chain_matches_logistic(models):

@@ -160,7 +160,18 @@ def test_config_validation():
     # integers only, each error naming its key
     for key, value in [("replications", 150.5), ("replications", "200"),
                        ("replications", True), ("base_seed", 1.5), ("base_seed", "7"),
-                       ("n_grid", [10.7]), ("n_grid", [25, True]), ("n_grid", "25")]:
+                       ("n_grid", [10.7]), ("n_grid", [25, True]), ("n_grid", "25"),
+                       ("orders", [1.5, 2]), ("orders", [True, 2])]:
+        with pytest.raises(ValueError, match=key):
+            e.SimulationConfig.from_dict({key: value})
+    # grids are lists, reals are finite numbers, the flag a bool, the
+    # parameters a mapping: each error naming its key
+    for key, value in [("n_grid", 25), ("orders", 3), ("eval_grid", 0.5), ("eval_grid", ["1"]),
+                       ("eval_grid", [0.0, math.inf]), ("solver_tol", "1e-11"),
+                       ("solver_tol", 0.0), ("solver_tol", math.nan), ("moment_tol", -1e-10),
+                       ("moment_tol", True), ("epsilon_exponent", "0.5"),
+                       ("epsilon_exponent", math.inf), ("require_valid_conditions", "no"),
+                       ("require_valid_conditions", 0), ("family_params", [1])]:
         with pytest.raises(ValueError, match=key):
             e.SimulationConfig.from_dict({key: value})
     with pytest.raises(ValueError, match="n_grid must be nonempty"):
@@ -169,6 +180,8 @@ def test_config_validation():
     cfg = e.SimulationConfig(n_grid=[np.int64(25)], replications=np.int32(200),
                              base_seed=np.uint64(3))
     assert type(cfg.replications) is int and type(cfg.n_grid[0]) is int
+    cfg = e.SimulationConfig(orders=[np.int64(2)], eval_grid=np.linspace(-1.0, 1.0, 5))
+    assert cfg.orders == (2,) and type(cfg.orders[0]) is int and len(cfg.eval_grid) == 5
 
 
 def test_config_round_trip():
