@@ -16,10 +16,9 @@ The package computes, for a smooth location family:
 
 __version__ = "0.1.0"
 
-from .density import (BUILTIN_FAMILIES, DensityModel, DerivativeEstimate, check_density,
-                      from_expression, from_table, logistic, make_model,
-                      model_from_descriptor, normal, numeric_derivative, psi, rho_deriv,
-                      student_t)
+from .density import (BUILTIN_FAMILIES, DensityModel, check_density, from_expression,
+                      from_table, logistic, make_model, model_from_descriptor, normal, psi,
+                      rho_deriv, student_t)
 from .errors import (DomainError, InversionFailure, MomentDivergence, NoConvergence,
                      SingularInformation, StudyAborted, UnsupportedOrder)
 from .expansion import (GAUSSIAN_ETA, ORDERS, CompositionReport, XiVector,
@@ -35,10 +34,9 @@ from .montecarlo import (ComparisonReport, ReplicationResult, SimulationConfig,
 __all__ = [
     "__version__",
     # families
-    "BUILTIN_FAMILIES", "DensityModel", "DerivativeEstimate", "check_density",
-    "from_expression", "from_table", "logistic", "make_model",
-    "model_from_descriptor", "normal", "numeric_derivative", "psi", "rho_deriv",
-    "student_t",
+    "BUILTIN_FAMILIES", "DensityModel", "check_density", "from_expression",
+    "from_table", "logistic", "make_model", "model_from_descriptor", "normal", "psi",
+    "rho_deriv", "student_t",
     # errors
     "DomainError", "InversionFailure", "MomentDivergence", "NoConvergence",
     "SingularInformation", "StudyAborted", "UnsupportedOrder",

@@ -167,10 +167,10 @@ def _cmd_cdf(args) -> int:
     flags = {}
 
     def evaluate(ms, k, grid):
-        vals, flag = edgeworth_cdf(ms, args.n, k, grid, clamp=args.clamp_cdf,
-                                   return_flag=True)
-        flags[k] = np.atleast_1d(flag)
-        return np.atleast_1d(vals)
+        # flag the raw values outside [0, 1], then clip them if asked
+        vals = np.atleast_1d(edgeworth_cdf(ms, args.n, k, grid))
+        flags[k] = (vals < 0.0) | (vals > 1.0)
+        return np.clip(vals, 0.0, 1.0) if args.clamp_cdf else vals
 
     return _grid_table(args, evaluate, ",out_of_range_flag",
                        flag_fn=lambda i: any(flags[k][i] for k in flags))
@@ -207,12 +207,13 @@ def _cmd_mle(args) -> int:
 def _cmd_validate(args) -> int:
     model = _model_from_args(args)
     from .density import check_density
-    density_report = check_density(model)
+    density_report = check_density(model, tol=args.tol)
     condition_report = validate_conditions(model)
     _print_json({"density": density_report, "conditions": condition_report.to_dict()},
                 args.precision)
     failed = [k for k, v in condition_report.verdicts.items() if v == "fail"]
-    ok = density_report["integrates_to_one"] and density_report["positive_on_probe"]
+    ok = all(density_report[k] for k in ("integrates_to_one", "positive_on_probe",
+                                         "derivs_match"))
     return 1 if (failed or not ok) else 0
 
 

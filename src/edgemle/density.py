@@ -13,7 +13,10 @@ Built-in families (standard normal, logistic, Student-t) carry closed-form
 derivatives.  User families come either from a sympy expression string or
 from a tabulated grid that lists f and its six derivatives.  No family's
 derivatives are differenced numerically: the fifth-order expansions need
-rho^(1)..rho^(6), and sixth-order differences of f are noise.
+rho^(1)..rho^(6), and sixth-order differences of f are noise.  Nor does
+:func:`check_density` difference f to check them: it integrates each f^(j)
+and compares with the increments of f^(j-1), which quadrature resolves to
+rounding.
 
 Every model has one derivative chain, ``rho_chain(x, k)``, which yields
 rho^(1)(x), ..., rho^(k)(x) in order and shares its intermediates between
@@ -29,9 +32,8 @@ import functools
 import inspect
 import itertools
 import math
-from dataclasses import dataclass
 from math import comb
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import integrate, optimize, special
@@ -39,13 +41,12 @@ from scipy import integrate, optimize, special
 from .errors import DomainError, InversionFailure, UnsupportedOrder
 
 MAX_DERIVATIVE_ORDER = 6
-_EPS = float(np.finfo(float).eps)
 
 
-def _scalar_like(template, value, cast=float):
-    """Return ``cast(value)`` when the input point was scalar, else the array."""
+def _scalar_like(template, value):
+    """Return ``value`` as a float when the input point was scalar, else as an array."""
     if np.ndim(template) == 0:
-        return cast(np.asarray(value).item())
+        return float(np.asarray(value).item())
     return np.asarray(value)
 
 
@@ -53,54 +54,6 @@ def _neg_log(value):
     # -log f; +inf where f underflows to zero, without the numpy warning
     with np.errstate(divide="ignore"):
         return -np.log(value)
-
-
-# ---------------------------------------------------------------------------
-# numeric differentiation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DerivativeEstimate:
-    """A central-difference derivative together with its estimated error."""
-
-    value: float
-    error: float
-    precision_warning: bool
-
-
-def _difference_quotient(f, j, x, h):
-    # j-th symmetric difference quotient and the f values it used; O(h^2)
-    # truncation error
-    values = [f(x + (j / 2 - i) * h) for i in range(j + 1)]
-    acc = 0.0
-    for i, v in enumerate(values):
-        acc = acc + (-1) ** i * comb(j, i) * v
-    return acc / h**j, values
-
-
-def numeric_derivative(f: Callable, j: int, x: float, scale: float = 1.0) -> DerivativeEstimate:
-    """Estimate the j-th derivative of ``f`` at ``x`` by central differences.
-
-    Uses a Richardson step from h to h/2 with base step
-    ``scale * eps**(1/(j+2))``, the classical balance between truncation and
-    rounding error for a j-th difference quotient.  Accuracy degrades with j;
-    j = 6 is rarely better than ~1e-3 relative.  ``precision_warning`` is set
-    when the estimated relative error exceeds 1e-4.
-    """
-    if not 1 <= int(j) <= MAX_DERIVATIVE_ORDER:
-        raise UnsupportedOrder(f"derivative order must be in 1..{MAX_DERIVATIVE_ORDER}, got {j}")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    h = scale * _EPS ** (1.0 / (j + 2))
-    d1, values1 = _difference_quotient(f, j, x, h)
-    d2, values2 = _difference_quotient(f, j, x, h / 2)
-    value = (4.0 * d2 - d1) / 3.0
-    # |value - d2| tracks the h^2 truncation term; the floor is the rounding
-    # noise 2^j eps max|f| amplified by the 1/h^j of the difference quotient
-    floor = 2.0**j * _EPS * max(abs(v) for v in values1 + values2) / (h / 2)**j
-    error = max(abs(value - d2), floor)
-    ref = max(abs(value), abs(d2), 1e-300)
-    return DerivativeEstimate(float(value), float(error), bool(error / ref > 1e-4))
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +224,9 @@ class DensityModel:
     derivative columns to f, so that its f^(j) reproduce those columns.
     Derivatives are never estimated from f by differences.
 
-    ``length_scale`` is the base step of the difference quotients with which
-    :func:`check_density` cross-checks f^(j); :func:`from_table` sets it from
-    its grid spacing, every other family leaves it at 1.
-
-    The integrates-to-one and positivity invariants are not enforced here
-    (models are built in hot paths); :func:`check_density` verifies them.
+    The integrates-to-one, positivity and derivative invariants are not
+    enforced here (models are built in hot paths); :func:`check_density`
+    verifies them.
 
     ``log_concave`` (read-only) states that f is log-concave, so the contrast
     rho = -log f is convex and every sample's empirical contrast has a single
@@ -288,8 +238,7 @@ class DensityModel:
     """
 
     def __init__(self, name, support, pdf, *, rho_derivs=None, rho_chain=None, psis=None,
-                 cdf=None, ppf=None, rho=None, descriptor=None, length_scale=1.0,
-                 log_concave=False):
+                 cdf=None, ppf=None, rho=None, descriptor=None, log_concave=False):
         lo, hi = float(support[0]), float(support[1])
         if not lo < hi:
             raise ValueError(f"empty support ({lo}, {hi})")
@@ -298,7 +247,6 @@ class DensityModel:
                              "rho_chain and rho_derivs")
         self.name = str(name)
         self.support = (lo, hi)
-        self.length_scale = float(length_scale)
         self.pdf = pdf
         if rho_chain is None:
             self.rho_derivs = tuple(rho_derivs)
@@ -622,7 +570,7 @@ def from_table(source, name: str = "table") -> DensityModel:
     since they cannot be differenced out of f accurately enough.  A density
     known as a formula can be given to :func:`from_expression` instead.
     Support is the table's x range; the density is treated as zero outside
-    it.  One cubic spline over the seven columns f, f1..f6 is evaluated once
+    it, where psi, the chain and f^(j) are nan (0/0).  One cubic spline over the seven columns f, f1..f6 is evaluated once
     per point: psi_i is its ratio f_i/f, rho^(j) follows by the inverse
     logarithmic-derivative recursion, and f^(j) = psi_j f reproduce the f_j
     columns up to rounding; f, rho and the CDF read the f column alone.
@@ -661,21 +609,23 @@ def from_table(source, name: str = "table") -> DensityModel:
     f_piece = PPoly(spline.c[..., 0], spline.x)
 
     def on_support(piece, x):
-        # the piece at x, zero outside [lo, hi]; a float point gives floats
+        # the piece at x, zero outside [lo, hi]
         xa = np.asarray(x, dtype=float)
-        out = np.where((xa >= lo) & (xa <= hi), piece(np.clip(xa, lo, hi)), 0.0)
+        return np.where((xa >= lo) & (xa <= hi), piece(np.clip(xa, lo, hi)), 0.0)
+
+    def ratios(x):
+        # psi_1..psi_6 = f_i/f from one evaluation of the seven columns; nan
+        # outside [lo, hi], where f = 0, for a float point (as floats) as for
+        # an array
+        c = on_support(spline, x)
+        out = c[1:] / c[0]
         return out if np.ndim(x) else out.tolist()
 
-    columns = functools.partial(on_support, spline)  # f, f1..f6 from one evaluation
-
     def psi(i, x):
-        c = columns(x)
-        return c[i] / c[0]
+        return ratios(x)[i - 1]
 
     def orders(x):
-        # psi_i = f_i/f from one evaluation, then the inverse recursion
-        fx, *derivs = columns(x)
-        return (-g for g in _log_derivs_from_psis(d / fx for d in derivs))
+        return (-g for g in _log_derivs_from_psis(ratios(x)))
 
     anti = f_piece.antiderivative()
     a0 = float(anti(lo))
@@ -684,11 +634,10 @@ def from_table(source, name: str = "table") -> DensityModel:
         xa = np.clip(np.asarray(x, dtype=float), lo, hi)
         return _scalar_like(x, np.clip(anti(xa) - a0, 0.0, None))
 
-    # check_density's difference step follows the grid: four cells
-    return DensityModel(name, (lo, hi), functools.partial(on_support, f_piece),
+    return DensityModel(name, (lo, hi), lambda x: _scalar_like(x, on_support(f_piece, x)),
                         rho_chain=_first_orders(orders),
                         psis=_six(lambda i: functools.partial(psi, i)), cdf=cdf,
-                        descriptor=desc, length_scale=(hi - lo) / (xg.size - 1) * 4.0)
+                        descriptor=desc)
 
 
 # ---------------------------------------------------------------------------
@@ -747,41 +696,48 @@ def model_from_descriptor(descriptor: dict) -> DensityModel:
 # validation
 # ---------------------------------------------------------------------------
 
-_DERIV_RTOL = 1e-6  # relative agreement asked of f^(j) against the difference quotients
+_DERIV_RTOL = 1e-6  # integrals of f^(j) against increments of f^(j-1), relative
+_GAUSS_NODES = 32  # Gauss-Legendre nodes per probe interval
 
 
-def check_density(model: DensityModel, tol: float = 1e-9, probe=None) -> dict:
+def check_density(model: DensityModel, tol: float = 1e-9) -> dict:
     """Run the density sanity checks and return a report dict.
 
-    Checks: f integrates to one over the support (to ``tol``); f is positive
-    at the probe points; the model's derivatives f^(j) match Richardson
-    central differences of f to ``_DERIV_RTOL`` relative; the first three
-    derivatives integrate to zero (boundary decay).
+    The probe is the 2%, 10%, ..., 98% quantiles (13 points).  Checks: f
+    integrates to one over the support (to ``tol``); f is positive on the
+    probe; each derivative f^(j), j = 1..6, integrates to the increments of
+    f^(j-1) (f^(0) = f) between consecutive probe points, to ``_DERIV_RTOL``
+    relative to the largest |f^(j-1)| on the probe; the first three
+    derivatives integrate to zero over the support (boundary decay).
+
+    The integrals use one Gauss-Legendre rule of ``_GAUSS_NODES`` nodes per
+    probe interval, and each f^(j) is evaluated in one array call on the
+    probe and the nodes together.  A wrong derivative (a user table's f6
+    column negated, say, or f2 off by 1e-5 relative) fails the identity at
+    the order it enters, where it drifts from the integral of the order
+    above or below; ``deriv_max_rel_err`` is the largest relative gap.
     """
     lo, hi = model.support
-    if probe is None:
-        qs = np.linspace(0.02, 0.98, 13)
-        probe = np.asarray([model.ppf(q) for q in qs], dtype=float)
-    probe = np.asarray(probe, dtype=float)
+    probe = np.asarray(model.ppf(np.linspace(0.02, 0.98, 13)), dtype=float)
 
     total, err = integrate.quad(model.pdf, lo, hi, epsabs=tol / 10, epsrel=1e-12, limit=300)
-    positive = bool(np.all(np.asarray(model.pdf(probe)) > 0.0))
 
-    # a supplied derivative agrees when it sits within the larger of the
-    # relative tolerance and the difference quotient's own error bar (the
-    # quotient cannot do better than ~1e-3 relative at order six, and its
-    # error estimate itself can be a few times optimistic in the tails)
-    max_rel = 0.0
-    max_excess = 0.0
-    for j in range(1, MAX_DERIVATIVE_ORDER + 1):
-        for x0 in probe:
-            est = numeric_derivative(model.pdf, j, float(x0), scale=model.length_scale)
-            have = float(np.asarray(model.pdf_derivs[j - 1](x0)))
-            ref = max(abs(est.value), abs(have), 1e-8)
-            budget = max(_DERIV_RTOL * ref, 8.0 * est.error)
-            max_excess = max(max_excess, abs(have - est.value) / budget)
-            if est.error <= _DERIV_RTOL * ref:
-                max_rel = max(max_rel, abs(have - est.value) / ref)
+    # the rule mapped onto each interval [probe[k], probe[k+1]]: the nodes
+    # and the weights times the half-width, one row per interval
+    t, w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+    half, mid = np.diff(probe) / 2, (probe[1:] + probe[:-1]) / 2
+    nodes = mid[:, None] + half[:, None] * t
+    weights = half[:, None] * w
+    points = np.concatenate([probe, nodes.ravel()])
+    below = np.asarray(model.pdf(points), dtype=float)[:probe.size]  # f^(j-1) on the probe
+    positive = bool(np.all(below > 0.0))
+    gaps = []  # a nan gap (a non-finite derivative) stays nan in the maximum
+    for fj in model.pdf_derivs:
+        values = np.asarray(fj(points), dtype=float)
+        integrals = np.sum(weights * values[probe.size:].reshape(nodes.shape), axis=1)
+        gaps.append(np.max(np.abs(integrals - np.diff(below))) / np.max(np.abs(below)))
+        below = values[:probe.size]
+    max_rel = float(np.max(gaps))
 
     boundary = {}
     for j in (1, 2, 3):
@@ -793,7 +749,7 @@ def check_density(model: DensityModel, tol: float = 1e-9, probe=None) -> dict:
         "integral_error": float(err),
         "integrates_to_one": bool(abs(total - 1.0) <= tol),
         "positive_on_probe": positive,
-        "deriv_max_rel_err": float(max_rel),
-        "derivs_match": bool(max_excess <= 1.0),
+        "deriv_max_rel_err": max_rel,
+        "derivs_match": bool(max_rel <= _DERIV_RTOL),
         "deriv_boundary_integrals": boundary,
     }

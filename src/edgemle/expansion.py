@@ -390,14 +390,12 @@ def _check_n(n) -> int:
     return m
 
 
-def edgeworth_cdf(moments, n, order, x, clamp: bool = False, return_flag: bool = False):
+def edgeworth_cdf(moments, n, order, x):
     """Edgeworth expansion of the CDF of sqrt(n I)(thetahat - theta0).
 
     Order 1 is the plain normal CDF; order k adds the correction polynomials
     up to and including the n^-((k-1)/2) term.  The raw polynomial value can
-    leave [0, 1] in the far tails: by default it is returned as is, with
-    ``return_flag=True`` an out-of-range boolean accompanies it, and
-    ``clamp=True`` truncates to [0, 1] after flagging.
+    leave [0, 1] in the far tails; it is returned as it is.
     """
     m = _check_n(n)
     k = _check_order(order)
@@ -407,13 +405,7 @@ def edgeworth_cdf(moments, n, order, x, clamp: bool = False, return_flag: bool =
         phi = np.exp(-0.5 * xa * xa) / np.sqrt(2 * np.pi)
         corr = _add_corrections(np.zeros_like(xa, dtype=float), "edgeworth", moments, m, k, xa)
         out = out + corr * phi
-    flag = (out < 0.0) | (out > 1.0)
-    if clamp:
-        out = np.clip(out, 0.0, 1.0)
-    value = _scalar_like(x, out)
-    if return_flag:
-        return value, _scalar_like(x, flag, bool)
-    return value
+    return _scalar_like(x, out)
 
 
 def cornish_fisher_quantile(moments, n, order, v):

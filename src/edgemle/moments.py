@@ -38,7 +38,7 @@ import numpy as np
 from scipy import integrate
 
 from .density import DensityModel
-from .errors import MomentDivergence
+from .errors import InversionFailure, MomentDivergence
 
 ETA_INDICES = tuple(range(2, 11))
 
@@ -142,10 +142,14 @@ def _raw_quad(fn, lo, hi, epsabs) -> QuadOutcome:
 
 
 def _tail_reference(model: DensityModel) -> float:
-    """Length scale of the tail probes: the larger |0.1% / 99.9% quantile|, at least 1."""
+    """Length scale of the tail probes: the larger |0.1% / 99.9% quantile|, at least 1.
+
+    A table whose mass ends short of 0.999 has no such quantile; its
+    InversionFailure gives the scale 1.  Any other error propagates.
+    """
     try:
         return max(abs(float(model.ppf(0.001))), abs(float(model.ppf(0.999))), 1.0)
-    except Exception:
+    except InversionFailure:
         return 1.0
 
 

@@ -133,6 +133,21 @@ def test_validate_passes_builtin(capsys):
     assert payload["density"]["integrates_to_one"] is True
 
 
+@pytest.mark.parametrize("f6_sign, code", [(1.0, 0), (-1.0, 1)])
+def test_validate_fails_a_table_with_a_wrong_derivative_column(capsys, tmp_path, f6_sign, code):
+    lg = e.logistic()
+    x = np.linspace(-25, 25, 2501)
+    cols = [x, lg.pdf(x), *(lg.pdf_derivs[j](x) for j in range(6))]
+    cols[-1] = f6_sign * cols[-1]
+    path = tmp_path / "table.csv"
+    np.savetxt(path, np.column_stack(cols), delimiter=",", header="x,f,f1,f2,f3,f4,f5,f6",
+               comments="")
+    got, out, _ = run(capsys, "validate", "--family", "table", "--param", f"path={path}",
+                      "--tol", "1e-7")
+    density = json.loads(out)["density"]
+    assert (got, density["derivs_match"], density["integrates_to_one"]) == (code, code == 0, True)
+
+
 def test_validate_fails_singular_family(capsys):
     code, out, _ = run(capsys, "validate", "--family", "expression",
                        "--param", "expr=sqrt(2/pi)*x**2*exp(-x**2/2)",
@@ -287,6 +302,17 @@ def test_simulate_replay_detects_tampering(capsys, tmp_path):
                        "--out-dir", str(tmp_path / "third"))
     assert code == 1
     assert "replay mismatch" in err
+
+
+def test_cdf_out_of_range_flag_and_clamp(capsys):
+    # the Gumbel's order-2 expansion at n = 2 dips below 0 at -3; the flag
+    # reads the raw value, --clamp-cdf clips what is printed
+    argv = ("cdf", "--family", "expression", "--param", "expr=exp(-x - exp(-x))",
+            "--n", "2", "--order", "2", "--grid", "-3")
+    for clamp, value in (((), "-0.0043953837547"), (("--clamp-cdf",), "0")):
+        code, out, _ = run(capsys, *argv, *clamp)
+        assert code == 0
+        assert out.splitlines()[1] == f"-3,0.00134989803163,{value},true"
 
 
 def test_cdf_out_dir_writes_manifest(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -235,36 +236,24 @@ def test_density_integrates_to_one_and_derivatives_decay(models, name):
         assert abs(report["deriv_boundary_integrals"][j]) < 1e-8
 
 
-# ---------------------------------------------------------------------------
-# numeric differentiation
-# ---------------------------------------------------------------------------
-
-def test_numeric_derivative_identity():
-    est = e.numeric_derivative(lambda x: x, 1, 0.37)
-    assert est.value == pytest.approx(1.0, abs=1e-10)
-    assert not est.precision_warning
-
-
-def test_numeric_derivative_sixth_power():
-    est = e.numeric_derivative(lambda x: x**6, 6, 0.0)
-    assert est.value == pytest.approx(720.0, rel=1e-3)
+_EXACT_FAMILIES = {
+    "normal": e.normal, "logistic": e.logistic,
+    **{f"t{nu}": functools.partial(e.student_t, nu) for nu in (0.5, 1, 3, 7)},
+    "gaussian": functools.partial(e.from_expression, "exp(-x**2/2)/sqrt(2*pi)"),
+    "gumbel": functools.partial(e.from_expression, "exp(-x - exp(-x))"),
+    "logistic_expr": functools.partial(e.from_expression, "exp(-x)/(1+exp(-x))**2"),
+}
 
 
-def test_numeric_derivative_gaussian_second():
-    phi = lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi)
-    est = e.numeric_derivative(phi, 2, 0.0)
-    assert est.value == pytest.approx(-1.0 / math.sqrt(2 * math.pi), rel=1e-6)
-    assert not est.precision_warning
-
-
-def test_numeric_derivative_flags_ill_conditioned_steps():
-    est = e.numeric_derivative(lambda x: math.sin(x), 6, 0.3, scale=1e-3)
-    assert est.precision_warning
-
-
-def test_numeric_derivative_rejects_bad_order():
-    with pytest.raises(e.UnsupportedOrder):
-        e.numeric_derivative(lambda x: x, 7, 0.0)
+@pytest.mark.parametrize("label", _EXACT_FAMILIES)
+def test_check_density_derivative_integrals_agree_to_rounding(label):
+    # exact derivatives integrate to the increments of the order below up
+    # to the quadrature's rounding, also in the heavy Student-t tails
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # expression overflow in a far tail
+        report = check_density(_EXACT_FAMILIES[label]())
+    assert report["derivs_match"]
+    assert report["deriv_max_rel_err"] <= 1e-10, report
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +459,52 @@ def test_table_quantile_above_its_mass_names_the_cdf_at_the_end(models):
         tab.ppf(0.9999995)
 
 
-def test_table_check_density_uses_a_grid_derived_step(models):
-    # the difference step of check_density follows the grid (four cells);
-    # a unit step would report a mismatch here.  The table ends at |x| = 14,
-    # cutting off ~1.7e-6 of the logistic's mass.
+def test_table_check_density_accepts_its_columns_and_reports_the_cut_off_mass(models):
+    # the table ends at |x| = 14, cutting off ~1.7e-6 of the logistic's mass
     report = check_density(e.from_table(_logistic_table(models["logistic"])))
     assert report["derivs_match"], report
     assert report["deriv_max_rel_err"] < 1e-6
     assert not report["integrates_to_one"]
     assert 1.0 - report["integral"] == pytest.approx(2 / (1 + math.exp(14)), rel=1e-3)
+
+
+def _scale(name, factor):
+    def corrupt(cols):
+        cols[name] = cols[name] * factor
+    return corrupt
+
+
+def _swap_f5_f6(cols):
+    cols["f5"], cols["f6"] = cols["f6"], cols["f5"]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _scale("f6", -1.0), _swap_f5_f6, _scale("f6", 1.01), _scale("f5", 1.001),
+    _scale("f3", 1.0001), _scale("f2", 1.00001),
+], ids=["f6_negated", "f5_f6_swapped", "f6x1.01", "f5x1.001", "f3x1.0001", "f2x1.00001"])
+def test_table_check_density_refuses_a_wrong_derivative_column(models, corrupt):
+    # each corruption breaks f^(j) = d/dx f^(j-1) at the order it enters;
+    # the correct table passes in the test above
+    cols = _logistic_table(models["logistic"])
+    corrupt(cols)
+    report = check_density(e.from_table(cols))
+    assert not report["derivs_match"], report
+    assert report["deriv_max_rel_err"] > 1e-6
+
+
+def test_table_callables_give_nan_outside_the_table_for_floats_and_arrays(models):
+    # f = 0 there, so every ratio f_i/f is 0/0; a float stays a float
+    tab = e.from_table(_logistic_table(models["logistic"]))
+    with np.errstate(invalid="ignore"):
+        for x in (20.0, -20.0):
+            chain = list(tab.rho_chain(x, 6))
+            assert all(isinstance(r, float) and math.isnan(r) for r in chain)
+            assert all(np.isnan(r).all() for r in tab.rho_chain(np.array([x]), 6))
+            for fns in (tab.psis, tab.pdf_derivs):
+                for fn in fns:
+                    value = fn(x)
+                    assert isinstance(value, float) and math.isnan(value)
+                    assert np.isnan(fn(np.array([x]))).all()
 
 
 def test_table_without_derivative_columns_points_to_from_expression(tmp_path, models):

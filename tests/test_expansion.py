@@ -284,15 +284,6 @@ def test_cdf_monotone_on_central_window(logistic_moments, normal_moments, t7_mom
                 assert np.all(np.diff(vals) >= -1e-12)
 
 
-def test_cdf_out_of_range_flag_and_clamp():
-    ms = e.MomentSet.from_values(1.0, {2: 2.0, 3: 3.0, 4: 3.0, 5: 0.0, 6: 0.0,
-                                       7: 15.0, 8: 8.0, 9: 6.0, 10: 6.0})
-    raw, flag = e.edgeworth_cdf(ms, 4, 2, -3.0, return_flag=True)
-    assert flag and raw < 0.0
-    clamped, flag2 = e.edgeworth_cdf(ms, 4, 2, -3.0, clamp=True, return_flag=True)
-    assert flag2 and clamped == 0.0
-
-
 def test_cdf_scalar_and_array_forms(logistic_moments):
     scalar = e.edgeworth_cdf(logistic_moments, 50, 5, 1.0)
     arr = e.edgeworth_cdf(logistic_moments, 50, 5, np.array([1.0]))

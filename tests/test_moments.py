@@ -170,3 +170,25 @@ def test_non_finite_integrand_is_named_as_the_cause():
         e.compute_moment_set(model)
     assert "non-finite integrand" in str(info.value)
     assert "drifts" not in str(info.value)
+
+
+def _logistic_with_tail_ppf(error):
+    # the logistic, except that its 0.1% and 99.9% quantiles raise ``error``
+    lg = e.logistic()
+
+    def ppf(u):
+        if not 0.01 < u < 0.99:
+            raise error("no tail quantile")
+        return lg.ppf(u)
+
+    return e.DensityModel("tailless", lg.support, lg.pdf, rho_chain=lg.rho_chain, ppf=ppf,
+                          cdf=lg.cdf, rho=lg.rho)
+
+
+def test_tail_scale_falls_back_only_on_an_inversion_failure():
+    # a table whose mass ends below 0.999 raises InversionFailure there and
+    # takes the unit tail scale; any other error from ppf is a bug and shows
+    report = e.validate_conditions(_logistic_with_tail_ppf(e.InversionFailure))
+    assert report.all_pass, report.to_dict()
+    with pytest.raises(TypeError, match="no tail quantile"):
+        e.validate_conditions(_logistic_with_tail_ppf(TypeError))
