@@ -3,8 +3,8 @@
 The package computes, for a smooth location family:
 
 * the moment functional vector (Fisher information, contrast-derivative
-  means a_1..a_6, standardized score functionals eta_2..eta_10) by adaptive
-  quadrature,
+  means a_1..a_6, standardized score functionals eta_2..eta_10) by
+  double-exponential quadrature,
 * the stochastic expansion of sqrt(n)(thetahat - theta0) in the normalized
   sums xi_1..xi_6, through order n^-2,
 * the Edgeworth expansion of the distribution function of the standardized

@@ -208,7 +208,7 @@ def _cmd_validate(args) -> int:
     model = _model_from_args(args)
     from .density import check_density
     density_report = check_density(model, tol=args.tol)
-    condition_report = validate_conditions(model)
+    condition_report = validate_conditions(model, tol=args.tol)
     _print_json({"density": density_report, "conditions": condition_report.to_dict()},
                 args.precision)
     failed = [k for k, v in condition_report.verdicts.items() if v == "fail"]

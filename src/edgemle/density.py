@@ -231,14 +231,15 @@ class DensityModel:
     ``log_concave`` (read-only) states that f is log-concave, so the contrast
     rho = -log f is convex and every sample's empirical contrast has a single
     basin; the MLE solver then brackets the score's root instead of scanning
-    for basins.  It is a property of the family, not a tuning option: only
-    the built-in normal and logistic constructors set it, and it is neither
-    part of the descriptor nor settable through :func:`make_model`, so it
-    holds for exactly the models those constructors build.
+    for basins.  ``grid`` (read-only) is a table's x grid, whose cells the
+    integrals take one by one.  Both are properties of the family, not
+    tuning options: only the built-in normal and logistic constructors set
+    ``log_concave`` and only :func:`from_table` sets ``grid``, and neither is
+    part of the descriptor or settable through :func:`make_model`.
     """
 
     def __init__(self, name, support, pdf, *, rho_derivs=None, rho_chain=None, psis=None,
-                 cdf=None, ppf=None, rho=None, descriptor=None, log_concave=False):
+                 cdf=None, ppf=None, rho=None, descriptor=None, log_concave=False, grid=None):
         lo, hi = float(support[0]), float(support[1])
         if not lo < hi:
             raise ValueError(f"empty support ({lo}, {hi})")
@@ -266,10 +267,15 @@ class DensityModel:
         self._descriptor = dict(descriptor) if descriptor is not None else {
             "family": self.name, "params": {}}
         self._log_concave = bool(log_concave)
+        self._grid = None if grid is None else tuple(map(float, grid))
 
     @property
     def log_concave(self) -> bool:
         return self._log_concave
+
+    @property
+    def grid(self):
+        return self._grid
 
     def interior(self, x):
         lo, hi = self.support
@@ -515,9 +521,9 @@ def from_expression(expr: str, support=(-np.inf, np.inf), name: str = "expressio
     array as an array.  The psi ratios come from those derivatives through
     the logarithmic-derivative recursion rather than as ratios f^(i)/f,
     whose numerators and denominators overflow or underflow together in
-    exponential tails.  The model counts as analytic.  The CDF and quantile
-    function fall back to quadrature and root finding, which makes sampling
-    from expression families comparatively slow.
+    exponential tails.  The CDF and quantile function fall back to
+    quadrature and root finding, which makes sampling from expression
+    families comparatively slow.
     """
     import sympy as sp
 
@@ -570,10 +576,11 @@ def from_table(source, name: str = "table") -> DensityModel:
     since they cannot be differenced out of f accurately enough.  A density
     known as a formula can be given to :func:`from_expression` instead.
     Support is the table's x range; the density is treated as zero outside
-    it, where psi, the chain and f^(j) are nan (0/0).  One cubic spline over the seven columns f, f1..f6 is evaluated once
-    per point: psi_i is its ratio f_i/f, rho^(j) follows by the inverse
-    logarithmic-derivative recursion, and f^(j) = psi_j f reproduce the f_j
-    columns up to rounding; f, rho and the CDF read the f column alone.
+    it, where psi, the chain and f^(j) are nan (0/0).  One cubic spline over
+    the seven columns f, f1..f6 is evaluated once per point: psi_i is its
+    ratio f_i/f, rho^(j) follows by the inverse logarithmic-derivative
+    recursion, and f^(j) = psi_j f reproduce the f_j columns up to rounding;
+    f, rho and the CDF read the f column alone; x is the model's ``grid``.
     """
     from scipy.interpolate import CubicSpline, PPoly
 
@@ -637,7 +644,7 @@ def from_table(source, name: str = "table") -> DensityModel:
     return DensityModel(name, (lo, hi), lambda x: _scalar_like(x, on_support(f_piece, x)),
                         rho_chain=_first_orders(orders),
                         psis=_six(lambda i: functools.partial(psi, i)), cdf=cdf,
-                        descriptor=desc)
+                        descriptor=desc, grid=xg)
 
 
 # ---------------------------------------------------------------------------
@@ -708,19 +715,21 @@ def check_density(model: DensityModel, tol: float = 1e-9) -> dict:
     probe; each derivative f^(j), j = 1..6, integrates to the increments of
     f^(j-1) (f^(0) = f) between consecutive probe points, to ``_DERIV_RTOL``
     relative to the largest |f^(j-1)| on the probe; the first three
-    derivatives integrate to zero over the support (boundary decay).
+    derivatives integrate to zero over the support (boundary decay), all
+    three and f itself over the nodes of the moment integrals.
 
-    The integrals use one Gauss-Legendre rule of ``_GAUSS_NODES`` nodes per
+    The identities use one Gauss-Legendre rule of ``_GAUSS_NODES`` nodes per
     probe interval, and each f^(j) is evaluated in one array call on the
     probe and the nodes together.  A wrong derivative (a user table's f6
     column negated, say, or f2 off by 1e-5 relative) fails the identity at
     the order it enters, where it drifts from the integral of the order
     above or below; ``deriv_max_rel_err`` is the largest relative gap.
     """
-    lo, hi = model.support
+    from .moments import _integrate, _rule
     probe = np.asarray(model.ppf(np.linspace(0.02, 0.98, 13)), dtype=float)
-
-    total, err = integrate.quad(model.pdf, lo, hi, epsabs=tol / 10, epsrel=1e-12, limit=300)
+    (total, *boundary), (err, *_), _ = _integrate(  # f and f^(j) = psi_j f, j = 1..3
+        model, _rule(model), lambda x: [np.ones_like(x), *(p(x) for p in model.psis[:3])],
+        lambda values: tol)
 
     # the rule mapped onto each interval [probe[k], probe[k+1]]: the nodes
     # and the weights times the half-width, one row per interval
@@ -739,11 +748,6 @@ def check_density(model: DensityModel, tol: float = 1e-9) -> dict:
         below = values[:probe.size]
     max_rel = float(np.max(gaps))
 
-    boundary = {}
-    for j in (1, 2, 3):
-        val, _ = integrate.quad(model.pdf_derivs[j - 1], lo, hi, epsabs=1e-10, epsrel=1e-10, limit=300)
-        boundary[j] = float(val)
-
     return {
         "integral": float(total),
         "integral_error": float(err),
@@ -751,5 +755,5 @@ def check_density(model: DensityModel, tol: float = 1e-9) -> dict:
         "positive_on_probe": positive,
         "deriv_max_rel_err": max_rel,
         "derivs_match": bool(max_rel <= _DERIV_RTOL),
-        "deriv_boundary_integrals": boundary,
+        "deriv_boundary_integrals": dict(zip((1, 2, 3), map(float, boundary))),
     }

@@ -10,7 +10,7 @@ class UnsupportedOrder(ValueError):
 
 
 class MomentDivergence(RuntimeError):
-    """Adaptive quadrature failed to converge for a moment functional."""
+    """A moment functional has no value: its integrand overflows, diverges or does not settle."""
 
     def __init__(self, entry: str, note: str = ""):
         self.entry = entry

@@ -133,6 +133,18 @@ def test_validate_passes_builtin(capsys):
     assert payload["density"]["integrates_to_one"] is True
 
 
+def test_validate_passes_tol_to_the_condition_checks(capsys, monkeypatch):
+    seen = []
+
+    def spy(model, tol):
+        seen.append(tol)
+        return e.validate_conditions(model, tol=tol)
+
+    monkeypatch.setattr("edgemle.cli.validate_conditions", spy)
+    code, _, _ = run(capsys, "validate", "--family", "logistic", "--tol", "1e-7")
+    assert (code, seen) == (0, [1e-7])
+
+
 @pytest.mark.parametrize("f6_sign, code", [(1.0, 0), (-1.0, 1)])
 def test_validate_fails_a_table_with_a_wrong_derivative_column(capsys, tmp_path, f6_sign, code):
     lg = e.logistic()

@@ -5,9 +5,9 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate
 
 import edgemle as e
+from conftest import logistic_table
 from edgemle.density import check_density
 
 PROBE = np.array([-2.7, -1.3, -0.4, 0.0, 0.6, 1.1, 2.9])
@@ -88,7 +88,7 @@ def _chain_models():
         "t7": (e.student_t(7), _mp_density("student_t", 7), 1e-14),
         "t3": (e.student_t(3), _mp_density("student_t", 3), 1e-14),
         # spline-accurate only (see test_table_contrast_chain_matches_logistic)
-        "table": (e.from_table(_logistic_table(built)), _mp_density("logistic"), 1e-7),
+        "table": (e.from_table(logistic_table(built)), _mp_density("logistic"), 1e-7),
     }
 
 
@@ -254,6 +254,9 @@ def test_check_density_derivative_integrals_agree_to_rounding(label):
         report = check_density(_EXACT_FAMILIES[label]())
     assert report["derivs_match"]
     assert report["deriv_max_rel_err"] <= 1e-10, report
+    # f itself integrates to one, also where an expression's f is inf/inf far
+    # out in a tail (the logistic written as an expression)
+    assert report["integrates_to_one"], report
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +287,9 @@ def test_expression_family_names_abs_as_unsupported():
         e.from_expression("exp(-abs(x)**3)/(2*gamma(4/3))")
 
 
-def _logistic_table(built):
-    # x, f, f1..f6 of the logistic on 1401 points of [-14, 14]
-    x = np.linspace(-14, 14, 1401)
-    return {"x": x, "f": built.pdf(x), **{f"f{j}": built.pdf_derivs[j - 1](x) for j in range(1, 7)}}
-
-
 def test_table_family_reproduces_logistic(tmp_path, models):
     built = models["logistic"]
-    cols = _logistic_table(built)
+    cols = logistic_table(built)
     path = tmp_path / "logistic.csv"
     np.savetxt(path, np.column_stack(list(cols.values())), delimiter=",",
                header=",".join(cols), comments="")
@@ -308,7 +305,7 @@ def test_table_family_reproduces_logistic(tmp_path, models):
 
 def test_table_derivative_columns_survive_the_psi_conversion(models):
     # the table states f^(j) as psi_j f with psi_j the spline ratio f_j/f
-    cols = _logistic_table(models["logistic"])
+    cols = logistic_table(models["logistic"])
     tab = e.from_table(cols)
     inner = cols["x"][1:-1]
     for j in range(1, 7):
@@ -332,7 +329,7 @@ def _spline_calls(monkeypatch):
 
 
 def test_table_evaluates_its_spline_once_per_point(monkeypatch, models):
-    tab = e.from_table(_logistic_table(models["logistic"]))
+    tab = e.from_table(logistic_table(models["logistic"]))
     calls = _spline_calls(monkeypatch)
     for x in (0.3, np.array([-2.0, 0.3, 7.5])):
         # the chain and each psi read all seven columns from one evaluation
@@ -383,7 +380,7 @@ def _per_column_table(cols):
 
 
 def test_table_matches_per_column_splines_bit_for_bit(models):
-    cols = _logistic_table(models["logistic"])
+    cols = logistic_table(models["logistic"])
     tab = e.from_table(cols)
     column, psi, chain, cdf = _per_column_table(cols)
     # off the nodes, on them, at the ends and outside the table
@@ -430,7 +427,7 @@ def test_numeric_cdf_and_quantile_are_silent_in_deep_tails(expr, x, exact_cdf, u
 def test_table_contrast_chain_matches_logistic(models):
     # rho = -log f of the spline and rho^(j) from the psi ratios, between grid nodes
     built = models["logistic"]
-    tab = e.from_table(_logistic_table(built))
+    tab = e.from_table(logistic_table(built))
     off_grid = np.linspace(-6.0, 6.0, 1200, endpoint=False) + 0.0073  # nodes are 0.02 apart
     for j in range(1, 7):
         diff = np.asarray(e.rho_deriv(tab, j, off_grid)) - np.asarray(e.rho_deriv(built, j, off_grid))
@@ -443,7 +440,7 @@ def test_table_contrast_chain_matches_logistic(models):
 def test_table_moment_set_matches_logistic(models):
     # the table's eta come through its chain; the gap in eta is mostly the
     # 2 e^-14 of tail mass beyond |x| = 14 that the table cuts off
-    tab = e.compute_moment_set(e.from_table(_logistic_table(models["logistic"])), tol=1e-7)
+    tab = e.compute_moment_set(e.from_table(logistic_table(models["logistic"])), tol=1e-7)
     built = e.compute_moment_set(models["logistic"], tol=1e-7)
     assert abs(tab.fisher - built.fisher) <= 5e-6
     assert max(abs(s - t) for s, t in zip(tab.a, built.a)) <= 1e-8
@@ -452,7 +449,7 @@ def test_table_moment_set_matches_logistic(models):
 
 def test_table_quantile_above_its_mass_names_the_cdf_at_the_end(models):
     # the table ends at |x| = 14 and holds 1 - 1.7e-6 of the mass
-    tab = e.from_table(_logistic_table(models["logistic"]))
+    tab = e.from_table(logistic_table(models["logistic"]))
     top = tab.cdf(14.0)
     assert tab.ppf(top - 1e-7) < 14.0
     with pytest.raises(e.InversionFailure, match=f"CDF is {top!r} at the support end 14.0"):
@@ -461,7 +458,7 @@ def test_table_quantile_above_its_mass_names_the_cdf_at_the_end(models):
 
 def test_table_check_density_accepts_its_columns_and_reports_the_cut_off_mass(models):
     # the table ends at |x| = 14, cutting off ~1.7e-6 of the logistic's mass
-    report = check_density(e.from_table(_logistic_table(models["logistic"])))
+    report = check_density(e.from_table(logistic_table(models["logistic"])))
     assert report["derivs_match"], report
     assert report["deriv_max_rel_err"] < 1e-6
     assert not report["integrates_to_one"]
@@ -485,7 +482,7 @@ def _swap_f5_f6(cols):
 def test_table_check_density_refuses_a_wrong_derivative_column(models, corrupt):
     # each corruption breaks f^(j) = d/dx f^(j-1) at the order it enters;
     # the correct table passes in the test above
-    cols = _logistic_table(models["logistic"])
+    cols = logistic_table(models["logistic"])
     corrupt(cols)
     report = check_density(e.from_table(cols))
     assert not report["derivs_match"], report
@@ -494,7 +491,7 @@ def test_table_check_density_refuses_a_wrong_derivative_column(models, corrupt):
 
 def test_table_callables_give_nan_outside_the_table_for_floats_and_arrays(models):
     # f = 0 there, so every ratio f_i/f is 0/0; a float stays a float
-    tab = e.from_table(_logistic_table(models["logistic"]))
+    tab = e.from_table(logistic_table(models["logistic"]))
     with np.errstate(invalid="ignore"):
         for x in (20.0, -20.0):
             chain = list(tab.rho_chain(x, 6))

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import edgemle as e
-from conftest import LOGISTIC_EXACT, NORMAL_EXACT
+from conftest import LOGISTIC_EXACT, NORMAL_EXACT, logistic_table
 
 
 def test_fisher_information_normal(normal_model):
@@ -108,6 +110,43 @@ def test_expression_families_match_closed_form_moments(expr, a, eta):
     assert e.validate_conditions(model).all_pass
 
 
+def test_half_line_rule_matches_gamma_closed_forms():
+    # Gamma(8): rho' = 1 - 7/x and rho^(j) = 7 (j-1)! (-1)^j / x^j for j >= 2,
+    # with E x^-j = Gamma(8-j)/Gamma(8)
+    ms = e.compute_moment_set(e.from_expression("x**7*exp(-x)/5040", support=(0, np.inf)))
+    assert ms.fisher == pytest.approx(1 / 6, rel=1e-14)
+    assert ms.a[0] == pytest.approx(0.0, abs=1e-15)
+    for j in range(2, 7):
+        exact = 7 * math.factorial(j - 1) * (-1) ** j * math.gamma(8 - j) / math.gamma(8)
+        assert ms.a[j - 1] == pytest.approx(exact, rel=1e-14), f"a{j}"
+
+
+def test_finite_interval_rule_matches_beta_closed_forms():
+    # Beta(8, 8): rho^(j) and psi_i have poles of order <= 6 at 0 and 1, where
+    # f vanishes to order 7, so every integrand times f is a polynomial and
+    # its integral a sum of Beta-function ratios B(8-m, 8-l)/B(8, 8); a5 is 0
+    # by symmetry.  Each entry is held to 1e-13 of the integral of |g f|.
+    import sympy as sp
+
+    x = sp.Symbol("x")
+    f = 51480 * x**7 * (1 - x)**7
+    r = [sp.diff(-7 * sp.log(x) - 7 * sp.log(1 - x), x, j) for j in range(1, 7)]
+    p1, p2 = -r[0], r[0]**2 - r[1]
+    p3 = 2 * r[0] * r[1] - r[2] - p2 * r[0]
+    integrands = [p1**2, *r, p2**2, p1**3, p1**4, p1**5, p2 * p3, p1**6, p2**3, p3**2,
+                  p1 * p2 * p3]
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    nodes, weights = (nodes + 1) / 2, weights / 2
+    ms = e.compute_moment_set(e.from_expression("51480*x**7*(1-x)**7", support=(0, 1)))
+    powers = [0] * 7 + [2, 1.5, 2, 2.5, 2.5, 3, 3, 3, 3]
+    got = [ms.fisher, *ms.a, *(ms.eta[k] for k in range(2, 11))]
+    for g, power, value in zip(integrands, powers, got):
+        poly = sp.expand(sp.cancel(g * f))
+        exact = float(sp.integrate(poly, (x, 0, 1)))
+        scale = float(np.sum(weights * np.abs(sp.lambdify(x, poly)(nodes))))
+        assert abs(value * ms.fisher**power - exact) <= 1e-13 * scale, (g, value, exact)
+
+
 def test_from_values_requires_all_eta_indices():
     with pytest.raises(ValueError):
         e.MomentSet.from_values(1.0, {2: 2.0, 4: 3.0})
@@ -116,6 +155,27 @@ def test_from_values_requires_all_eta_indices():
 # ---------------------------------------------------------------------------
 # condition validation
 # ---------------------------------------------------------------------------
+
+_ALL_PASS = {1: "pass", 2: "pass", 3: "pass", 4: "pass"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("make, verdicts", [
+    (e.normal, _ALL_PASS),
+    (e.logistic, _ALL_PASS),
+    *((lambda nu=nu: e.student_t(nu), _ALL_PASS) for nu in (7, 3, 1, 0.5)),
+    (lambda: e.from_expression("exp(-x**2/2)/sqrt(2*pi)"), _ALL_PASS),
+    (lambda: e.from_expression("exp(-x - exp(-x))"), _ALL_PASS),
+    (lambda: e.from_table(logistic_table(e.logistic())), _ALL_PASS),
+    # rho' ~ -2/x at the boundary: E |rho'|^6 diverges, and so does the
+    # rho^(6) modulus probe
+    (lambda: e.from_expression("sqrt(2/pi)*x**2*exp(-x**2/2)", support=(0, np.inf)),
+     {1: "pass", 2: "pass", 3: "indeterminate", 4: "fail"}),
+], ids=["normal", "logistic", "t7", "t3", "t1", "t0.5", "gaussian", "gumbel", "table",
+        "boundary_singular"])
+def test_condition_verdicts(make, verdicts):
+    assert e.validate_conditions(make()).verdicts == verdicts
+
 
 def test_conditions_pass_for_normal(normal_model):
     report = e.validate_conditions(normal_model)
