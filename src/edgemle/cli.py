@@ -23,7 +23,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .density import make_model
+from .density import check_density, make_model
 from .errors import (DomainError, InversionFailure, MomentDivergence, NoConvergence,
                      SingularInformation, StudyAborted, UnsupportedOrder)
 from .expansion import (ORDERS, collapse_report, compose_check, cornish_fisher_quantile,
@@ -121,8 +121,7 @@ def _write_manifest(out_dir: str, config: dict, base_seed, files, execution=None
 # ---------------------------------------------------------------------------
 
 def _cmd_moments(args) -> int:
-    model = _model_from_args(args)
-    ms = compute_moment_set(model, tol=args.tol)
+    ms = compute_moment_set(_model_from_args(args), tol=args.tol)
     if args.format == "json":
         _print_json(ms.to_dict(), args.precision)
     else:
@@ -137,8 +136,7 @@ def _cmd_moments(args) -> int:
 
 def _grid_table(args, evaluate, header_tail, flag_fn=None) -> int:
     grid = _parse_grid(args.grid)
-    model = _model_from_args(args)
-    ms = compute_moment_set(model, tol=args.tol)
+    ms = compute_moment_set(_model_from_args(args), tol=args.tol)
     orders = range(1, args.order + 1)
     cols = [evaluate(ms, k, grid) for k in orders]
     lines = ["point," + ",".join(f"value_order{k}" for k in orders) + header_tail]
@@ -206,7 +204,6 @@ def _cmd_mle(args) -> int:
 
 def _cmd_validate(args) -> int:
     model = _model_from_args(args)
-    from .density import check_density
     density_report = check_density(model, tol=args.tol)
     condition_report = validate_conditions(model, tol=args.tol)
     _print_json({"density": density_report, "conditions": condition_report.to_dict()},
@@ -219,8 +216,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_collapse_check(args) -> int:
     exact = collapse_report()
-    model = make_model("normal")
-    ms = compute_moment_set(model, tol=args.tol)
+    ms = compute_moment_set(make_model("normal"), tol=args.tol)
     numeric = collapse_report(ms.eta)
     payload = {
         "exact_max_abs_coefficient": float(exact["max_abs_coefficient"]),
@@ -236,8 +232,7 @@ def _cmd_compose_check(args) -> int:
     n_grid = [int(v) for v in _parse_grid(args.n_grid)]
     v_grid = _parse_grid(args.grid) if args.grid else None
     orders = tuple(int(k) for k in _parse_grid(args.orders)) if args.orders else ORDERS
-    model = _model_from_args(args)
-    ms = compute_moment_set(model, tol=args.tol)
+    ms = compute_moment_set(_model_from_args(args), tol=args.tol)
     report = compose_check(ms, n_grid, v_grid=v_grid, orders=orders)
     _print_json(report.to_dict(), args.precision)
     return 1 if report.flagged_order is not None else 0
@@ -377,14 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", help="orders to check, comma list (default all)")
     p.set_defaults(func=_cmd_compose_check)
 
-    for sp in sub.choices.values():
-        sp.add_argument("--precision", type=int, default=12,
-                        help="significant digits in numeric output (default 12)")
-
     # let grid values like -3:3:0.5 pass as arguments rather than options
     matcher = re.compile(r"^-\d")
     parser._negative_number_matcher = matcher
     for sp in sub.choices.values():
+        sp.add_argument("--precision", type=int, default=12,
+                        help="significant digits in numeric output (default 12)")
         sp._negative_number_matcher = matcher
     return parser
 

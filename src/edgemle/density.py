@@ -36,7 +36,7 @@ from math import comb
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import special
 
 from .errors import DomainError, InversionFailure, UnsupportedOrder
 
@@ -122,70 +122,115 @@ def _full(y, value):
 
 
 # ---------------------------------------------------------------------------
-# numeric CDF / inverse-CDF fallbacks
+# numeric CDF and quantile function
 # ---------------------------------------------------------------------------
 
-def _pointwise(scalar_fn):
-    # scalar_fn on a float, and point by point on an array of any shape
-    each = np.vectorize(scalar_fn, otypes=[float])
-    return lambda x: scalar_fn(x) if np.ndim(x) == 0 else each(np.asarray(x, dtype=float))
+_T_END = 4.5  # the double-exponential maps run over t in [-4.5, 4.5]
+_CDF_STEP = 2.0 ** -5  # t step of the CDF node table
+_PANEL_NODES = 10  # Gauss-Legendre nodes per gap of the CDF node table
+_ROUNDS = 64  # most rounds of the node search and of the quantile's Newton iteration
 
 
-def _numeric_cdf(pdf, support):
+def _de_map(support, centre, width):
+    """u -> (x, dx/du) of the double-exponential map onto the support (Takahasi & Mori
+    1974): sinh-sinh centre + width sinh(u) on the line, exp-sinh end + (centre - end) e^u
+    on a half-line, tanh-sinh on an interval."""
     lo, hi = support
-
-    def integrand(t):
-        v = float(pdf(t))
-        return v if math.isfinite(v) else 0.0
-
-    def cdf_scalar(x):
-        x = float(x)
-        if x <= lo:
-            return 0.0
-        if x >= hi:
-            return 1.0
-        # expression densities can overflow intermediately deep in a tail
-        # where the true value has already decayed to zero
-        with np.errstate(over="ignore", invalid="ignore"):
-            val, _ = integrate.quad(integrand, lo, x, limit=200)
-        return min(max(val, 0.0), 1.0)
-
-    return _pointwise(cdf_scalar)
+    if math.isfinite(lo) and math.isfinite(hi):
+        def mapped(u):  # the distance from the nearer end stays exact where tanh(u) is +-1
+            d = (hi - lo) / (1 + np.exp(2 * np.abs(u)))
+            return np.where(u < 0, lo + d, hi - d), (hi - lo) / 2 / np.cosh(u) ** 2
+        return mapped
+    if math.isfinite(lo) or math.isfinite(hi):
+        end = lo if math.isfinite(lo) else hi
+        return lambda u: (end + (centre - end) * np.exp(u), abs(centre - end) * np.exp(u))
+    return lambda u: (centre + width * np.sinh(u), abs(width) * np.cosh(u))
 
 
-def _bracket_end(cdf, end, direction, brackets, side, u):
-    # a finite support end is used as it is; from an infinite one the search
-    # walks in from +-1 by doubling steps
-    if np.isfinite(end):
-        value = float(cdf(end))
-        if not brackets(value):
-            raise InversionFailure(f"could not bracket quantile {u} from {side}: the CDF "
-                                   f"is {value!r} at the support end {end}")
-        return end
-    t, step = direction, 1.0
-    for _ in range(200):
-        if brackets(cdf(t)):
-            return t
-        t += direction * step
-        step *= 2
-    raise InversionFailure(f"could not bracket quantile {u} from {side}")
+def _panels(a, b, n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on each [a_i, b_i], a row each."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    half, mid = (b - a)[..., None] / 2, (b + a)[..., None] / 2
+    return mid + half * t, half * w
 
 
-def _numeric_ppf(cdf, support):
-    lo, hi = support
+def _numeric_cdf(pdf, rho, support):
+    """(nodes, F at them, x -> (F(x), f(x))) for a family that states no CDF.
 
-    def ppf_scalar(u):
-        u = float(u)
-        if not 0.0 < u < 1.0:
-            raise InversionFailure(f"probability {u} outside (0, 1)")
-        a = _bracket_end(cdf, lo, -1.0, lambda c: c <= u, "below", u)
-        b = _bracket_end(cdf, hi, 1.0, lambda c: c >= u, "above", u)
-        try:
-            return float(optimize.brentq(lambda t: cdf(t) - u, a, b, xtol=1e-13))
-        except ValueError as exc:
-            raise InversionFailure(str(exc)) from exc
+    On the line the centre moves to the node of lowest rho (finite where f
+    underflows) and the width shrinks while rho rises by over 1 in a gap; the
+    nodes then take the width w = 1/(2 f) there (a half-line the centre end + w).
+    F sums a Gauss-Legendre panel per gap to end at 1; F(x) adds one from the node below.
+    """
+    n = round(_T_END / _CDF_STEP)
+    u = math.pi / 2 * np.sinh(_CDF_STEP * np.arange(-n, n + 1))
+    line, centre, width = support == (-math.inf, math.inf), 0.0, 1.0
+    end, inward = (support[0], 1.0) if math.isfinite(support[0]) else (support[1], -1.0)
+    with np.errstate(all="ignore"):
+        for _ in range(_ROUNDS):
+            x = _de_map(support, centre if line else end + inward, width)(u)[0]
+            r = np.nan_to_num(np.asarray(rho(x), dtype=float), nan=np.inf)
+            k = np.argmin(r)
+            if not line or (r[k] == r[n] and max(r[n - 1], r[n + 1]) <= r[n] + 1):
+                break  # a half-line, or no node is lower and the gaps resolve the peak
+            centre, width = (x[k], width) if r[k] < r[n] else (centre, width / 16)
+        width = 0.5 / np.float64(pdf(x[k]))
+        nodes = _de_map(support, x[k] if line else end + inward * width, width)(u)[0]
 
-    return _pointwise(ppf_scalar)
+    def panel(a, b):  # int_a^b f and f(b) from one call; f overflowing on its way to 0 is 0
+        points, weights = _panels(a, b, _PANEL_NODES)
+        with np.errstate(all="ignore"):
+            f = np.asarray(pdf(np.concatenate([points, b[..., None]], axis=-1)), dtype=float)
+        f = np.where(np.isfinite(f), f, 0.0)
+        return np.sum(weights * f[..., :-1], axis=-1), f[..., -1]
+
+    mass = np.cumsum(panel(nodes[:-1], nodes[1:])[0])
+    values = np.concatenate([[0.0], mass / mass[-1]])
+
+    def cdf_pdf(x):
+        xa = np.clip(np.asarray(x, dtype=float), nodes[0], nodes[-1])
+        k = np.searchsorted(nodes, xa, side="right") - 1
+        area, f = panel(nodes[k], xa)
+        return np.minimum(values[k] + area / mass[-1], 1.0), f
+
+    return nodes, values, cdf_pdf
+
+
+def _inverse(cdf_pdf, nodes, values, end):
+    """The quantile function of F, from F at increasing ``nodes`` and x -> (F(x), f(x)).
+
+    ``searchsorted`` brackets each u; Newton steps bisect where they leave the
+    bracket and stop at |F(x) - u| <= 2 eps u or once x stops moving."""
+    def ppf(u):
+        q = np.asarray(u, dtype=float).ravel()
+        outside = ~((q > 0.0) & (q < 1.0))
+        if np.any(outside):
+            raise InversionFailure(f"probability {float(q[outside][0])} outside (0, 1)")
+        above = q > values[-1]
+        if np.any(above):
+            raise InversionFailure(f"could not bracket quantile {float(q[above][0])} from above: "
+                                   f"the CDF is {float(values[-1])!r} at the support end {end}")
+        k = np.searchsorted(values, q)  # values[k - 1] < q <= values[k]
+        a, b = nodes[k - 1], nodes[k]
+        x = a + (b - a) * ((q - values[k - 1]) / (values[k] - values[k - 1]))
+        todo = np.arange(q.size)
+        for _ in range(_ROUNDS):
+            xt, qt = x[todo], q[todo]
+            F, f = cdf_pdf(xt)
+            a[todo[F < qt]], b[todo[F >= qt]] = xt[F < qt], xt[F >= qt]
+            at, bt = a[todo], b[todo]
+            with np.errstate(all="ignore"):
+                newton = xt - (F - qt) / f
+            step = np.where((newton == xt) | ((newton > at) & (newton < bt)),
+                            newton, (at + bt) / 2)
+            done = (np.abs(F - qt) <= 2 * np.finfo(float).eps * qt) | (step == xt)
+            x[todo[~done]] = step[~done]
+            todo = todo[~done]
+            if not todo.size:
+                break
+        return _scalar_like(u, x.reshape(np.shape(u)))
+
+    return ppf
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +269,10 @@ class DensityModel:
     derivative columns to f, so that its f^(j) reproduce those columns.
     Derivatives are never estimated from f by differences.
 
-    The integrates-to-one, positivity and derivative invariants are not
-    enforced here (models are built in hot paths); :func:`check_density`
-    verifies them.
+    Unless stated, ``cdf`` sums a node table built here once and ``ppf``
+    inverts the CDF for a whole array.  The integrates-to-one, positivity and
+    derivative invariants are not enforced here (models are built in hot
+    paths); :func:`check_density` verifies them.
 
     ``log_concave`` (read-only) states that f is log-concave, so the contrast
     rho = -log f is convex and every sample's empirical contrast has a single
@@ -262,8 +308,14 @@ class DensityModel:
             lambda i: lambda x: _psis_from_log_derivs([-r for r in chain(x, i)])[i - 1])
         self.pdf_derivs = _six(lambda j: lambda x: psis[j - 1](x) * pdf(x))
         self.rho = rho if rho is not None else (lambda x, _p=pdf: _neg_log(_p(x)))
-        self.cdf = cdf if cdf is not None else _numeric_cdf(self.pdf, self.support)
-        self.ppf = ppf if ppf is not None else _numeric_ppf(self.cdf, self.support)
+        self.cdf = cdf
+        if cdf is None:
+            nodes, values, cdf_pdf = _numeric_cdf(pdf, self.rho, self.support)
+            self.cdf = lambda x: _scalar_like(x, cdf_pdf(x)[0])
+        elif ppf is None:  # a stated CDF, bracketed on a table's grid or else the node table's
+            nodes = np.array(grid) if grid is not None else _numeric_cdf(pdf, self.rho, support)[0]
+            values, cdf_pdf = np.asarray(cdf(nodes), dtype=float), lambda x: (cdf(x), pdf(x))
+        self.ppf = ppf if ppf is not None else _inverse(cdf_pdf, nodes, values, hi)
         self._descriptor = dict(descriptor) if descriptor is not None else {
             "family": self.name, "params": {}}
         self._log_concave = bool(log_concave)
@@ -521,9 +573,8 @@ def from_expression(expr: str, support=(-np.inf, np.inf), name: str = "expressio
     array as an array.  The psi ratios come from those derivatives through
     the logarithmic-derivative recursion rather than as ratios f^(i)/f,
     whose numerators and denominators overflow or underflow together in
-    exponential tails.  The CDF and quantile function fall back to
-    quadrature and root finding, which makes sampling from expression
-    families comparatively slow.
+    exponential tails.  The CDF is summed once over double-exponential nodes
+    placed on the peak and inverted for a whole array at once.
     """
     import sympy as sp
 
@@ -731,12 +782,7 @@ def check_density(model: DensityModel, tol: float = 1e-9) -> dict:
         model, _rule(model), lambda x: [np.ones_like(x), *(p(x) for p in model.psis[:3])],
         lambda values: tol)
 
-    # the rule mapped onto each interval [probe[k], probe[k+1]]: the nodes
-    # and the weights times the half-width, one row per interval
-    t, w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
-    half, mid = np.diff(probe) / 2, (probe[1:] + probe[:-1]) / 2
-    nodes = mid[:, None] + half[:, None] * t
-    weights = half[:, None] * w
+    nodes, weights = _panels(probe[:-1], probe[1:], _GAUSS_NODES)  # a row per probe interval
     points = np.concatenate([probe, nodes.ravel()])
     below = np.asarray(model.pdf(points), dtype=float)[:probe.size]  # f^(j-1) on the probe
     positive = bool(np.all(below > 0.0))

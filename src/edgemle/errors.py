@@ -29,7 +29,7 @@ class NoConvergence(RuntimeError):
 
 
 class InversionFailure(RuntimeError):
-    """Numeric inversion of a CDF failed to bracket or converge."""
+    """A quantile asked of a probability outside (0, 1) or above the mass of its CDF."""
 
 
 class StudyAborted(RuntimeError):

@@ -31,7 +31,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .density import DensityModel
+from .density import _T_END, DensityModel, _de_map, _panels
 from .errors import InversionFailure, MomentDivergence
 
 ETA_INDICES = tuple(range(2, 11))
@@ -87,7 +87,6 @@ class MomentSet:
 
 
 _STEPS = tuple(2.0 ** -k for k in range(3, 9))  # t steps 1/8 .. 1/256, each level halving
-_T_END = 4.5  # the trapezoid rule in t runs over [-4.5, 4.5]
 _CELL_NODES = (4, 8, 16)  # a table's Gauss-Legendre nodes per cell, per level
 _FLOOR_ULPS = 4  # rounding floor of a level's change, in ulps of sum |w g f|
 
@@ -98,28 +97,15 @@ def _rule(model: DensityModel) -> list:
     A level's estimate of int g f is ``carry`` times the last one plus sum
     w g(x) f(x); ``ends`` indexes the end nodes.  A table takes Gauss-Legendre
     nodes per cell; other supports the trapezoid rule in t, each level adding
-    only its new nodes, of x(pi/2 sinh t): sinh-sinh on the line, exp-sinh on
-    a half-line, both placed by the quartiles, tanh-sinh on an interval.
+    only its new nodes, of :func:`_de_map` at u = pi/2 sinh t, placed by the quartiles.
     """
     if model.grid is not None:
-        g = np.array(model.grid)[:, None]
-        half, mid = (g[1:] - g[:-1]) / 2, (g[1:] + g[:-1]) / 2
-        return [((mid + half * t).ravel(), (half * w).ravel(), 0.0, [])
-                for t, w in map(np.polynomial.legendre.leggauss, _CELL_NODES)]
-    lo, hi = model.support
-    if math.isfinite(lo) and math.isfinite(hi):
-        def mapped(u):  # the distance from the nearer end stays exact where tanh(u) is +-1
-            d = (hi - lo) / (1 + np.exp(2 * np.abs(u)))
-            return np.where(u < 0, lo + d, hi - d), (hi - lo) / 2 / np.cosh(u) ** 2
-    else:
-        q1, q3 = float(model.ppf(0.25)), float(model.ppf(0.75))
-        line = not (math.isfinite(lo) or math.isfinite(hi))
-        origin = (q1 + q3) / 2 if line else lo if math.isfinite(lo) else hi
-        scale = (q3 - q1) / 2 if line else (q1 + q3) / 2 - origin
-        fn, dfn = (np.sinh, np.cosh) if line else (np.exp, np.exp)
-
-        def mapped(u):
-            return origin + scale * fn(u), abs(scale) * dfn(u)
+        g = np.array(model.grid)
+        return [(x.ravel(), w.ravel(), 0.0, []) for x, w in
+                (_panels(g[:-1], g[1:], n) for n in _CELL_NODES)]
+    q1, q3 = ((0.0, 0.0) if all(map(math.isfinite, model.support))  # an interval needs none
+              else np.asarray(model.ppf(np.array([0.25, 0.75])), dtype=float).tolist())
+    mapped = _de_map(model.support, (q1 + q3) / 2, (q3 - q1) / 2)
     levels = []
     for k, h in enumerate(_STEPS):
         n = round(_T_END / h)
@@ -251,57 +237,31 @@ class ConditionReport:
         }
 
 
-def _tail_reference(model: DensityModel) -> float:
-    """Length scale of the tail probes: the larger |0.1% / 99.9% quantile|, at least 1.
+def _tail_exponents(model: DensityModel, rows: Callable) -> dict:
+    """Crude decay exponents of each integrand g f (``rows`` as in :func:`_integrate`) at the ends.
 
-    A table whose mass ends short of 0.999 has no such quantile; its
-    InversionFailure gives the scale 1.  Any other error propagates.
+    At an infinite end, the larger slope of log|g f| against log|x| at 8, 16 and
+    32 ref, ref = max(|0.1% and 99.9% quantiles|, 1) or 1 where ppf raises
+    InversionFailure; at a finite end, alpha in g f ~ C (x - end)^alpha from 1%
+    and 0.5% of the width.  Values <= -1 at a finite end, or >= -1 at an
+    infinite end, indicate a non-integrable integrand.
     """
     try:
-        return max(abs(float(model.ppf(0.001))), abs(float(model.ppf(0.999))), 1.0)
+        ref = max(*np.abs(model.ppf(np.array([0.001, 0.999]))).tolist(), 1.0)
     except InversionFailure:
-        return 1.0
-
-
-def _at_point(model: DensityModel, g: Callable) -> Callable:
-    """x -> g(x) f(x) at one point, masked as at the nodes: the tail probes' integrand."""
-    return lambda x: float(_terms(model, g, np.array([x]))[0])
-
-
-def _tail_exponents(fn, model: DensityModel, ref: float) -> dict:
-    """Crude decay-exponent estimates of an integrand at the support ends.
-
-    For an infinite end, the local slope of log|g| against log|x| beyond
-    8 ``ref`` (see :func:`_tail_reference`); for a finite end, the exponent
-    alpha in g ~ C (x - end)^alpha.  Values <= -1 at a finite end, or >= -1
-    at an infinite end, indicate a non-integrable integrand.
-    """
+        ref = 1.0
     lo, hi = model.support
-    out = {}
-
-    def log_ratio_slope(x1, x2):
-        g1, g2 = abs(fn(x1)), abs(fn(x2))
-        if g1 == 0.0 and g2 == 0.0:
-            return -math.inf
-        if g1 == 0.0 or g2 == 0.0:
-            return -math.inf if g2 < g1 else math.inf
-        return math.log(g2 / g1) / math.log(abs(x2 / x1))
-
-    if not math.isfinite(hi):
-        L = 8.0 * ref
-        out["upper"] = max(log_ratio_slope(L, 2 * L), log_ratio_slope(2 * L, 4 * L))
-    if not math.isfinite(lo):
-        L = -8.0 * ref
-        out["lower"] = max(log_ratio_slope(L, 2 * L), log_ratio_slope(2 * L, 4 * L))
     width = (hi - lo) if math.isfinite(hi) and math.isfinite(lo) else 2.0 * ref
+    out = {}
     for side, end, sgn in (("lower", lo, 1.0), ("upper", hi, -1.0)):
-        if math.isfinite(end):
-            d = 0.01 * width
-            g1, g2 = abs(fn(end + sgn * d)), abs(fn(end + sgn * d / 2))
-            if g1 > 0 and g2 > 0:
-                out[side] = math.log(g2 / g1) / math.log(0.5)
-            else:
-                out[side] = -math.inf if g2 <= g1 else math.inf
+        finite = math.isfinite(end)
+        r = (0.01 * width) * np.array([1.0, 0.5]) if finite else (8.0 * ref) * np.array([1, 2, 4])
+        g = np.abs(_terms(model, rows, end + sgn * r if finite else -sgn * r))
+        g1, g2 = g[..., :-1], g[..., 1:]
+        with np.errstate(all="ignore"):
+            slope = np.where((g1 > 0) & (g2 > 0), np.log(g2 / g1) / np.log(r[1:] / r[:-1]),
+                             np.where(g2 <= g1, -np.inf, np.inf))
+        out[side] = np.max(slope, axis=-1).tolist()
     return out
 
 
@@ -322,9 +282,13 @@ def validate_conditions(model: DensityModel, tol: float = 1e-8) -> ConditionRepo
     verdicts, details = {}, {}
     lo, hi = model.support
     finite_end = {"lower": math.isfinite(lo), "upper": math.isfinite(hi)}
-    rho = model.rho
-    ref = _tail_reference(model)
     rule = _rule(model)
+
+    def sixth(x):  # |rho^(alpha)|^6 for alpha = 1..6, from one pass of the chain
+        return np.abs(np.broadcast_arrays(x, *model.rho_chain(x, 6))[1:]) ** 6
+
+    # the tails of condition 1's integrand rho^2 and of condition 4's six, in one call
+    ends = _tail_exponents(model, lambda x: [model.rho(x) ** 2, *sixth(x)])
 
     # condition 1: sup over compact theta probe of E_theta rho^2, over the x with x and
     # x + theta inside the support: the support's nodes mapped onto it, a row per shift
@@ -337,13 +301,13 @@ def validate_conditions(model: DensityModel, tol: float = 1e-8) -> ConditionRepo
     def shifted_rho2(x):
         # rho(x + theta)^2, zero where x + theta rounds onto or past a support end
         y = x + shifts[:, None]
-        return np.where(model.interior(y), rho(y) ** 2, 0.0)
+        return np.where(model.interior(y), model.rho(y) ** 2, 0.0)
 
     values, _, causes = _integrate(
         model, [(offset + stretch * x, stretch * w, c, e) for x, w, c, e in rule], shifted_rho2,
         lambda v: tol)
     vals = dict(zip(shifts.tolist(), values.tolist()))
-    tails = _tail_exponents(_at_point(model, lambda x: rho(x) ** 2), model, ref)
+    tails = {side: s[0] for side, s in ends.items()}
     slow_tail = any(s < -0.9 if finite_end[side] else s > -1.2 for side, s in tails.items())
     verdicts[1] = ("fail" if not np.all(np.isfinite(values)) else
                    "indeterminate" if any(causes) or slow_tail else "pass")
@@ -352,7 +316,7 @@ def validate_conditions(model: DensityModel, tol: float = 1e-8) -> ConditionRepo
                   "tail_exponents": tails}
 
     # condition 2: every family states rho^(1..6); they must be finite
-    probe = np.asarray([model.ppf(q) for q in np.linspace(0.05, 0.95, 9)], dtype=float)
+    probe = np.asarray(model.ppf(np.linspace(0.05, 0.95, 9)), dtype=float)
     finite = all(np.all(np.isfinite(np.asarray(r, dtype=float)))
                  for r in model.rho_chain(probe, 6))
     verdicts[2] = "pass" if finite else "fail"
@@ -378,15 +342,11 @@ def validate_conditions(model: DensityModel, tol: float = 1e-8) -> ConditionRepo
     details[3] = {"modulus_third_moment": float(value3), "quad_error": float(error3),
                   "note": "finite-difference probe only, not a certificate"}
 
-    # condition 4: sixth absolute moments of every contrast derivative, all
-    # six from one pass of the chain
-    values, errors, causes = _integrate(
-        model, rule, lambda x: np.abs(np.broadcast_arrays(x, *model.rho_chain(x, 6))[1:]) ** 6,
-        lambda v: tol)
+    # condition 4: sixth absolute moments of every contrast derivative
+    values, errors, causes = _integrate(model, rule, sixth, lambda v: tol)
     per_alpha = {}
     for alpha, value, error, cause in zip(range(1, 7), values.tolist(), errors.tolist(), causes):
-        h = (lambda aa: lambda x: np.abs(model.rho_derivs[aa - 1](x)) ** 6)(alpha)
-        tails = _tail_exponents(_at_point(model, h), model, ref)
+        tails = {side: s[alpha] for side, s in ends.items()}
         diverging_end = any(s <= -0.95 if finite_end[side] else s >= -1.05
                             for side, s in tails.items())
         verdict = ("pass" if cause is None and not diverging_end else

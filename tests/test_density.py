@@ -424,6 +424,57 @@ def test_numeric_cdf_and_quantile_are_silent_in_deep_tails(expr, x, exact_cdf, u
     assert back == pytest.approx(u, rel=1e-9)
 
 
+@pytest.mark.parametrize("expr", ["exp(-x**2/2)/sqrt(2*pi)", "exp(-x - exp(-x))"])
+def test_numeric_cdf_reaches_one_and_never_decreases(expr):
+    model = e.from_expression(expr)
+    assert model.cdf(50.0) == 1.0 and model.cdf(200.0) == 1.0
+    far = np.geomspace(1e-3, 1e6, 400)
+    x = np.concatenate([-far[::-1], [0.0], far])
+    assert np.all(np.diff(model.cdf(x)) >= 0.0)
+
+
+@pytest.mark.parametrize("loc", [0.0, 30.0, 1000.0])
+@pytest.mark.parametrize("sigma", [0.01, 1.0, 100.0])
+def test_numeric_cdf_and_quantile_of_shifted_and_scaled_gaussians(loc, sigma):
+    from scipy.special import ndtr
+    model = e.from_expression(f"exp(-(x - {loc})**2/(2*{sigma}**2))/({sigma}*sqrt(2*pi))")
+    x = np.linspace(loc - 8 * sigma, loc + 8 * sigma, 801)
+    assert np.max(np.abs(model.cdf(x) - ndtr((x - loc) / sigma))) <= 1e-9
+    assert model.cdf(loc + 1000 * sigma) == 1.0
+    u = np.linspace(1e-9, 1 - 1e-9, 801)
+    assert np.max(np.abs(ndtr((model.ppf(u) - loc) / sigma) - u)) <= 1e-9
+
+
+def test_numeric_quantiles_take_a_bounded_number_of_pdf_calls():
+    base = e.from_expression("exp(-x - exp(-x))")
+    calls = []
+
+    def pdf(x):
+        calls.append(np.size(x))
+        return base.pdf(x)
+
+    model = e.DensityModel("spy", base.support, pdf, rho_derivs=base.rho_derivs, rho=base.rho)
+    calls.clear()
+    model.ppf(np.linspace(1e-6, 1 - 1e-6, 10_000))
+    assert 0 < len(calls) <= 100
+
+
+@pytest.mark.parametrize("expr, quantile, cdf", [
+    ("exp(-x - exp(-x))", lambda u: -np.log(-np.log(u)), lambda x: np.exp(-np.exp(-x))),
+    ("exp(x - exp(x))", lambda u: np.log(-np.log1p(-u)), lambda x: -np.expm1(-np.exp(x))),
+], ids=["gumbel", "mirrored"])
+def test_numeric_quantile_matches_the_closed_form(expr, quantile, cdf):
+    model = e.from_expression(expr)
+    u = np.linspace(1e-9, 1 - 1e-9, 327 * 100).reshape(327, 100)
+    q = model.ppf(u)
+    assert q.shape == (327, 100)
+    assert np.max(np.abs(cdf(q) - u)) <= 1e-15
+    central = (u >= 1e-6) & (u <= 0.999)
+    assert np.max(np.abs(q - quantile(u))[central]) <= 1e-10
+    assert isinstance(model.ppf(0.3), float)
+    assert model.ppf(0.3) == pytest.approx(quantile(0.3), abs=1e-10)
+
+
 def test_table_contrast_chain_matches_logistic(models):
     # rho = -log f of the spline and rho^(j) from the psi ratios, between grid nodes
     built = models["logistic"]

@@ -237,7 +237,7 @@ def _logistic_with_tail_ppf(error):
     lg = e.logistic()
 
     def ppf(u):
-        if not 0.01 < u < 0.99:
+        if np.any((np.asarray(u) <= 0.01) | (np.asarray(u) >= 0.99)):
             raise error("no tail quantile")
         return lg.ppf(u)
 
