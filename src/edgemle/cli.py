@@ -229,9 +229,9 @@ def _cmd_collapse_check(args) -> int:
 
 
 def _cmd_compose_check(args) -> int:
-    n_grid = [int(v) for v in _parse_grid(args.n_grid)]
+    n_grid = _parse_grid(args.n_grid)
     v_grid = _parse_grid(args.grid) if args.grid else None
-    orders = tuple(int(k) for k in _parse_grid(args.orders)) if args.orders else ORDERS
+    orders = tuple(_parse_grid(args.orders)) if args.orders else ORDERS
     ms = compute_moment_set(_model_from_args(args), tol=args.tol)
     report = compose_check(ms, n_grid, v_grid=v_grid, orders=orders)
     _print_json(report.to_dict(), args.precision)

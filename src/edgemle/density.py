@@ -50,6 +50,16 @@ def _scalar_like(template, value):
     return np.asarray(value)
 
 
+def _whole(value, what: str, error=ValueError) -> int:
+    """``value`` as an int; a bool or a non-whole value is ``error`` naming ``what``."""
+    try:
+        if not isinstance(value, (bool, np.bool_)) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what} must be a whole number, got {value!r}")
+
+
 def _neg_log(value):
     # -log f; +inf where f underflows to zero, without the numpy warning
     with np.errstate(divide="ignore"):
@@ -251,23 +261,22 @@ class DensityModel:
     iterator over rho^(1)(x), ..., rho^(k)(x) for k <= 6.  Consumers take
     the orders one at a time: the xi sums, Newton's score and curvature
     (k = 2), the moment integrands and the psi recursion each evaluate a
-    point once.  A family states exactly one of two forms, else ValueError:
+    point once.  Every family states its derivatives as this chain, the only
+    form the constructor takes.  The normal, logistic, Student-t and table
+    families compute their shared intermediates once per call (tanh(y/2) for
+    the logistic, y^2 + nu and the recurrence for Re(y + i sqrt(nu))^j for
+    Student-t, f and the spline ratios f_i/f for a table) and use only
+    arithmetic after them; :func:`from_expression`, which compiles each
+    derivative on its own, chains its six callables in turn, and a
+    hand-built model can do the same.
 
-    * ``rho_chain``: the normal, logistic, Student-t and table families
-      compute their shared intermediates once per call (tanh(y/2) for the
-      logistic, y^2 + nu and the recurrence for Re(y + i sqrt(nu))^j for
-      Student-t, f and the spline ratios f_i/f for a table) and use only
-      arithmetic after them;
-    * ``rho_derivs``, six callables rho^(1)..rho^(6): :func:`from_expression`
-      and hand-built models; their chain calls the callables in turn.
-
-    ``rho_derivs`` is always the 6-tuple of per-order callables; for a
-    stated chain each is a view returning the chain's j-th value, bit for
-    bit.  psi_i comes from the logarithmic-derivative recursion on one pass
-    of the chain, and f^(j) is psi_j f.  ``psis`` replaces the derived psi
-    for one family only: :func:`from_table` passes the ratios of its
-    derivative columns to f, so that its f^(j) reproduce those columns.
-    Derivatives are never estimated from f by differences.
+    ``rho_derivs`` is the 6-tuple of per-order views onto the chain, each
+    returning the chain's j-th value bit for bit.  psi_i comes from the
+    logarithmic-derivative recursion on one pass of the chain, and f^(j) is
+    psi_j f.  ``psis`` replaces the derived psi for one family only:
+    :func:`from_table` passes the ratios of its derivative columns to f, so
+    that its f^(j) reproduce those columns.  Derivatives are never estimated
+    from f by differences.
 
     Unless stated, ``cdf`` sums a node table built here once and ``ppf``
     inverts the CDF for a whole array.  The integrates-to-one, positivity and
@@ -284,26 +293,16 @@ class DensityModel:
     part of the descriptor or settable through :func:`make_model`.
     """
 
-    def __init__(self, name, support, pdf, *, rho_derivs=None, rho_chain=None, psis=None,
-                 cdf=None, ppf=None, rho=None, descriptor=None, log_concave=False, grid=None):
+    def __init__(self, name, support, pdf, *, rho_chain, psis=None, cdf=None, ppf=None,
+                 rho=None, descriptor=None, log_concave=False, grid=None):
         lo, hi = float(support[0]), float(support[1])
         if not lo < hi:
             raise ValueError(f"empty support ({lo}, {hi})")
-        if (rho_derivs is None) == (rho_chain is None):
-            raise ValueError("a model states its contrast derivatives as exactly one of "
-                             "rho_chain and rho_derivs")
         self.name = str(name)
         self.support = (lo, hi)
         self.pdf = pdf
-        if rho_chain is None:
-            self.rho_derivs = tuple(rho_derivs)
-            if len(self.rho_derivs) != MAX_DERIVATIVE_ORDER:
-                raise ValueError("expected six contrast derivatives")
-            self.rho_chain = lambda x, k: (r(x) for r in self.rho_derivs[:k])
-        else:
-            self.rho_chain = rho_chain
-            self.rho_derivs = _six(functools.partial(_view, rho_chain))
-        chain = self.rho_chain  # psi_i from one pass of the chain to order i
+        self.rho_chain = chain = rho_chain  # psi_i from one pass of the chain to order i
+        self.rho_derivs = _six(functools.partial(_view, rho_chain))
         self.psis = psis = tuple(psis) if psis is not None else _six(
             lambda i: lambda x: _psis_from_log_derivs([-r for r in chain(x, i)])[i - 1])
         self.pdf_derivs = _six(lambda j: lambda x: psis[j - 1](x) * pdf(x))
@@ -370,14 +369,15 @@ def _require_usable(model: DensityModel, x):
 
 def _evaluate(model, fns, order, what, x):
     # fns[order - 1](x), for x inside the open support where f > 0
-    if not 1 <= int(order) <= MAX_DERIVATIVE_ORDER:
+    k = _whole(order, f"{what} order", UnsupportedOrder)
+    if not 1 <= k <= MAX_DERIVATIVE_ORDER:
         raise UnsupportedOrder(f"{what} order must be in 1..{MAX_DERIVATIVE_ORDER}, got {order}")
     xs = np.asarray(x, dtype=float)
     _require_usable(model, xs)
     fx = np.asarray(model.pdf(xs), dtype=float)
     if not np.all(fx > 0.0):
         raise DomainError("density vanishes at an evaluation point")
-    return _scalar_like(x, fns[int(order) - 1](xs))
+    return _scalar_like(x, fns[k - 1](xs))
 
 
 def psi(model: DensityModel, i: int, x):
@@ -603,10 +603,10 @@ def from_expression(expr: str, support=(-np.inf, np.inf), name: str = "expressio
     # expanding -log f symbolically keeps the contrast finite in the tails
     # where the density itself underflows (safe: f > 0 on its support)
     rho_expr = sp.expand_log(-sp.log(fexpr), force=True)
-    rho_exprs = [sp.diff(rho_expr, xsym, j) for j in range(1, 7)]
+    derivs = tuple(lambdify_vec(sp.diff(rho_expr, xsym, j)) for j in range(1, 7))
     return DensityModel(
         name, support, lambdify_vec(fexpr),
-        rho_derivs=tuple(lambdify_vec(r) for r in rho_exprs),
+        rho_chain=lambda x, k: (r(x) for r in derivs[:k]),
         rho=lambdify_vec(rho_expr),
         descriptor={"family": "expression",
                     "params": {"expr": str(expr),

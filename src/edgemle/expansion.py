@@ -10,11 +10,13 @@ truncation order k in 1..5 ("include every term up to n^-((k-1)/2)"):
 * the Cornish-Fisher expansion of the quantile function G_n^{-1}(v).
 
 The correction-polynomial coefficients are stored once as exact rationals
-over eta-monomials.  One private loop evaluates a table at a family's etas
-for both :func:`edgeworth_cdf` and :func:`cornish_fisher_quantile`, keeping
-the coefficient arrays of each eta tuple in a bounded cache, and
-:func:`collapse_report` lists every coefficient at any etas.  The tables are
-frozen behind tests: substituting the Gaussian values
+over eta-monomials.  A table evaluated at a family's etas is one cached
+matrix, a row per order and a column per power: :func:`edgeworth_cdf` and
+:func:`cornish_fisher_quantile` weight its rows by n^-((o-1)/2), sum them by
+power and take one Horner pass for all orders, and :func:`collapse_report`
+lists every coefficient at any etas.  The stochastic expansion likewise sums
+its weighted order blocks in one cumulative sum.  The tables are frozen
+behind tests: substituting the Gaussian values
 (eta2, eta4, eta7, eta8, eta9, eta10) = (2, 3, 15, 8, 6, 6) with the odd
 functionals zero makes every coefficient vanish identically, and the
 quantile table is the exact series inverse of the CDF table through order
@@ -32,12 +34,12 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction as F
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy import special
 
-from .density import DensityModel, _require_usable, _scalar_like
+from .density import DensityModel, _require_usable, _scalar_like, _whole
 from .errors import SingularInformation, UnsupportedOrder
 from .moments import MomentSet
 
@@ -160,10 +162,15 @@ _TABLES = {"edgeworth": EDGEWORTH_TABLE, "cornish-fisher": CORNISH_FISHER_TABLE}
 
 
 def _check_order(order) -> int:
-    k = int(order)
+    k = _whole(order, "truncation order", UnsupportedOrder)
     if k not in ORDERS:
         raise UnsupportedOrder(f"truncation order must be in {ORDERS}, got {order}")
     return k
+
+
+def _n_weights(n) -> np.ndarray:
+    """n^-(j/2) for j = 0..4, the weight of order j + 1, as Python float powers."""
+    return np.array([float(n) ** (-j / 2) for j in range(len(ORDERS))])
 
 
 def _eta_mapping(moments) -> Mapping[int, float]:
@@ -317,17 +324,10 @@ def stochastic_expansion_batch(xi_matrix: np.ndarray, n: int, a, orders=ORDERS) 
     a = np.asarray(a, dtype=float)
     if abs(a[1]) <= _A2_FLOOR:
         raise SingularInformation(f"|a2| = {abs(a[1])} below machine threshold")
-    xs = [xi_matrix[:, j] for j in range(6)]
-    brackets = _expansion_brackets(*xs, a[1], a[2], a[3], a[4], a[5])
-    out = {}
-    acc = brackets[0].copy()
-    if 1 in orders:
-        out[1] = acc.copy()
-    for m in range(2, 6):
-        acc = acc + float(n) ** (-(m - 1) / 2) * brackets[m - 1]
-        if m in orders:
-            out[m] = acc.copy()
-    return out
+    blocks = np.stack(_expansion_brackets(*xi_matrix.T, *a[1:]))
+    # row k - 1 is the order-k truncation: the weighted blocks summed in order
+    sums = np.cumsum(_n_weights(n)[:, None] * blocks, axis=0)
+    return {k: sums[k - 1] for k in map(_check_order, orders)}
 
 
 # ---------------------------------------------------------------------------
@@ -335,23 +335,21 @@ def stochastic_expansion_batch(xi_matrix: np.ndarray, n: int, a, orders=ORDERS) 
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=128)
-def _coefficient_arrays(kind: str, order: int, eta_key: tuple) -> tuple:
-    """Read-only coefficient arrays, indexed by power, of orders 2..order of one table.
+def _coefficient_arrays(kind: str, eta_key: tuple) -> np.ndarray:
+    """Read-only coefficient matrix of one table: row o - 2 holds order o's coefficients by power.
 
     ``eta_key`` holds (index, value, repr(value)) triples: the repr keeps
     apart equal values that evaluate differently, such as a Fraction and its
-    float, or 0.0 and -0.0.
+    float, or 0.0 and -0.0.  Powers an order lacks are zero.
     """
     eta = {idx: value for idx, value, _repr in eta_key}
     table = _TABLES[kind]
-    arrays = []
-    for o in range(2, order + 1):
-        coeffs = np.zeros(max(table[o]) + 1)
-        for power, terms in table[o].items():
-            coeffs[power] = float(evaluate_terms(terms, eta))
-        coeffs.flags.writeable = False
-        arrays.append(coeffs)
-    return tuple(arrays)
+    coeffs = np.zeros((len(table), 1 + max(max(powers) for powers in table.values())))
+    for o, powers in table.items():
+        for power, terms in powers.items():
+            coeffs[o - 2, power] = float(evaluate_terms(terms, eta))
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 #: |eta3| above which order 5 is flagged: its tables carry an n^-2 error for
@@ -363,11 +361,12 @@ _SKEW_FLOOR = 1e-8
 
 
 def _add_corrections(start, kind: str, moments, n: int, order: int, t):
-    """``start`` plus n^-((o-1)/2) P_o(t) for o = 2..order, added in that order.
+    """``start`` plus the sum of n^-((o-1)/2) P_o(t) over o = 2..order.
 
     P_o is the order-o polynomial of table ``kind``, its coefficients
-    evaluated at the family's etas (once per eta tuple and order) and indexed
-    by power of t.  Order 5 warns for a skewed family.
+    evaluated at the family's etas (once per eta tuple) and indexed by power
+    of t; the weighted orders are summed by power first, so one Horner pass
+    covers them all.  Order 5 warns for a skewed family.
     """
     if order < 2:
         return start
@@ -377,14 +376,13 @@ def _add_corrections(start, kind: str, moments, n: int, order: int, t):
                       "its error decays like n^-2 instead of n^-5/2; use order 4",
                       UserWarning, stacklevel=3)
     eta_key = tuple((idx, v, repr(v)) for idx, v in sorted(eta.items()))
-    out = start
-    for o, coeffs in enumerate(_coefficient_arrays(kind, order, eta_key), start=2):
-        out = out + float(n) ** (-(o - 1) / 2) * np.polynomial.polynomial.polyval(t, coeffs)
-    return out
+    width = 1 + max(_TABLES[kind][order])  # no lower order reaches a higher power
+    coeffs = _n_weights(n)[1:order] @ _coefficient_arrays(kind, eta_key)[:order - 1, :width]
+    return start + np.polynomial.polynomial.polyval(t, coeffs)
 
 
 def _check_n(n) -> int:
-    m = int(n)
+    m = _whole(n, "sample size")
     if m < 1:
         raise ValueError(f"sample size must be a positive integer, got {n}")
     return m
@@ -400,12 +398,9 @@ def edgeworth_cdf(moments, n, order, x):
     m = _check_n(n)
     k = _check_order(order)
     xa = np.asarray(x, dtype=float)
-    out = np.asarray(special.ndtr(xa), dtype=float)
-    if k >= 2:
-        phi = np.exp(-0.5 * xa * xa) / np.sqrt(2 * np.pi)
-        corr = _add_corrections(np.zeros_like(xa, dtype=float), "edgeworth", moments, m, k, xa)
-        out = out + corr * phi
-    return _scalar_like(x, out)
+    phi = np.exp(-0.5 * xa * xa) / np.sqrt(2 * np.pi)
+    corr = _add_corrections(0.0, "edgeworth", moments, m, k, xa)
+    return _scalar_like(x, special.ndtr(xa) + corr * phi)
 
 
 def cornish_fisher_quantile(moments, n, order, v):
@@ -413,7 +408,7 @@ def cornish_fisher_quantile(moments, n, order, v):
     m = _check_n(n)
     k = _check_order(order)
     va = np.asarray(v, dtype=float)
-    if np.any((va <= 0.0) | (va >= 1.0)):
+    if np.any(~((va > 0.0) & (va < 1.0))):
         raise ValueError("probabilities must lie strictly inside (0, 1)")
     z = np.asarray(special.ndtri(va), dtype=float)
     return _scalar_like(v, _add_corrections(z, "cornish-fisher", moments, m, k, z))
@@ -475,7 +470,7 @@ def compose_check(moments, n, v_grid=None, orders=ORDERS) -> CompositionReport:
     fit.  A shortfall flags the order as a suspected transcription slip in
     its coefficient blocks; nothing is corrected silently.
     """
-    n_grid = tuple(int(v) for v in (np.atleast_1d(n)))
+    n_grid = tuple(_check_n(v) for v in np.atleast_1d(n))
     if sorted(set(n_grid)) != list(n_grid):
         raise ValueError("n grid must be strictly increasing")
     if v_grid is None:

@@ -38,7 +38,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .density import DensityModel, model_from_descriptor
+from .density import DensityModel, _whole, model_from_descriptor
 from .errors import StudyAborted
 from .expansion import ORDERS, XiVector, compute_xi_batch, edgeworth_cdf, \
     stochastic_expansion_batch
@@ -112,7 +112,7 @@ def sample_iid(model: DensityModel, n: int, seed) -> np.ndarray:
     (len(seed), n) array whose row i is the sample of ``seed[i]``, all rows
     drawn in one vectorized pass.  A scalar seed is the one-row case.
     """
-    n = int(n)
+    n = _whole(n, "n")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if np.ndim(seed) > 1:
@@ -221,6 +221,8 @@ class SimulationConfig:
             raise ValueError(f"orders must be a subset of {ORDERS}")
         if not self.orders:
             raise ValueError("orders must be nonempty")
+        if not self.eval_grid:
+            raise ValueError("eval_grid must be nonempty")
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -188,6 +188,11 @@ def test_compose_check_logistic(capsys):
     payload = json.loads(out)
     assert payload["flagged_order"] is None
     assert payload["residuals"]["3"]["100"] > payload["residuals"]["3"]["400"]
+    # sizes and orders are whole numbers, not truncated to one
+    for flag in ("--n-grid=100.5,400", "--orders=1.5"):
+        code, _, err = run(capsys, "compose-check", "--family", "logistic", "--n-grid=100,400",
+                           flag)
+        assert code == 1 and "must be a whole number" in err
 
 
 def test_error_reporting_returns_one(capsys):

@@ -147,9 +147,9 @@ def test_chain_keeps_scalars_scalar_and_arrays_arrays(label):
 
 def test_a_hand_built_model_gets_the_generic_chain():
     base = e.logistic()
-    # a hand-built model states six callables and gets the generic chain
+    # a hand-built model chains six callables in turn
     hand = e.DensityModel("hand", base.support, base.pdf, cdf=base.cdf, ppf=base.ppf,
-                          rho_derivs=base.rho_derivs)
+                          rho_chain=lambda x, k: (r(x) for r in base.rho_derivs[:k]))
     grid = np.linspace(-3.0, 3.0, 7)
     assert all(np.array_equal(a, b) for a, b in zip(hand.rho_chain(grid, 6),
                                                     base.rho_chain(grid, 6)))
@@ -200,15 +200,25 @@ def test_psi_and_rho_deriv_reject_bad_orders(models):
         e.psi(models["normal"], 7, 0.0)
     with pytest.raises(e.UnsupportedOrder):
         e.rho_deriv(models["normal"], 7, 0.0)
+    for bad in (1.5, True):
+        with pytest.raises(e.UnsupportedOrder, match="whole number"):
+            e.psi(models["normal"], bad, 0.0)
+        with pytest.raises(e.UnsupportedOrder, match="whole number"):
+            e.rho_deriv(models["normal"], bad, 0.0)
 
 
 def test_model_takes_one_derivative_chain():
     base = e.normal()
-    with pytest.raises(ValueError, match="exactly one"):
+    # the chain is the one form a model takes: no chain, or per-order callables, is refused
+    with pytest.raises(TypeError, match="rho_chain"):
         e.DensityModel("neither", base.support, base.pdf)
-    with pytest.raises(ValueError, match="exactly one"):
-        e.DensityModel("both", base.support, base.pdf, rho_chain=base.rho_chain,
-                       rho_derivs=base.rho_derivs)
+    with pytest.raises(TypeError, match="rho_derivs"):
+        e.DensityModel("callables", base.support, base.pdf, rho_derivs=base.rho_derivs)
+    chained = e.DensityModel("chained", base.support, base.pdf,
+                             rho_chain=lambda x, k: (r(x) for r in base.rho_derivs[:k]))
+    grid = np.linspace(-3.0, 3.0, 7)
+    for j in range(6):
+        assert np.array_equal(chained.rho_derivs[j](grid), base.rho_derivs[j](grid))
 
 
 def test_psi_domain_errors():
@@ -453,7 +463,8 @@ def test_numeric_quantiles_take_a_bounded_number_of_pdf_calls():
         calls.append(np.size(x))
         return base.pdf(x)
 
-    model = e.DensityModel("spy", base.support, pdf, rho_derivs=base.rho_derivs, rho=base.rho)
+    model = e.DensityModel("spy", base.support, pdf, rho=base.rho,
+                           rho_chain=lambda x, k: (r(x) for r in base.rho_derivs[:k]))
     calls.clear()
     model.ppf(np.linspace(1e-6, 1 - 1e-6, 10_000))
     assert 0 < len(calls) <= 100

@@ -9,7 +9,8 @@ from scipy.special import ndtr, ndtri
 
 import edgemle as e
 from edgemle.expansion import (CORNISH_FISHER_TABLE, EDGEWORTH_TABLE, GAUSSIAN_ETA,
-                               _coefficient_arrays, _expansion_brackets, evaluate_terms)
+                               _add_corrections, _coefficient_arrays, _expansion_brackets,
+                               evaluate_terms)
 
 NORMAL_EXACT_A = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
@@ -297,6 +298,24 @@ def test_cdf_validates_inputs(logistic_moments):
         e.edgeworth_cdf(logistic_moments, 10, 6, 0.0)
 
 
+def test_sizes_and_orders_are_whole_numbers(logistic_moments):
+    ms = logistic_moments
+    with pytest.raises(ValueError, match="sample size must be a whole number, got 2.7"):
+        e.edgeworth_cdf(ms, 2.7, 4, 0.3)
+    with pytest.raises(e.UnsupportedOrder, match="order must be a whole number, got 4.6"):
+        e.edgeworth_cdf(ms, 2, 4.6, 0.3)
+    with pytest.raises(ValueError, match="sample size must be a whole number, got True"):
+        e.cornish_fisher_quantile(ms, True, 2, 0.3)
+    with pytest.raises(e.UnsupportedOrder, match="got True"):
+        e.cornish_fisher_quantile(ms, 10, True, 0.3)
+    with pytest.raises(ValueError, match="sample size"):
+        e.compose_check(ms, [25, 100.5])
+    with pytest.raises(e.UnsupportedOrder):
+        e.stochastic_expansion_batch(np.zeros((2, 6)), 25, ms.a, orders=(2.5,))
+    # a whole float or a numpy integer is the same size and order
+    assert e.edgeworth_cdf(ms, 25.0, 4.0, 0.3) == e.edgeworth_cdf(ms, np.int64(25), 4, 0.3)
+
+
 def test_truncation_steps_scale_with_their_omitted_term(logistic_moments):
     grid = np.linspace(-4, 4, 81)
     phi = np.exp(-grid**2 / 2) / np.sqrt(2 * np.pi)
@@ -334,6 +353,12 @@ def test_quantile_median_is_zero_for_symmetric(logistic_moments):
 def test_quantile_rejects_probabilities_outside_unit_interval(logistic_moments):
     for bad in (0.0, 1.0, -0.2, 1.4):
         with pytest.raises(ValueError):
+            e.cornish_fisher_quantile(logistic_moments, 10, 3, bad)
+
+
+def test_quantile_rejects_nan_probabilities(logistic_moments):
+    for bad in (math.nan, [0.5, math.nan]):
+        with pytest.raises(ValueError, match="strictly inside"):
             e.cornish_fisher_quantile(logistic_moments, 10, 3, bad)
 
 
@@ -380,6 +405,37 @@ def test_coefficient_cache_keeps_fraction_etas_exact():
     e.cornish_fisher_quantile({k: float(val) for k, val in GAUSSIAN_ETA.items()}, 30, 5, v)
     assert np.array_equal(e.cornish_fisher_quantile(GAUSSIAN_ETA, 30, 5, v), ndtri(v))
     assert e.collapse_report()["max_abs_coefficient"] == 0
+
+
+def test_one_coefficient_matrix_per_table_and_eta_set(logistic_moments):
+    _coefficient_arrays.cache_clear()
+    for k in e.ORDERS:
+        e.edgeworth_cdf(logistic_moments, 40, k, np.linspace(-3.0, 3.0, 7))
+        e.cornish_fisher_quantile(logistic_moments, 40, k, [0.1, 0.5, 0.9])
+    assert _coefficient_arrays.cache_info().currsize == 2
+    eta_key = tuple((i, v, repr(v)) for i, v in sorted(logistic_moments.eta.items()))
+    for kind, table in (("edgeworth", EDGEWORTH_TABLE), ("cornish-fisher", CORNISH_FISHER_TABLE)):
+        matrix = _coefficient_arrays(kind, eta_key)
+        assert not matrix.flags.writeable
+        assert matrix.shape == (4, 1 + max(table[5]))
+
+
+@pytest.mark.filterwarnings("ignore:order 5 is unreliable")
+@pytest.mark.parametrize("n", [16, 64])
+def test_summed_orders_match_exact_rational_evaluation(n):
+    # n^-1/2 is a power of two and the etas and points are dyadic, so the
+    # exact value is a Fraction and the float path differs only by rounding
+    eta = {2: F(7, 2), 3: F(5, 4), 4: F(3), 5: F(-19, 8), 6: F(-2),
+           7: F(37, 2), 8: F(17, 2), 9: F(39, 8), 10: F(13, 2)}
+    root = F(1, math.isqrt(n))
+    for kind, table in (("edgeworth", EDGEWORTH_TABLE), ("cornish-fisher", CORNISH_FISHER_TABLE)):
+        for order in range(2, 6):
+            for t in (-3.5, -1.25, -0.5, 0.0, 0.75, 2.0, 3.25):
+                terms = [root ** (o - 1) * evaluate_terms(table[o][p], eta) * F(t) ** p
+                         for o in range(2, order + 1) for p in table[o]]
+                have = _add_corrections(0.0, kind, eta, n, order, t)
+                slack = 8 * np.finfo(float).eps * float(sum(abs(term) for term in terms))
+                assert abs(F(float(have)) - sum(terms)) <= F(slack), (kind, order, t)
 
 
 def test_compose_normal_is_identity(normal_moments):

@@ -225,7 +225,7 @@ def test_non_finite_integrand_is_named_as_the_cause():
                   lambda x: np.exp(np.asarray(x, dtype=float) ** 2),
                   zero, zero, zero, zero)
     model = e.DensityModel("steep_curvature", base.support, base.pdf, cdf=base.cdf,
-                           ppf=base.ppf, rho_derivs=rho_derivs)
+                           ppf=base.ppf, rho_chain=lambda x, k: (r(x) for r in rho_derivs[:k]))
     with pytest.raises(e.MomentDivergence) as info:
         e.compute_moment_set(model)
     assert "non-finite integrand" in str(info.value)

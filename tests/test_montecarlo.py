@@ -24,6 +24,14 @@ def test_sample_iid_empty(logistic_model):
     assert e.sample_iid(logistic_model, 0, 1).size == 0
 
 
+@pytest.mark.parametrize("n", [10.9, True, "10"])
+def test_sample_iid_refuses_a_size_that_is_not_a_whole_number(n):
+    with pytest.raises(ValueError, match="n must be a whole number"):
+        e.sample_iid(e.normal(), n, 1)
+    # a whole float is the same size
+    assert e.sample_iid(e.normal(), 10.0, 1).tobytes() == e.sample_iid(e.normal(), 10, 1).tobytes()
+
+
 #: replicate seeds base_seed ^ r and the edges of the two 64-bit key words
 SAMPLER_SEEDS = [0, *(20260810 ^ r for r in range(4)), 2**64 - 1, 2**64 + 5]
 
@@ -176,6 +184,8 @@ def test_config_validation():
             e.SimulationConfig.from_dict({key: value})
     with pytest.raises(ValueError, match="n_grid must be nonempty"):
         e.SimulationConfig(n_grid=[])
+    with pytest.raises(ValueError, match="eval_grid must be nonempty"):
+        e.SimulationConfig(eval_grid=[])
     # numpy integers are integers
     cfg = e.SimulationConfig(n_grid=[np.int64(25)], replications=np.int32(200),
                              base_seed=np.uint64(3))
