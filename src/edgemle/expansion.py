@@ -9,28 +9,27 @@ truncation order k in 1..5 ("include every term up to n^-((k-1)/2)"):
   standardized statistic sqrt(n I) (thetahat - theta0),
 * the Cornish-Fisher expansion of the quantile function G_n^{-1}(v).
 
-The correction-polynomial coefficients are stored once as exact rationals
-over eta-monomials.  A table evaluated at a family's etas is one cached
+The Edgeworth correction polynomials are stored once as exact rationals over
+eta-monomials; the Cornish-Fisher table is their exact series inverse,
+derived on first use.  A table evaluated at a family's etas is one cached
 matrix, a row per order and a column per power: :func:`edgeworth_cdf` and
 :func:`cornish_fisher_quantile` weight its rows by n^-((o-1)/2), sum them by
 power and take one Horner pass for all orders, and :func:`collapse_report`
 lists every coefficient at any etas.  The stochastic expansion likewise sums
 its weighted order blocks in one cumulative sum.  The tables are frozen
-behind tests: substituting the Gaussian values
-(eta2, eta4, eta7, eta8, eta9, eta10) = (2, 3, 15, 8, 6, 6) with the odd
-functionals zero makes every coefficient vanish identically, and the
-quantile table is the exact series inverse of the CDF table through order
-n^-(3/2).
+behind tests: every coefficient vanishes at the Gaussian etas, every term
+obeys the reflection parity rule, and composing the tables leaves no
+residual through n^-2.
 
-Known anomaly, kept verbatim: composing the two tables leaves a z^9 residual
-5 eta3 eta4 (eta4 - eta3) / 20736 at order n^-2, so one of the x^9 / z^5
-blocks carries a transcription slip in its source.  The tables are not
-silently altered; :func:`compose_check` detects and names the block for
-skewed families (it vanishes when eta3 = 0).
+Known slip: order 5 lacks +D at x^5 and -D at x^3, D = eta2/2 - eta4/3 +
+eta7/5 - eta10/2 - eta3^2/8, and the quantile table inherits it.  D is 0 at
+the Gaussian etas; against an exact law order 5 decays only like n^-2.
 """
 from __future__ import annotations
 
+import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
 from functools import lru_cache
@@ -82,7 +81,7 @@ EDGEWORTH_TABLE = {
     5: {
         11: [(F(-1, 497664), ((3, 4),))],
         9: [(F(43, 497664), ((3, 4),)), (F(-1, 1728), ((2, 1), (3, 2))),
-            (F(1, 2304), ((3, 2),)), (F(5, 20736), ((3, 1), (4, 2)))],
+            (F(1, 2304), ((3, 2),)), (F(5, 20736), ((3, 2), (4, 1)))],
         7: [(F(-5, 1152), ((3, 2),)), (F(1, 3456), ((3, 4),)),
             (F(1, 192), ((2, 1), (3, 2))), (F(1, 96), ((3, 1), (6, 1))),
             (F(-1, 360), ((3, 1), (5, 1))), (F(-11, 3456), ((3, 2), (4, 1))),
@@ -111,54 +110,50 @@ EDGEWORTH_TABLE = {
     },
 }
 
-# The order-2 displacement below is eta3 (z^2 + 2) / 12: the (z^2 + 2)
-# grouping is forced by being the series inverse of the order-2 CDF term
-# (any reading that leaves a bare +2 outside the bracket fails to vanish as
-# n grows and is dimensionally inconsistent with the other orders).
-CORNISH_FISHER_TABLE = {
-    2: {
-        2: [(F(1, 12), ((3, 1),))],
-        0: [(F(1, 6), ((3, 1),))],
-    },
-    3: {
-        3: [(F(-1, 72), ((3, 2),)), (F(-5, 72), ((4, 1),)),
-            (F(1, 6), ((2, 1),)), (F(-1, 8), ())],
-        1: [(F(-1, 36), ((3, 2),)), (F(1, 24), ((4, 1),)), (F(-1, 8), ())],
-    },
-    4: {
-        4: [(F(-1, 144), ((3, 1), (4, 1))), (F(1, 24), ((2, 1), (3, 1))),
-            (F(-1, 48), ((3, 1),)), (F(-19, 1728), ((3, 3),)),
-            (F(-1, 8), ((6, 1),)), (F(1, 30), ((5, 1),))],
-        2: [(F(1, 48), ((3, 1), (4, 1))), (F(1, 12), ((2, 1), (3, 1))),
-            (F(-5, 48), ((3, 1),)), (F(-67, 1296), ((3, 3),)),
-            (F(-1, 80), ((5, 1),))],
-        0: [(F(-113, 1296), ((3, 3),)), (F(-1, 40), ((5, 1),)),
-            (F(1, 9), ((3, 1), (4, 1))), (F(-1, 12), ((3, 1),))],
-    },
-    5: {
-        5: [(F(7, 16), ((2, 1),)), (F(-59, 192), ((4, 1),)),
-            (F(-23, 192), ((3, 2),)), (F(-61, 120), ((10, 1),)),
-            (F(-1, 16), ((2, 1), (4, 1))), (F(731, 3600), ((7, 1),)),
-            (F(1, 240), ((8, 1),)), (F(-1, 120), ((9, 1),)),
-            (F(19, 1728), ((3, 2), (4, 1))), (F(-7, 288), ((2, 1), (3, 2))),
-            (F(-17, 1440), ((3, 1), (5, 1))), (F(1, 24), ((3, 1), (6, 1))),
-            (F(1, 12), ((2, 2),)), (F(37, 3456), ((4, 2),)),
-            (F(1, 1728), ((3, 4),)), (F(5, 384), ())],
-        3: [(F(1, 24), ()), (F(-9, 16), ((2, 1),)), (F(1, 3), ((4, 1),)),
-            (F(85, 576), ((3, 2),)), (F(5, 12), ((10, 1),)),
-            (F(7, 144), ((2, 1), (4, 1))), (F(-53, 360), ((7, 1),)),
-            (F(-1, 24), ((8, 1),)), (F(11, 1728), ((3, 2), (4, 1))),
-            (F(-1, 24), ((2, 1), (3, 2))), (F(-7, 360), ((3, 1), (5, 1))),
-            (F(1, 12), ((3, 1), (6, 1))), (F(-1, 54), ((4, 2),)),
-            (F(19, 3888), ((3, 4),))],
-        1: [(F(1, 128), ()), (F(-5, 192), ((4, 1),)), (F(1, 288), ((3, 2),)),
-            (F(-1, 240), ((7, 1),)), (F(-5, 96), ((3, 2), (4, 1))),
-            (F(1, 72), ((2, 1), (3, 2))), (F(1, 60), ((3, 1), (5, 1))),
-            (F(17, 1152), ((4, 2),)), (F(65, 3888), ((3, 4),))],
-    },
-}
 
-_TABLES = {"edgeworth": EDGEWORTH_TABLE, "cornish-fisher": CORNISH_FISHER_TABLE}
+def _quantile_table(cdf_table) -> dict:
+    """The Cornish-Fisher table: the exact series inverse of ``cdf_table``.
+
+    G_n(x) = Phi(x) + phi(x) a(x), a = sum_o n^-((o-1)/2) P_o(x), has the
+    quantile z + sum_r (-1)^r / r! D_1 ... D_(r-1)[a(z)^r] with
+    D_m f = f' - m z f, D_(r-1) acting first (Hill & Davis, Ann. Math. Statist.
+    39 (1968) 1264-1273).  Keys are (power of n^-1/2, power of z, monomial).
+    """
+    top = max(cdf_table) - 1
+    a = [(o - 1, p, Counter(dict(mono)), c) for o, powers in cdf_table.items()
+         for p, terms in powers.items() for c, mono in terms]
+    a_power, inverse = {(0, 0, ()): F(1)}, Counter()
+    for r in range(1, top + 1):
+        product = Counter()
+        for (j, p, mono), c in a_power.items():
+            for j2, p2, mono2, c2 in a:
+                if j + j2 <= top:  # a^r starts at n^-(r/2)
+                    merged = tuple(sorted((Counter(dict(mono)) + mono2).items()))
+                    product[j + j2, p + p2, merged] += c * c2
+        a_power = term = product
+        for m in range(r - 1, 0, -1):
+            term, previous = Counter(), term
+            for (j, p, mono), c in previous.items():
+                if p:
+                    term[j, p - 1, mono] += p * c
+                term[j, p + 1, mono] -= m * c
+        for key, c in term.items():
+            inverse[key] += F((-1) ** r, math.factorial(r)) * c
+    # largest coefficient first: the terms cancel at the Gaussian etas, and a
+    # sum with heavy cancellation loses least in decreasing order (Higham 2002, 4.2)
+    table: dict = {}
+    for (j, p, mono), c in sorted(inverse.items(), key=lambda t: (t[0][:2], -abs(t[1]), t[0])):
+        if c:
+            table.setdefault(j + 1, {}).setdefault(p, []).append((c, mono))
+    return table
+
+
+@lru_cache(maxsize=None)
+def _table(kind: str) -> dict:
+    """The coefficient table of ``kind``; the quantile table is derived on first use."""
+    if kind not in ("edgeworth", "cornish-fisher"):
+        raise ValueError(f"unknown coefficient table {kind!r}")
+    return EDGEWORTH_TABLE if kind == "edgeworth" else _quantile_table(EDGEWORTH_TABLE)
 
 
 def _check_order(order) -> int:
@@ -202,7 +197,8 @@ def collapse_report(eta=None) -> dict:
     """
     eta = GAUSSIAN_ETA if eta is None else _eta_mapping(eta)
     entries = []
-    for kind, table in _TABLES.items():
+    for kind in ("edgeworth", "cornish-fisher"):
+        table = _table(kind)
         for order in sorted(table):
             for power in sorted(table[order]):
                 val = evaluate_terms(table[order][power], eta)
@@ -343,7 +339,7 @@ def _coefficient_arrays(kind: str, eta_key: tuple) -> np.ndarray:
     float, or 0.0 and -0.0.  Powers an order lacks are zero.
     """
     eta = {idx: value for idx, value, _repr in eta_key}
-    table = _TABLES[kind]
+    table = _table(kind)
     coeffs = np.zeros((len(table), 1 + max(max(powers) for powers in table.values())))
     for o, powers in table.items():
         for power, terms in powers.items():
@@ -354,9 +350,8 @@ def _coefficient_arrays(kind: str, eta_key: tuple) -> np.ndarray:
 
 #: |eta3| above which order 5 is flagged: its tables carry an n^-2 error for
 #: skewed families.  Symmetric families (eta3 = 0 exactly) pass silently, but
-#: their order 5 is wrong too: the x^5/x^3 and z^5/z^3 blocks miss +-D with
-#: D = eta2/2 - eta4/3 + eta7/5 - eta10/2 - eta3^2/8 (3/70 for the logistic);
-#: see ROADMAP item 1
+#: their order 5 is wrong too: the x^5/x^3 blocks miss +-D (3/70 for the
+#: logistic; see the module docstring and ROADMAP item 1)
 _SKEW_FLOOR = 1e-8
 
 
@@ -376,7 +371,7 @@ def _add_corrections(start, kind: str, moments, n: int, order: int, t):
                       "its error decays like n^-2 instead of n^-5/2; use order 4",
                       UserWarning, stacklevel=3)
     eta_key = tuple((idx, v, repr(v)) for idx, v in sorted(eta.items()))
-    width = 1 + max(_TABLES[kind][order])  # no lower order reaches a higher power
+    width = 1 + max(_table(kind)[order])  # no lower order reaches a higher power
     coeffs = _n_weights(n)[1:order] @ _coefficient_arrays(kind, eta_key)[:order - 1, :width]
     return start + np.polynomial.polynomial.polyval(t, coeffs)
 
@@ -393,13 +388,14 @@ def edgeworth_cdf(moments, n, order, x):
 
     Order 1 is the plain normal CDF; order k adds the correction polynomials
     up to and including the n^-((k-1)/2) term.  The raw polynomial value can
-    leave [0, 1] in the far tails; it is returned as it is.
+    leave [0, 1] in the far tails; it is returned as it is.  Where phi(x)
+    underflows to zero (|x| > 38.6 and +-inf) the value is the normal CDF.
     """
     m = _check_n(n)
     k = _check_order(order)
     xa = np.asarray(x, dtype=float)
     phi = np.exp(-0.5 * xa * xa) / np.sqrt(2 * np.pi)
-    corr = _add_corrections(0.0, "edgeworth", moments, m, k, xa)
+    corr = _add_corrections(0.0, "edgeworth", moments, m, k, np.where(phi > 0, xa, 0.0))
     return _scalar_like(x, special.ndtr(xa) + corr * phi)
 
 
@@ -427,8 +423,8 @@ class CompositionReport:
     order-k CDF instead (the natural size of everything the expansion is
     correcting).  ``decay_exponents[k]`` is the fitted s in residual ~ n^-s;
     the first omitted term says s should be at least k/2.  ``flagged_order``
-    is the lowest order whose decay falls short, which for skewed families
-    points at the z^9 transcription anomaly documented in this module.
+    is the lowest order whose decay falls short; as the quantile table is the
+    exact inverse of the CDF table, that points at the n grid or round-off.
     """
 
     n_grid: tuple
@@ -467,8 +463,8 @@ def compose_check(moments, n, v_grid=None, orders=ORDERS) -> CompositionReport:
     ``n`` may be a single size or a grid; with at least two sizes the decay
     exponent of the residual is fitted and compared against the k/2 of the
     first omitted term.  Residuals at the round-off floor are exempt from the
-    fit.  A shortfall flags the order as a suspected transcription slip in
-    its coefficient blocks; nothing is corrected silently.
+    fit.  A shortfall flags the order; empty grids are refused rather than
+    reported as an all-clear.
     """
     n_grid = tuple(_check_n(v) for v in np.atleast_1d(n))
     if sorted(set(n_grid)) != list(n_grid):
@@ -477,6 +473,9 @@ def compose_check(moments, n, v_grid=None, orders=ORDERS) -> CompositionReport:
         v_grid = np.linspace(0.05, 0.95, 19)
     v_grid = np.asarray(v_grid, dtype=float)
     orders = tuple(_check_order(k) for k in orders)
+    for name, grid in (("n grid", n_grid), ("v grid", v_grid), ("order list", orders)):
+        if len(grid) == 0:
+            raise ValueError(f"{name} must not be empty")
 
     residuals: dict[int, dict[int, float]] = {k: {} for k in orders}
     base_res: dict[int, dict[int, float]] = {k: {} for k in orders}
@@ -507,9 +506,9 @@ def compose_check(moments, n, v_grid=None, orders=ORDERS) -> CompositionReport:
                 flagged = k
                 notes.append(
                     f"order {k}: residual decays like n^-{exponents[k]:.2f}, short of the "
-                    f"n^-{expected[k]:.1f} of the first omitted term; suspected transcription "
-                    f"slip in the order-{k} coefficient blocks (largest residual at "
-                    f"v={worst_v[k]:.2f})")
+                    f"n^-{expected[k]:.1f} of the first omitted term (largest residual at "
+                    f"v={worst_v[k]:.2f}); the n grid may lie short of the asymptotic regime, "
+                    f"or round-off dominates")
     else:
         exponents = {k: None for k in orders}
 

@@ -78,7 +78,7 @@ def _philox_uint64(seeds, count: int) -> np.ndarray:
     counter, so all keys are drawn in one vectorized pass (Salmon et al.,
     "Parallel random numbers: as easy as 1, 2, 3", SC'11).
     """
-    keys = [int(s) for s in seeds]
+    keys = [_whole(s, "seed") for s in seeds]
     if any(not 0 <= s < _U64 * _U64 for s in keys):
         raise ValueError("seeds must lie in [0, 2**128)")
     k0 = np.array([s % _U64 for s in keys], dtype=np.uint64)[:, None]

@@ -195,6 +195,16 @@ def test_compose_check_logistic(capsys):
         assert code == 1 and "must be a whole number" in err
 
 
+@pytest.mark.parametrize("flag, problem", [
+    ("--n-grid=", "n grid must not be empty"),
+    ("--orders=,", "order list must not be empty"),
+])
+def test_compose_check_refuses_empty_grids(capsys, flag, problem):
+    args = ["compose-check", "--family", "normal", "--n-grid=100,400", flag]
+    code, out, err = run(capsys, *args)
+    assert code == 1 and out == "" and problem in err
+
+
 def test_error_reporting_returns_one(capsys):
     code, _, err = run(capsys, "mle", "--family", "normal", "--input",
                        "/nonexistent/sample.csv")

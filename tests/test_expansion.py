@@ -5,12 +5,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import ndtr, ndtri
+from scipy.special import gammaincc, gammainccinv, ndtr, ndtri
 
 import edgemle as e
-from edgemle.expansion import (CORNISH_FISHER_TABLE, EDGEWORTH_TABLE, GAUSSIAN_ETA,
-                               _add_corrections, _coefficient_arrays, _expansion_brackets,
-                               evaluate_terms)
+from edgemle.expansion import (EDGEWORTH_TABLE, GAUSSIAN_ETA, _add_corrections,
+                               _coefficient_arrays, _expansion_brackets, _table, evaluate_terms)
+
+CORNISH_FISHER_TABLE = _table("cornish-fisher")
 
 NORMAL_EXACT_A = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
@@ -63,13 +64,12 @@ def _symbolic_polys():
     return sp, z, eta, qs, ds
 
 
-def test_quantile_table_inverts_cdf_table_up_to_known_block():
+def test_quantile_table_inverts_cdf_table_exactly():
     """Compose the two tables symbolically.
 
-    The composition must vanish identically through order n^(-3/2).  At
-    n^-2 exactly one block survives, 5 eta3 eta4 (eta4 - eta3)/20736 * z^9,
-    the transcription anomaly documented in the expansion module; it is zero
-    for every symmetric family.
+    The composition must vanish identically through order n^-2, the last
+    order either table carries.  This rederives the quantile table by a route
+    independent of its series-inversion formula.
     """
     sp, z, eta, qs, ds = _symbolic_polys()
     eps = sp.Symbol("eps")
@@ -108,12 +108,8 @@ def test_quantile_table_inverts_cdf_table_up_to_known_block():
         corr += mul(E ** (o - 1), shifted)
     poly = sp.Poly((gauss_part + mul(corr, phi_ratio)).as_expr(), eps)
 
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         assert sp.simplify(poly.coeff_monomial(eps**k)) == 0, f"eps^{k} block"
-    residual = sp.simplify(poly.coeff_monomial(eps**4))
-    expected = 5 * eta[3] * eta[4] * (eta[4] - eta[3]) / 20736 * z**9
-    assert sp.simplify(residual - expected) == 0
-    assert sp.simplify(residual.subs(eta[3], 0)) == 0
 
 
 def test_gaussian_collapse_is_exact_in_rational_arithmetic():
@@ -138,6 +134,30 @@ def test_tables_only_carry_the_displayed_powers():
         2: [0, 2], 3: [1, 3, 5], 4: [0, 2, 4, 6, 8], 5: [1, 3, 5, 7, 9, 11]}
     assert {o: sorted(p) for o, p in CORNISH_FISHER_TABLE.items()} == {
         2: [0, 2], 3: [1, 3], 4: [0, 2, 4], 5: [1, 3, 5]}
+
+
+def test_tables_obey_the_reflection_parity_rule():
+    # x -> -x flips the sign of eta3, eta5 and eta6 and maps G_n(x) to
+    # 1 - G_n(-x), so every order-o term has a power of parity o and a degree
+    # in the odd functionals of parity o - 1
+    for table in (EDGEWORTH_TABLE, CORNISH_FISHER_TABLE):
+        for order, powers in table.items():
+            for power, terms in powers.items():
+                assert power % 2 == order % 2, (order, power)
+                for frac, monomial in terms:
+                    odd = sum(exp for idx, exp in monomial if idx in (3, 5, 6))
+                    assert odd % 2 == (order - 1) % 2, (order, power, frac, monomial)
+
+
+def test_derived_quantile_table_is_cached_and_complete():
+    assert _table("cornish-fisher") is CORNISH_FISHER_TABLE
+    assert _table("edgeworth") is EDGEWORTH_TABLE
+    # the order-2 displacement is eta3 (z^2 + 2) / 12, the classical one
+    assert CORNISH_FISHER_TABLE[2] == {0: [(F(1, 6), ((3, 1),))], 2: [(F(1, 12), ((3, 1),))]}
+    assert sum(len(terms) for powers in CORNISH_FISHER_TABLE.values()
+               for terms in powers.values()) == 63
+    with pytest.raises(ValueError, match="unknown coefficient table"):
+        _table("saddlepoint")
 
 
 def _edgeworth_polynomials(moments):
@@ -283,6 +303,17 @@ def test_cdf_monotone_on_central_window(logistic_moments, normal_moments, t7_mom
             for k in e.ORDERS:
                 vals = np.asarray(e.edgeworth_cdf(ms, n, k, grid))
                 assert np.all(np.diff(vals) >= -1e-12)
+
+
+def test_cdf_is_zero_and_one_at_the_infinities(logistic_moments, t7_moments):
+    x = np.array([-np.inf, -1e3, -40.0, 40.0, 1e3, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ms in (logistic_moments, t7_moments):
+            for k in e.ORDERS:
+                assert e.edgeworth_cdf(ms, 50, k, x).tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+                assert e.edgeworth_cdf(ms, 50, k, -np.inf) == 0.0
+                assert e.edgeworth_cdf(ms, 50, k, np.inf) == 1.0
 
 
 def test_cdf_scalar_and_array_forms(logistic_moments):
@@ -458,15 +489,24 @@ def test_compose_logistic_order3_shrinks_at_square_rate(logistic_moments):
     assert report.flagged_order is None
 
 
-def test_compose_flags_the_known_block_for_skewed_etas():
+@pytest.mark.filterwarnings("ignore:order 5 is unreliable")
+def test_compose_flags_nothing_for_skewed_etas():
     ms = e.MomentSet.from_values(
         1.0, {2: 2.2, 3: 0.7, 4: 3.5, 5: 1.1, 6: 0.4, 7: 18.0, 8: 9.0, 9: 7.0, 10: 6.5})
     report = e.compose_check(ms, [400, 1600, 6400, 25600])
-    assert report.flagged_order == 5
-    assert report.decay_exponents[5] < 2.3  # ~2 instead of the nominal 5/2
-    assert any("order 5" in note for note in report.notes)
-    d = report.to_dict()
-    assert d["flagged_order"] == 5
+    assert report.flagged_order is None and report.notes == ()
+    for k in e.ORDERS[1:]:
+        assert report.decay_exponents[k] > k / 2 - 0.05
+    assert report.to_dict()["flagged_order"] is None
+
+
+def test_compose_refuses_empty_grids(logistic_moments):
+    with pytest.raises(ValueError, match="n grid must not be empty"):
+        e.compose_check(logistic_moments, [])
+    with pytest.raises(ValueError, match="v grid must not be empty"):
+        e.compose_check(logistic_moments, [100, 200], v_grid=[])
+    with pytest.raises(ValueError, match="order list must not be empty"):
+        e.compose_check(logistic_moments, [100, 200], orders=())
 
 
 def test_compose_rejects_unsorted_grid(logistic_moments):
@@ -475,18 +515,80 @@ def test_compose_rejects_unsorted_grid(logistic_moments):
 
 
 # ---------------------------------------------------------------------------
-# order-5 guard for skewed families
+# a skewed family with an exact law, and the order-5 guard
 # ---------------------------------------------------------------------------
 
 _GUMBEL = "exp(-x - exp(-x))"
 
 
 @pytest.fixture(scope="module")
-def gumbel():
-    model = e.from_expression(_GUMBEL, name="gumbel")
+def gumbel_model():
+    return e.from_expression(_GUMBEL, name="gumbel")
+
+
+@pytest.fixture(scope="module")
+def gumbel(gumbel_model):
     x = -np.log(-np.log(np.linspace(0.05, 0.95, 40)))  # Gumbel quantiles
     est = e.LocationMLE(family="expression", family_params={"expr": _GUMBEL}).fit(x)
-    return est, e.compute_moment_set(model)
+    return est, e.compute_moment_set(gumbel_model)
+
+
+_LACKS_D = pytest.mark.xfail(
+    strict=True, reason="the order-5 x^5 and x^3 blocks lack +-D, so both tables decay like n^-2")
+
+
+@pytest.mark.filterwarnings("ignore:order 5 is unreliable")
+@pytest.mark.parametrize("order", [1, 2, 3, 4, pytest.param(5, marks=_LACKS_D)])
+def test_gumbel_tables_converge_to_the_exact_law(gumbel, order):
+    """Both tables at order k approach the exact law like n^-(k/2).
+
+    For Gumbel data sum_i e^-X_i is Gamma(n, 1) and thetahat = log(n / sum_i
+    e^-X_i), so P(sqrt(n) thetahat <= x) = Q(n, n e^(-x/sqrt(n))) with Q the
+    regularized upper incomplete gamma function; I = 1.
+    """
+    _, ms = gumbel
+    assert ms.fisher == pytest.approx(1.0, abs=1e-9)
+    x = np.linspace(-4.0, 4.0, 161)
+    v = np.linspace(0.01, 0.99, 99)
+    sizes = (100, 400, 1600)
+    cdf_err, quantile_err = [], []
+    for n in sizes:
+        root = math.sqrt(n)
+        exact_cdf = gammaincc(n, n * np.exp(-x / root))
+        exact_quantile = root * np.log(n / gammainccinv(n, v))
+        cdf_err.append(np.max(np.abs(e.edgeworth_cdf(ms, n, order, x) - exact_cdf)))
+        quantile_err.append(np.max(np.abs(e.cornish_fisher_quantile(ms, n, order, v)
+                                          - exact_quantile)))
+    for err in (cdf_err, quantile_err):
+        decay = -np.polyfit(np.log(sizes), np.log(err), 1)[0]
+        assert abs(decay - order / 2) <= 0.05, (err, decay)
+
+
+def test_gumbel_stochastic_expansion_runs_the_odd_brackets(gumbel_model):
+    """Criterion 6's remainder slopes on a skewed family, against its closed-form MLE.
+
+    rho^(j)(x) = (-1)^j e^-x for j >= 2, so a3 = a5 = -1: the odd a terms of
+    every bracket are exercised.
+    """
+    a = np.array([0.0, 1.0, -1.0, 1.0, -1.0, 1.0])
+    rng = np.random.default_rng(20261019)
+    sizes = (25, 100, 400)
+    medians = {k: [] for k in e.ORDERS}
+    for n in sizes:
+        samples = rng.gumbel(size=(2000, n))
+        exact = np.log(n) - np.log(np.sum(np.exp(-samples), axis=1))
+        # the score's slope at the MLE is mean e^-(x - thetahat) = 1, so the
+        # score tolerance bounds the error in thetahat
+        fit = e.solve_mle_batch(samples, gumbel_model, tol=5e-13)
+        assert not fit.failed.any()
+        assert np.max(np.abs(fit.theta_hat - exact)) <= 1e-12
+        truncations = e.stochastic_expansion_batch(
+            e.compute_xi_batch(samples, 0.0, gumbel_model, a), n, a)
+        for k in e.ORDERS:
+            medians[k].append(np.median(np.abs(math.sqrt(n) * exact - truncations[k])))
+    for k in e.ORDERS:
+        slope = np.polyfit(np.log(sizes), np.log(medians[k]), 1)[0]
+        assert abs(slope + k / 2) <= 0.35, (k, slope, medians[k])
 
 
 def _study(family, params, order):

@@ -51,6 +51,15 @@ def test_batched_sample_iid_matches_numpy_philox_bit_for_bit(logistic_model, n):
         assert e.sample_iid(logistic_model, n, seed).tobytes() == row.tobytes()
 
 
+@pytest.mark.parametrize("seed, shown", [(1.5, "1.5"), (True, "True"), ([1.9, 2], "1.9")])
+def test_sample_iid_refuses_a_seed_that_is_not_a_whole_number(logistic_model, seed, shown):
+    with pytest.raises(ValueError, match=f"seed must be a whole number, got {shown}"):
+        e.sample_iid(logistic_model, 2, seed)
+    # a whole float is the same seed
+    assert e.sample_iid(logistic_model, 2, 2.0).tobytes() == \
+        e.sample_iid(logistic_model, 2, 2).tobytes()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**128])
 def test_sample_iid_rejects_seeds_outside_128_bits(logistic_model, seed):
     with pytest.raises(ValueError):
