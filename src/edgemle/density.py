@@ -279,9 +279,9 @@ class DensityModel:
     from f by differences.
 
     Unless stated, ``cdf`` sums a node table built here once and ``ppf``
-    inverts the CDF for a whole array.  The integrates-to-one, positivity and
-    derivative invariants are not enforced here (models are built in hot
-    paths); :func:`check_density` verifies them.
+    inverts it for a whole array; a stated ``cdf`` needs its ``ppf``.  The
+    integrates-to-one, positivity and derivative invariants are not enforced
+    here (models are built in hot paths); :func:`check_density` verifies them.
 
     ``log_concave`` (read-only) states that f is log-concave, so the contrast
     rho = -log f is convex and every sample's empirical contrast has a single
@@ -307,14 +307,13 @@ class DensityModel:
             lambda i: lambda x: _psis_from_log_derivs([-r for r in chain(x, i)])[i - 1])
         self.pdf_derivs = _six(lambda j: lambda x: psis[j - 1](x) * pdf(x))
         self.rho = rho if rho is not None else (lambda x, _p=pdf: _neg_log(_p(x)))
-        self.cdf = cdf
+        self.cdf, self.ppf = cdf, ppf
         if cdf is None:
             nodes, values, cdf_pdf = _numeric_cdf(pdf, self.rho, self.support)
             self.cdf = lambda x: _scalar_like(x, cdf_pdf(x)[0])
-        elif ppf is None:  # a stated CDF, bracketed on a table's grid or else the node table's
-            nodes = np.array(grid) if grid is not None else _numeric_cdf(pdf, self.rho, support)[0]
-            values, cdf_pdf = np.asarray(cdf(nodes), dtype=float), lambda x: (cdf(x), pdf(x))
-        self.ppf = ppf if ppf is not None else _inverse(cdf_pdf, nodes, values, hi)
+            self.ppf = ppf if ppf is not None else _inverse(cdf_pdf, nodes, values, hi)
+        elif ppf is None:
+            raise ValueError(f"family {name!r} states a cdf without a ppf; pass its ppf too")
         self._descriptor = dict(descriptor) if descriptor is not None else {
             "family": self.name, "params": {}}
         self._log_concave = bool(log_concave)
@@ -692,9 +691,10 @@ def from_table(source, name: str = "table") -> DensityModel:
         xa = np.clip(np.asarray(x, dtype=float), lo, hi)
         return _scalar_like(x, np.clip(anti(xa) - a0, 0.0, None))
 
+    ppf = _inverse(lambda x: (cdf(x), on_support(f_piece, x)), xg, cdf(xg), hi)
     return DensityModel(name, (lo, hi), lambda x: _scalar_like(x, on_support(f_piece, x)),
                         rho_chain=_first_orders(orders),
-                        psis=_six(lambda i: functools.partial(psi, i)), cdf=cdf,
+                        psis=_six(lambda i: functools.partial(psi, i)), cdf=cdf, ppf=ppf,
                         descriptor=desc, grid=xg)
 
 

@@ -9,17 +9,18 @@ truncation order k in 1..5 ("include every term up to n^-((k-1)/2)"):
   standardized statistic sqrt(n I) (thetahat - theta0),
 * the Cornish-Fisher expansion of the quantile function G_n^{-1}(v).
 
-The Edgeworth correction polynomials are stored once as exact rationals over
-eta-monomials; the Cornish-Fisher table is their exact series inverse,
-derived on first use.  A table evaluated at a family's etas is one cached
-matrix, a row per order and a column per power: :func:`edgeworth_cdf` and
-:func:`cornish_fisher_quantile` weight its rows by n^-((o-1)/2), sum them by
-power and take one Horner pass for all orders, and :func:`collapse_report`
-lists every coefficient at any etas.  The stochastic expansion likewise sums
-its weighted order blocks in one cumulative sum.  The tables are frozen
-behind tests: every coefficient vanishes at the Gaussian etas, every term
-obeys the reflection parity rule, and composing the tables leaves no
-residual through n^-2.
+Each expansion is a table of exact rationals over monomials, read by
+:func:`evaluate_terms`.  Only the Edgeworth correction polynomials are
+stored: the Cornish-Fisher table is their exact series inverse and the
+stochastic expansion solves the score equation, both derived on first use.
+A CDF or quantile table at a family's etas is one cached matrix, a row per
+order and a column per power, whose rows :func:`edgeworth_cdf` and
+:func:`cornish_fisher_quantile` weight by n^-((o-1)/2) and sum by power for
+one Horner pass; the stochastic expansion sums its weighted order blocks in
+one cumulative sum.  Tests freeze the tables: every coefficient vanishes at
+the Gaussian etas, every term obeys the reflection parity rule, the tables
+compose to the identity through n^-2, and the stochastic table solves the
+score equation symbolically.
 
 Known slip: order 5 lacks +D at x^5 and -D at x^3, D = eta2/2 - eta4/3 +
 eta7/5 - eta10/2 - eta3^2/8, and the quantile table inherits it.  D is 0 at
@@ -111,6 +112,11 @@ EDGEWORTH_TABLE = {
 }
 
 
+def _monomial_product(mono, mono2) -> tuple:
+    """The product of two monomials, each a sorted tuple of (index, exponent) pairs."""
+    return tuple(sorted((Counter(dict(mono)) + Counter(dict(mono2))).items()))
+
+
 def _quantile_table(cdf_table) -> dict:
     """The Cornish-Fisher table: the exact series inverse of ``cdf_table``.
 
@@ -120,7 +126,7 @@ def _quantile_table(cdf_table) -> dict:
     39 (1968) 1264-1273).  Keys are (power of n^-1/2, power of z, monomial).
     """
     top = max(cdf_table) - 1
-    a = [(o - 1, p, Counter(dict(mono)), c) for o, powers in cdf_table.items()
+    a = [(o - 1, p, mono, c) for o, powers in cdf_table.items()
          for p, terms in powers.items() for c, mono in terms]
     a_power, inverse = {(0, 0, ()): F(1)}, Counter()
     for r in range(1, top + 1):
@@ -128,8 +134,7 @@ def _quantile_table(cdf_table) -> dict:
         for (j, p, mono), c in a_power.items():
             for j2, p2, mono2, c2 in a:
                 if j + j2 <= top:  # a^r starts at n^-(r/2)
-                    merged = tuple(sorted((Counter(dict(mono)) + mono2).items()))
-                    product[j + j2, p + p2, merged] += c * c2
+                    product[j + j2, p + p2, _monomial_product(mono, mono2)] += c * c2
         a_power = term = product
         for m in range(r - 1, 0, -1):
             term, previous = Counter(), term
@@ -256,51 +261,37 @@ def compute_xi_batch(samples, theta0: float, model: DensityModel, a) -> np.ndarr
     return np.stack(cols, axis=1)
 
 
-def _expansion_brackets(x1, x2, x3, x4, x5, x6, a2, a3, a4, a5, a6):
-    """The five order blocks of the stochastic expansion.
+@lru_cache(maxsize=None)
+def _stochastic_table() -> dict:
+    """The stochastic expansion of u = sqrt(n)(thetahat - theta0), derived on first use.
 
-    Pure arithmetic in the inputs, so it evaluates equally on floats, numpy
-    arrays and symbolic quantities; block m is the coefficient of
-    n^-((m-1)/2).
+    Taylor expanded about theta0 and divided by a_2, the score equation reads
+    u = y_1 - e y_2 u + sum_(m=2..5) (c_(m+1) + e y_(m+1)) (-u)^m e^(m-1) / m!,
+    e = n^-1/2, y_j = xi_j / a_2, c_j = a_j / a_2; pass k settles its e^k
+    coefficient.  Order o (e^(o-1)) maps xi- to (rational, a-monomial) terms.
     """
-    b1 = x1 / a2
-    b2 = -x1 * x2 / a2**2 + a3 * x1**2 / (2 * a2**3)
-    b3 = (x1 * x2**2 / a2**3
-          - 3 * a3 * x1**2 * x2 / (2 * a2**4)
-          + x1**2 * x3 / (2 * a2**3)
-          + a3**2 * x1**3 / (2 * a2**5)
-          - a4 * x1**3 / (6 * a2**4))
-    b4 = (3 * a3 * x1**2 * x2**2 / a2**5
-          + 5 * a3**3 * x1**4 / (8 * a2**7)
-          - 5 * a3 * a4 * x1**4 / (12 * a2**6)
-          - 3 * x1**2 * x2 * x3 / (2 * a2**4)
-          - 5 * a3**2 * x1**3 * x2 / (2 * a2**6)
-          + a5 * x1**4 / (24 * a2**5)
-          + a3 * x1**3 * x3 / a2**5
-          + 2 * a4 * x1**3 * x2 / (3 * a2**5)
-          - x1**3 * x4 / (6 * a2**4)
-          - x1 * x2**3 / a2**4)
-    b5 = (-5 * a3 * x1**2 * x2**3 / a2**6
-          - 5 * a4 * x1**4 * x3 / (12 * a2**6)
-          + 15 * a3**2 * x1**3 * x2**2 / (2 * a2**7)
-          - 35 * a3**3 * x1**4 * x2 / (8 * a2**8)
-          + 5 * a3 * a4 * x1**4 * x2 / (2 * a2**7)
-          - 5 * a5 * x1**4 * x2 / (24 * a2**6)
-          - 7 * a3**2 * a4 * x1**5 / (8 * a2**8)
-          - a6 * x1**5 / (120 * a2**6)
-          + x1 * x2**4 / a2**5
-          + x1**4 * x5 / (24 * a2**5)
-          + a4**2 * x1**5 / (12 * a2**7)
-          + 7 * a3**4 * x1**5 / (8 * a2**9)
-          + x1**3 * x3**2 / (2 * a2**5)
-          + 3 * x1**2 * x2**2 * x3 / a2**5
-          + 15 * a3**2 * x1**4 * x3 / (8 * a2**7)
-          - 5 * a3 * x1**4 * x4 / (12 * a2**6)
-          - 5 * a4 * x1**3 * x2**2 / (3 * a2**6)
-          + a3 * a5 * x1**5 / (8 * a2**7)
-          - 5 * a3 * x1**3 * x2 * x3 / a2**6
-          + 2 * x1**3 * x2 * x4 / (3 * a2**5))
-    return b1, b2, b3, b4, b5
+    def series_product(p, q, k):  # series keyed (power of e, y-monomial, c-monomial), through e^k
+        out = Counter()
+        for (j, y, c), v in p.items():
+            for (j2, y2, c2), v2 in q.items():
+                if j + j2 <= k:
+                    out[j + j2, _monomial_product(y, y2), _monomial_product(c, c2)] += v * v2
+        return out
+
+    u = {}
+    for k in range(len(ORDERS)):
+        rhs, power = series_product({(1, ((2, 1),), ()): F(-1)}, u, k), u  # -e y_2 u
+        rhs[0, ((1, 1),), ()] += F(1)  # + y_1
+        for m in range(2, len(ORDERS) + 1):
+            power, w = series_product(power, u, k), F((-1) ** m, math.factorial(m))
+            factor = {(m - 1, (), ((m + 1, 1),)): w, (m, ((m + 1, 1),), ()): w}  # e^(m-1) c, e^m y
+            rhs.update(series_product(factor, power, k))
+        u = rhs
+    table: dict = {}
+    for (j, y, c), v in sorted(u.items()):
+        if v:
+            table.setdefault(j + 1, {}).setdefault(y, []).append((v, c))
+    return table
 
 
 _A2_FLOOR = float(np.sqrt(np.finfo(float).tiny))
@@ -317,10 +308,17 @@ def stochastic_expansion(xi: XiVector, a, order) -> float:
 
 def stochastic_expansion_batch(xi_matrix: np.ndarray, n: int, a, orders=ORDERS) -> dict:
     """Truncations for many replicates at once: order -> (M,) array."""
+    xi = np.asarray(xi_matrix, dtype=float)
     a = np.asarray(a, dtype=float)
+    if xi.ndim != 2 or xi.shape[1] != 6:
+        raise ValueError(f"xi_matrix must be shaped (M, 6), got shape {xi.shape}")
+    if a.shape != (6,):
+        raise ValueError("a must hold the six contrast-derivative means")
     if abs(a[1]) <= _A2_FLOOR:
         raise SingularInformation(f"|a2| = {abs(a[1])} below machine threshold")
-    blocks = np.stack(_expansion_brackets(*xi_matrix.T, *a[1:]))
+    y, c = dict(enumerate(xi.T / a[1], start=1)), dict(enumerate(a / a[1], start=1))
+    blocks = np.stack([sum(evaluate_terms([(float(evaluate_terms(terms, c)), mono)], y)
+                           for mono, terms in _stochastic_table()[o].items()) for o in ORDERS])
     # row k - 1 is the order-k truncation: the weighted blocks summed in order
     sums = np.cumsum(_n_weights(n)[:, None] * blocks, axis=0)
     return {k: sums[k - 1] for k in map(_check_order, orders)}
@@ -394,7 +392,8 @@ def edgeworth_cdf(moments, n, order, x):
     m = _check_n(n)
     k = _check_order(order)
     xa = np.asarray(x, dtype=float)
-    phi = np.exp(-0.5 * xa * xa) / np.sqrt(2 * np.pi)
+    # phi is 0 from |x| = 38.6 on; capping |x| at 40 keeps x^2 from overflowing
+    phi = np.exp(-0.5 * np.minimum(np.abs(xa), 40.0) ** 2) / np.sqrt(2 * np.pi)
     corr = _add_corrections(0.0, "edgeworth", moments, m, k, np.where(phi > 0, xa, 0.0))
     return _scalar_like(x, special.ndtr(xa) + corr * phi)
 

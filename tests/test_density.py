@@ -214,6 +214,10 @@ def test_model_takes_one_derivative_chain():
         e.DensityModel("neither", base.support, base.pdf)
     with pytest.raises(TypeError, match="rho_derivs"):
         e.DensityModel("callables", base.support, base.pdf, rho_derivs=base.rho_derivs)
+    # a stated CDF comes with its quantile function
+    with pytest.raises(ValueError, match="'cdf_only' states a cdf without a ppf"):
+        e.DensityModel("cdf_only", base.support, base.pdf, cdf=base.cdf,
+                       rho_chain=base.rho_chain)
     chained = e.DensityModel("chained", base.support, base.pdf,
                              rho_chain=lambda x, k: (r(x) for r in base.rho_derivs[:k]))
     grid = np.linspace(-3.0, 3.0, 7)

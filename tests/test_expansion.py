@@ -9,7 +9,7 @@ from scipy.special import gammaincc, gammainccinv, ndtr, ndtri
 
 import edgemle as e
 from edgemle.expansion import (EDGEWORTH_TABLE, GAUSSIAN_ETA, _add_corrections,
-                               _coefficient_arrays, _expansion_brackets, _table, evaluate_terms)
+                               _coefficient_arrays, _stochastic_table, _table, evaluate_terms)
 
 CORNISH_FISHER_TABLE = _table("cornish-fisher")
 
@@ -26,7 +26,7 @@ def test_stochastic_brackets_invert_the_score_equation():
     The estimator solves 0 = sum_i rho^(1)(X_i - theta); Taylor expansion in
     u = sqrt(n)(theta - theta0) with S_j = a_j + eps xi_j and eps = 1/sqrt(n)
     gives 0 = xi_1 + sum_m (a_{m+1} + eps xi_{m+1}) (-u)^m eps^(m-1) / m!.
-    Solving u order by order is an oracle independent of the transcription.
+    Solving u order by order is an oracle independent of the derived table.
     """
     import sympy as sp
 
@@ -44,10 +44,17 @@ def test_stochastic_brackets_invert_the_score_equation():
         c = poly.coeff_monomial(eps**lvl).subs(sol)
         sol[us[lvl]] = sp.expand(sp.solve(c, us[lvl])[0])
 
-    implemented = _expansion_brackets(
-        xi[1], xi[2], xi[3], xi[4], xi[5], xi[6], a[2], a[3], a[4], a[5], a[6])
+    # the table is read in y_j = xi_j / a_2 and c_j = a_j / a_2
+    table = _stochastic_table()
+    y = {j: xi[j] / a[2] for j in xi}
+    c = {j: a[j] / a[2] for j in a}
     for lvl in range(5):
-        assert sp.simplify(sol[us[lvl]] - implemented[lvl]) == 0, f"order block {lvl + 1}"
+        implemented = sum(evaluate_terms(terms, c) * evaluate_terms([(1, mono)], y)
+                          for mono, terms in table[lvl + 1].items())
+        assert sp.simplify(sol[us[lvl]] - implemented) == 0, f"order block {lvl + 1}"
+    assert [sum(map(len, table[o].values())) for o in e.ORDERS] == [1, 2, 5, 10, 20]
+    assert sum(map(len, table.values())) == 26
+    assert _stochastic_table() is table
 
 
 def _symbolic_polys():
@@ -240,6 +247,39 @@ def test_expansion_rejects_singular_information():
         e.stochastic_expansion(xi, np.array([0.0, 0.0, 0.1, 0.0, 0.0, 0.0]), 3)
 
 
+@pytest.mark.parametrize("n", [16, 64])
+def test_truncations_match_exact_rational_evaluation(n):
+    # n^-1/2 is a power of two and xi and a are dyadic, so the exact
+    # truncations are Fractions; a_2 = 5/4 makes y and c round on the way
+    a = [F(0), F(5, 4), F(-3, 8), F(7, 4), F(-1, 2), F(9, 8)]
+    rows = [[F(3, 2), F(-1, 4), F(5, 8), F(-7, 4), F(1, 2), F(-3, 8)],
+            [F(-9, 4), F(3, 8), F(-1, 2), F(5, 4), F(-13, 8), F(7, 2)],
+            [F(1, 8), F(0), F(0), F(0), F(0), F(0)]]
+    root, table = F(1, math.isqrt(n)), _stochastic_table()
+    c = {j: a[j - 1] / a[1] for j in range(1, 7)}
+    have = e.stochastic_expansion_batch(np.array(rows, dtype=float), n,
+                                        np.array(a, dtype=float))
+    for r, xi in enumerate(rows):
+        y = {j: xi[j - 1] / a[1] for j in range(1, 7)}
+        terms = []
+        for k in e.ORDERS:
+            terms += [root ** (k - 1) * evaluate_terms([(frac, a_mono)], c)
+                      * evaluate_terms([(F(1), mono)], y)
+                      for mono, a_terms in table[k].items() for frac, a_mono in a_terms]
+            slack = 8 * np.finfo(float).eps * float(sum(abs(term) for term in terms))
+            assert abs(F(float(have[k][r])) - sum(terms)) <= F(slack), (r, k)
+
+
+def test_expansion_batch_refuses_misshapen_input(logistic_moments):
+    a = logistic_moments.a
+    for bad in (np.zeros((3, 5)), np.zeros(6), np.zeros((2, 6, 1))):
+        with pytest.raises(ValueError, match=r"xi_matrix .*shaped \(M, 6\)"):
+            e.stochastic_expansion_batch(bad, 25, a)
+    for bad in (a[:5], np.append(a, 0.0), np.zeros((2, 6))):
+        with pytest.raises(ValueError, match="a must hold the six contrast-derivative means"):
+            e.stochastic_expansion_batch(np.zeros((2, 6)), 25, bad)
+
+
 def test_expansion_batch_matches_scalar(logistic_moments):
     rng = np.random.default_rng(3)
     ximat = rng.normal(size=(8, 6))
@@ -306,12 +346,12 @@ def test_cdf_monotone_on_central_window(logistic_moments, normal_moments, t7_mom
 
 
 def test_cdf_is_zero_and_one_at_the_infinities(logistic_moments, t7_moments):
-    x = np.array([-np.inf, -1e3, -40.0, 40.0, 1e3, np.inf])
+    x = np.array([-np.inf, -1e300, -1e3, -40.0, 40.0, 1e3, 1e300, np.inf])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for ms in (logistic_moments, t7_moments):
             for k in e.ORDERS:
-                assert e.edgeworth_cdf(ms, 50, k, x).tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+                assert e.edgeworth_cdf(ms, 50, k, x).tolist() == [0.0] * 4 + [1.0] * 4
                 assert e.edgeworth_cdf(ms, 50, k, -np.inf) == 0.0
                 assert e.edgeworth_cdf(ms, 50, k, np.inf) == 1.0
 

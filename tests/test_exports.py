@@ -17,7 +17,8 @@ def test_import_loads_no_heavy_module_and_derives_no_table():
     probe = ("import json, sys, edgemle.expansion as x; print(json.dumps("
              "{'loaded': [m for m in ('sympy', 'scipy.optimize', 'scipy.integrate', "
              "'scipy.interpolate') if m in sys.modules], "
-             "'tables': x._table.cache_info().currsize}))")
+             "'tables': x._table.cache_info().currsize "
+             "+ x._stochastic_table.cache_info().currsize}))")
     src = os.path.dirname(os.path.dirname(e.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
