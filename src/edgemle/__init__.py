@@ -28,8 +28,7 @@ from .expansion import (GAUSSIAN_ETA, ORDERS, CompositionReport, XiVector,
 from .mle import BatchMleResult, LocationMLE, MleResult, contrast, solve_mle, solve_mle_batch
 from .moments import (ConditionReport, MomentSet, compute_moment_set, fisher_information,
                       validate_conditions)
-from .montecarlo import (ComparisonReport, ReplicationResult, SimulationConfig,
-                         ecdf_distance, replicate, run_study, sample_iid)
+from .montecarlo import ComparisonReport, SimulationConfig, ecdf_distance, run_study, sample_iid
 
 __all__ = [
     "__version__",
@@ -51,6 +50,5 @@ __all__ = [
     "BatchMleResult", "LocationMLE", "MleResult", "contrast", "solve_mle",
     "solve_mle_batch",
     # monte carlo
-    "ComparisonReport", "ReplicationResult", "SimulationConfig", "ecdf_distance",
-    "replicate", "run_study", "sample_iid",
+    "ComparisonReport", "SimulationConfig", "ecdf_distance", "run_study", "sample_iid",
 ]

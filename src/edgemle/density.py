@@ -20,11 +20,12 @@ rounding.
 
 Every model has one derivative chain, ``rho_chain(x, k)``, which yields
 rho^(1)(x), ..., rho^(k)(x) in order and shares its intermediates between
-the orders; ``rho_derivs`` are views onto it.  psi follows from the chain by
-the logarithmic-derivative recursion, and f^(j) is psi_j f.  Only a table
-states psi itself: its columns f^(1)..f^(6) become psi as the ratio f^(i)/f,
-and its chain runs the inverse recursion.  Neither direction differences
--log f, which would cancel catastrophically in the tails where f is tiny.
+the orders, and one ``psi_chain(x, k)``, which returns psi_1(x), ...,
+psi_k(x) from one pass of it by the logarithmic-derivative recursion; f^(j)
+is psi_j f.  Only a table states psi itself: its columns f^(1)..f^(6) become
+psi as the ratio f^(i)/f, and its rho chain runs the inverse recursion.
+Neither direction differences -log f, which would cancel catastrophically in
+the tails where f is tiny.
 """
 from __future__ import annotations
 
@@ -70,41 +71,36 @@ def _neg_log(value):
 # psi <-> log-derivative machinery
 # ---------------------------------------------------------------------------
 
-def _log_derivs_from_psis(psi_values):
+def _log_derivs_from_psi(psi_values):
     """Derivatives g_1, g_2, ... of log f from the ratios psi_m = f^(m)/f, lazily.
 
     Inverts the product rule f^(m) = sum_i C(m-1,i) f^(i) g^(m-i) for
     g = log f, i.e. g_m = psi_m - sum_{i=1..m-1} C(m-1,i) psi_i g_{m-i}.
     ``psi_values`` may be any iterable; g_m is yielded once psi_m is read.
     """
-    psis, gs = [], []
+    ps, gs = [], []
     for m, p in enumerate(psi_values, start=1):
-        psis.append(p)
+        ps.append(p)
         g = p
         for i in range(1, m):
-            g = g - comb(m - 1, i) * psis[i - 1] * gs[m - i - 1]
+            g = g - comb(m - 1, i) * ps[i - 1] * gs[m - i - 1]
         gs.append(g)
         yield g
 
 
-def _psis_from_log_derivs(g_values: Sequence):
+def _psi_from_log_derivs(g_values: Sequence):
     """Ratios psi_m = f^(m)/f from derivatives of log f (forward recursion).
 
     The inputs are floats or arrays; the integer seeds 1 and 0 give them the
     values 1.0 and 0.0 would.
     """
-    psis = [1]
+    ps = [1]
     for m in range(1, len(g_values) + 1):
         s = 0
         for i in range(m):
-            s = s + comb(m - 1, i) * psis[i] * g_values[m - i - 1]
-        psis.append(s)
-    return psis[1:]
-
-
-def _six(make):
-    # the per-order callables make(1), ..., make(6)
-    return tuple(make(j) for j in range(1, MAX_DERIVATIVE_ORDER + 1))
+            s = s + comb(m - 1, i) * ps[i] * g_values[m - i - 1]
+        ps.append(s)
+    return ps[1:]
 
 
 def _first_orders(orders):
@@ -116,14 +112,11 @@ def _first_orders(orders):
     return lambda x, k: itertools.islice(orders(x), k)
 
 
-def _view(chain, j):
-    # rho^(j) alone: the j-th value of the chain
-    def rj(x):
-        for r in chain(x, j):
-            pass
-        return r
-
-    return rj
+def _view(chain, j, x):
+    # rho^(j)(x) alone: the j-th value of the chain
+    for r in chain(x, j):
+        pass
+    return r
 
 
 def _full(y, value):
@@ -250,12 +243,12 @@ def _inverse(cdf_pdf, nodes, values, end):
 class DensityModel:
     """One location family: density, derivatives, CDF, sampling support.
 
-    All stored callables accept floats or numpy arrays; f, rho, the
-    derivative chain and its views return a float for a float and an array
-    for an array.  Models never mutate after construction, so they are safe to
-    share between threads and worker processes; :meth:`descriptor` returns a
-    plain dict from which :func:`model_from_descriptor` rebuilds an
-    identical model.
+    All stored callables accept floats or numpy arrays; f, rho and the
+    derivative chains return a float for a float and an array for an array.
+    Models never mutate after construction, so they are safe to share
+    between threads and worker processes; :meth:`descriptor` returns a plain
+    dict from which :func:`model_from_descriptor` rebuilds an identical
+    model.
 
     Every model has one contrast-derivative chain, ``rho_chain(x, k)``, an
     iterator over rho^(1)(x), ..., rho^(k)(x) for k <= 6.  Consumers take
@@ -270,13 +263,14 @@ class DensityModel:
     derivative on its own, chains its six callables in turn, and a
     hand-built model can do the same.
 
-    ``rho_derivs`` is the 6-tuple of per-order views onto the chain, each
-    returning the chain's j-th value bit for bit.  psi_i comes from the
-    logarithmic-derivative recursion on one pass of the chain, and f^(j) is
-    psi_j f.  ``psis`` replaces the derived psi for one family only:
-    :func:`from_table` passes the ratios of its derivative columns to f, so
-    that its f^(j) reproduce those columns.  Derivatives are never estimated
-    from f by differences.
+    ``psi_chain(x, k)`` returns psi_1(x), ..., psi_k(x), by default from the
+    logarithmic-derivative recursion on one pass of the rho chain to order
+    k; f^(j) is psi_j f.  A stated ``psi_chain`` replaces the derived one
+    for one family only: :func:`from_table` passes the ratios of its
+    derivative columns to f from one spline evaluation, so that its f^(j)
+    reproduce those columns.  ``rho_derivs`` is the 6-tuple of per-order
+    views onto the rho chain, each returning the chain's j-th value bit for
+    bit.  Derivatives are never estimated from f by differences.
 
     Unless stated, ``cdf`` sums a node table built here once and ``ppf``
     inverts it for a whole array; a stated ``cdf`` needs its ``ppf``.  The
@@ -293,7 +287,7 @@ class DensityModel:
     part of the descriptor or settable through :func:`make_model`.
     """
 
-    def __init__(self, name, support, pdf, *, rho_chain, psis=None, cdf=None, ppf=None,
+    def __init__(self, name, support, pdf, *, rho_chain, psi_chain=None, cdf=None, ppf=None,
                  rho=None, descriptor=None, log_concave=False, grid=None):
         lo, hi = float(support[0]), float(support[1])
         if not lo < hi:
@@ -301,11 +295,12 @@ class DensityModel:
         self.name = str(name)
         self.support = (lo, hi)
         self.pdf = pdf
-        self.rho_chain = chain = rho_chain  # psi_i from one pass of the chain to order i
-        self.rho_derivs = _six(functools.partial(_view, rho_chain))
-        self.psis = psis = tuple(psis) if psis is not None else _six(
-            lambda i: lambda x: _psis_from_log_derivs([-r for r in chain(x, i)])[i - 1])
-        self.pdf_derivs = _six(lambda j: lambda x: psis[j - 1](x) * pdf(x))
+        self.rho_chain = rho_chain
+        # per-order views onto the chain, which perfbench rewraps to count points
+        self.rho_derivs = tuple(functools.partial(_view, rho_chain, j)
+                                for j in range(1, MAX_DERIVATIVE_ORDER + 1))
+        self.psi_chain = psi_chain if psi_chain is not None else (
+            lambda x, k: _psi_from_log_derivs([-r for r in rho_chain(x, k)]))
         self.rho = rho if rho is not None else (lambda x, _p=pdf: _neg_log(_p(x)))
         self.cdf, self.ppf = cdf, ppf
         if cdf is None:
@@ -366,8 +361,8 @@ def _require_usable(model: DensityModel, x):
         raise DomainError(f"sample contains points outside the open support {model.support}")
 
 
-def _evaluate(model, fns, order, what, x):
-    # fns[order - 1](x), for x inside the open support where f > 0
+def _evaluate(model, chain, order, what, x):
+    # the last value of chain(x, order), for x inside the open support where f > 0
     k = _whole(order, f"{what} order", UnsupportedOrder)
     if not 1 <= k <= MAX_DERIVATIVE_ORDER:
         raise UnsupportedOrder(f"{what} order must be in 1..{MAX_DERIVATIVE_ORDER}, got {order}")
@@ -376,7 +371,7 @@ def _evaluate(model, fns, order, what, x):
     fx = np.asarray(model.pdf(xs), dtype=float)
     if not np.all(fx > 0.0):
         raise DomainError("density vanishes at an evaluation point")
-    return _scalar_like(x, fns[k - 1](xs))
+    return _scalar_like(x, [*chain(xs, k)][-1])
 
 
 def psi(model: DensityModel, i: int, x):
@@ -385,12 +380,12 @@ def psi(model: DensityModel, i: int, x):
     Raises ValueError when x is not finite, DomainError when it is outside
     the open support or f(x) = 0 there.
     """
-    return _evaluate(model, model.psis, i, "psi", x)
+    return _evaluate(model, model.psi_chain, i, "psi", x)
 
 
 def rho_deriv(model: DensityModel, j: int, x):
     """j-th derivative of the contrast rho = -log f at x, for j in 1..6."""
-    return _evaluate(model, model.rho_derivs, j, "contrast derivative", x)
+    return _evaluate(model, model.rho_chain, j, "contrast derivative", x)
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +621,9 @@ def from_table(source, name: str = "table") -> DensityModel:
     since they cannot be differenced out of f accurately enough.  A density
     known as a formula can be given to :func:`from_expression` instead.
     Support is the table's x range; the density is treated as zero outside
-    it, where psi, the chain and f^(j) are nan (0/0).  One cubic spline over
-    the seven columns f, f1..f6 is evaluated once per point: psi_i is its
-    ratio f_i/f, rho^(j) follows by the inverse logarithmic-derivative
+    it, where both chains are nan (0/0).  One cubic spline over the seven
+    columns f, f1..f6 is evaluated once per point: ``psi_chain`` gives its
+    ratios f_i/f, rho^(j) follows by the inverse logarithmic-derivative
     recursion, and f^(j) = psi_j f reproduce the f_j columns up to rounding;
     f, rho and the CDF read the f column alone; x is the model's ``grid``.
     """
@@ -670,19 +665,16 @@ def from_table(source, name: str = "table") -> DensityModel:
         xa = np.asarray(x, dtype=float)
         return np.where((xa >= lo) & (xa <= hi), piece(np.clip(xa, lo, hi)), 0.0)
 
-    def ratios(x):
-        # psi_1..psi_6 = f_i/f from one evaluation of the seven columns; nan
+    def ratios(x, k=MAX_DERIVATIVE_ORDER):
+        # psi_1..psi_k = f_i/f from one evaluation of the seven columns; nan
         # outside [lo, hi], where f = 0, for a float point (as floats) as for
         # an array
         c = on_support(spline, x)
-        out = c[1:] / c[0]
+        out = c[1:k + 1] / c[0]
         return out if np.ndim(x) else out.tolist()
 
-    def psi(i, x):
-        return ratios(x)[i - 1]
-
     def orders(x):
-        return (-g for g in _log_derivs_from_psis(ratios(x)))
+        return (-g for g in _log_derivs_from_psi(ratios(x)))
 
     anti = f_piece.antiderivative()
     a0 = float(anti(lo))
@@ -693,8 +685,7 @@ def from_table(source, name: str = "table") -> DensityModel:
 
     ppf = _inverse(lambda x: (cdf(x), on_support(f_piece, x)), xg, cdf(xg), hi)
     return DensityModel(name, (lo, hi), lambda x: _scalar_like(x, on_support(f_piece, x)),
-                        rho_chain=_first_orders(orders),
-                        psis=_six(lambda i: functools.partial(psi, i)), cdf=cdf, ppf=ppf,
+                        rho_chain=_first_orders(orders), psi_chain=ratios, cdf=cdf, ppf=ppf,
                         descriptor=desc, grid=xg)
 
 
@@ -779,16 +770,17 @@ def check_density(model: DensityModel, tol: float = 1e-9) -> dict:
     from .moments import _integrate, _rule
     probe = np.asarray(model.ppf(np.linspace(0.02, 0.98, 13)), dtype=float)
     (total, *boundary), (err, *_), _ = _integrate(  # f and f^(j) = psi_j f, j = 1..3
-        model, _rule(model), lambda x: [np.ones_like(x), *(p(x) for p in model.psis[:3])],
+        model, _rule(model), lambda x: [np.ones_like(x), *model.psi_chain(x, 3)],
         lambda values: tol)
 
     nodes, weights = _panels(probe[:-1], probe[1:], _GAUSS_NODES)  # a row per probe interval
     points = np.concatenate([probe, nodes.ravel()])
-    below = np.asarray(model.pdf(points), dtype=float)[:probe.size]  # f^(j-1) on the probe
+    f = np.asarray(model.pdf(points), dtype=float)
+    below = f[:probe.size]  # f^(j-1) on the probe
     positive = bool(np.all(below > 0.0))
     gaps = []  # a nan gap (a non-finite derivative) stays nan in the maximum
-    for fj in model.pdf_derivs:
-        values = np.asarray(fj(points), dtype=float)
+    for p in model.psi_chain(points, MAX_DERIVATIVE_ORDER):
+        values = np.asarray(p, dtype=float) * f  # f^(j) = psi_j f
         integrals = np.sum(weights * values[probe.size:].reshape(nodes.shape), axis=1)
         gaps.append(np.max(np.abs(integrals - np.diff(below))) / np.max(np.abs(below)))
         below = values[:probe.size]

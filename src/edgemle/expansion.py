@@ -349,7 +349,7 @@ def _coefficient_arrays(kind: str, eta_key: tuple) -> np.ndarray:
 #: |eta3| above which order 5 is flagged: its tables carry an n^-2 error for
 #: skewed families.  Symmetric families (eta3 = 0 exactly) pass silently, but
 #: their order 5 is wrong too: the x^5/x^3 blocks miss +-D (3/70 for the
-#: logistic; see the module docstring and ROADMAP item 1)
+#: logistic; see the module docstring and ROADMAP item 2)
 _SKEW_FLOOR = 1e-8
 
 

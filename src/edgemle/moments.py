@@ -17,10 +17,10 @@ the expansion tables can be read against this list without renumbering.
 All sixteen integrals, and those of :func:`validate_conditions` and
 :func:`edgemle.density.check_density`, take one node rule (:func:`_rule`, after
 Takahasi & Mori 1974 and Mori & Sugihara 2001) and, per level, one ``pdf`` call
-and one pass of ``model.rho_chain(x, 6)``, r_j = rho^(j)(x): psi_1 = -r_1,
-psi_2 = r_1^2 - r_2 and psi_3 = 2 r_1 r_2 - r_3 - psi_2 r_1, bit for bit
-:func:`edgemle.density.psi` except for a table (its psi are column ratios).
-Tolerances are absolute per entry; an entry without a value raises
+and one pass of ``model.rho_chain(x, 6)``.  psi_1..psi_3 follow from that pass
+by the recursion of ``model.psi_chain``, bit for bit :func:`edgemle.density.psi`
+except for a table (whose ``psi_chain`` gives its column ratios).  Tolerances
+are absolute per entry; an entry without a value raises
 :class:`MomentDivergence` naming it and the cause.
 """
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .density import _T_END, DensityModel, _de_map, _panels
+from .density import _T_END, DensityModel, _de_map, _panels, _psi_from_log_derivs
 from .errors import InversionFailure, MomentDivergence
 
 ETA_INDICES = tuple(range(2, 11))
@@ -166,8 +166,7 @@ def _moments(model: DensityModel, tol: float, count: int) -> tuple:
 
     def rows(x):
         r = np.broadcast_arrays(x, *model.rho_chain(x, 6))[1:]
-        p2 = r[0] * r[0] - r[1]
-        psi = (-r[0], p2, (2.0 * r[0] * r[1] - r[2]) - p2 * r[0])
+        psi = _psi_from_log_derivs([-rj for rj in r[:3]])
         eta = (g(*psi[:order]) for order, g, _ in map(_ETA_RECIPES.get, ETA_INDICES))
         return [r[0] * r[0], *r, *eta][:count]
 

@@ -40,8 +40,7 @@ import numpy as np
 
 from .density import DensityModel, _whole, model_from_descriptor
 from .errors import StudyAborted
-from .expansion import ORDERS, XiVector, compute_xi_batch, edgeworth_cdf, \
-    stochastic_expansion_batch
+from .expansion import ORDERS, compute_xi_batch, edgeworth_cdf, stochastic_expansion_batch
 from .mle import BLOCK_ELEMENTS, solve_mle_batch
 from .moments import MomentSet, compute_moment_set, validate_conditions
 
@@ -243,27 +242,6 @@ class SimulationConfig:
         """Tail threshold eps_n / n^2 with eps_n = (log n)^(2+e) / sqrt(n)."""
         eps_n = math.log(n) ** (2.0 + self.epsilon_exponent) / math.sqrt(n)
         return eps_n / n**2
-
-
-@dataclass(frozen=True)
-class ReplicationResult:
-    """One replicate of the study."""
-
-    theta_hat: float
-    standardized: float
-    xi: XiVector
-    remainders: Mapping[int, float]
-
-
-def replicate(model: DensityModel, moments: MomentSet, n: int, seed: int,
-              orders=ORDERS, tol: float = 1e-11) -> ReplicationResult:
-    """Run a single replicate: the block pipeline on one row seeded ``seed``."""
-    row = _simulate_block(model, n, 0, 1, seed, moments.a, moments.fisher, orders, tol)
-    if row["failed"][0]:
-        raise StudyAborted("replicate solver failed")
-    rem = {k: float(row["gamma"][0, i]) for i, k in enumerate(orders)}
-    return ReplicationResult(float(row["theta"][0]), float(row["standardized"][0]),
-                             XiVector(row["xi"][0], n), rem)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import edgemle as e
 def logistic_table(built):
     """x, f, f1..f6 of the logistic ``built`` on 1401 points of [-14, 14]."""
     x = np.linspace(-14, 14, 1401)
-    return {"x": x, "f": built.pdf(x), **{f"f{j}": built.pdf_derivs[j - 1](x) for j in range(1, 7)}}
+    f = built.pdf(x)
+    return {"x": x, "f": f, **{f"f{j}": p * f for j, p in enumerate(built.psi_chain(x, 6), 1)}}
 
 
 @pytest.fixture(scope="session")

@@ -149,7 +149,8 @@ def test_validate_passes_tol_to_the_condition_checks(capsys, monkeypatch):
 def test_validate_fails_a_table_with_a_wrong_derivative_column(capsys, tmp_path, f6_sign, code):
     lg = e.logistic()
     x = np.linspace(-25, 25, 2501)
-    cols = [x, lg.pdf(x), *(lg.pdf_derivs[j](x) for j in range(6))]
+    f = lg.pdf(x)
+    cols = [x, f, *(p * f for p in lg.psi_chain(x, 6))]
     cols[-1] = f6_sign * cols[-1]
     path = tmp_path / "table.csv"
     np.savetxt(path, np.column_stack(cols), delimiter=",", header="x,f,f1,f2,f3,f4,f5,f6",

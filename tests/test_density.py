@@ -324,7 +324,8 @@ def test_table_derivative_columns_survive_the_psi_conversion(models):
     inner = cols["x"][1:-1]
     for j in range(1, 7):
         want = cols[f"f{j}"][1:-1]
-        assert np.all(np.abs(tab.pdf_derivs[j - 1](inner) - want) <= 1e-15 * np.abs(want)), j
+        have = tab.psi_chain(inner, 6)[j - 1] * tab.pdf(inner)
+        assert np.all(np.abs(have - want) <= 1e-15 * np.abs(want)), j
 
 
 def _spline_calls(monkeypatch):
@@ -346,9 +347,8 @@ def test_table_evaluates_its_spline_once_per_point(monkeypatch, models):
     tab = e.from_table(logistic_table(models["logistic"]))
     calls = _spline_calls(monkeypatch)
     for x in (0.3, np.array([-2.0, 0.3, 7.5])):
-        # the chain and each psi read all seven columns from one evaluation
-        for consume in [lambda: list(tab.rho_chain(x, 6))] + [
-                lambda i=i: tab.psis[i](x) for i in range(6)]:
+        # the rho chain and the psi chain read all seven columns from one evaluation
+        for consume in (lambda: list(tab.rho_chain(x, 6)), lambda: tab.psi_chain(x, 6)):
             calls.clear()
             consume()
             assert calls == [7]
@@ -357,6 +357,40 @@ def test_table_evaluates_its_spline_once_per_point(monkeypatch, models):
             calls.clear()
             fn(x)
             assert calls == [1]
+
+
+def test_table_check_density_evaluates_its_spline_once_per_pass(monkeypatch, models):
+    import edgemle.moments as moments
+
+    tab = e.from_table(logistic_table(models["logistic"]))
+    levels, terms = [], moments._terms
+
+    def spy(model, rows, x):
+        levels.append(np.size(x))
+        return terms(model, rows, x)
+
+    monkeypatch.setattr(moments, "_terms", spy)
+    calls = _spline_calls(monkeypatch)
+    check_density(tab)
+    # one evaluation of all seven columns per level of the boundary rows, and
+    # one for the six derivative identities on the probe
+    assert levels and calls.count(7) == len(levels) + 1, (levels, calls)
+
+
+@pytest.mark.parametrize("label", ["normal", "logistic", "t7", "table", "expression"])
+def test_psi_chain_is_psi_bit_for_bit_and_stops_at_its_order(label):
+    model = (e.from_expression("exp(-x)/(1+exp(-x))**2") if label == "expression"
+             else _chain_models()[label][0])
+    grid = np.linspace(-5.0, 5.0, 23)
+    psis = model.psi_chain(grid, 6)
+    assert len(psis) == 6
+    for i in range(1, 7):
+        assert np.array_equal(e.psi(model, i, grid), psis[i - 1]), i
+        assert len(model.psi_chain(grid, i)) == i
+        assert np.array_equal(model.psi_chain(grid, i)[-1], psis[i - 1]), i
+        for x in (-2.5, 0.0, 0.7):
+            value = model.psi_chain(x, 6)[i - 1]
+            assert isinstance(value, float) and value == e.psi(model, i, x), (i, x)
 
 
 def _per_column_table(cols):
@@ -404,9 +438,10 @@ def test_table_matches_per_column_splines_bit_for_bit(models):
     with np.errstate(invalid="ignore"):  # psi is 0/0 outside the table
         assert np.array_equal(tab.pdf(every), column(0, every))
         assert np.array_equal(tab.cdf(every), cdf(every))
+        psis = tab.psi_chain(every, 6)
         for i in range(1, 7):
-            assert np.array_equal(tab.psis[i - 1](every), psi(i, every), equal_nan=True), i
-            assert np.array_equal(tab.pdf_derivs[i - 1](every), psi(i, every) * column(0, every),
+            assert np.array_equal(psis[i - 1], psi(i, every), equal_nan=True), i
+            assert np.array_equal(psis[i - 1] * tab.pdf(every), psi(i, every) * column(0, every),
                                   equal_nan=True), i
         assert np.array_equal(np.array(list(tab.rho_chain(every, 6))), np.array(chain(every)),
                               equal_nan=True)
@@ -414,9 +449,10 @@ def test_table_matches_per_column_splines_bit_for_bit(models):
         x = float(x)
         assert tab.pdf(x) == column(0, x) and tab.cdf(x) == cdf(x)
         assert list(tab.rho_chain(x, 6)) == [float(r) for r in chain(x)]
+        psis = tab.psi_chain(x, 6)
         for i in range(1, 7):
-            assert tab.psis[i - 1](x) == psi(i, x)
-            assert tab.pdf_derivs[i - 1](x) == psi(i, x) * column(0, x)
+            assert psis[i - 1] == psi(i, x)
+            assert psis[i - 1] * tab.pdf(x) == psi(i, x) * column(0, x)
     for x in outside:
         assert tab.pdf(float(x)) == 0.0 and tab.cdf(float(x)) == float(cdf(x))
 
@@ -563,11 +599,9 @@ def test_table_callables_give_nan_outside_the_table_for_floats_and_arrays(models
             chain = list(tab.rho_chain(x, 6))
             assert all(isinstance(r, float) and math.isnan(r) for r in chain)
             assert all(np.isnan(r).all() for r in tab.rho_chain(np.array([x]), 6))
-            for fns in (tab.psis, tab.pdf_derivs):
-                for fn in fns:
-                    value = fn(x)
-                    assert isinstance(value, float) and math.isnan(value)
-                    assert np.isnan(fn(np.array([x]))).all()
+            for value in tab.psi_chain(x, 6):
+                assert isinstance(value, float) and math.isnan(value)
+            assert np.isnan(tab.psi_chain(np.array([x]), 6)).all()
 
 
 def test_table_without_derivative_columns_points_to_from_expression(tmp_path, models):

@@ -125,11 +125,12 @@ def test_block_rows_match_single_replicates(logistic_model, logistic_moments):
     block = _run_block((desc, 30, 0, 6, 4242, a, logistic_moments.fisher,
                         e.ORDERS, 1e-11))
     for r in range(6):
-        rep = e.replicate(logistic_model, logistic_moments, 30, 4242 ^ r, tol=1e-11)
-        assert block["theta"][r] == rep.theta_hat
-        assert block["standardized"][r] == rep.standardized
-        for i, k in enumerate(e.ORDERS):
-            assert block["gamma"][r, i] == rep.remainders[k]
+        # a block of the one row r, seeded as row r of the block is
+        rep = _simulate_block(logistic_model, 30, 0, 1, 4242 ^ r, logistic_moments.a,
+                              logistic_moments.fisher, e.ORDERS, 1e-11)
+        assert not rep["failed"][0]
+        for key in ("theta", "standardized", "gamma"):
+            assert block[key][r].tobytes() == rep[key][0].tobytes(), (r, key)
 
 
 @pytest.mark.parametrize("n", [25, 400])
@@ -154,8 +155,10 @@ def test_block_results_do_not_depend_on_the_block_split(request, family, n):
 
 
 def test_replication_result_normal_remainders_are_solver_noise(normal_model, normal_moments):
-    rep = e.replicate(normal_model, normal_moments, 50, 7, tol=1e-12)
-    for k, gamma in rep.remainders.items():
+    rep = _simulate_block(normal_model, 50, 0, 1, 7, normal_moments.a, normal_moments.fisher,
+                          e.ORDERS, 1e-12)
+    assert not rep["failed"][0]
+    for k, gamma in zip(e.ORDERS, rep["gamma"][0]):
         assert abs(gamma) < 1e-10, k
 
 
