@@ -119,11 +119,6 @@ def _view(chain, j, x):
     return r
 
 
-def _full(y, value):
-    # the constant ``value`` shaped like y: an array for an array, else a float
-    return np.full_like(y, value) if isinstance(y, np.ndarray) else value
-
-
 # ---------------------------------------------------------------------------
 # numeric CDF and quantile function
 # ---------------------------------------------------------------------------
@@ -246,9 +241,10 @@ class DensityModel:
     All stored callables accept floats or numpy arrays; f, rho and the
     derivative chains return a float for a float and an array for an array.
     Models never mutate after construction, so they are safe to share
-    between threads and worker processes; :meth:`descriptor` returns a plain
-    dict from which :func:`model_from_descriptor` rebuilds an identical
-    model.
+    between threads and worker processes, and study blocks and
+    :class:`~edgemle.mle.LocationMLE` fits share one per (family, params);
+    :meth:`descriptor` returns a plain dict from which
+    :func:`model_from_descriptor` rebuilds an identical model.
 
     Every model has one contrast-derivative chain, ``rho_chain(x, k)``, an
     iterator over rho^(1)(x), ..., rho^(k)(x) for k <= 6.  Consumers take
@@ -392,61 +388,57 @@ def rho_deriv(model: DensityModel, j: int, x):
 # built-in families
 # ---------------------------------------------------------------------------
 
-def normal(loc: float = 0.0) -> DensityModel:
-    """Standard normal density, optionally recentred at ``loc``."""
-    lc = float(loc)
+def normal() -> DensityModel:
+    """Standard normal density."""
     inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
     half_log_2pi = 0.5 * math.log(2.0 * math.pi)
 
     def pdf(x):
-        y = x - lc
-        return inv_sqrt_2pi * np.exp(-0.5 * y * y)
+        return inv_sqrt_2pi * np.exp(-0.5 * x * x)
 
     def rho(x):
-        y = x - lc
-        return 0.5 * (y * y) + half_log_2pi
+        return 0.5 * (x * x) + half_log_2pi
 
     def orders(x):
-        # rho = y^2/2 + const: rho' = y, rho'' = 1, the rest vanish
-        y = x - lc
+        # rho = x^2/2 + const: rho' = x, rho'' = 1, the rest vanish.  rho' is a
+        # fresh array, never the caller's own (x * 1.0 keeps every bit, -0.0 too)
+        y = x * 1.0
         yield y
-        yield _full(y, 1.0)
+        yield np.ones_like(y) if isinstance(y, np.ndarray) else 1.0
         for _ in range(3, MAX_DERIVATIVE_ORDER + 1):
-            yield _full(y, 0.0)
+            yield np.zeros_like(y) if isinstance(y, np.ndarray) else 0.0
 
     return DensityModel(
         "normal", (-np.inf, np.inf), pdf,
-        cdf=lambda x: special.ndtr(x - lc),
-        ppf=lambda u: lc + special.ndtri(np.asarray(u, dtype=float)),
+        cdf=special.ndtr,
+        ppf=lambda u: special.ndtri(np.asarray(u, dtype=float)),
         rho=rho,
         rho_chain=_first_orders(orders),
-        descriptor={"family": "normal", "params": {"loc": lc}},
         log_concave=True,
     )
 
 
-def logistic(loc: float = 0.0) -> DensityModel:
-    """Standard logistic density f(x) = e^-x / (1+e^-x)^2, recentred at ``loc``."""
-    lc = float(loc)
+def logistic() -> DensityModel:
+    """Standard logistic density f(x) = e^-x / (1+e^-x)^2."""
 
     def pdf(x):
-        t = np.tanh(0.5 * (x - lc))
+        t = np.tanh(0.5 * x)
         return 0.25 * (1.0 - t * t)
 
     def rho(x):
-        y = x - lc
-        return y + 2.0 * np.logaddexp(0.0, -y)
+        return x + 2.0 * np.logaddexp(0.0, -x)
 
     def orders(x):
-        # rho^(j) are polynomials in t = tanh(y/2) and u = 1 - t^2.  The
+        # rho^(j) are polynomials in t = tanh(x/2) and u = 1 - t^2.  The
         # augmented assignments update private arrays in place (a float just
         # rebinds), with the bits of the plain products: scaling by 0.25 is
         # exact and 3 t^2 - 1 = -(1 - 3 t^2).  A yielded value is never
         # changed afterwards and its local is deleted, so the consumer alone
         # keeps it alive; u is recomputed rather than kept, so the chain holds
         # at most two arrays between orders.
-        t = np.tanh(0.5 * (x - lc))
+        t = 0.5 * x
         del x
+        t = np.tanh(t, out=t if isinstance(t, np.ndarray) else None)  # in place too
         yield t
         t2 = t * t
         r = 1.0 - t2
@@ -477,17 +469,16 @@ def logistic(loc: float = 0.0) -> DensityModel:
 
     return DensityModel(
         "logistic", (-np.inf, np.inf), pdf,
-        cdf=lambda x: special.expit(x - lc),
-        ppf=lambda u: lc + special.logit(np.asarray(u, dtype=float)),
+        cdf=special.expit,
+        ppf=lambda u: special.logit(np.asarray(u, dtype=float)),
         rho=rho,
         rho_chain=_first_orders(orders),
-        descriptor={"family": "logistic", "params": {"loc": lc}},
         log_concave=True,
     )
 
 
-def student_t(nu: float = 7.0, loc: float = 0.0) -> DensityModel:
-    """Student-t density with ``nu`` degrees of freedom, recentred at ``loc``.
+def student_t(nu: float = 7.0) -> DensityModel:
+    """Student-t density with ``nu`` degrees of freedom.
 
     nu >= 7 is the recommended regime for the simulation harness; smaller
     values are accepted so the condition validator can probe them.
@@ -495,47 +486,43 @@ def student_t(nu: float = 7.0, loc: float = 0.0) -> DensityModel:
     nu = float(nu)
     if nu <= 0:
         raise ValueError("nu must be positive")
-    lc = float(loc)
     w = math.sqrt(nu)
     log_c = math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2) - 0.5 * math.log(nu * math.pi)
 
     def pdf(x):
-        y = x - lc
-        return np.exp(log_c - 0.5 * (nu + 1) * np.log1p(y * y / nu))
+        return np.exp(log_c - 0.5 * (nu + 1) * np.log1p(x * x / nu))
 
     def rho(x):
-        y = x - lc
-        return 0.5 * (nu + 1) * np.log1p(y * y / nu) - log_c
+        return 0.5 * (nu + 1) * np.log1p(x * x / nu) - log_c
 
-    # rho^(j)(y) = (nu+1) (-1)^(j+1) (j-1)! Re((y + i w)^j) / (y^2 + nu)^j
+    # rho^(j)(x) = (nu+1) (-1)^(j+1) (j-1)! Re((x + i w)^j) / (x^2 + nu)^j
     coef = [(nu + 1) * (-1.0) ** (j + 1) * math.factorial(j - 1)
             for j in range(1, MAX_DERIVATIVE_ORDER + 1)]
 
     def orders(x):
-        # re + i im = (y + i w)^j and dj = d^j, one order at a time.  The
+        # re + i im = (x + i w)^j and dj = d^j, one order at a time.  The
         # augmented assignments update private arrays in place (a float just
-        # rebinds), with the bits of the plain expressions.  A yielded
-        # value's local is deleted, so the consumer alone keeps it alive.
-        y = x - lc
-        del x
-        re = y * y
+        # rebinds), with the bits of the plain expressions; x itself is only
+        # read.  A yielded value's local is deleted, so the consumer alone
+        # keeps it alive.
+        re = x * x
         d = re + nu
-        r = coef[0] * y
+        r = coef[0] * x
         r /= d
         yield r
         del r
-        re -= w * w
+        re = re - w * w  # not in place: x * x is an int array for int points
         dj = d * d
         r = coef[1] * re
         r /= dj
         yield r
         del r
-        im = (2.0 * w) * y
+        im = (2.0 * w) * x
         for c in coef[2:]:
             t = re * w
-            re *= y
+            re *= x
             re -= im * w
-            im *= y
+            im *= x
             im += t
             del t
             dj *= d
@@ -546,11 +533,11 @@ def student_t(nu: float = 7.0, loc: float = 0.0) -> DensityModel:
 
     return DensityModel(
         "student_t", (-np.inf, np.inf), pdf,
-        cdf=lambda x: special.stdtr(nu, x - lc),
-        ppf=lambda u: lc + special.stdtrit(nu, np.asarray(u, dtype=float)),
+        cdf=lambda x: special.stdtr(nu, x),
+        ppf=lambda u: special.stdtrit(nu, np.asarray(u, dtype=float)),
         rho=rho,
         rho_chain=_first_orders(orders),
-        descriptor={"family": "student_t", "params": {"nu": nu, "loc": lc}},
+        descriptor={"family": "student_t", "params": {"nu": nu}},
     )
 
 
@@ -710,11 +697,6 @@ def _table(path=None, columns=None, name="table"):
 _USER_FAMILIES = {"expression": from_expression, "table": _table}
 
 
-@functools.cache
-def _signature(build):
-    return inspect.signature(build).parameters
-
-
 def make_model(family: str, **params) -> DensityModel:
     """Construct a model by family name (built-ins, ``expression``, ``table``).
 
@@ -725,13 +707,13 @@ def make_model(family: str, **params) -> DensityModel:
     if build is None:
         raise ValueError(f"unknown family {family!r}; known: {sorted(BUILTIN_FAMILIES)} "
                          f"plus 'expression' and 'table'")
-    accepted = _signature(build)
+    accepted = inspect.signature(build).parameters
     unknown = sorted(set(params) - set(accepted))
     missing = [k for k, p in accepted.items() if p.default is p.empty and k not in params]
     for problem, keys in (("unknown", unknown), ("missing", missing)):
         if keys:
             raise ValueError(f"{problem} parameter(s) {', '.join(keys)} for family "
-                             f"{family!r}; accepted: {', '.join(accepted)}")
+                             f"{family!r}; accepted: {', '.join(accepted) or 'none'}")
     return build(**params)
 
 

@@ -235,11 +235,6 @@ def compute_xi(sample, theta0: float, model: DensityModel, a) -> XiVector:
     The one-row :func:`compute_xi_batch`.
     """
     x = np.asarray(sample, dtype=float).ravel()
-    if x.size == 0:
-        raise ValueError("sample must be nonempty")
-    a = np.asarray(a, dtype=float)
-    if a.shape != (6,):
-        raise ValueError("a must hold the six contrast-derivative means")
     return XiVector(compute_xi_batch(x[None, :], theta0, model, a)[0], x.size)
 
 
@@ -247,6 +242,10 @@ def compute_xi_batch(samples, theta0: float, model: DensityModel, a) -> np.ndarr
     """Normalized sums xi_1..xi_6 of each row of an (M, n) array; returns (M, 6)."""
     s = np.asarray(samples, dtype=float)
     a = np.asarray(a, dtype=float)
+    if s.ndim != 2 or s.shape[1] == 0:
+        raise ValueError(f"samples must be a nonempty (M, n) array, got shape {s.shape}")
+    if a.shape != (6,):
+        raise ValueError("a must hold the six contrast-derivative means")
     y = s - float(theta0)
     _require_usable(model, y)
     root_n = np.sqrt(s.shape[1])

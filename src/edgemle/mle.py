@@ -40,10 +40,15 @@ A vectorized batch path solves many replicates at once; the scalar
 """
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+# modules, not names: perfbench/spans.py wraps their functions where they are defined
+from . import expansion, moments as _moments
 from .density import DensityModel, _require_usable, make_model
 from .errors import DomainError, NoConvergence
 
@@ -313,6 +318,21 @@ def solve_mle(sample, model: DensityModel, tol: float = 1e-10, max_iter: int = 2
 # estimator front end
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _cached_model(descriptor_json: str) -> DensityModel:
+    """The model of a sorted ``{"family": ..., "params": ...}`` JSON key, built once.
+
+    A built-in family's key is its :meth:`DensityModel.descriptor` JSON.
+    """
+    d = json.loads(descriptor_json)
+    return make_model(d["family"], **d["params"])
+
+
+def _plain(value):
+    # numpy values and paths among family_params, as the JSON their builders take back
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else os.fspath(value)
+
+
 def _validate_sample(X) -> np.ndarray:
     x = np.asarray(X, dtype=float)
     if x.ndim == 2 and x.shape[1] == 1:
@@ -355,7 +375,9 @@ class LocationMLE:
 
     def fit(self, X, y=None) -> "LocationMLE":
         x = _validate_sample(X)
-        self.model_ = make_model(self.family, **dict(self.family_params or {}))
+        self.model_ = _cached_model(json.dumps(
+            {"family": self.family, "params": dict(self.family_params or {})},
+            sort_keys=True, default=_plain))
         res = solve_mle(x, self.model_, tol=self.tol, max_iter=self.max_iter)
         self.result_ = res
         self.theta_ = res.theta_hat
@@ -383,10 +405,9 @@ class LocationMLE:
         self._check_fitted()
         if not 0.0 < level < 1.0:
             raise ValueError("level must be in (0, 1)")
-        from .expansion import cornish_fisher_quantile
-        from .moments import compute_moment_set
-        ms = moments if moments is not None else compute_moment_set(self.model_)
+        ms = moments if moments is not None else _moments.compute_moment_set(self.model_)
         s = np.sqrt(self.n_samples_ * ms.fisher)
         alpha = (1.0 - level) / 2.0
-        q_lo, q_hi = cornish_fisher_quantile(ms, self.n_samples_, order, [alpha, 1.0 - alpha])
+        q_lo, q_hi = expansion.cornish_fisher_quantile(ms, self.n_samples_, order,
+                                                       [alpha, 1.0 - alpha])
         return (self.theta_ - q_hi / s, self.theta_ - q_lo / s)

@@ -33,7 +33,6 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -41,7 +40,7 @@ import numpy as np
 from .density import DensityModel, _whole, model_from_descriptor
 from .errors import StudyAborted
 from .expansion import ORDERS, compute_xi_batch, edgeworth_cdf, stochastic_expansion_batch
-from .mle import BLOCK_ELEMENTS, solve_mle_batch
+from .mle import BLOCK_ELEMENTS, _cached_model, solve_mle_batch
 from .moments import MomentSet, compute_moment_set, validate_conditions
 
 logger = logging.getLogger(__name__)
@@ -133,6 +132,8 @@ def ecdf_distance(sample, prediction, grid) -> tuple:
     the half it misses.
     """
     s = np.sort(np.asarray(sample, dtype=float).ravel())
+    if s.size == 0:
+        raise ValueError("sample must be nonempty")
     g = np.asarray(grid, dtype=float)
     if g.size == 0 or np.any(np.diff(g) < 0):
         raise ValueError("grid must be nonempty and sorted")
@@ -247,11 +248,6 @@ class SimulationConfig:
 # ---------------------------------------------------------------------------
 # block execution
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=8)
-def _cached_model(descriptor_json: str) -> DensityModel:
-    return model_from_descriptor(json.loads(descriptor_json))
-
 
 def _simulate_block(model: DensityModel, n, start, stop, base_seed, a, fisher, orders,
                     tol) -> dict:

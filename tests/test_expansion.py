@@ -222,6 +222,17 @@ def test_xi_rejects_out_of_support_points():
         e.compute_xi([0.5, 1.0], 0.7, half, np.zeros(6))
 
 
+@pytest.mark.parametrize("samples, a, match", [
+    (np.zeros(4), np.zeros(6), r"nonempty \(M, n\) array"),
+    (np.zeros((2, 0)), np.zeros(6), r"nonempty \(M, n\) array"),
+    (np.zeros((2, 3, 4)), np.zeros(6), r"nonempty \(M, n\) array"),
+    (np.zeros((2, 4)), np.zeros(2), "a must hold the six contrast-derivative means"),
+], ids=["1-d", "no-columns", "3-d", "short-a"])
+def test_xi_batch_refuses_misshapen_input(logistic_model, samples, a, match):
+    with pytest.raises(ValueError, match=match):
+        e.compute_xi_batch(samples, 0.0, logistic_model, a)
+
+
 # ---------------------------------------------------------------------------
 # stochastic expansion
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import edgemle as e
 import edgemle.mle as mle
+import edgemle.montecarlo as montecarlo
+from conftest import logistic_table
+from edgemle.density import make_model
 from edgemle.mle import (BLOCK_ELEMENTS, GRID_POINTS, _contrast_rows, _grid_scan,
                          _median_and_scale, _sorted_quantile)
 
@@ -471,6 +475,43 @@ def test_location_mle_params_round_trip():
     assert est.tol == 1e-8
     with pytest.raises(ValueError):
         est.set_params(bogus=1)
+
+
+def test_location_mle_builds_a_family_once(monkeypatch):
+    builds = []
+
+    def counting_make_model(*args, **kwargs):
+        builds.append(args)
+        return make_model(*args, **kwargs)
+
+    monkeypatch.setattr(mle, "make_model", counting_make_model)
+    mle._cached_model.cache_clear()
+    x = -np.log(-np.log(np.linspace(0.05, 0.95, 50)))  # Gumbel quantiles
+    gumbel = {"expr": "exp(-x - exp(-x))"}
+    models = {id(e.LocationMLE(family="expression", family_params=gumbel).fit(x).model_)
+              for _ in range(20)}
+    assert builds == [("expression",)]
+    assert len(models) == 1
+
+
+def test_studies_and_estimators_share_one_model_cache():
+    assert montecarlo._cached_model is mle._cached_model
+    x = np.linspace(-2.0, 3.0, 30)
+    for family, params, built in (("normal", None, e.normal()), ("logistic", {}, e.logistic()),
+                                  ("student_t", {"nu": 7.0}, e.student_t(7.0))):
+        key = json.dumps(built.descriptor(), sort_keys=True)  # a study block's key
+        model = e.LocationMLE(family=family, family_params=params).fit(x).model_
+        assert model is mle._cached_model(key)
+
+
+def test_location_mle_takes_numpy_table_columns_and_paths(tmp_path):
+    columns = logistic_table(e.logistic())
+    path = tmp_path / "logistic.csv"
+    np.savetxt(path, np.column_stack(list(columns.values())), delimiter=",")
+    x = np.linspace(-2.0, 3.0, 30)
+    expected = e.solve_mle(x, e.from_table(columns)).theta_hat
+    for params in ({"columns": columns}, {"path": path}):
+        assert e.LocationMLE(family="table", family_params=params).fit(x).theta_ == expected
 
 
 def test_location_mle_fit_and_score(logistic_model):

@@ -115,6 +115,11 @@ def test_ecdf_distance_validates_grid():
         e.ecdf_distance([1.0], lambda g: g, [])
 
 
+def test_ecdf_distance_refuses_an_empty_sample():
+    with pytest.raises(ValueError, match="sample must be nonempty"):
+        e.ecdf_distance([], lambda g: g, [0.0])
+
+
 # ---------------------------------------------------------------------------
 # replicates and blocks
 # ---------------------------------------------------------------------------
