@@ -4,21 +4,21 @@ Subcommands: moments, cdf, quantile, mle, simulate, validate,
 collapse-check, compose-check.  Exit codes: 0 success, 1 validation failure
 or runtime error, 2 usage error.  Every run that writes an output directory
 also writes a manifest.json recording the resolved configuration, the seed
-and a checksum per output file; ``simulate --replay manifest.json`` re-runs
-the study (in a temporary directory unless --out-dir names another one) and
-verifies the new outputs reproduce those checksums.
+and a checksum per output file (a study's, written by ``run_study``, also
+records its precision); ``simulate --replay manifest.json`` re-runs the study
+at that precision (in a temporary directory unless --out-dir names another
+one) and verifies the new outputs reproduce those checksums.
 """
 from __future__ import annotations
 
 import argparse
-import datetime
-import hashlib
 import json
 import math
 import os
 import re
 import sys
 import tempfile
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .expansion import (ORDERS, collapse_report, compose_check, cornish_fisher_q
                         edgeworth_cdf)
 from .mle import solve_mle
 from .moments import compute_moment_set, validate_conditions
-from .montecarlo import SimulationConfig, _round_floats, run_study
+from .montecarlo import SimulationConfig, _round_floats, run_study, write_manifest
 
 _HANDLED = (DomainError, InversionFailure, MomentDivergence, NoConvergence,
             SingularInformation, StudyAborted, UnsupportedOrder, ValueError,
@@ -87,35 +87,6 @@ def _model_from_args(args):
     return make_model(args.family, **_parse_params(args.param))
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _checksums(files) -> dict:
-    return {os.path.basename(p): _sha256(p) for p in files}
-
-
-def _write_manifest(out_dir: str, config: dict, base_seed, files, execution=None) -> str:
-    manifest = {
-        "tool": "edgemle",
-        "version": __version__,
-        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "base_seed": base_seed,
-        "config": config,
-        "execution": execution or {},
-        "outputs": _checksums(files),
-    }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -153,11 +124,10 @@ def _grid_table(args, evaluate, header_tail, flag_fn=None) -> int:
         path = os.path.join(args.out_dir, name)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        _write_manifest(args.out_dir,
-                        {"family": args.family, "params": _parse_params(args.param),
-                         "n": args.n, "order": args.order, "grid": args.grid,
-                         "precision": args.precision},
-                        None, [path])
+        write_manifest(args.out_dir, [path], base_seed=None, execution={},
+                       config={"family": args.family, "params": _parse_params(args.param),
+                               "n": args.n, "order": args.order, "grid": args.grid,
+                               "precision": args.precision})
     return 0
 
 
@@ -242,8 +212,7 @@ def _cmd_simulate(args) -> int:
     if args.replay:
         return _replay(args)
     if not args.config:
-        print("usage: edgemle simulate --config FILE [or --replay MANIFEST]",
-              file=sys.stderr)
+        print("usage: edgemle simulate --config FILE [or --replay MANIFEST]", file=sys.stderr)
         return 2
     with open(args.config, "r", encoding="utf-8") as fh:
         config_dict = json.load(fh)
@@ -251,38 +220,32 @@ def _cmd_simulate(args) -> int:
         config_dict["base_seed"] = args.seed
     if args.reps is not None:
         config_dict["replications"] = args.reps
-    _simulate_into(SimulationConfig.from_dict(config_dict), args.out_dir or "edgemle-out", args)
+    out_dir = args.out_dir or "edgemle-out"
+    report = run_study(SimulationConfig.from_dict(config_dict), out_dir=out_dir,
+                       workers=args.workers, precision=args.precision)
+    print(f"wrote {len(report.output_files)} files + manifest.json to {out_dir}")
     return 0
-
-
-def _simulate_into(config, out_dir, args):
-    """Run the study into ``out_dir``, write its manifest and return the report."""
-    report = run_study(config, out_dir=out_dir, workers=args.workers,
-                       precision=args.precision)
-    manifest_path = _write_manifest(out_dir, config.to_dict(), config.base_seed,
-                                    list(report.output_files),
-                                    execution={"workers": args.workers})
-    print(f"wrote {len(report.output_files)} files + {os.path.basename(manifest_path)} "
-          f"to {out_dir}")
-    return report
 
 
 def _replay(args) -> int:
     with open(args.replay, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    config = SimulationConfig.from_dict(manifest["config"])
-    expected = manifest.get("outputs", {})
-    if args.out_dir is None:
-        # the re-run goes where it cannot touch the outputs it verifies
-        with tempfile.TemporaryDirectory(prefix="edgemle-replay-") as tmp:
-            report = run_study(config, out_dir=tmp, workers=args.workers,
-                               precision=args.precision)
-            produced = _checksums(report.output_files)
-    elif os.path.realpath(args.out_dir) == os.path.dirname(os.path.realpath(args.replay)):
+    expected = manifest.get("outputs")
+    if not expected:
+        raise ValueError(f"manifest {args.replay} records no outputs to verify")
+    if args.out_dir is not None and (os.path.realpath(args.out_dir)
+                                     == os.path.dirname(os.path.realpath(args.replay))):
         raise ValueError(f"--out-dir {args.out_dir} holds the replayed manifest; a replay "
                          "there would overwrite the outputs it verifies")
-    else:
-        produced = _checksums(_simulate_into(config, args.out_dir, args).output_files)
+    config = SimulationConfig.from_dict(manifest["config"])
+    # re-run at the recorded precision (--precision for manifests older than that key)
+    # where it cannot touch the outputs it verifies, then compare the two manifests
+    with (tempfile.TemporaryDirectory(prefix="edgemle-replay-") if args.out_dir is None
+          else nullcontext(args.out_dir)) as out_dir:
+        run_study(config, out_dir=out_dir, workers=args.workers,
+                  precision=manifest.get("precision", args.precision))
+        with open(os.path.join(out_dir, "manifest.json"), "r", encoding="utf-8") as fh:
+            produced = json.load(fh)["outputs"]
     mismatched = sorted(k for k in expected if produced.get(k) != expected[k])
     if mismatched:
         print(f"replay mismatch in: {', '.join(mismatched)}", file=sys.stderr)

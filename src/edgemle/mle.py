@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -375,9 +376,12 @@ class LocationMLE:
 
     def fit(self, X, y=None) -> "LocationMLE":
         x = _validate_sample(X)
-        self.model_ = _cached_model(json.dumps(
-            {"family": self.family, "params": dict(self.family_params or {})},
-            sort_keys=True, default=_plain))
+        params = dict(self.family_params or {})
+        # a table's columns build faster than their floats encode to a cache key
+        self.model_ = (make_model(self.family, **params)
+                       if any(isinstance(v, Mapping) for v in params.values())
+                       else _cached_model(json.dumps({"family": self.family, "params": params},
+                                                     sort_keys=True, default=_plain)))
         res = solve_mle(x, self.model_, tol=self.tol, max_iter=self.max_iter)
         self.result_ = res
         self.theta_ = res.theta_hat

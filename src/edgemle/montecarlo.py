@@ -23,6 +23,8 @@ choice redundant.
 """
 from __future__ import annotations
 
+import datetime
+import hashlib
 import json
 import logging
 import math
@@ -37,6 +39,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import __version__
 from .density import DensityModel, _whole, model_from_descriptor
 from .errors import StudyAborted
 from .expansion import ORDERS, compute_xi_batch, edgeworth_cdf, stochastic_expansion_batch
@@ -376,15 +379,38 @@ def _round_floats(obj, precision: int):
     return obj
 
 
-class _StudyWriter:
-    """Writes a study's files into ``out_dir`` from memory; reads none of them back."""
+def _sha256(path: str) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
-    def __init__(self, out_dir, orders, precision: int):
+
+def write_manifest(out_dir: str, files, **fields) -> str:
+    """Seal ``out_dir`` with manifest.json: tool, time, ``fields``, a sha256 per file."""
+    manifest = {"tool": "edgemle", "version": __version__, **fields,
+                "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                "outputs": {os.path.basename(p): _sha256(p) for p in files}}
+    path = os.path.join(out_dir, "manifest.json")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
+class _StudyWriter:
+    """Writes a study's files into ``out_dir`` from memory, then seals them; reads none back."""
+
+    def __init__(self, out_dir, config: SimulationConfig, workers: int, precision: int):
         self.out_dir = str(out_dir)
         os.makedirs(self.out_dir, exist_ok=True)
-        self.orders = orders
+        self.orders = config.orders
         self.precision = precision
         self.files = []
+        # what manifest.json records besides the files: all a replay needs
+        self.replay = {"base_seed": config.base_seed, "config": config.to_dict(),
+                       "execution": {"workers": int(workers)}, "precision": int(precision)}
 
     def _open(self, name: str):
         path = os.path.join(self.out_dir, name)
@@ -412,7 +438,7 @@ class _StudyWriter:
                        header=",".join(["x", *curves]), comments="")
 
     def finish(self, grid: np.ndarray, curves_by_n: dict, report: dict) -> list:
-        """Write curves.csv and report.json; returns every file written."""
+        """Write curves.csv, report.json and last the manifest; returns the files it seals."""
         p = self.precision
         with self._open("curves.csv") as fh:
             fh.write("x,order,value\n")
@@ -425,6 +451,7 @@ class _StudyWriter:
         with self._open("report.json") as fh:
             json.dump(_round_floats(report, p), fh, indent=2, sort_keys=True)
             fh.write("\n")
+        write_manifest(self.out_dir, self.files, **self.replay)
         return self.files
 
 
@@ -467,13 +494,19 @@ def run_study(config: SimulationConfig, out_dir=None, workers: int = 1,
     stream to ``remainders_<n>.csv`` as blocks finish, the ECDF against every
     order's prediction lands in ``ecdf_<n>.csv``, a long-format
     ``curves.csv`` serves plotting, and ``report.json`` holds the aggregate;
-    every file is written from memory and none is read back.
+    every file is written from memory, at ``precision`` significant digits,
+    and none is read back.  ``manifest.json`` comes last: config, seed,
+    workers, precision and a sha256 per file, all ``simulate --replay`` needs.
+    A ``workers`` or ``precision`` below 1 is a ValueError before any work.
 
     Progress goes to the ``edgemle.montecarlo`` logger: one DEBUG record per
     finished block (sample size, replicate range, solver failures) and one
     INFO record per sample size.  The package installs no handler, so the
     study is silent unless the caller configures logging.
     """
+    for key, value in (("workers", workers), ("precision", precision)):
+        if _integer(key, value) < 1:
+            raise ValueError(f"{key} must be at least 1, got {value!r}")
     model = model_from_descriptor({"family": config.family, "params": config.family_params})
     if config.require_valid_conditions:
         cond = validate_conditions(model)
@@ -486,7 +519,7 @@ def run_study(config: SimulationConfig, out_dir=None, workers: int = 1,
     grid = np.asarray(config.eval_grid, dtype=float)
     m_total = config.replications
     desc_json = json.dumps(model.descriptor(), sort_keys=True)
-    writer = None if out_dir is None else _StudyWriter(out_dir, config.orders, precision)
+    writer = None if out_dir is None else _StudyWriter(out_dir, config, workers, precision)
 
     per_n, curves = {}, {}
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:

@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,6 +332,82 @@ def test_simulate_replay_detects_tampering(capsys, tmp_path):
                        "--out-dir", str(tmp_path / "third"))
     assert code == 1
     assert "replay mismatch" in err
+
+
+def test_simulate_replay_uses_the_recorded_precision(capsys, tmp_path):
+    cfg_path = _config_file(tmp_path)
+    first = tmp_path / "first"
+    run(capsys, "simulate", "--config", str(cfg_path), "--out-dir", str(first),
+        "--precision", "8")
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["precision"] == 8
+    assert manifest["execution"] == {"workers": 1}
+    code, out, err = run(capsys, "simulate", "--replay", str(first / "manifest.json"))
+    assert (code, err) == (0, "")
+    assert out == f"replay verified: {len(manifest['outputs'])} files bit-identical\n"
+
+
+def test_simulate_replay_of_a_manifest_without_precision_reads_the_flag(capsys, tmp_path):
+    # manifests written before the precision key replay at --precision (default 12)
+    cfg_path = _config_file(tmp_path)
+    first = tmp_path / "first"
+    run(capsys, "simulate", "--config", str(cfg_path), "--out-dir", str(first),
+        "--precision", "8")
+    manifest = json.loads((first / "manifest.json").read_text())
+    del manifest["precision"]
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(manifest))
+    code, out, _ = run(capsys, "simulate", "--replay", str(older), "--precision", "8")
+    assert code == 0
+    assert "replay verified" in out
+    code, _, err = run(capsys, "simulate", "--replay", str(older))
+    assert code == 1
+    assert "replay mismatch in: curves.csv" in err
+
+
+def test_library_study_writes_a_replayable_manifest(capsys, tmp_path):
+    cfg = e.SimulationConfig(family="logistic", n_grid=(25,), replications=256, base_seed=5)
+    report = e.run_study(cfg, out_dir=tmp_path / "out", precision=np.int64(9))
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert (manifest["precision"], manifest["execution"]) == (9, {"workers": 1})
+    assert manifest["outputs"] == {
+        os.path.basename(p): hashlib.sha256(Path(p).read_bytes()).hexdigest()
+        for p in report.output_files}
+    assert (manifest["config"], manifest["base_seed"]) == (cfg.to_dict(), 5)
+    code, out, _ = run(capsys, "simulate", "--replay", str(tmp_path / "out" / "manifest.json"))
+    assert code == 0
+    assert out == "replay verified: 4 files bit-identical\n"
+
+
+@pytest.mark.parametrize("outputs", [{}, None])
+def test_simulate_replay_refuses_a_manifest_without_outputs(capsys, tmp_path, outputs):
+    cfg_path = _config_file(tmp_path)
+    first = tmp_path / "first"
+    run(capsys, "simulate", "--config", str(cfg_path), "--out-dir", str(first))
+    manifest = json.loads((first / "manifest.json").read_text())
+    if outputs is None:
+        del manifest["outputs"]
+    else:
+        manifest["outputs"] = outputs
+    hollow = tmp_path / "hollow.json"
+    hollow.write_text(json.dumps(manifest))
+    code, out, err = run(capsys, "simulate", "--replay", str(hollow),
+                         "--out-dir", str(tmp_path / "second"))
+    assert (code, out) == (1, "")
+    assert err == f"error: manifest {hollow} records no outputs to verify\n"
+    assert not (tmp_path / "second").exists()
+
+
+@pytest.mark.parametrize("flag, shown", [("--precision=-1", "precision"),
+                                         ("--workers=-2", "workers")])
+def test_simulate_refuses_a_bad_precision_or_worker_count_before_any_work(capsys, tmp_path,
+                                                                          flag, shown):
+    cfg_path = _config_file(tmp_path)
+    code, out, err = run(capsys, "simulate", "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path / "run"), flag)
+    assert (code, out) == (1, "")
+    assert err == f"error: {shown} must be at least 1, got {flag.split('=')[1]}\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_cdf_out_of_range_flag_and_clamp(capsys):

@@ -514,6 +514,17 @@ def test_location_mle_takes_numpy_table_columns_and_paths(tmp_path):
         assert e.LocationMLE(family="table", family_params=params).fit(x).theta_ == expected
 
 
+def test_location_mle_builds_a_column_table_without_keying_it():
+    # a cache key would JSON-encode every float of the columns on every fit
+    columns = logistic_table(e.logistic())
+    x = np.linspace(-2.0, 3.0, 30)
+    expected = e.solve_mle(x, e.from_table(columns)).theta_hat
+    mle._cached_model.cache_clear()
+    est = e.LocationMLE(family="table", family_params={"columns": columns})
+    assert est.fit(x).theta_ == expected
+    assert mle._cached_model.cache_info().currsize == 0
+
+
 def test_location_mle_fit_and_score(logistic_model):
     x = np.asarray(e.sample_iid(logistic_model, 80, 55))
     est = e.LocationMLE(family="logistic").fit(x)

@@ -317,6 +317,21 @@ def test_study_rejects_family_failing_conditions():
         e.run_study(cfg)
 
 
+@pytest.mark.parametrize("kwargs", [{"workers": 0}, {"workers": -2}, {"workers": 1.0},
+                                    {"precision": -1}, {"precision": 0}, {"precision": "8"}])
+def test_study_refuses_a_bad_worker_count_or_precision_before_any_work(tmp_path, monkeypatch,
+                                                                       kwargs):
+    def no_model(descriptor):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr("edgemle.montecarlo.model_from_descriptor", no_model)
+    cfg = e.SimulationConfig(family="logistic", n_grid=(25,), replications=100)
+    (key, value), = kwargs.items()
+    with pytest.raises(ValueError, match=f"^{key} must be .*, got {value!r}$"):
+        e.run_study(cfg, out_dir=tmp_path / "run", **kwargs)
+    assert not (tmp_path / "run").exists()
+
+
 def test_study_report_structure(normal_study):
     d = normal_study.to_dict()
     assert set(d) == {"config", "fisher", "moments", "dkw_noise_floor", "per_n",
