@@ -29,6 +29,7 @@ the tails where f is tiny.
 """
 from __future__ import annotations
 
+import decimal
 import functools
 import inspect
 import itertools
@@ -482,6 +483,15 @@ def student_t(nu: float = 7.0) -> DensityModel:
 
     nu >= 7 is the recommended regime for the simulation harness; smaller
     values are accepted so the condition validator can probe them.
+
+    For 1 <= nu <= 12 the quantile costs elementary functions only (numpy's
+    tan, exp, log, expm1 and power): each point solves for the angle of
+    t = sqrt(nu) cot(phi) in the tails (min(u, 1-u) < 1/4) or
+    t = sqrt(nu) tan(theta) in the centre, by Halley steps on a power series
+    of the tail probability or of the centre mass built with the model (see
+    :func:`_t_quantile`).  It is within 16 ulp of the exact quantile, where
+    scipy's ``stdtrit`` can be off by 1e5 ulp and more near u = 1/2.  Other
+    nu keep ``stdtrit``; the CDF is scipy's ``stdtr`` for every nu.
     """
     nu = float(nu)
     if nu <= 0:
@@ -531,14 +541,211 @@ def student_t(nu: float = 7.0) -> DensityModel:
             yield r
             del r
 
+    lo, hi = _T_SERIES_NU
     return DensityModel(
         "student_t", (-np.inf, np.inf), pdf,
         cdf=lambda x: special.stdtr(nu, x),
-        ppf=lambda u: special.stdtrit(nu, np.asarray(u, dtype=float)),
+        ppf=(_t_quantile(nu) if lo <= nu <= hi
+             else lambda u: special.stdtrit(nu, np.asarray(u, dtype=float))),
         rho=rho,
         rho_chain=_first_orders(orders),
         descriptor={"family": "student_t", "params": {"nu": nu}},
     )
+
+
+# ---------------------------------------------------------------------------
+# the Student-t quantile
+# ---------------------------------------------------------------------------
+
+#: the nu of the series quantile; within 16 ulp of the exact quantile there
+#: (tests/test_density.py), while scipy's stdtrit serves any other nu
+_T_SERIES_NU = (1.0, 12.0)
+_T_TERMS = 40  # series coefficients computed before truncation
+#: the first term a series drops at the edge of its region is below this,
+#: relative: in the Halley steps before the last, and in the last
+_T_DROP = (2.0 ** -24, 2.0 ** -60)
+_T_STEPS = (3, 2)  # Halley steps of the tail and of the centre
+_T_Q_MIN = 2.0 ** -1000  # the tail probability below which the series' leading term is exact
+_PI_DECIMAL = decimal.Decimal("3.141592653589793238462643383279502884197169399375")
+
+
+def _power_series(f, m, k):
+    """The first ``k`` coefficients of F^m for the power series F = f[0] + f[1] z + ..., f[0] = 1.
+
+    J.C.P. Miller's recurrence, in the arithmetic of the coefficients.
+    """
+    g = [f[0]]
+    for j in range(1, k):
+        g.append(sum(((m + 1) * i - j) * f[i] * g[j - i] for i in range(1, j + 1)) / j)
+    return g
+
+
+def _per_step(c, w, steps):
+    # the series c in w for each Halley step, each up to its last term of
+    # relative size _T_DROP or more at w
+    terms = np.abs(c) * w ** np.arange(c.size)
+    rough, full = (c[:np.flatnonzero(terms >= drop * np.sum(terms))[-1] + 1] for drop in _T_DROP)
+    return [rough] * (steps - 1) + [full]
+
+
+def _horner(c, w, out):
+    # sum_j c[j] w^j into out
+    out.fill(c[-1])
+    for cj in c[-2::-1]:
+        out *= w
+        out += cj
+    return out
+
+
+def _t_quantile(nu: float):
+    """The Student-t(nu) quantile from two series in elementary functions, for 1 <= nu <= 12.
+
+    With C = 1/B(nu/2, 1/2), the tail probability of t = sqrt(nu) cot(phi) is
+    G(phi) = C int_0^phi sin^(nu-1) = C phi^nu e^(-kappa phi^2) R(phi^2), and the
+    centre mass of t = sqrt(nu) tan(theta) is P(theta) = C int_0^theta cos^(nu-1)
+    = C theta B(theta^2).  kappa = (nu-1)/6 takes out the Gaussian decay of
+    (sin x/x)^(nu-1), so R has no large terms of opposite sign; its
+    coefficients are summed in 40-digit decimals, and so is C, from both
+    series at pi/4.  Each series stops where
+    its terms fall below 2^-60 at the edge of its region (t_{3/4} from
+    stdtrit, once), and below 2^-24 in the steps before the last.  A tail
+    probability q = min(u, 1-u) < 1/4 takes three Halley steps on
+    log G = log q in log phi from phi = (nu q / C)^(1/nu); a centre point
+    takes two on P = |u - 1/2| (exact, by Sterbenz) from a three-term
+    reversion.  The last step moves t, not the angle: t comes from
+    tan of the angle before it and tan of the step, so it never inherits the
+    angle's rounding.  Below q = 2^-1000, where phi^nu could underflow,
+    t = -sqrt(nu) (C / (nu q))^(1/nu): u = 0 and u = 1 give -inf and +inf,
+    and u outside [0, 1] or nan gives nan.
+    """
+    n = _T_TERMS
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        d = decimal.Decimal(nu)
+        sine = [decimal.Decimal((-1) ** i) / math.factorial(2 * i + 1) for i in range(n)]
+        cosine = [decimal.Decimal((-1) ** i) / math.factorial(2 * i) for i in range(n)]
+        a = [g / (d + 2 * j) for j, g in enumerate(_power_series(sine, d - 1, n))]
+        decay = [decimal.Decimal(1)]
+        for j in range(1, n):
+            decay.append(decay[-1] * (d - 1) / 6 / j)
+        tail = np.array([float(sum(a[i] * decay[j - i] for i in range(j + 1))) for j in range(n)])
+        b = [g / (2 * j + 1) for j, g in enumerate(_power_series(cosine, d - 1, n))]
+        centre = np.array([float(bj) for bj in b])
+        # 1/(2C) = int_0^(pi/2) sin^(nu-1) = both series at pi/4, so that C is
+        # correctly rounded (1/beta(nu/2, 1/2) is off by up to 5 ulp)
+        x = _PI_DECIMAL / 4
+        half = (x ** d * sum(aj * x ** (2 * j) for j, aj in enumerate(a))
+                + x * sum(bj * x ** (2 * j) for j, bj in enumerate(b)))
+        c = float(1 / (2 * half))
+    m, kappa, root_nu = nu - 1.0, (nu - 1.0) / 6.0, math.sqrt(nu)
+    edge = float(special.stdtrit(nu, 0.75))
+    tails = _per_step(tail, math.atan(root_nu / edge) ** 2, _T_STEPS[0])
+    centres = _per_step(centre, math.atan(edge / root_nu) ** 2, _T_STEPS[1])
+    b1, b2 = np.append(centre, [0.0, 0.0])[1:3]
+    reversion = np.array([1.0, -b1, 3.0 * b1 * b1 - b2])  # theta of C theta B(theta^2) = p
+    far = root_nu * (c / nu) ** (1.0 / nu)
+
+    def upper(q):
+        # -t > 0 of the tail probability q, in one workspace: one allocation
+        # rather than seven keeps glibc from trimming and refaulting the heap
+        phi, target, w, s, e, tan, g = np.empty((7, q.size))
+        np.multiply(q, nu / c, out=phi)
+        np.power(phi, 1.0 / nu, out=phi)
+        np.divide(c, q, out=target)
+        for series in tails:
+            np.multiply(phi, phi, out=w)
+            np.multiply(w, -kappa, out=e)
+            np.exp(e, out=e)
+            _horner(series, w, s)
+            s *= e  # G / (C phi^nu)
+            np.tan(phi, out=tan)
+            np.divide(tan, phi, out=g)
+            g *= g
+            np.multiply(tan, tan, out=w)
+            w += 1.0
+            g /= w
+            np.power(g, 0.5 * m, out=g)
+            g /= s  # dlogG/dlogphi = (sin phi / phi)^(nu-1) / (G / (C phi^nu))
+            np.power(phi, nu, out=e)
+            s *= e
+            s *= target
+            np.log(s, out=s)  # L = log(G / q)
+            np.divide(phi, tan, out=e)  # Halley: dlogphi = -L / (g - L (1 + m phi/tan - g) / 2)
+            e *= m
+            e += 1.0
+            e -= g
+            e *= s
+            e *= -0.5
+            e += g
+            np.divide(s, e, out=e)
+            np.negative(e, out=e)
+            np.expm1(e, out=e)
+            e *= phi  # the step
+            phi += e
+        np.tan(e, out=e)  # cot(phi + step) = (1 - tan tan(step)) / (tan + tan(step))
+        np.multiply(tan, e, out=s)
+        np.subtract(1.0, s, out=s)
+        tan += e
+        s /= tan
+        s *= root_nu
+        return s
+
+    def middle(p):
+        # t >= 0 of the centre mass p, in one workspace
+        theta, w, s, tan, d = np.empty((5, p.size))
+        np.divide(p, c, out=theta)
+        np.multiply(theta, theta, out=w)
+        theta *= _horner(reversion, w, s)
+        for series in centres:
+            np.multiply(theta, theta, out=w)
+            _horner(series, w, s)
+            s *= theta
+            s *= c
+            s -= p  # P(theta) - p
+            np.tan(theta, out=tan)
+            np.multiply(tan, tan, out=d)
+            d += 1.0
+            np.power(d, -0.5 * m, out=d)
+            d *= c  # P' = C cos^(nu-1)
+            np.multiply(s, tan, out=w)
+            w *= 0.5 * m
+            d += w  # Halley: -step = (P - p) / (P' + (P - p) m tan / 2)
+            s /= d
+            theta -= s
+        np.tan(s, out=s)  # tan(theta + step) = (tan - tan(-step)) / (1 + tan tan(-step))
+        np.multiply(tan, s, out=d)
+        d += 1.0
+        tan -= s
+        tan /= d
+        tan *= root_nu
+        return tan
+
+    def ppf(u):
+        ua = np.asarray(u, dtype=float)
+        x = np.empty(ua.shape)
+        xs, us = x.reshape(-1), ua.reshape(-1)
+        q = np.subtract(1.0, us)
+        np.minimum(us, q, out=q)
+        # each branch runs only on points of its own: a small call pays one
+        at = np.flatnonzero((q < 0.25) & (q >= _T_Q_MIN))
+        if at.size:
+            xs[at] = upper(q.take(at))
+        at = np.flatnonzero(q >= 0.25)
+        if at.size:
+            p = us.take(at)
+            p -= 0.5
+            xs[at] = middle(np.abs(p, out=p))
+        at = np.flatnonzero(~(q >= _T_Q_MIN))  # the far tails, 0, 1, nan, outside [0, 1]
+        if at.size:  # G = C phi^nu / nu and cot phi = 1/phi to the last bit there
+            qa = q.take(at)
+            with np.errstate(divide="ignore", over="ignore"):
+                xs[at] = far * np.power(qa, -1.0 / nu, out=np.full_like(qa, np.nan),
+                                        where=qa >= 0.0)
+        q = np.subtract(us, 0.5, out=q)
+        np.copysign(xs, q, out=xs)
+        return _scalar_like(u, x)
+
+    return ppf
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ A vectorized batch path solves many replicates at once; the scalar
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -334,6 +335,23 @@ def _plain(value):
     return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else os.fspath(value)
 
 
+def _real_floats(value):
+    # a real number as a float, in lists too: nu=7 and nu=7.0 are one model
+    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
+        return float(value)
+    return [_real_floats(v) for v in value] if isinstance(value, (list, tuple)) else value
+
+
+def _model_key(family: str, params: dict) -> str:
+    """The :func:`_cached_model` key of a family and its params, every real number a float.
+
+    A built-in family's key is then its :meth:`DensityModel.descriptor` JSON,
+    which a study block keys by and which stores floats.
+    """
+    params = {k: _real_floats(v) for k, v in params.items()}
+    return json.dumps({"family": family, "params": params}, sort_keys=True, default=_plain)
+
+
 def _validate_sample(X) -> np.ndarray:
     x = np.asarray(X, dtype=float)
     if x.ndim == 2 and x.shape[1] == 1:
@@ -380,8 +398,7 @@ class LocationMLE:
         # a table's columns build faster than their floats encode to a cache key
         self.model_ = (make_model(self.family, **params)
                        if any(isinstance(v, Mapping) for v in params.values())
-                       else _cached_model(json.dumps({"family": self.family, "params": params},
-                                                     sort_keys=True, default=_plain)))
+                       else _cached_model(_model_key(self.family, params)))
         res = solve_mle(x, self.model_, tol=self.tol, max_iter=self.max_iter)
         self.result_ = res
         self.theta_ = res.theta_hat

@@ -43,7 +43,7 @@ from . import __version__
 from .density import DensityModel, _whole, model_from_descriptor
 from .errors import StudyAborted
 from .expansion import ORDERS, compute_xi_batch, edgeworth_cdf, stochastic_expansion_batch
-from .mle import BLOCK_ELEMENTS, _cached_model, solve_mle_batch
+from .mle import BLOCK_ELEMENTS, _cached_model, _plain, solve_mle_batch
 from .moments import MomentSet, compute_moment_set, validate_conditions
 
 logger = logging.getLogger(__name__)
@@ -103,11 +103,13 @@ def sample_iid(model: DensityModel, n: int, seed) -> np.ndarray:
     integer in [0, 2**128); they are the same on any platform and under any
     threading, and they live strictly inside (0, 1).  The points are the
     model's quantile function at those uniforms, whose last bits depend on
-    the numpy/scipy build and on the SIMD paths the CPU selects; on one
-    installation the same (model, n, seed) gives bit-identical output for
-    any worker count.  The uniforms are the 53-bit draws
-    ``np.random.Generator(np.random.Philox(key=seed)).integers(0, 2**53,
-    size=n, dtype=np.uint64)``, offset by half a unit.
+    the numpy/scipy build and on the SIMD paths the CPU selects (Student-t's
+    follow numpy's ``tan``, ``exp``, ``log`` and ``power`` for 1 <= nu <= 12,
+    scipy's ``stdtrit`` otherwise); on one installation the same
+    (model, n, seed) gives bit-identical output for any worker count.  The
+    uniforms are the 53-bit draws ``np.random.Generator(np.random.Philox(
+    key=seed)).integers(0, 2**53, size=n, dtype=np.uint64)``, offset by half
+    a unit.
 
     ``seed`` may also be a 1-D sequence of seeds: the result is then a
     (len(seed), n) array whose row i is the sample of ``seed[i]``, all rows
@@ -173,10 +175,14 @@ def _sequence(key: str, value) -> tuple:
 
 
 def _real(key: str, value, positive=False):
-    """``value`` if a finite real (positive if asked), else a ValueError naming ``key``."""
+    """``value`` if a finite real (positive if asked), else a ValueError naming ``key``.
+
+    An int or float is returned as it is and any other real (a numpy scalar,
+    a Fraction) as a float, so that it encodes to JSON.
+    """
     if (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value) and (value > 0 or not positive)):
-        return value
+        return value if type(value) in (int, float) else float(value)
     raise ValueError(f"{key} must be a finite {'positive ' if positive else ''}real number, "
                      f"got {value!r}")
 
@@ -212,6 +218,10 @@ class SimulationConfig:
                              f"got {self.require_valid_conditions!r}")
         if not isinstance(self.family_params, Mapping):
             raise ValueError(f"family_params must be a mapping, got {self.family_params!r}")
+        try:  # JSON types now, so that report.json and the manifest cannot fail after the blocks
+            self.family_params = json.loads(json.dumps(dict(self.family_params), default=_plain))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"family_params must be JSON data ({exc})") from None
         if self.replications < 100:
             raise ValueError("replications must be at least 100")
         if not self.n_grid:

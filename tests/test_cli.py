@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import edgemle as e
+from conftest import logistic_table
 from edgemle.cli import dispatch
 
 
@@ -287,6 +288,20 @@ def test_simulate_replay_verifies_bitwise(capsys, tmp_path):
                        "--out-dir", str(second))
     assert code == 0
     assert "replay verified" in out
+
+
+def test_a_table_study_with_numpy_columns_replays(capsys, tmp_path):
+    # the config holds JSON types from the start, so report.json and the
+    # manifest are written after the blocks
+    columns = logistic_table(e.logistic())
+    cfg = e.SimulationConfig(family="table", family_params={"columns": columns},
+                             n_grid=(25,), replications=100)
+    e.run_study(cfg, out_dir=tmp_path / "first")
+    report = json.loads((tmp_path / "first" / "report.json").read_text())
+    assert report["config"]["family_params"]["columns"]["x"] == pytest.approx(columns["x"])
+    code, out, _ = run(capsys, "simulate", "--replay", str(tmp_path / "first" / "manifest.json"),
+                       "--out-dir", str(tmp_path / "second"))
+    assert code == 0 and "replay verified" in out
 
 
 def _snapshot(directory):

@@ -9,6 +9,7 @@ import pytest
 import edgemle as e
 from conftest import logistic_table
 from edgemle.density import check_density
+from edgemle.montecarlo import _philox_uint64
 
 PROBE = np.array([-2.7, -1.3, -0.4, 0.0, 0.6, 1.1, 2.9])
 
@@ -656,6 +657,68 @@ def test_make_model_names_missing_parameters():
         e.make_model("expression")
     with pytest.raises(ValueError, match="path and columns"):
         e.make_model("table")
+
+
+# ---------------------------------------------------------------------------
+# the Student-t quantile
+# ---------------------------------------------------------------------------
+
+#: the extreme Philox uniforms, 1e-12, both sides of the tail/centre split at
+#: 1/4 and of 1/2, the largest uniform below 1, then 50 Philox uniforms
+_T_GRID = np.concatenate([
+    [2.0**-54, 3 * 2.0**-54, 1e-12, np.nextafter(0.25, 0.0), 0.25, np.nextafter(0.25, 1.0),
+     np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)],
+    ((_philox_uint64([20261019], 50)[0] >> np.uint64(11)) + 0.5) * 2.0**-53,
+])
+
+
+def _t_ulps(nu, u, t):
+    """|t - t*| in ulp of t for the exact Student-t(nu) quantile t* of u: one betainc residual.
+
+    The tails read P(T < -|t|) = I_x(nu/2, 1/2)/2 at x = nu/(nu + t^2) and the
+    centre P(0 < T < |t|) = I_y(1/2, nu/2)/2 at y = t^2/(nu + t^2), so that the
+    residual keeps its relative precision at both ends; it becomes a step in t
+    through the density.
+    """
+    with mp.workprec(80):
+        n, t2, u = mp.mpf(nu), mp.mpf(float(t)) ** 2, mp.mpf(float(u))
+        if min(u, 1 - u) < 0.25:
+            residual = mp.betainc(n / 2, 0.5, 0, n / (n + t2), regularized=True) / 2 - min(u, 1 - u)
+        else:
+            residual = mp.betainc(0.5, n / 2, 0, t2 / (n + t2), regularized=True) / 2 - abs(u - 0.5)
+        step = residual / _mp_density("student_t", nu)(mp.mpf(float(t)))
+        return float(abs(step) / np.spacing(abs(float(t))))
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3, 7, 7.5, 9, 12])
+def test_student_t_quantile_is_within_16_ulp_of_the_exact_quantile(nu):
+    # stdtrit is no reference: it is off by ~8e5 ulp at nu = 7 near u = 1/2
+    t = e.student_t(nu).ppf(_T_GRID)
+    assert np.all(np.sign(t) == np.sign(_T_GRID - 0.5))
+    ulps = [_t_ulps(nu, u, x) for u, x in zip(_T_GRID, t)]
+    assert max(ulps) <= 16.0, (max(ulps), _T_GRID[int(np.argmax(ulps))])
+
+
+def test_student_t_quantile_keeps_the_input_form_and_the_edges():
+    model = e.student_t(7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert type(model.ppf(0.3)) is float
+        assert model.ppf(_T_GRID.reshape(59, 1)).shape == (59, 1)
+        assert np.array_equal(model.ppf(np.full((4, 3), 0.8)), np.full((4, 3), model.ppf(0.8)))
+        edges = model.ppf(np.array([0.0, 1.0, 0.5, -0.1, 1.1, np.nan]))
+        # below a tail probability of 2^-1000 the series' leading term is exact;
+        # its power of q carries the rounding of 1/nu, ~1e-14 relative
+        far, near = model.ppf(np.array([np.nextafter(2.0**-1000, 0.0), 2.0**-1000]))
+    assert edges[0] == -np.inf and edges[1] == np.inf and edges[2] == 0.0
+    assert np.all(np.isnan(edges[3:]))
+    assert far == pytest.approx(near, rel=1e-13) and near < -1e43
+
+
+@pytest.mark.parametrize("nu", [0.5, 12.5, 30.0])
+def test_student_t_quantile_outside_the_series_range_is_stdtrit(nu):
+    from scipy.special import stdtrit
+    assert np.array_equal(e.student_t(nu).ppf(_T_GRID), stdtrit(nu, _T_GRID))
 
 
 # ---------------------------------------------------------------------------

@@ -504,6 +504,19 @@ def test_studies_and_estimators_share_one_model_cache():
         assert model is mle._cached_model(key)
 
 
+def test_integer_and_float_nu_key_one_model():
+    # LocationMLE keys nu=7 as 7.0, the float a study block's descriptor key stores
+    mle._cached_model.cache_clear()
+    x = np.linspace(-2.0, 3.0, 30)
+    fitted = {id(e.LocationMLE(family="student_t", family_params={"nu": nu}).fit(x).model_)
+              for nu in (7, 7.0, np.int64(7))}
+    key = json.dumps(e.student_t(7).descriptor(), sort_keys=True)
+    block = montecarlo._run_block((key, 10, 0, 2, 5, np.eye(6)[1], 1.0, (1,), 1e-9))
+    assert block["theta"].size == 2
+    assert fitted == {id(mle._cached_model(key))}
+    assert mle._cached_model.cache_info().misses == 1
+
+
 def test_location_mle_takes_numpy_table_columns_and_paths(tmp_path):
     columns = logistic_table(e.logistic())
     path = tmp_path / "logistic.csv"

@@ -196,7 +196,8 @@ def test_config_validation():
                        ("solver_tol", 0.0), ("solver_tol", math.nan), ("moment_tol", -1e-10),
                        ("moment_tol", True), ("epsilon_exponent", "0.5"),
                        ("epsilon_exponent", math.inf), ("require_valid_conditions", "no"),
-                       ("require_valid_conditions", 0), ("family_params", [1])]:
+                       ("require_valid_conditions", 0), ("family_params", [1]),
+                       ("family_params", {"nu": object()})]:
         with pytest.raises(ValueError, match=key):
             e.SimulationConfig.from_dict({key: value})
     with pytest.raises(ValueError, match="n_grid must be nonempty"):
@@ -209,6 +210,13 @@ def test_config_validation():
     assert type(cfg.replications) is int and type(cfg.n_grid[0]) is int
     cfg = e.SimulationConfig(orders=[np.int64(2)], eval_grid=np.linspace(-1.0, 1.0, 5))
     assert cfg.orders == (2,) and type(cfg.orders[0]) is int and len(cfg.eval_grid) == 5
+    # every field is JSON data from the start: numpy reals, arrays and tuples included
+    cfg = e.SimulationConfig(solver_tol=np.float32(0.5), epsilon_exponent=np.int64(1),
+                             family_params={"nu": np.float64(7.0), "grid": np.arange(2.0),
+                                            "pair": (1, 2)})
+    assert type(cfg.solver_tol) is float and type(cfg.epsilon_exponent) is float
+    assert cfg.family_params == {"nu": 7.0, "grid": [0.0, 1.0], "pair": [1, 2]}
+    assert json.loads(json.dumps(cfg.to_dict())) == cfg.to_dict()
 
 
 def test_config_round_trip():
