@@ -23,14 +23,14 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import __version__
-from .density import check_density, make_model
+from .density import _json_data, check_density, make_model
 from .errors import (DomainError, InversionFailure, MomentDivergence, NoConvergence,
                      SingularInformation, StudyAborted, UnsupportedOrder)
 from .expansion import (ORDERS, collapse_report, compose_check, cornish_fisher_quantile,
                         edgeworth_cdf)
 from .mle import solve_mle
 from .moments import compute_moment_set, validate_conditions
-from .montecarlo import SimulationConfig, _round_floats, run_study, write_manifest
+from .montecarlo import SimulationConfig, run_study, write_manifest
 
 _HANDLED = (DomainError, InversionFailure, MomentDivergence, NoConvergence,
             SingularInformation, StudyAborted, UnsupportedOrder, ValueError,
@@ -47,7 +47,7 @@ def _fmt(value, precision: int) -> str:
 
 
 def _print_json(payload: dict, precision: int):
-    print(json.dumps(_round_floats(payload, precision), indent=2, sort_keys=True))
+    print(json.dumps(_json_data(payload, precision), indent=2, sort_keys=True))
 
 
 def _parse_params(pairs) -> dict:
@@ -160,15 +160,7 @@ def _cmd_mle(args) -> int:
             text = fh.read()
     values = [float(tok) for tok in text.replace(",", " ").split()]
     res = solve_mle(np.asarray(values), model, tol=args.tol)
-    _print_json({
-        "theta_hat": res.theta_hat,
-        "gradient_at_solution": res.gradient_at_solution,
-        "iterations": res.iterations,
-        "bracket": list(res.bracket),
-        "multimodal_flag": res.multimodal_flag,
-        "contrast_value": res.contrast_value,
-        "n": len(values),
-    }, args.precision)
+    _print_json({**_json_data(res), "n": len(values)}, args.precision)
     return 0
 
 

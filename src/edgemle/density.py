@@ -29,13 +29,15 @@ the tails where f is tiny.
 """
 from __future__ import annotations
 
+import dataclasses
 import decimal
 import functools
 import inspect
 import itertools
 import math
+import os
 from math import comb
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import special
@@ -60,6 +62,31 @@ def _whole(value, what: str, error=ValueError) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise error(f"{what} must be a whole number, got {value!r}")
+
+
+def _json_data(value, precision=None):
+    """``value`` as JSON data, the one form of reports, configs and model-cache keys.
+
+    A dataclass becomes the dict of its fields, every mapping key a str, a
+    tuple a list, a numpy value its ``tolist()`` and a path its
+    ``os.fspath``; with ``precision`` every finite float is rounded to that
+    many significant digits.  Any other value is a TypeError, so this is also
+    a ``json.dumps`` ``default`` hook that refuses what JSON cannot hold.
+    """
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, float):
+        return (float(format(value, f".{precision}g"))
+                if precision is not None and math.isfinite(value) else value)
+    if value is None or isinstance(value, (str, int)):
+        return value
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, Mapping):
+        return {str(k): _json_data(v, precision) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_data(v, precision) for v in value]
+    return os.fspath(value)
 
 
 def _neg_log(value):
@@ -494,8 +521,8 @@ def student_t(nu: float = 7.0) -> DensityModel:
     nu keep ``stdtrit``; the CDF is scipy's ``stdtr`` for every nu.
     """
     nu = float(nu)
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not (math.isfinite(nu) and nu > 0):  # a nan or inf nu would build a nan density
+        raise ValueError(f"nu must be a finite positive number, got {nu!r}")
     w = math.sqrt(nu)
     log_c = math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2) - 0.5 * math.log(nu * math.pi)
 
@@ -541,12 +568,16 @@ def student_t(nu: float = 7.0) -> DensityModel:
             yield r
             del r
 
+    def stdtrit(u):
+        # scipy's stdtrit(nu, 0) is +inf (scipy 1.17.1); the quantile there is -inf
+        u = np.asarray(u, dtype=float)
+        return _scalar_like(u, np.where(u == 0.0, -np.inf, special.stdtrit(nu, u)))
+
     lo, hi = _T_SERIES_NU
     return DensityModel(
         "student_t", (-np.inf, np.inf), pdf,
         cdf=lambda x: special.stdtr(nu, x),
-        ppf=(_t_quantile(nu) if lo <= nu <= hi
-             else lambda u: special.stdtrit(nu, np.asarray(u, dtype=float))),
+        ppf=_t_quantile(nu) if lo <= nu <= hi else stdtrit,
         rho=rho,
         rho_chain=_first_orders(orders),
         descriptor={"family": "student_t", "params": {"nu": nu}},

@@ -39,7 +39,7 @@ from typing import Mapping
 import numpy as np
 from scipy import special
 
-from .density import DensityModel, _require_usable, _scalar_like, _whole
+from .density import DensityModel, _json_data, _require_usable, _scalar_like, _whole
 from .errors import SingularInformation, UnsupportedOrder
 from .moments import MomentSet
 
@@ -436,19 +436,7 @@ class CompositionReport:
     notes: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "n_grid": list(self.n_grid),
-            "v_grid": list(self.v_grid),
-            "orders": list(self.orders),
-            "residuals": {str(k): {str(n): v for n, v in d.items()}
-                          for k, d in self.residuals.items()},
-            "normal_quantile_residuals": {str(k): {str(n): v for n, v in d.items()}
-                                          for k, d in self.normal_quantile_residuals.items()},
-            "decay_exponents": {str(k): v for k, v in self.decay_exponents.items()},
-            "expected_exponents": {str(k): v for k, v in self.expected_exponents.items()},
-            "flagged_order": self.flagged_order,
-            "notes": list(self.notes),
-        }
+        return _json_data(self)
 
 
 _ROUNDOFF_FLOOR = 1e-13

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import json
 import numbers
-import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,7 +50,7 @@ import numpy as np
 
 # modules, not names: perfbench/spans.py wraps their functions where they are defined
 from . import expansion, moments as _moments
-from .density import DensityModel, _require_usable, make_model
+from .density import DensityModel, _json_data, _require_usable, make_model
 from .errors import DomainError, NoConvergence
 
 GRID_POINTS = 41
@@ -321,18 +320,14 @@ def solve_mle(sample, model: DensityModel, tol: float = 1e-10, max_iter: int = 2
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _cached_model(descriptor_json: str) -> DensityModel:
-    """The model of a sorted ``{"family": ..., "params": ...}`` JSON key, built once.
+def _cached_model(model_key: str) -> DensityModel:
+    """The model of a :func:`_model_key`, built once per process.
 
-    A built-in family's key is its :meth:`DensityModel.descriptor` JSON.
+    A study, its blocks (in any worker process) and the ``LocationMLE`` fits
+    of one family and params all read it under the same key.
     """
-    d = json.loads(descriptor_json)
+    d = json.loads(model_key)
     return make_model(d["family"], **d["params"])
-
-
-def _plain(value):
-    # numpy values and paths among family_params, as the JSON their builders take back
-    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else os.fspath(value)
 
 
 def _real_floats(value):
@@ -345,11 +340,14 @@ def _real_floats(value):
 def _model_key(family: str, params: dict) -> str:
     """The :func:`_cached_model` key of a family and its params, every real number a float.
 
-    A built-in family's key is then its :meth:`DensityModel.descriptor` JSON,
-    which a study block keys by and which stores floats.
+    The key is sorted JSON, so nu=7 and nu=7.0 key one model, and a built-in
+    family's key is its :meth:`DensityModel.descriptor` JSON.  Params that
+    are not JSON already (numpy values, paths) go through the
+    :func:`~edgemle.density._json_data` hook alone, so plain params pay
+    nothing for it.
     """
     params = {k: _real_floats(v) for k, v in params.items()}
-    return json.dumps({"family": family, "params": params}, sort_keys=True, default=_plain)
+    return json.dumps({"family": family, "params": params}, sort_keys=True, default=_json_data)
 
 
 def _validate_sample(X) -> np.ndarray:

@@ -31,7 +31,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .density import _T_END, DensityModel, _de_map, _panels, _psi_from_log_derivs
+from .density import _T_END, DensityModel, _de_map, _json_data, _panels, _psi_from_log_derivs
 from .errors import InversionFailure, MomentDivergence
 
 ETA_INDICES = tuple(range(2, 11))
@@ -68,12 +68,7 @@ class MomentSet:
     quadrature_error: Mapping[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "fisher": self.fisher,
-            "a": list(self.a),
-            "eta": {str(k): v for k, v in self.eta.items()},
-            "quadrature_error": dict(self.quadrature_error),
-        }
+        return _json_data(self)
 
     @staticmethod
     def from_values(fisher: float, eta: Mapping[int, float], a=None) -> "MomentSet":
@@ -228,12 +223,7 @@ class ConditionReport:
         return all(v == "pass" for v in self.verdicts.values())
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "verdicts": {str(k): v for k, v in self.verdicts.items()},
-            "details": {str(k): v for k, v in self.details.items()},
-            "all_pass": self.all_pass,
-        }
+        return {**_json_data(self), "all_pass": self.all_pass}
 
 
 def _tail_exponents(model: DensityModel, rows: Callable) -> dict:

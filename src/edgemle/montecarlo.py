@@ -34,16 +34,18 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
 
 from . import __version__
-from .density import DensityModel, _whole, model_from_descriptor
+# no study calls model_from_descriptor, but perfbench/spans.py patches it here
+# (Tracer.install raises AttributeError without it)
+from .density import DensityModel, _json_data, _whole, model_from_descriptor
 from .errors import StudyAborted
 from .expansion import ORDERS, compute_xi_batch, edgeworth_cdf, stochastic_expansion_batch
-from .mle import BLOCK_ELEMENTS, _cached_model, _plain, solve_mle_batch
+from .mle import BLOCK_ELEMENTS, _cached_model, _model_key, solve_mle_batch
 from .moments import MomentSet, compute_moment_set, validate_conditions
 
 logger = logging.getLogger(__name__)
@@ -142,6 +144,10 @@ def ecdf_distance(sample, prediction, grid) -> tuple:
     g = np.asarray(grid, dtype=float)
     if g.size == 0 or np.any(np.diff(g) < 0):
         raise ValueError("grid must be nonempty and sorted")
+    # a nan sorts above every point, and a nan grid point passes the sorted check
+    for name, values in (("sample", s), ("grid", g)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite")
     p = np.asarray(prediction(g) if callable(prediction) else prediction, dtype=float)
     left = np.searchsorted(s, g, side="left") / s.size
     right = np.searchsorted(s, g, side="right") / s.size
@@ -219,7 +225,8 @@ class SimulationConfig:
         if not isinstance(self.family_params, Mapping):
             raise ValueError(f"family_params must be a mapping, got {self.family_params!r}")
         try:  # JSON types now, so that report.json and the manifest cannot fail after the blocks
-            self.family_params = json.loads(json.dumps(dict(self.family_params), default=_plain))
+            params = json.dumps(dict(self.family_params), default=_json_data)
+            self.family_params = json.loads(params)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"family_params must be JSON data ({exc})") from None
         if self.replications < 100:
@@ -238,11 +245,7 @@ class SimulationConfig:
             raise ValueError("eval_grid must be nonempty")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["n_grid"] = list(self.n_grid)
-        d["orders"] = list(self.orders)
-        d["eval_grid"] = list(self.eval_grid)
-        return d
+        return _json_data(self)
 
     @staticmethod
     def from_dict(d: Mapping) -> "SimulationConfig":
@@ -292,8 +295,8 @@ def _simulate_block(model: DensityModel, n, start, stop, base_seed, a, fisher, o
 
 def _run_block(payload: tuple) -> dict:
     """Work item: :func:`_simulate_block` on plain data, so it can cross a process boundary."""
-    descriptor_json, *args = payload
-    return _simulate_block(_cached_model(descriptor_json), *args)
+    model_key, *args = payload
+    return _simulate_block(_cached_model(model_key), *args)
 
 
 def _logged_blocks(n: int, blocks):
@@ -379,16 +382,6 @@ def _aggregate(blocks, n: int, grid: np.ndarray, moments: MomentSet,
 # output files
 # ---------------------------------------------------------------------------
 
-def _round_floats(obj, precision: int):
-    if isinstance(obj, float):
-        return float(format(obj, f".{precision}g")) if math.isfinite(obj) else obj
-    if isinstance(obj, dict):
-        return {k: _round_floats(v, precision) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, precision) for v in obj]
-    return obj
-
-
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -459,7 +452,7 @@ class _StudyWriter:
                     fh.writelines(f"{x:.{p}g},{label},{col[i]:.{p}g}\n"
                                   for label, col in columns.items())
         with self._open("report.json") as fh:
-            json.dump(_round_floats(report, p), fh, indent=2, sort_keys=True)
+            json.dump(_json_data(report, p), fh, indent=2, sort_keys=True)
             fh.write("\n")
         write_manifest(self.out_dir, self.files, **self.replay)
         return self.files
@@ -509,6 +502,9 @@ def run_study(config: SimulationConfig, out_dir=None, workers: int = 1,
     workers, precision and a sha256 per file, all ``simulate --replay`` needs.
     A ``workers`` or ``precision`` below 1 is a ValueError before any work.
 
+    The family is built once per process, in the model cache that the blocks
+    and any ``LocationMLE`` fit of the same family and params read too.
+
     Progress goes to the ``edgemle.montecarlo`` logger: one DEBUG record per
     finished block (sample size, replicate range, solver failures) and one
     INFO record per sample size.  The package installs no handler, so the
@@ -517,7 +513,8 @@ def run_study(config: SimulationConfig, out_dir=None, workers: int = 1,
     for key, value in (("workers", workers), ("precision", precision)):
         if _integer(key, value) < 1:
             raise ValueError(f"{key} must be at least 1, got {value!r}")
-    model = model_from_descriptor({"family": config.family, "params": config.family_params})
+    model_key = _model_key(config.family, config.family_params)
+    model = _cached_model(model_key)
     if config.require_valid_conditions:
         cond = validate_conditions(model)
         failed = [k for k, v in cond.verdicts.items() if v == "fail"]
@@ -528,14 +525,13 @@ def run_study(config: SimulationConfig, out_dir=None, workers: int = 1,
     moments = compute_moment_set(model, tol=config.moment_tol)
     grid = np.asarray(config.eval_grid, dtype=float)
     m_total = config.replications
-    desc_json = json.dumps(model.descriptor(), sort_keys=True)
     writer = None if out_dir is None else _StudyWriter(out_dir, config, workers, precision)
 
     per_n, curves = {}, {}
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for n in config.n_grid:
             rows = max(1, BLOCK_ELEMENTS // n)
-            payloads = [(desc_json, n, start, min(start + rows, m_total),
+            payloads = [(model_key, n, start, min(start + rows, m_total),
                          config.base_seed, moments.a, moments.fisher, config.orders,
                          config.solver_tol)
                         for start in range(0, m_total, rows)]

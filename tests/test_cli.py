@@ -230,6 +230,13 @@ def test_unknown_family_parameter_is_reported(capsys, params):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("nu", ["NaN", "Infinity"])
+def test_a_nonfinite_nu_is_named_as_the_cause(capsys, nu):
+    code, out, err = run(capsys, "moments", "--family", "student_t", "--param", f"nu={nu}")
+    assert (code, out) == (1, "")
+    assert err == f"error: nu must be a finite positive number, got {float(nu)!r}\n"
+
+
 def test_simulate_without_config_is_usage_error(capsys):
     code, _, err = run(capsys, "simulate")
     assert code == 2

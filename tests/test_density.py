@@ -721,6 +721,22 @@ def test_student_t_quantile_outside_the_series_range_is_stdtrit(nu):
     assert np.array_equal(e.student_t(nu).ppf(_T_GRID), stdtrit(nu, _T_GRID))
 
 
+@pytest.mark.parametrize("nu", [0.5, 12.5, 30.0])
+def test_student_t_quantile_outside_the_series_range_is_minus_inf_at_zero(nu):
+    # scipy's stdtrit(nu, 0) is +inf
+    model = e.student_t(nu)
+    assert model.ppf(0.0) == -np.inf and type(model.ppf(0.0)) is float
+    edges = model.ppf(np.array([[0.0, 1.0], [0.5, np.nan]]))
+    assert edges[0, 0] == -np.inf and edges[0, 1] == np.inf and edges[1, 0] == 0.0
+    assert np.isnan(edges[1, 1])
+
+
+@pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf, 0.0])
+def test_student_t_refuses_a_nonfinite_or_nonpositive_nu(nu):
+    with pytest.raises(ValueError, match=f"^nu must be a finite positive number, got {nu!r}$"):
+        e.student_t(nu)
+
+
 # ---------------------------------------------------------------------------
 # the usable-point guard
 # ---------------------------------------------------------------------------

@@ -517,6 +517,26 @@ def test_integer_and_float_nu_key_one_model():
     assert mle._cached_model.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("family, params", [("student_t", {"nu": 7}),
+                                            ("expression", {"expr": "exp(-x - exp(-x))"})])
+def test_a_study_and_a_fit_of_one_family_build_it_once(monkeypatch, family, params):
+    builds = []
+
+    def counting_make_model(*args, **kwargs):
+        builds.append(args)
+        return make_model(*args, **kwargs)
+
+    for module in (mle, e.density):  # every builder looks make_model up in one of these
+        monkeypatch.setattr(module, "make_model", counting_make_model)
+    mle._cached_model.cache_clear()
+    cfg = e.SimulationConfig(family=family, family_params=params, n_grid=(25,),
+                             replications=200, orders=(1, 2, 3, 4))
+    e.run_study(cfg)
+    e.LocationMLE(family=family, family_params=params).fit(np.linspace(-2.0, 3.0, 30))
+    assert builds == [(family,)]
+    assert mle._cached_model.cache_info().misses == 1
+
+
 def test_location_mle_takes_numpy_table_columns_and_paths(tmp_path):
     columns = logistic_table(e.logistic())
     path = tmp_path / "logistic.csv"

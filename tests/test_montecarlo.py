@@ -9,6 +9,7 @@ from scipy import stats
 from scipy.special import ndtr
 
 import edgemle as e
+import edgemle.mle as mle
 from edgemle.montecarlo import _run_block, _simulate_block
 
 
@@ -118,6 +119,16 @@ def test_ecdf_distance_validates_grid():
 def test_ecdf_distance_refuses_an_empty_sample():
     with pytest.raises(ValueError, match="sample must be nonempty"):
         e.ecdf_distance([], lambda g: g, [0.0])
+
+
+@pytest.mark.parametrize("sample, grid, bad", [([np.nan, 0.0, 1.0], [0.0, 0.5], "sample"),
+                                               ([0.0, np.inf], [0.0, 0.5], "sample"),
+                                               ([0.0, 1.0], [0.0, np.nan], "grid"),
+                                               ([0.0, 1.0], [np.nan], "grid")])
+def test_ecdf_distance_refuses_nonfinite_input(sample, grid, bad):
+    # a nan sorts above every grid point, and a nan grid point passes the sorted check
+    with pytest.raises(ValueError, match=f"^{bad} must be finite$"):
+        e.ecdf_distance(sample, lambda g: 0.5 + 0 * g, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +340,11 @@ def test_study_rejects_family_failing_conditions():
                                     {"precision": -1}, {"precision": 0}, {"precision": "8"}])
 def test_study_refuses_a_bad_worker_count_or_precision_before_any_work(tmp_path, monkeypatch,
                                                                        kwargs):
-    def no_model(descriptor):
+    def no_model(*args, **kwargs):
         raise AssertionError("the model was built")
 
-    monkeypatch.setattr("edgemle.montecarlo.model_from_descriptor", no_model)
+    monkeypatch.setattr("edgemle.mle.make_model", no_model)
+    mle._cached_model.cache_clear()  # a cached model would be read without a build
     cfg = e.SimulationConfig(family="logistic", n_grid=(25,), replications=100)
     (key, value), = kwargs.items()
     with pytest.raises(ValueError, match=f"^{key} must be .*, got {value!r}$"):
