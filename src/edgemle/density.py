@@ -64,28 +64,31 @@ def _whole(value, what: str, error=ValueError) -> int:
     raise error(f"{what} must be a whole number, got {value!r}")
 
 
-def _json_data(value, precision=None):
+def _json_data(value, precision=None, strict=False):
     """``value`` as JSON data, the one form of reports, configs and model-cache keys.
 
     A dataclass becomes the dict of its fields, every mapping key a str, a
     tuple a list, a numpy value its ``tolist()`` and a path its
     ``os.fspath``; with ``precision`` every finite float is rounded to that
-    many significant digits.  Any other value is a TypeError, so this is also
-    a ``json.dumps`` ``default`` hook that refuses what JSON cannot hold.
+    many significant digits, and with ``strict`` a nan or infinity becomes
+    None, which JSON writes as null.  Any other value is a TypeError, so
+    this is also a ``json.dumps`` ``default`` hook that refuses what JSON
+    cannot hold.
     """
     if isinstance(value, (np.ndarray, np.generic)):
         value = value.tolist()
     if isinstance(value, float):
-        return (float(format(value, f".{precision}g"))
-                if precision is not None and math.isfinite(value) else value)
+        if not math.isfinite(value):
+            return None if strict else value
+        return value if precision is None else float(format(value, f".{precision}g"))
     if value is None or isinstance(value, (str, int)):
         return value
     if dataclasses.is_dataclass(value):
         value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     if isinstance(value, Mapping):
-        return {str(k): _json_data(v, precision) for k, v in value.items()}
+        return {str(k): _json_data(v, precision, strict) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_json_data(v, precision) for v in value]
+        return [_json_data(v, precision, strict) for v in value]
     return os.fspath(value)
 
 

@@ -12,10 +12,14 @@ counter-based generator, solves each replicate's MLE, and measures
   eps_n = (log n)^(2 + epsilon_exponent) / sqrt(n), a sequence chosen so
   that eps_n sqrt(n) (log n)^-2 still grows.
 
-Reproducibility contract: replicate r is seeded with base_seed XOR r, a
-work item at sample size n holds a number of replicates that follows from n
-and a fixed element budget alone (so one block's arrays stay cache-sized),
-and aggregation is a deterministic merge in replicate order, so the report
+Reproducibility contract: each sample size n has its own Philox stream,
+keyed base_seed XOR (n << 64) so that n sits in the key's high word, and
+replicate r reads that stream from counter r * ceil(n/4) on (see
+:func:`sample_iid`).  Row r at one n is therefore unrelated to row r at
+another, and no row depends on the block that draws it.  A work item at
+sample size n holds a number of replicates that follows from n and a fixed
+element budget alone (so one block's arrays stay cache-sized), and
+aggregation is a deterministic merge in replicate order, so the report
 bytes never depend on the worker count.
 
 theta0 = 0 throughout; location equivariance of the MLE makes any other
@@ -53,82 +57,50 @@ logger = logging.getLogger(__name__)
 _DKW_95 = 1.3581  # sqrt(log(2/0.05)/2): ECDF sup-norm noise floor at 95%
 
 
-# numpy's Philox4x64-10: round multipliers and Weyl key increments
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-_PHILOX_ROUNDS = 10
-_LO32 = np.uint64(0xFFFFFFFF)
-_U64 = 2**64
+_U128 = 2**128
 
 
-def _mulhilo(m, x):
-    """High and low words of the 128-bit products m * x, through 32-bit halves."""
-    m_lo, m_hi = m & _LO32, m >> np.uint64(32)
-    x_lo, x_hi = x & _LO32, x >> np.uint64(32)
-    lh = m_lo * x_hi
-    hl = m_hi * x_lo
-    cross = ((m_lo * x_lo) >> np.uint64(32)) + (lh & _LO32) + (hl & _LO32)
-    hi = m_hi * x_hi + (lh >> np.uint64(32)) + (hl >> np.uint64(32)) + (cross >> np.uint64(32))
-    return hi, m * x
-
-
-def _philox_uint64(seeds, count: int) -> np.ndarray:
-    """The first ``count`` 64-bit outputs of ``np.random.Philox(key=s)`` for each seed s.
-
-    One row per seed.  The 128-bit key of seed s is its low and high 64-bit
-    words; the stream is the Philox4x64-10 bijection of the counters
-    1, 2, 3, ... (the generator increments before it draws), four words per
-    counter, so all keys are drawn in one vectorized pass (Salmon et al.,
-    "Parallel random numbers: as easy as 1, 2, 3", SC'11).
-    """
-    keys = [_whole(s, "seed") for s in seeds]
-    if any(not 0 <= s < _U64 * _U64 for s in keys):
-        raise ValueError("seeds must lie in [0, 2**128)")
-    k0 = np.array([s % _U64 for s in keys], dtype=np.uint64)[:, None]
-    k1 = np.array([s // _U64 for s in keys], dtype=np.uint64)[:, None]
-    counters = -(-count // 4)
-    c0 = np.broadcast_to(np.arange(1, counters + 1, dtype=np.uint64), (len(keys), counters))
-    c1 = c2 = c3 = np.zeros_like(c0)
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(keys), 4 * counters)[:, :count]
-
-
-def sample_iid(model: DensityModel, n: int, seed) -> np.ndarray:
+def sample_iid(model: DensityModel, n: int, seed, replicates=None) -> np.ndarray:
     """Draw ``n`` i.i.d. points by inverting the model CDF.
 
-    Uniforms come from a Philox counter-based stream keyed on ``seed``, an
-    integer in [0, 2**128); they are the same on any platform and under any
-    threading, and they live strictly inside (0, 1).  The points are the
-    model's quantile function at those uniforms, whose last bits depend on
-    the numpy/scipy build and on the SIMD paths the CPU selects (Student-t's
-    follow numpy's ``tan``, ``exp``, ``log`` and ``power`` for 1 <= nu <= 12,
-    scipy's ``stdtrit`` otherwise); on one installation the same
-    (model, n, seed) gives bit-identical output for any worker count.  The
-    uniforms are the 53-bit draws ``np.random.Generator(np.random.Philox(
-    key=seed)).integers(0, 2**53, size=n, dtype=np.uint64)``, offset by half
-    a unit.
+    Uniforms come from numpy's Philox4x64-10 counter-based generator keyed
+    on ``seed``, an integer in [0, 2**128); they are the same on any
+    platform and under any threading, and they live strictly inside (0, 1).
+    The points are the model's quantile function at those uniforms, whose
+    last bits depend on the numpy/scipy build and on the SIMD paths the CPU
+    selects (Student-t's follow numpy's ``tan``, ``exp``, ``log`` and
+    ``power`` for 1 <= nu <= 12, scipy's ``stdtrit`` otherwise); on one
+    installation the same call gives bit-identical output for any worker
+    count.  The uniforms are the 53-bit draws ``np.random.Generator(
+    np.random.Philox(key=seed)).integers(0, 2**53, size=n, dtype=np.uint64)``,
+    offset by half a unit.
 
-    ``seed`` may also be a 1-D sequence of seeds: the result is then a
-    (len(seed), n) array whose row i is the sample of ``seed[i]``, all rows
-    drawn in one vectorized pass.  A scalar seed is the one-row case.
+    ``replicates``, a step-1 ``range`` from a nonnegative start, asks for
+    one row per replicate: a (len(replicates), n) array whose row r reads
+    the stream of ``seed`` from counter r * ceil(n/4) on, four words per
+    counter, with the words past n dropped (Salmon et al., "Parallel random
+    numbers: as easy as 1, 2, 3", SC'11).  The rows come from one native
+    call, and row r is the same whichever range holds it.  Without
+    ``replicates`` the result is the 1-D row 0.
     """
     n = _whole(n, "n")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if np.ndim(seed) > 1:
-        raise ValueError("seed must be an integer or a 1-D sequence of integers")
-    batched = np.ndim(seed) == 1
-    seeds = seed if batched else [seed]
+    seed = _whole(seed, "seed")
+    if not 0 <= seed < _U128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+    rows = range(1) if replicates is None else replicates
+    if not (isinstance(rows, range) and rows.step == 1 and rows.start >= 0):
+        raise ValueError("replicates must be a range of step 1 from a nonnegative start, "
+                         f"got {replicates!r}")
+    counters = -(-n // 4)
+    raw = np.random.Philox(key=seed, counter=rows.start * counters).random_raw(
+        len(rows) * 4 * counters)
     # next_uint64 >> 11 is numpy's Lemire draw on [0, 2**53): that range never rejects
-    bits = _philox_uint64(seeds, n) >> np.uint64(11)
+    bits = raw.reshape(len(rows), 4 * counters)[:, :n] >> np.uint64(11)
     u = (bits + 0.5) * 2.0**-53
     x = np.asarray(model.ppf(u), dtype=float) if u.size else np.empty(u.shape)
-    return x if batched else x[0]
+    return x if replicates is not None else x[0]
 
 
 def ecdf_distance(sample, prediction, grid) -> tuple:
@@ -212,6 +184,8 @@ class SimulationConfig:
     def __post_init__(self):
         self.replications = _integer("replications", self.replications)
         self.base_seed = _integer("base_seed", self.base_seed)
+        if not 0 <= self.base_seed < _U128:
+            raise ValueError(f"base_seed must lie in [0, 2**128), got {self.base_seed}")
         self.n_grid = tuple(_integer("n_grid", v) for v in _sequence("n_grid", self.n_grid))
         self.orders = tuple(sorted(_integer("orders", k) for k in _sequence("orders", self.orders)))
         self.eval_grid = tuple(float(_real("eval_grid", v))
@@ -267,12 +241,12 @@ class SimulationConfig:
 
 def _simulate_block(model: DensityModel, n, start, stop, base_seed, a, fisher, orders,
                     tol) -> dict:
-    """Replicates [start, stop) at sample size n; replicate r is seeded base_seed XOR r.
+    """Replicates [start, stop) at sample size n, from the stream keyed base_seed XOR (n << 64).
 
     Returns per-replicate arrays, the solver's iteration counts and
     multimodal flags among them; NaN rows mark solver failures.
     """
-    samples = sample_iid(model, n, [base_seed ^ r for r in range(start, stop)])
+    samples = sample_iid(model, n, base_seed ^ (n << 64), range(start, stop))
     batch = solve_mle_batch(samples, model, tol=tol)
     theta = batch.theta_hat.copy()
     failed = batch.failed.copy()
@@ -452,7 +426,9 @@ class _StudyWriter:
                     fh.writelines(f"{x:.{p}g},{label},{col[i]:.{p}g}\n"
                                   for label, col in columns.items())
         with self._open("report.json") as fh:
-            json.dump(_json_data(report, p), fh, indent=2, sort_keys=True)
+            # strict JSON: an undefined slope is null, not NaN
+            json.dump(_json_data(report, p, strict=True), fh, indent=2, sort_keys=True,
+                      allow_nan=False)
             fh.write("\n")
         write_manifest(self.out_dir, self.files, **self.replay)
         return self.files

@@ -257,7 +257,8 @@ def _config_file(tmp_path, **overrides):
                                         ("orders", [True, 2]), ("orders", 2), ("eval_grid", 0.5),
                                         ("solver_tol", "1e-11"), ("epsilon_exponent", "0.5"),
                                         ("family_params", [1]),
-                                        ("require_valid_conditions", "no")])
+                                        ("require_valid_conditions", "no"),
+                                        ("base_seed", -1), ("base_seed", 2**128)])
 def test_simulate_malformed_config_is_an_error(capsys, tmp_path, key, value):
     cfg_path = _config_file(tmp_path, **{key: value})
     code, out, err = run(capsys, "simulate", "--config", str(cfg_path),

@@ -9,7 +9,6 @@ import pytest
 import edgemle as e
 from conftest import logistic_table
 from edgemle.density import check_density
-from edgemle.montecarlo import _philox_uint64
 
 PROBE = np.array([-2.7, -1.3, -0.4, 0.0, 0.6, 1.1, 2.9])
 
@@ -668,7 +667,7 @@ def test_make_model_names_missing_parameters():
 _T_GRID = np.concatenate([
     [2.0**-54, 3 * 2.0**-54, 1e-12, np.nextafter(0.25, 0.0), 0.25, np.nextafter(0.25, 1.0),
      np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)],
-    ((_philox_uint64([20261019], 50)[0] >> np.uint64(11)) + 0.5) * 2.0**-53,
+    ((np.random.Philox(key=20261019).random_raw(50) >> np.uint64(11)) + 0.5) * 2.0**-53,
 ])
 
 

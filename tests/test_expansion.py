@@ -207,7 +207,7 @@ def test_xi_clt_means(logistic_model, logistic_moments):
     sums = np.zeros(6)
     sq_sums = np.zeros(6)
     for start in range(0, reps, 1000):
-        samples = e.sample_iid(logistic_model, n, [777 ^ r for r in range(start, start + 1000)])
+        samples = e.sample_iid(logistic_model, n, 777, range(start, start + 1000))
         xi = e.compute_xi_batch(samples, 0.0, logistic_model, logistic_moments.a)
         sums += xi.sum(axis=0)
         sq_sums += (xi**2).sum(axis=0)

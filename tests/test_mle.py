@@ -318,7 +318,8 @@ def test_log_concave_solver_output_is_pinned():
     for family in ("normal", "logistic"):
         model = e.make_model(family)
         for n in (25, 100, 400):
-            samples = e.sample_iid(model, n, list(range(1000 * n, 1000 * n + 128)))
+            samples = np.stack([e.sample_iid(model, n, s)
+                                for s in range(1000 * n, 1000 * n + 128)])
             batch = e.solve_mle_batch(samples, model)
             digest.update(batch.theta_hat.tobytes())
             digest.update(batch.iterations.astype("<i8").tobytes())

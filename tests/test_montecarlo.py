@@ -10,6 +10,7 @@ from scipy.special import ndtr
 
 import edgemle as e
 import edgemle.mle as mle
+import edgemle.montecarlo as mc
 from edgemle.montecarlo import _run_block, _simulate_block
 
 
@@ -33,26 +34,38 @@ def test_sample_iid_refuses_a_size_that_is_not_a_whole_number(n):
     assert e.sample_iid(e.normal(), 10.0, 1).tobytes() == e.sample_iid(e.normal(), 10, 1).tobytes()
 
 
-#: replicate seeds base_seed ^ r and the edges of the two 64-bit key words
+#: a seed, its neighbours and the edges of the two 64-bit key words
 SAMPLER_SEEDS = [0, *(20260810 ^ r for r in range(4)), 2**64 - 1, 2**64 + 5]
 
 
 @pytest.mark.parametrize("n", [1, 3, 25, 100, 401])
 def test_batched_sample_iid_matches_numpy_philox_bit_for_bit(logistic_model, n):
-    def reference(seed):
+    def uniforms(raw):
+        return ((raw >> np.uint64(11)) + 0.5) * 2.0**-53
+
+    counters = math.ceil(n / 4)
+    for seed in SAMPLER_SEEDS:
+        # the scalar form is numpy's own 53-bit integer draw from the key
         gen = np.random.Generator(np.random.Philox(key=seed))
         u = (gen.integers(0, 2**53, size=n, dtype=np.uint64) + 0.5) * 2.0**-53
-        return logistic_model.ppf(u)
+        scalar = e.sample_iid(logistic_model, n, seed)
+        assert scalar.tobytes() == logistic_model.ppf(u).tobytes()
+        # row r reads the stream from counter r * ceil(n/4) on
+        whole = e.sample_iid(logistic_model, n, seed, range(3, 11))
+        expected = np.stack([
+            logistic_model.ppf(uniforms(
+                np.random.Philox(key=seed, counter=r * counters).random_raw(n)))
+            for r in range(3, 11)])
+        assert whole.tobytes() == expected.tobytes()
+        # a split range, concatenated, is the whole range
+        parts = [e.sample_iid(logistic_model, n, seed, range(a, b))
+                 for a, b in ((3, 4), (4, 4), (4, 9), (9, 11))]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        assert e.sample_iid(logistic_model, n, seed, range(0, 2))[0].tobytes() == \
+            scalar.tobytes()
 
-    expected = np.stack([reference(s) for s in SAMPLER_SEEDS])
-    assert e.sample_iid(logistic_model, n, SAMPLER_SEEDS).tobytes() == expected.tobytes()
-    small = np.array(SAMPLER_SEEDS[:5], dtype=np.int64)
-    assert e.sample_iid(logistic_model, n, small).tobytes() == expected[:5].tobytes()
-    for seed, row in zip(SAMPLER_SEEDS, expected):
-        assert e.sample_iid(logistic_model, n, seed).tobytes() == row.tobytes()
 
-
-@pytest.mark.parametrize("seed, shown", [(1.5, "1.5"), (True, "True"), ([1.9, 2], "1.9")])
+@pytest.mark.parametrize("seed, shown", [(1.5, "1.5"), (True, "True")])
 def test_sample_iid_refuses_a_seed_that_is_not_a_whole_number(logistic_model, seed, shown):
     with pytest.raises(ValueError, match=f"seed must be a whole number, got {shown}"):
         e.sample_iid(logistic_model, 2, seed)
@@ -61,12 +74,21 @@ def test_sample_iid_refuses_a_seed_that_is_not_a_whole_number(logistic_model, se
         e.sample_iid(logistic_model, 2, 2).tobytes()
 
 
+@pytest.mark.parametrize("replicates", [range(0, 8, 2), [0, 1], range(-1, 2)],
+                         ids=["step-2", "list", "negative-start"])
+def test_sample_iid_refuses_replicates_that_are_not_a_step_one_range(logistic_model,
+                                                                     replicates):
+    with pytest.raises(ValueError, match="replicates must be a range of step 1 from a "
+                                         "nonnegative start"):
+        e.sample_iid(logistic_model, 2, 7, replicates)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**128])
 def test_sample_iid_rejects_seeds_outside_128_bits(logistic_model, seed):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*128\)"):
         e.sample_iid(logistic_model, 5, seed)
-    with pytest.raises(ValueError):
-        e.sample_iid(logistic_model, 5, [3, seed])
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*128\)"):
+        e.sample_iid(logistic_model, 5, seed, range(3))
 
 
 def test_sample_iid_matches_model_distribution(logistic_model):
@@ -141,12 +163,42 @@ def test_block_rows_match_single_replicates(logistic_model, logistic_moments):
     block = _run_block((desc, 30, 0, 6, 4242, a, logistic_moments.fisher,
                         e.ORDERS, 1e-11))
     for r in range(6):
-        # a block of the one row r, seeded as row r of the block is
-        rep = _simulate_block(logistic_model, 30, 0, 1, 4242 ^ r, logistic_moments.a,
+        # a block of the one row r
+        rep = _simulate_block(logistic_model, 30, r, r + 1, 4242, logistic_moments.a,
                               logistic_moments.fisher, e.ORDERS, 1e-11)
         assert not rep["failed"][0]
         for key in ("theta", "standardized", "gamma"):
             assert block[key][r].tobytes() == rep[key][0].tobytes(), (r, key)
+
+
+def _block_samples(monkeypatch, model, moments, n, base_seed, rows):
+    """The samples a study block at size n solves, caught on their way to the solver."""
+    drawn = []
+    solve = mc.solve_mle_batch
+
+    def spy(samples, *args, **kwargs):
+        drawn.append(samples)
+        return solve(samples, *args, **kwargs)
+
+    monkeypatch.setattr(mc, "solve_mle_batch", spy)
+    _simulate_block(model, n, 0, rows, base_seed, moments.a, moments.fisher, e.ORDERS, 1e-11)
+    monkeypatch.undo()
+    return drawn[0]
+
+
+@pytest.mark.parametrize("n", [7, 25, 100])
+def test_study_row_zero_is_the_scalar_draw_of_its_size_key(monkeypatch, logistic_model,
+                                                          logistic_moments, n):
+    samples = _block_samples(monkeypatch, logistic_model, logistic_moments, n, 4242, 5)
+    assert samples[0].tobytes() == e.sample_iid(logistic_model, n, 4242 ^ (n << 64)).tobytes()
+
+
+def test_study_rows_at_one_size_are_not_prefixes_of_another(monkeypatch, logistic_model,
+                                                             logistic_moments):
+    # each sample size has its own stream: no row at n = 25 starts a row at n = 100
+    small, large = (_block_samples(monkeypatch, logistic_model, logistic_moments, n, 4242, 16)
+                    for n in (25, 100))
+    assert not np.any(np.all(small[:, None, :] == large[None, :, :25], axis=2))
 
 
 @pytest.mark.parametrize("n", [25, 400])
@@ -196,10 +248,13 @@ def test_config_validation():
     # integers only, each error naming its key
     for key, value in [("replications", 150.5), ("replications", "200"),
                        ("replications", True), ("base_seed", 1.5), ("base_seed", "7"),
+                       ("base_seed", -1), ("base_seed", 2**128),
                        ("n_grid", [10.7]), ("n_grid", [25, True]), ("n_grid", "25"),
                        ("orders", [1.5, 2]), ("orders", [True, 2])]:
         with pytest.raises(ValueError, match=key):
             e.SimulationConfig.from_dict({key: value})
+    # a key of the sampler is any integer in [0, 2**128)
+    assert e.SimulationConfig(base_seed=2**128 - 1).base_seed == 2**128 - 1
     # grids are lists, reals are finite numbers, the flag a bool, the
     # parameters a mapping: each error naming its key
     for key, value in [("n_grid", 25), ("orders", 3), ("eval_grid", 0.5), ("eval_grid", ["1"]),
@@ -294,6 +349,18 @@ def test_study_report_does_not_depend_on_out_dir(tmp_path):
     assert sorted(Path(p).name for p in written.output_files) == [
         "curves.csv", "ecdf_25.csv", "ecdf_50.csv", "remainders_25.csv",
         "remainders_50.csv", "report.json"]
+
+
+def test_one_size_study_writes_strict_json(tmp_path):
+    def refuse(constant):
+        raise ValueError(f"report.json holds {constant}, which is not JSON")
+
+    cfg = e.SimulationConfig(family="logistic", n_grid=(25,), replications=200, base_seed=5)
+    report = e.run_study(cfg, out_dir=tmp_path)
+    written = json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse)
+    # one sample size fits no slope: null in the file, nan in the returned report
+    assert [v["slope"] for v in written["slopes"].values()] == [None] * len(cfg.orders)
+    assert all(math.isnan(v["slope"]) for v in report.to_dict()["slopes"].values())
 
 
 def test_study_reports_solver_counters():
