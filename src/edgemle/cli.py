@@ -47,7 +47,9 @@ def _fmt(value, precision: int) -> str:
 
 
 def _print_json(payload: dict, precision: int):
-    print(json.dumps(_json_data(payload, precision), indent=2, sort_keys=True))
+    # strict JSON: a nan prints as null and an infinity as "inf" or "-inf"
+    print(json.dumps(_json_data(payload, precision, strict=True), indent=2, sort_keys=True,
+                     allow_nan=False))
 
 
 def _parse_params(pairs) -> dict:

@@ -70,16 +70,18 @@ def _json_data(value, precision=None, strict=False):
     A dataclass becomes the dict of its fields, every mapping key a str, a
     tuple a list, a numpy value its ``tolist()`` and a path its
     ``os.fspath``; with ``precision`` every finite float is rounded to that
-    many significant digits, and with ``strict`` a nan or infinity becomes
-    None, which JSON writes as null.  Any other value is a TypeError, so
-    this is also a ``json.dumps`` ``default`` hook that refuses what JSON
-    cannot hold.
+    many significant digits, and with ``strict`` a nan becomes None, which
+    JSON writes as null, and an infinity the string "inf" or "-inf", which
+    keeps its sign.  Any other value is a TypeError, so this is also a
+    ``json.dumps`` ``default`` hook that refuses what JSON cannot hold.
     """
     if isinstance(value, (np.ndarray, np.generic)):
         value = value.tolist()
     if isinstance(value, float):
         if not math.isfinite(value):
-            return None if strict else value
+            if not strict:
+                return value
+            return None if math.isnan(value) else str(value)  # "inf" or "-inf"
         return value if precision is None else float(format(value, f".{precision}g"))
     if value is None or isinstance(value, (str, int)):
         return value
@@ -307,15 +309,20 @@ class DensityModel:
     ``log_concave`` (read-only) states that f is log-concave, so the contrast
     rho = -log f is convex and every sample's empirical contrast has a single
     basin; the MLE solver then brackets the score's root instead of scanning
-    for basins.  ``grid`` (read-only) is a table's x grid, whose cells the
-    integrals take one by one.  Both are properties of the family, not
-    tuning options: only the built-in normal and logistic constructors set
-    ``log_concave`` and only :func:`from_table` sets ``grid``, and neither is
-    part of the descriptor or settable through :func:`make_model`.
+    for basins.  ``rho2_max`` (read-only) is a bound M >= rho''(x) for every
+    x, or None: the empirical contrast then lies above its chord minus
+    (M/2)(theta - a)(b - theta) on any [a, b], which lets the solver's grid
+    scan skip the cells where that minorant stays above its best value.
+    ``grid`` (read-only) is a table's x grid, whose cells the integrals
+    take one by one.  All three are properties of the family, not tuning
+    options: only the built-in normal and logistic constructors set
+    ``log_concave``, only :func:`student_t` sets ``rho2_max`` and only
+    :func:`from_table` sets ``grid``, and none is part of the descriptor or
+    settable through :func:`make_model`.
     """
 
     def __init__(self, name, support, pdf, *, rho_chain, psi_chain=None, cdf=None, ppf=None,
-                 rho=None, descriptor=None, log_concave=False, grid=None):
+                 rho=None, descriptor=None, log_concave=False, rho2_max=None, grid=None):
         lo, hi = float(support[0]), float(support[1])
         if not lo < hi:
             raise ValueError(f"empty support ({lo}, {hi})")
@@ -339,11 +346,16 @@ class DensityModel:
         self._descriptor = dict(descriptor) if descriptor is not None else {
             "family": self.name, "params": {}}
         self._log_concave = bool(log_concave)
+        self._rho2_max = None if rho2_max is None else float(rho2_max)
         self._grid = None if grid is None else tuple(map(float, grid))
 
     @property
     def log_concave(self) -> bool:
         return self._log_concave
+
+    @property
+    def rho2_max(self):
+        return self._rho2_max
 
     @property
     def grid(self):
@@ -583,6 +595,9 @@ def student_t(nu: float = 7.0) -> DensityModel:
         ppf=_t_quantile(nu) if lo <= nu <= hi else stdtrit,
         rho=rho,
         rho_chain=_first_orders(orders),
+        # rho'' = (nu+1)(nu - x^2)/(nu + x^2)^2 peaks at rho''(0) = (nu+1)/nu; the
+        # 2^-40 covers the chain's rounding there (w * w is nu only to an ulp)
+        rho2_max=(nu + 1) / nu * (1 + 2.0 ** -40),
         descriptor={"family": "student_t", "params": {"nu": nu}},
     )
 

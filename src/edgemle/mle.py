@@ -13,17 +13,27 @@ one safeguarded Newton run refines them all.  The family picks only the search
   score does not bracket the root, and starts at the median;
 * ``_grid_basins``: every other family gets a 41-point grid scan of the
   contrast, widened while its minimum sits on the grid edge, and starts at
-  the best grid point.  The scan is evaluated in budgeted chunks: one
-  ``rho`` call covers as many grid points as fit in ``BLOCK_ELEMENTS``
-  points (at least one), so a single row of up to 799 points scans the
-  whole grid in one call and a Monte Carlo block, already at the budget,
-  takes one grid point per call.
+  the best grid point.  The scan is evaluated in budgeted calls: one
+  ``rho`` call covers at most ``BLOCK_ELEMENTS`` points (at least one grid
+  point), so a single row of up to 799 points scans the whole grid in one
+  call.  A family that states a curvature bound rho'' <= ``rho2_max``
+  (Student-t) scans a larger batch, such as a Monte Carlo block, on two
+  levels: every 4th grid point first (11 points, 10 cells), then the 3
+  points inside a cell only where the cell's concave-gap minorant (its
+  chord minus (M/2)(theta - a)(b - theta)) comes within a rounding margin
+  of the lowest coarse value.  A t7 row takes 17 points instead of 41.
+  Every point left out lies strictly above an evaluated one, so the best
+  grid point, and with it the start and bracket, are those of the full
+  scan.
 
 Each search lists every row's own Newton candidate; a row whose final scan
 shows several basins is multimodal and adds one candidate per other basin
-to the same Newton run.  A converged candidate with strictly lower contrast
-replaces the row's own.  A row fails when Newton does not converge on its
-own candidate or its search could not bracket the root.
+to the same Newton run.  Under a curvature bound a basin counts only
+outside the ruled-out cells, whichever way the row was scanned, so a row
+is multimodal when another basin survived the bound.  A converged candidate
+with strictly lower contrast replaces the row's own.  A row fails when
+Newton does not converge on its own candidate or its search could not
+bracket the root.
 
 The median and quartiles come from one sort per row, in the float steps of
 ``np.median`` and ``np.percentile``, so the median and the scale are
@@ -33,7 +43,9 @@ Newton steps are safeguarded by bisection inside the bracket.  The score
 and the curvature at a theta come from one pass of the model's derivative
 chain (``rho_chain(., 2)``); the curvature is pulled only for rows that
 take another step.  Convergence is declared on the score,
-|L_n'(theta)| <= tol, because everything downstream is score-driven.
+|L_n'(theta)| <= tol, because everything downstream is score-driven.  A
+row whose step leaves theta where it was has reached a fixed point of the
+iteration and stops there, unconverged.
 
 A vectorized batch path solves many replicates at once; the scalar
 :func:`solve_mle` is the batch path with a single row, so both always agree.
@@ -60,6 +72,10 @@ GRID_SPAN = 5.0
 #: within it, and one grid-scan call evaluates rows x sample size x grid
 #: points within it
 BLOCK_ELEMENTS = 2**15
+#: stride of the scan's coarse points; the points between two of them form a cell
+_COARSE = 4
+#: rounding margin of the cell rule, relative to the sizes of the terms it compares
+_CELL_SLACK = 1e-9
 _WIDEN_STEPS = 8  # times a search interval may grow by its own width
 _IQR_TO_SIGMA = 1.349  # normal-consistent scale from the interquartile range
 
@@ -145,54 +161,100 @@ def _median_and_scale(samples: np.ndarray) -> tuple:
     return med, np.where(scale > 0, scale, 1.0)
 
 
-def _grid_scan(samples, model, lo, hi):
-    """Contrast at ``GRID_POINTS`` points per row, evaluated in budgeted chunks.
+def _cells_ruled_out(thetas, values, m2):
+    """Per row and coarse cell, whether the curvature bound keeps the scan's minimum out of it.
 
-    Each chunk of grid points is one ``model.rho`` call over at most
-    ``BLOCK_ELEMENTS`` points (at least one grid point), so a single row
-    scans the whole grid in one call while a study block keeps one point per
-    call.  Row means are taken along the contiguous sample axis, exactly as
+    The coarse cells join grid points 0, ``_COARSE``, 2 ``_COARSE``, ....
+    With rho'' <= ``m2`` the contrast on a cell [a, b] of width h is at
+    least La + (Lb - La) t - (m2/2) h^2 t (1 - t) at a + t h, the chord
+    minus a concave gap (Shubert 1972).  A cell is ruled out when that
+    minorant's minimum exceeds the row's lowest coarse value by more than a
+    rounding margin: every grid point inside it then lies strictly above an
+    evaluated point.  Only coarse values are read.
+    """
+    coarse, ends = values[:, ::_COARSE], thetas[:, ::_COARSE]
+    la, lb = coarse[:, :-1], coarse[:, 1:]
+    # a degenerate width (gap 0 or inf) can give a nan minimum, which rules nothing out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gap = 0.5 * m2 * np.square(ends[:, 1:] - ends[:, :-1])
+        slope = lb - la
+        t = np.clip(0.5 - slope / (2.0 * gap), 0.0, 1.0)
+        low = la + t * (slope - gap + gap * t)
+        margin = _CELL_SLACK * (np.abs(la) + np.abs(lb) + gap)
+        return low - np.min(coarse, axis=1, keepdims=True) > margin
+
+
+def _grid_scan(samples, model, lo, hi):
+    """Contrast at ``GRID_POINTS`` points per row, inf where the curvature bound rules a point out.
+
+    Points are evaluated in budgeted calls: one ``model.rho`` call covers at
+    most ``BLOCK_ELEMENTS`` points (at least one grid point).  When the
+    whole grid fits one call, or the family states no ``rho2_max``, every
+    point is evaluated, grid points in chunks.  Otherwise the coarse points
+    (every ``_COARSE``-th) come first, and the points inside a coarse cell
+    only where :func:`_cells_ruled_out` keeps the cell, as (row, point)
+    pairs.  Row means are taken along the contiguous sample axis, exactly as
     for one point at a time.
     """
     frac = np.linspace(0.0, 1.0, GRID_POINTS)
     thetas = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
     step = max(1, BLOCK_ELEMENTS // max(samples.size, 1))
-    values = np.empty(thetas.shape)
-    for g in range(0, GRID_POINTS, step):
-        shifted = samples[:, None, :] - thetas[:, g:g + step, None]
-        values[:, g:g + step] = np.mean(model.rho(shifted), axis=2)
+    full = model.rho2_max is None or step >= GRID_POINTS
+    values = np.empty(thetas.shape) if full else np.full(thetas.shape, np.inf)
+    stride = 1 if full else _COARSE
+    for g in range(0, GRID_POINTS, stride * step):
+        c = slice(g, g + stride * step, stride)
+        values[:, c] = np.mean(model.rho(samples[:, None, :] - thetas[:, c, None]), axis=2)
+    if full:
+        return thetas, values
+    rows, cells = np.nonzero(~_cells_ruled_out(thetas, values, model.rho2_max))
+    rows = np.repeat(rows, _COARSE - 1)
+    cols = (_COARSE * np.repeat(cells, _COARSE - 1)
+            + np.tile(np.arange(1, _COARSE), cells.size))
+    pairs = max(1, BLOCK_ELEMENTS // samples.shape[1])
+    for i in range(0, rows.size, pairs):
+        r, c = rows[i:i + pairs], cols[i:i + pairs]
+        values[r, c] = np.mean(model.rho(samples[r] - thetas[r, c][:, None]), axis=1)
     return thetas, values
 
 
 def _newton_refine(samples, model, theta, lo, hi, tol, max_iter):
-    """Safeguarded Newton on the score, vectorized over rows."""
+    """Safeguarded Newton on the score, vectorized over rows.
+
+    A step that leaves a row's theta bit for bit where it was repeats
+    itself forever (the score, curvature and bracket are the same again),
+    so that row stops there unconverged instead of running to ``max_iter``.
+    """
     rows = theta.shape[0]
     iterations = np.zeros(rows, dtype=np.int64)
     grad, chain = _score_and_chain(samples, model, theta)
     evaluated = np.arange(rows)
-    active = np.abs(grad) > tol
+    running = np.abs(grad) > tol
     it = 0
-    while np.any(active) and it < max_iter:
+    while np.any(running) and it < max_iter:
         it += 1
-        idx = np.flatnonzero(active)
+        idx = np.flatnonzero(running)
         g = grad[idx]
         # the curvature comes from the chain of the last score evaluation
         # (rows ``evaluated``, which include idx), and only when some row
         # takes another step; the spent chain is dropped before the next one
-        h = np.mean(next(chain), axis=1)[active[evaluated]]
+        h = np.mean(next(chain), axis=1)[running[evaluated]]
         del chain
+        t = theta[idx]
         # the score increases through a minimum: negative means the root is right
-        lo[idx] = np.where(g < 0, theta[idx], lo[idx])
-        hi[idx] = np.where(g > 0, theta[idx], hi[idx])
+        lo[idx] = np.where(g < 0, t, lo[idx])
+        hi[idx] = np.where(g > 0, t, hi[idx])
         with np.errstate(divide="ignore", invalid="ignore"):
-            cand = theta[idx] - g / h
+            cand = t - g / h
         ok = (h > 0) & np.isfinite(cand) & (cand > lo[idx]) & (cand < hi[idx])
-        theta[idx] = np.where(ok, cand, 0.5 * (lo[idx] + hi[idx]))
-        grad[idx], chain = _score_and_chain(samples[idx], model, theta[idx])
+        step = np.where(ok, cand, 0.5 * (lo[idx] + hi[idx]))
+        theta[idx] = step
+        g, chain = _score_and_chain(samples[idx], model, step)
+        grad[idx] = g
         evaluated = idx
         iterations[idx] += 1
-        active[idx] = np.abs(grad[idx]) > tol
-    return theta, grad, iterations, lo, hi, active
+        running[idx] = (np.abs(g) > tol) & (step != t)
+    return theta, grad, iterations, lo, hi, np.abs(grad) > tol
 
 
 def _widen(lo, hi, idx, left, right, t_lo, t_hi):
@@ -227,7 +289,12 @@ def _grid_basins(s, model, med, lo, hi, t_lo, t_hi):
     """Scan the contrast, widening rows with an edge minimum; start at the best grid point.
 
     A row with several basins (interior local minima) adds a candidate for
-    each other basin, bracketed by its neighbouring grid points.
+    each other basin, bracketed by its neighbouring grid points.  Under a
+    stated ``rho2_max`` a basin counts only where its point and both
+    neighbours lie outside every ruled-out cell, on either scan schedule:
+    the pruned scan leaves those points unevaluated, and a row scanned whole
+    (in one call) runs the cell rule here, only when it shows several
+    basins, since the rule can only remove one.
     """
     thetas, values = _grid_scan(s, model, lo, hi)
     j = np.argmin(values, axis=1)
@@ -238,11 +305,23 @@ def _grid_basins(s, model, med, lo, hi, t_lo, t_hi):
         _widen(lo, hi, edge, j[edge] == 0, j[edge] == GRID_POINTS - 1, t_lo, t_hi)
         thetas[edge], values[edge] = _grid_scan(s[edge], model, lo[edge], hi[edge])
         j[edge] = np.argmin(values[edge], axis=1)
-    d = np.diff(values, axis=1)
-    basins = (d[:, :-1] < 0) & (d[:, 1:] >= 0)  # column k is grid point k + 1
+    mid = values[:, 1:-1]
+    basins = (values[:, :-2] > mid) & (values[:, 2:] >= mid)  # column k is grid point k + 1
+    several = np.sum(basins, axis=1) > 1
+    if model.rho2_max is not None and np.any(several):
+        # a basin needs evaluated neighbours: the pruned scan leaves ruled-out points at inf
+        finite = np.isfinite(values)
+        basins &= finite[:, :-2] & finite[:, 2:]
+        # a row scanned whole rules its cells out here
+        r = np.flatnonzero(several & np.all(finite, axis=1))
+        if r.size:
+            out = np.zeros((r.size, GRID_POINTS), dtype=bool)  # inside a ruled-out cell
+            out[:, np.arange(GRID_POINTS) % _COARSE != 0] = np.repeat(
+                _cells_ruled_out(thetas[r], values[r], model.rho2_max), _COARSE - 1, axis=1)
+            basins[r] &= ~(out[:, :-2] | out[:, 1:-1] | out[:, 2:])
+        several = np.sum(basins, axis=1) > 1
     # an edge argmin is not a basin, so then every basin is another one
-    other = (basins & (np.sum(basins, axis=1) > 1)[:, None]
-             & (np.arange(1, GRID_POINTS - 1) != j[:, None]))
+    other = basins & several[:, None] & (np.arange(1, GRID_POINTS - 1) != j[:, None])
     extra_rows, extra_cols = np.nonzero(other)
     rows = np.concatenate([np.arange(s.shape[0]), extra_rows])
     b = np.concatenate([j, extra_cols + 1])

@@ -136,6 +136,29 @@ def test_validate_passes_builtin(capsys):
     assert payload["density"]["integrates_to_one"] is True
 
 
+def _strict_json(text):
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_validate_prints_strict_json_with_signed_infinite_exponents(capsys):
+    # the logistic's integrands underflow in both tails: they decay faster than any power
+    code, out, _ = run(capsys, "validate", "--family", "logistic")
+    assert code == 0
+    details = _strict_json(out)["conditions"]["details"]
+    assert details["1"]["tail_exponents"] == {"lower": "-inf", "upper": "-inf"}
+    for alpha in details["4"]["per_alpha"].values():
+        assert alpha["tail_exponents"] == {"lower": "-inf", "upper": "-inf"}
+    code, out, _ = run(capsys, "validate", "--family", "student_t", "--param", "nu=7")
+    assert code == 0
+    tails = _strict_json(out)["conditions"]["details"]["1"]["tail_exponents"]
+    assert all(isinstance(v, float) and v < -1.2 for v in tails.values())
+    assert e.density._json_data([math.nan, math.inf, -math.inf, 1.5], strict=True) == [
+        None, "inf", "-inf", 1.5]
+
+
 def test_validate_passes_tol_to_the_condition_checks(capsys, monkeypatch):
     seen = []
 

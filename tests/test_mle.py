@@ -179,6 +179,23 @@ def test_basin_whose_newton_fails_is_skipped(monkeypatch):
     assert res.theta_hat == pytest.approx(23.237396224925238, abs=1e-12)
 
 
+def test_a_candidate_that_cannot_converge_stops_before_max_iter(monkeypatch):
+    # the basin at 107.15 bisects onto its bracket end, where the score stays
+    # positive; once a step leaves theta where it was, every later step would too
+    model = e.student_t(1)
+    calls = _refine_once(monkeypatch)
+    e.solve_mle(_SPREAD_CAUCHY, model)
+    (_start, (theta, grad, iters, lo, hi, active)), = calls
+    assert active.tolist().count(True) == 1 and iters.max() < 200
+    k = np.flatnonzero(active)
+    x = np.tile(_SPREAD_CAUCHY, (k.size, 1))
+    th, gr, it, lo2, hi2, act = mle._newton_refine(x, model, theta[k], lo[k].copy(),
+                                                   hi[k].copy(), 1e-10, 5)
+    assert it.tolist() == [1] and act.tolist() == [True]
+    for before, after in zip((theta[k], grad[k], lo[k], hi[k]), (th, gr, lo2, hi2)):
+        assert after.tobytes() == before.tobytes()
+
+
 def test_argmin_basin_is_not_refined_twice(monkeypatch):
     model = e.student_t(1)
     calls = _refine_once(monkeypatch)
@@ -231,27 +248,52 @@ _FIELDS = ("theta_hat", "gradient_at_solution", "iterations", "bracket_lo", "bra
            "multimodal_flag", "failed")
 
 
-def _reference_row(x, model, tol=1e-10, max_iter=200):
+def _full_scan(x, model, lo, hi):
+    # the contrast at every grid point, one point at a time
+    thetas = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, GRID_POINTS)[None, :]
+    return thetas, np.stack([_contrast_rows(x, model, thetas[:, g])
+                             for g in range(GRID_POINTS)], axis=1)
+
+
+def _ruled_out_points(th, v, m2):
+    """Grid points inside a cell whose concave-gap minorant stays above the lowest coarse value."""
+    k = mle._COARSE
+    best = v[::k].min()
+    out = np.zeros(GRID_POINTS, dtype=bool)
+    for a in range(0, GRID_POINTS - 1, k):
+        b = a + k
+        gap = 0.5 * m2 * (th[b] - th[a]) ** 2
+        # the minimum over t in [0, 1] of v[a] + (v[b] - v[a]) t - gap t (1 - t)
+        t = min(max(0.5 - (v[b] - v[a]) / (2.0 * gap), 0.0), 1.0)
+        low = v[a] + (v[b] - v[a]) * t - gap * t * (1.0 - t)
+        out[a + 1:b] = low - best > mle._CELL_SLACK * (abs(v[a]) + abs(v[b]) + gap)
+    return out
+
+
+def _reference_row(x, model, tol=1e-10, max_iter=200, bound=True):
     """One row solved by the multimodal rule, each other basin refined alone.
 
-    The best grid point's basin is refined first; a converged other basin
-    with strictly lower contrast replaces it, and the bracket widens to the
-    chosen theta.  Returns the seven ``BatchMleResult`` fields and whether
-    another basin won.
+    The whole grid is evaluated, one point at a time.  The best grid point's
+    basin is refined first; a converged other basin with strictly lower
+    contrast replaces it, and the bracket widens to the chosen theta.  With
+    ``bound`` and a family stating ``rho2_max``, a basin whose point or a
+    neighbour lies inside a ruled-out cell is dropped; without it every
+    basin counts, as before the cell rule.  Returns the seven
+    ``BatchMleResult`` fields and whether another basin won.
     """
     x = x[None, :]
     med, scale = _median_and_scale(x)
     t_lo, t_hi = model.feasible_shift_interval(x, margin=1e-9 * np.maximum(scale, 1.0))
     lo = np.maximum(med - mle.GRID_SPAN * scale, t_lo)
     hi = np.minimum(med + mle.GRID_SPAN * scale, t_hi)
-    thetas, values = _grid_scan(x, model, lo, hi)
+    thetas, values = _full_scan(x, model, lo, hi)
     for _ in range(mle._WIDEN_STEPS):
         j = int(np.argmin(values[0]))
         if 0 < j < GRID_POINTS - 1:
             break
         mle._widen(lo, hi, np.array([0]), j == 0, j == GRID_POINTS - 1, t_lo, t_hi)
-        thetas, values = _grid_scan(x, model, lo, hi)
-    j, th = int(np.argmin(values[0])), thetas[0]
+        thetas, values = _full_scan(x, model, lo, hi)
+    j, th, v = int(np.argmin(values[0])), thetas[0], values[0]
 
     def refine(b):
         return mle._newton_refine(x, model, th[[b]], th[[max(b - 1, 0)]],
@@ -259,8 +301,11 @@ def _reference_row(x, model, tol=1e-10, max_iter=200):
 
     theta, grad, iters, b_lo, b_hi, active = refine(j)
     best, b_lo, b_hi = (theta[0], grad[0], iters[0]), b_lo[0], b_hi[0]
-    d = np.diff(values[0])
+    d = np.diff(v)
     basins = np.flatnonzero((d[:-1] < 0) & (d[1:] >= 0)) + 1
+    if bound and model.rho2_max is not None:
+        out = _ruled_out_points(th, v, model.rho2_max)
+        basins = basins[~(out[basins - 1] | out[basins] | out[basins + 1])]
     replaced = False
     if basins.size > 1:
         best_val = mle._contrast_rows(x, model, theta)[0]
@@ -274,6 +319,10 @@ def _reference_row(x, model, tol=1e-10, max_iter=200):
     return fields, replaced
 
 
+def _column(rows, name):
+    return [fields[_FIELDS.index(name)] for fields, _won in rows]
+
+
 # max_iter=5 leaves many candidates unconverged; contrasts rounded to
 # integers make basins tie, within a row and with its own candidate
 @pytest.mark.parametrize("max_iter, rounded", [(200, False), (5, False), (200, True)])
@@ -281,18 +330,30 @@ def test_one_newton_run_matches_the_per_row_basin_rule(monkeypatch, max_iter, ro
     if rounded:
         exact = mle._contrast_rows
         monkeypatch.setattr(mle, "_contrast_rows", lambda *args: np.round(exact(*args)))
-    replaced = 0
-    for nu in (0.5, 1.0, 3.0):
+    replaced = dropped = 0
+    for nu in (0.5, 1.0, 3.0, 7.0):
         model = e.student_t(nu)
         for n in (3, 5, 9, 25):
             samples = 30.0 * np.random.default_rng(int(10 * nu) + n).standard_cauchy((40, n))
             batch = e.solve_mle_batch(samples, model, max_iter=max_iter)
             rows = [_reference_row(x, model, max_iter=max_iter) for x in samples]
             replaced += sum(won for _fields, won in rows)
-            for name, column in zip(_FIELDS, zip(*(fields for fields, _won in rows))):
+            for name in _FIELDS:
                 got = getattr(batch, name)
-                assert got.tobytes() == np.array(column, dtype=got.dtype).tobytes(), (nu, n, name)
-    assert replaced > 0
+                expected = np.array(_column(rows, name), dtype=got.dtype)
+                assert got.tobytes() == expected.tobytes(), (nu, n, name)
+            # the cell rule only drops basins that never win: the estimate and
+            # its iterations are those of the rule without it, and a row can
+            # only lose its multimodal flag
+            before = [_reference_row(x, model, max_iter=max_iter, bound=False) for x in samples]
+            for name in ("theta_hat", "iterations"):
+                got = getattr(batch, name)
+                expected = np.array(_column(before, name), dtype=got.dtype)
+                assert got.tobytes() == expected.tobytes(), (nu, n, name)
+            flag_before = np.array(_column(before, "multimodal_flag"))
+            assert not np.any(batch.multimodal_flag & ~flag_before), (nu, n)
+            dropped += int(np.sum(flag_before & ~batch.multimodal_flag))
+    assert replaced > 0 and dropped > 0
 
 
 @pytest.mark.xfail(strict=True, reason="the 41-point scan (step ~28) straddles the narrow "
@@ -408,16 +469,24 @@ def _scan_rows(rows, n, seed=17):
     return samples, med - 4.0, med + 4.0
 
 
-# (1, 1000) scans 32 grid points per call, a chunk that does not divide the grid
+# (1, 1000) scans 32 grid points per call, so it takes the pruned scan like (327, 100)
 @pytest.mark.parametrize("rows, n", [(1, 25), (1, 400), (327, 100), (1, 1000)])
 def test_chunked_grid_scan_matches_point_by_point_contrasts(t7_model, rows, n):
     samples, lo, hi = _scan_rows(rows, n)
     thetas, values = _grid_scan(samples, t7_model, lo, hi)
     expected = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, GRID_POINTS)[None, :]
     assert thetas.tobytes() == expected.tobytes()
+    evaluated = np.isfinite(values)
+    # the whole grid when it fits one call, else the coarse points and the kept cells
+    assert evaluated.all() == (rows * n * GRID_POINTS <= BLOCK_ELEMENTS)
+    assert evaluated[:, ::mle._COARSE].all()
+    lowest = np.min(values[:, ::mle._COARSE], axis=1)
     for g in range(GRID_POINTS):
         reference = _contrast_rows(samples, t7_model, thetas[:, g])
-        assert values[:, g].tobytes() == reference.tobytes()
+        done = evaluated[:, g]
+        assert values[done, g].tobytes() == reference[done].tobytes()
+        # a point left out lies strictly above the lowest coarse value
+        assert np.all(reference[~done] > lowest[~done])
 
 
 def test_grid_scan_calls_stay_within_the_element_budget(monkeypatch):
@@ -436,7 +505,72 @@ def test_grid_scan_calls_stay_within_the_element_budget(monkeypatch):
     samples, lo, hi = _scan_rows(327, 100)
     _grid_scan(samples, model, lo, hi)
     assert max(sizes) <= BLOCK_ELEMENTS
-    assert sum(sizes) == GRID_POINTS * 327 * 100
+    # 11 coarse points and the 3 inside each of two kept cells per row, not 41
+    assert sum(sizes) == 17 * 327 * 100
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0, 3.0, 7.0, 12.0, 30.0])
+def test_rho2_max_bounds_the_student_t_curvature(nu):
+    model = e.student_t(nu)
+    x = np.concatenate([[0.0], math.sqrt(nu) * np.linspace(-30.0, 30.0, 600001)])
+    _r1, r2 = model.rho_chain(x, 2)
+    assert r2.max() <= model.rho2_max
+    # and it is rho''(0) = (nu + 1)/nu, up to rounding
+    assert model.rho2_max == pytest.approx((nu + 1) / nu, rel=1e-11)
+
+
+def test_curvature_bound_is_fixed_per_family_and_survives_descriptors():
+    families = (e.normal(), e.logistic(), e.student_t(7),
+                e.from_expression("exp(-x**2/2)/sqrt(2*pi)"),
+                e.from_table(logistic_table(e.logistic())))
+    for model in families:
+        if model.name == "student_t":
+            assert model.rho2_max == pytest.approx(8.0 / 7.0, rel=1e-11)
+        else:
+            assert model.rho2_max is None
+        assert "rho2_max" not in json.dumps(model.descriptor())
+        if model.name != "table":
+            assert e.model_from_descriptor(model.descriptor()).rho2_max == model.rho2_max
+        with pytest.raises(AttributeError):
+            model.rho2_max = 1.0
+    with pytest.raises(ValueError):
+        make_model("student_t", nu=7.0, rho2_max=1.0)
+
+
+def test_one_row_solves_match_pruned_batch_rows():
+    # a batch over the element budget takes the pruned scan, a single row the
+    # whole grid and the cell rule only where it shows several basins; both
+    # give every field bit for bit
+    model = e.student_t(7)
+    cases = [(model, e.sample_iid(model, 100, 77, range(327)))]
+    for nu in (0.5, 1.0, 3.0, 7.0):
+        rng = np.random.default_rng(int(100 * nu))
+        cases.append((e.student_t(nu),
+                      rng.standard_cauchy((300, 5)) * rng.uniform(1.0, 60.0, (300, 1))))
+    multimodal = 0
+    for model, samples in cases:
+        assert samples.size * GRID_POINTS > BLOCK_ELEMENTS
+        batch = e.solve_mle_batch(samples, model)
+        multimodal += int(batch.multimodal_flag.sum())
+        singles = [e.solve_mle_batch(x[None, :], model) for x in samples]
+        for name in _FIELDS:
+            got = getattr(batch, name)
+            assert got.tobytes() == np.concatenate([getattr(b, name) for b in singles]).tobytes(), (
+                model, name)
+    assert multimodal > 0
+
+
+def test_t7_solver_output_is_pinned():
+    # sha256 over theta_hat and the iteration counts of seeded t7 blocks,
+    # recorded with the full 41-point scan before the pruned one replaced it
+    digest = hashlib.sha256()
+    model = e.student_t(7)
+    for n in (25, 100, 400):
+        samples = np.stack([e.sample_iid(model, n, s) for s in range(1000 * n, 1000 * n + 128)])
+        batch = e.solve_mle_batch(samples, model)
+        digest.update(batch.theta_hat.tobytes())
+        digest.update(batch.iterations.astype("<i8").tobytes())
+    assert digest.hexdigest() == "3f501eaa5aed99ada8d75e6afe34a3702a5f5fd5bcfbc0c064959fb164cc3102"
 
 
 def test_sorted_row_statistics_match_numpy_bit_for_bit():
