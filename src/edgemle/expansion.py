@@ -41,7 +41,7 @@ from scipy import special
 
 from .density import DensityModel, _json_data, _require_usable, _scalar_like, _whole
 from .errors import SingularInformation, UnsupportedOrder
-from .moments import MomentSet
+from .moments import MomentSet, _eta_key
 
 ORDERS = (1, 2, 3, 4, 5)
 
@@ -305,6 +305,19 @@ def stochastic_expansion(xi: XiVector, a, order) -> float:
     return float(stochastic_expansion_batch(xi.xi[None, :], xi.n, a, orders=(k,))[k][0])
 
 
+@lru_cache(maxsize=32)
+def _stochastic_coefficients(a_bytes: bytes) -> tuple:
+    """Per order, the (float coefficient, y-monomial) terms of the stochastic table at one ``a``.
+
+    ``a_bytes`` is ``a`` as float64 bytes, so 0.0 and -0.0 key apart; each
+    coefficient is its a-polynomial summed at c_j = a_j / a_2.
+    """
+    a = np.frombuffer(a_bytes)
+    c = dict(enumerate(a / a[1], start=1))
+    return tuple(tuple((float(evaluate_terms(terms, c)), mono)
+                       for mono, terms in _stochastic_table()[o].items()) for o in ORDERS)
+
+
 def stochastic_expansion_batch(xi_matrix: np.ndarray, n: int, a, orders=ORDERS) -> dict:
     """Truncations for many replicates at once: order -> (M,) array."""
     xi = np.asarray(xi_matrix, dtype=float)
@@ -315,9 +328,21 @@ def stochastic_expansion_batch(xi_matrix: np.ndarray, n: int, a, orders=ORDERS) 
         raise ValueError("a must hold the six contrast-derivative means")
     if abs(a[1]) <= _A2_FLOOR:
         raise SingularInformation(f"|a2| = {abs(a[1])} below machine threshold")
-    y, c = dict(enumerate(xi.T / a[1], start=1)), dict(enumerate(a / a[1], start=1))
-    blocks = np.stack([sum(evaluate_terms([(float(evaluate_terms(terms, c)), mono)], y)
-                           for mono, terms in _stochastic_table()[o].items()) for o in ORDERS])
+    y = np.ascontiguousarray(xi.T) / a[1]  # row j - 1 holds y_j
+    powers = {}  # (j, p) -> y_j ** p, each computed once
+    blocks = []
+    for terms in _stochastic_coefficients(a.tobytes()):
+        # evaluate_terms' float steps: each product left to right, the sum from 0
+        total = 0
+        for coef, mono in terms:
+            prod = coef
+            for j, p in mono:
+                if (j, p) not in powers:
+                    powers[j, p] = y[j - 1] ** p
+                prod = prod * powers[j, p]
+            total = total + prod
+        blocks.append(total)
+    blocks = np.stack(blocks)
     # row k - 1 is the order-k truncation: the weighted blocks summed in order
     sums = np.cumsum(_n_weights(n)[:, None] * blocks, axis=0)
     return {k: sums[k - 1] for k in map(_check_order, orders)}
@@ -331,9 +356,9 @@ def stochastic_expansion_batch(xi_matrix: np.ndarray, n: int, a, orders=ORDERS) 
 def _coefficient_arrays(kind: str, eta_key: tuple) -> np.ndarray:
     """Read-only coefficient matrix of one table: row o - 2 holds order o's coefficients by power.
 
-    ``eta_key`` holds (index, value, repr(value)) triples: the repr keeps
-    apart equal values that evaluate differently, such as a Fraction and its
-    float, or 0.0 and -0.0.  Powers an order lacks are zero.
+    ``eta_key`` is :func:`~edgemle.moments._eta_key` of the etas, whose
+    reprs keep apart a Fraction and its float, or 0.0 and -0.0.  Powers an
+    order lacks are zero.
     """
     eta = {idx: value for idx, value, _repr in eta_key}
     table = _table(kind)
@@ -367,7 +392,8 @@ def _add_corrections(start, kind: str, moments, n: int, order: int, t):
         warnings.warn(f"order 5 is unreliable for a skewed family (eta3 = {float(eta[3]):.6g}): "
                       "its error decays like n^-2 instead of n^-5/2; use order 4",
                       UserWarning, stacklevel=3)
-    eta_key = tuple((idx, v, repr(v)) for idx, v in sorted(eta.items()))
+    # a MomentSet builds its key once; a plain mapping builds it per call
+    eta_key = moments.eta_key if isinstance(moments, MomentSet) else _eta_key(eta)
     width = 1 + max(_table(kind)[order])  # no lower order reaches a higher power
     coeffs = _n_weights(n)[1:order] @ _coefficient_arrays(kind, eta_key)[:order - 1, :width]
     return start + np.polynomial.polynomial.polyval(t, coeffs)

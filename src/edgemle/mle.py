@@ -67,6 +67,9 @@ from .errors import DomainError, NoConvergence
 
 GRID_POINTS = 41
 GRID_SPAN = 5.0
+#: the grid points' places between a row's search ends, 0 to 1
+_GRID_FRACTIONS = np.linspace(0.0, 1.0, GRID_POINTS)
+_GRID_FRACTIONS.flags.writeable = False
 #: element budget of one vectorized step, small enough that its temporaries
 #: stay in cache: a Monte Carlo work item holds replicates x sample size
 #: within it, and one grid-scan call evaluates rows x sample size x grid
@@ -115,20 +118,26 @@ def contrast(sample, model: DensityModel, theta: float) -> float:
     return float(_contrast_rows(x[None, :], model, np.array([float(theta)]))[0])
 
 
+def _mean(values: np.ndarray, axis: int) -> np.ndarray:
+    # np.mean's own float64 steps (the same pairwise sum, then one division)
+    # without its Python-level wrapper
+    return np.add.reduce(values, axis=axis) / values.shape[axis]
+
+
 def _contrast_rows(samples: np.ndarray, model: DensityModel, thetas: np.ndarray) -> np.ndarray:
-    return np.mean(model.rho(samples - thetas[:, None]), axis=1)
+    return _mean(model.rho(samples - thetas[:, None]), 1)
 
 
 def _score_rows(samples, model, thetas):
     # L' (theta) = -mean rho^(1)(X - theta)
     (r1,) = model.rho_chain(samples - thetas[:, None], 1)
-    return -np.mean(r1, axis=1)
+    return -_mean(r1, 1)
 
 
 def _score_and_chain(samples, model, thetas):
     # L'(theta), and the chain that goes on to rho'' at the same points
     chain = model.rho_chain(samples - thetas[:, None], 2)
-    return -np.mean(next(chain), axis=1), chain
+    return -_mean(next(chain), 1), chain
 
 
 def _sorted_quantile(srt: np.ndarray, q: float) -> np.ndarray:
@@ -154,10 +163,11 @@ def _median_and_scale(samples: np.ndarray) -> tuple:
     """
     srt = np.sort(samples, axis=1)
     n = srt.shape[1]
-    med = np.mean(srt[:, (n - 1) // 2:n // 2 + 1], axis=1)
+    med = _mean(srt[:, (n - 1) // 2:n // 2 + 1], 1)
     scale = (_sorted_quantile(srt, 0.75) - _sorted_quantile(srt, 0.25)) / _IQR_TO_SIGMA
-    std = np.std(samples, axis=1)
-    scale = np.where(scale > 0, scale, std)
+    flat = ~(scale > 0)  # the std only where the IQR gives no scale
+    if np.any(flat):
+        scale[flat] = np.std(samples[flat], axis=1)
     return med, np.where(scale > 0, scale, 1.0)
 
 
@@ -196,15 +206,14 @@ def _grid_scan(samples, model, lo, hi):
     pairs.  Row means are taken along the contiguous sample axis, exactly as
     for one point at a time.
     """
-    frac = np.linspace(0.0, 1.0, GRID_POINTS)
-    thetas = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
+    thetas = lo[:, None] + (hi - lo)[:, None] * _GRID_FRACTIONS[None, :]
     step = max(1, BLOCK_ELEMENTS // max(samples.size, 1))
     full = model.rho2_max is None or step >= GRID_POINTS
     values = np.empty(thetas.shape) if full else np.full(thetas.shape, np.inf)
     stride = 1 if full else _COARSE
     for g in range(0, GRID_POINTS, stride * step):
         c = slice(g, g + stride * step, stride)
-        values[:, c] = np.mean(model.rho(samples[:, None, :] - thetas[:, c, None]), axis=2)
+        values[:, c] = _mean(model.rho(samples[:, None, :] - thetas[:, c, None]), 2)
     if full:
         return thetas, values
     rows, cells = np.nonzero(~_cells_ruled_out(thetas, values, model.rho2_max))
@@ -214,7 +223,7 @@ def _grid_scan(samples, model, lo, hi):
     pairs = max(1, BLOCK_ELEMENTS // samples.shape[1])
     for i in range(0, rows.size, pairs):
         r, c = rows[i:i + pairs], cols[i:i + pairs]
-        values[r, c] = np.mean(model.rho(samples[r] - thetas[r, c][:, None]), axis=1)
+        values[r, c] = _mean(model.rho(samples[r] - thetas[r, c][:, None]), 1)
     return thetas, values
 
 
@@ -238,7 +247,7 @@ def _newton_refine(samples, model, theta, lo, hi, tol, max_iter):
         # the curvature comes from the chain of the last score evaluation
         # (rows ``evaluated``, which include idx), and only when some row
         # takes another step; the spent chain is dropped before the next one
-        h = np.mean(next(chain), axis=1)[running[evaluated]]
+        h = _mean(next(chain), 1)[running[evaluated]]
         del chain
         t = theta[idx]
         # the score increases through a minimum: negative means the root is right

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -52,6 +53,15 @@ _ETA_RECIPES = {
 }
 
 
+def _eta_key(eta: Mapping) -> tuple:
+    """(index, value, repr(value)) per eta, by index: a hashable key for coefficient tables.
+
+    The repr keeps apart equal values that evaluate differently, such as a
+    Fraction and its float, or 0.0 and -0.0.
+    """
+    return tuple((idx, v, repr(v)) for idx, v in sorted(eta.items()))
+
+
 @dataclass(frozen=True)
 class MomentSet:
     """Fisher information, a_1..a_6 and eta_2..eta_10 with error estimates.
@@ -59,13 +69,26 @@ class MomentSet:
     ``a`` is a 6-tuple indexed a[j-1] = a_j; ``eta`` maps 2..10 to values;
     ``quadrature_error`` holds an estimated absolute error per entry (from
     its change over the last level) under the keys ``fisher``, ``a1``..``a6``,
-    ``eta2``..``eta10``.
+    ``eta2``..``eta10``.  ``eta`` is the set's own copy of the mapping it
+    was given, and read-only: :attr:`eta_key` is built from it once.
     """
 
     fisher: float
     a: tuple
     eta: Mapping[int, float]
     quadrature_error: Mapping[str, float]
+
+    def __post_init__(self):
+        object.__setattr__(self, "eta", dict(self.eta))
+
+    @cached_property
+    def eta_key(self) -> tuple:
+        """The coefficient-table key of :attr:`eta` (see :func:`_eta_key`), built on first use."""
+        return _eta_key(self.eta)
+
+    def __getstate__(self):
+        # the fields alone, so a pickle reads the same before and after the key is built
+        return {k: v for k, v in self.__dict__.items() if k != "eta_key"}
 
     def to_dict(self) -> dict:
         return _json_data(self)

@@ -376,8 +376,16 @@ def write_manifest(out_dir: str, files, **fields) -> str:
     return path
 
 
+#: rows per formatted slice of a remainders CSV, which bounds the string one write builds
+_CSV_ROWS = 256
+
+
 class _StudyWriter:
-    """Writes a study's files into ``out_dir`` from memory, then seals them; reads none back."""
+    """Writes a study's files into ``out_dir`` from memory, then seals them.
+
+    No file's contents feed back into the study; the manifest reads each
+    written file once, to hash it.
+    """
 
     def __init__(self, out_dir, config: SimulationConfig, workers: int, precision: int):
         self.out_dir = str(out_dir)
@@ -395,17 +403,25 @@ class _StudyWriter:
         return open(path, "w", encoding="utf-8", newline="\n")
 
     def remainders(self, n: int, blocks):
-        """Pass ``blocks`` through, streaming each one's rows to remainders_<n>.csv."""
+        """Pass ``blocks`` through, streaming each one's rows to remainders_<n>.csv.
+
+        The bytes are those of ``np.savetxt`` with ``fmt=["%d", "%.<p>g",
+        ...]`` and ``delimiter=","``: the same formats on the same floats,
+        but one ``%`` per slice of at most ``_CSV_ROWS`` rows instead of one
+        per row, and no slice's string grows with the block.
+        """
         header = (["replicate", "theta_hat", "standardized"] + [f"xi{j}" for j in range(1, 7)]
                   + [f"gamma_order{k}" for k in self.orders])
-        fmt = ["%d"] + [f"%.{self.precision}g"] * (len(header) - 1)
+        row = ",".join(["%d"] + [f"%.{self.precision}g"] * (len(header) - 1)) + "\n"
         with self._open(f"remainders_{n}.csv") as fh:
             fh.write(",".join(header) + "\n")
             for block in blocks:
                 replicate_ids = block["start"] + np.arange(block["theta"].size)
                 rows = np.column_stack([replicate_ids, block["theta"], block["standardized"],
                                         block["xi"], block["gamma"]])
-                np.savetxt(fh, rows, fmt=fmt, delimiter=",")
+                for i in range(0, rows.shape[0], _CSV_ROWS):
+                    part = rows[i:i + _CSV_ROWS]
+                    fh.write((row * part.shape[0]) % tuple(part.ravel().tolist()))
                 yield block
 
     def ecdf(self, n: int, grid: np.ndarray, curves: dict):
@@ -474,8 +490,9 @@ def run_study(config: SimulationConfig, out_dir=None, workers: int = 1,
     order's prediction lands in ``ecdf_<n>.csv``, a long-format
     ``curves.csv`` serves plotting, and ``report.json`` holds the aggregate;
     every file is written from memory, at ``precision`` significant digits,
-    and none is read back.  ``manifest.json`` comes last: config, seed,
-    workers, precision and a sha256 per file, all ``simulate --replay`` needs.
+    and nothing the study reports is read back from a file.  ``manifest.json``
+    comes last: config, seed, workers, precision and a sha256 per file (read
+    back once to hash it), all ``simulate --replay`` needs.
     A ``workers`` or ``precision`` below 1 is a ValueError before any work.
 
     The family is built once per process, in the model cache that the blocks

@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 from fractions import Fraction as F
 
@@ -9,7 +10,8 @@ from scipy.special import gammaincc, gammainccinv, ndtr, ndtri
 
 import edgemle as e
 from edgemle.expansion import (EDGEWORTH_TABLE, GAUSSIAN_ETA, _add_corrections,
-                               _coefficient_arrays, _stochastic_table, _table, evaluate_terms)
+                               _coefficient_arrays, _n_weights, _stochastic_table, _table,
+                               evaluate_terms)
 
 CORNISH_FISHER_TABLE = _table("cornish-fisher")
 
@@ -281,6 +283,30 @@ def test_truncations_match_exact_rational_evaluation(n):
             assert abs(F(float(have[k][r])) - sum(terms)) <= F(slack), (r, k)
 
 
+def _truncations_oracle(xi, n, a, orders):
+    """The truncations as the one-line formula over :func:`evaluate_terms` gives them."""
+    y, c = dict(enumerate(xi.T / a[1], start=1)), dict(enumerate(a / a[1], start=1))
+    blocks = np.stack([sum(evaluate_terms([(float(evaluate_terms(terms, c)), mono)], y)
+                           for mono, terms in _stochastic_table()[o].items()) for o in e.ORDERS])
+    sums = np.cumsum(_n_weights(n)[:, None] * blocks, axis=0)
+    return {k: sums[k - 1] for k in orders}
+
+
+@pytest.mark.parametrize("rows", [1, 1310])
+@pytest.mark.parametrize("family", ["logistic", "t7"])
+def test_truncations_match_the_evaluate_terms_formula_bit_for_bit(request, family, rows):
+    a = np.asarray(request.getfixturevalue(f"{family}_moments").a)
+    xi = np.random.default_rng(rows).normal(size=(rows, 6)) * [1.0, 2.0, 0.5, 3.0, 1.0, 4.0]
+    for layout in (np.ascontiguousarray(xi), np.asfortranarray(xi)):
+        for n in (25, 400):
+            for orders in (e.ORDERS, (1,), (2, 5), (3, 4)):
+                have = e.stochastic_expansion_batch(layout, n, a, orders)
+                want = _truncations_oracle(xi, n, a, orders)
+                assert list(have) == list(want)
+                for k in orders:
+                    assert have[k].view(np.uint64).tobytes() == want[k].view(np.uint64).tobytes()
+
+
 def test_expansion_batch_refuses_misshapen_input(logistic_moments):
     a = logistic_moments.a
     for bad in (np.zeros((3, 5)), np.zeros(6), np.zeros((2, 6, 1))):
@@ -499,10 +525,47 @@ def test_one_coefficient_matrix_per_table_and_eta_set(logistic_moments):
         e.cornish_fisher_quantile(logistic_moments, 40, k, [0.1, 0.5, 0.9])
     assert _coefficient_arrays.cache_info().currsize == 2
     eta_key = tuple((i, v, repr(v)) for i, v in sorted(logistic_moments.eta.items()))
+    assert logistic_moments.eta_key == eta_key
     for kind, table in (("edgeworth", EDGEWORTH_TABLE), ("cornish-fisher", CORNISH_FISHER_TABLE)):
         matrix = _coefficient_arrays(kind, eta_key)
         assert not matrix.flags.writeable
         assert matrix.shape == (4, 1 + max(table[5]))
+
+
+def test_a_moment_set_builds_its_table_key_once(logistic_moments):
+    ms = e.MomentSet(logistic_moments.fisher, logistic_moments.a, dict(logistic_moments.eta),
+                     logistic_moments.quadrature_error)
+    before = pickle.dumps(ms)
+    x, v = np.linspace(-3.0, 3.0, 13), np.array([0.05, 0.5, 0.95])
+    for k in e.ORDERS:
+        # a plain mapping keys the same matrices, so the tables agree bit for bit
+        assert (e.edgeworth_cdf(ms, 100, k, x).tobytes()
+                == e.edgeworth_cdf(dict(ms.eta), 100, k, x).tobytes())
+        assert (e.cornish_fisher_quantile(ms, 100, k, v).tobytes()
+                == e.cornish_fisher_quantile(dict(ms.eta), 100, k, v).tobytes())
+    key = ms.eta_key
+    assert key == tuple((i, val, repr(val)) for i, val in sorted(ms.eta.items()))
+    e.edgeworth_cdf(ms, 50, 5, x)
+    assert ms.eta_key is key
+    # the key is no field: equality, the JSON form and the pickle are those of the fields
+    assert ms == logistic_moments and ms.to_dict() == logistic_moments.to_dict()
+    assert pickle.dumps(ms) == before
+    assert pickle.loads(before) == ms and pickle.loads(before).eta_key == key
+
+
+def test_a_moment_set_keeps_its_own_eta():
+    source = {k: float(v) for k, v in GAUSSIAN_ETA.items()}
+    ms = e.MomentSet(1.0, NORMAL_EXACT_A, source, {})
+    key = ms.eta_key
+    source[4] = 5.0  # the caller's dict, not the set's
+    assert ms.eta[4] == 3.0 and ms.eta_key == key
+
+
+def test_table_keys_keep_a_fraction_and_a_signed_zero_apart():
+    floats = {k: float(v) for k, v in GAUSSIAN_ETA.items()}
+    keys = [e.MomentSet(1.0, NORMAL_EXACT_A, eta, {}).eta_key
+            for eta in (GAUSSIAN_ETA, floats, {**floats, 3: -0.0})]
+    assert len(set(keys)) == 3
 
 
 @pytest.mark.filterwarnings("ignore:order 5 is unreliable")

@@ -576,12 +576,13 @@ def test_t7_solver_output_is_pinned():
 def test_sorted_row_statistics_match_numpy_bit_for_bit():
     rng = np.random.default_rng(5)
     for n in list(range(1, 61)) + [100, 101, 400, 401]:
-        samples = rng.standard_t(3, size=(6, n))
+        samples = rng.standard_t(3, size=(7, n))
         samples[1] = np.round(samples[1])  # ties
         samples[2] = samples[2, 0]  # one repeated value: zero IQR and std
         samples[3, : n // 2] = samples[3, 0]  # ties across the lower quartile
         samples[4, ::2] = -0.0  # signed zeros
         samples[4, 1::2] = 0.0
+        samples[6, 1:-1] = samples[6, 0]  # zero IQR, nonzero std: the std is the scale
         srt = np.sort(samples, axis=1)
         q75, q25 = np.percentile(samples, [75, 25], axis=1)
         # a sort and numpy's partition may order -0.0 and 0.0 differently, so a
@@ -595,6 +596,8 @@ def test_sorted_row_statistics_match_numpy_bit_for_bit():
         std = np.std(samples, axis=1)
         expected = np.where(iqr_scale > 0, iqr_scale, np.where(std > 0, std, 1.0))
         assert scale.tobytes() == expected.tobytes()
+        if n >= 5:
+            assert iqr_scale[6] == 0 and scale[6] == std[6] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import io
 import json
 import logging
 import math
@@ -361,6 +362,58 @@ def test_one_size_study_writes_strict_json(tmp_path):
     # one sample size fits no slope: null in the file, nan in the returned report
     assert [v["slope"] for v in written["slopes"].values()] == [None] * len(cfg.orders)
     assert all(math.isnan(v["slope"]) for v in report.to_dict()["slopes"].values())
+
+
+def _savetxt_rows(block, precision, columns):
+    """What np.savetxt writes for one block's remainder rows: the writer's reference bytes."""
+    out = io.StringIO()
+    ids = block["start"] + np.arange(block["theta"].size)
+    rows = np.column_stack([ids, block["theta"], block["standardized"], block["xi"],
+                            block["gamma"]])
+    np.savetxt(out, rows, fmt=["%d"] + [f"%.{precision}g"] * (columns - 1), delimiter=",")
+    return out.getvalue()
+
+
+def _awkward_block(start, rows, seed):
+    """A block of ``rows`` replicates with failed rows, +-inf, -0.0 and a subnormal."""
+    rng = np.random.default_rng(seed)
+    block = {"start": start, "theta": rng.normal(size=rows) * 10.0 ** rng.integers(-30, 30, rows),
+             "standardized": rng.normal(size=rows), "xi": rng.normal(size=(rows, 6)),
+             "gamma": rng.normal(size=(rows, 5)) * 1e-7}
+    failed = rng.random(rows) < 0.05
+    for key in ("theta", "standardized", "gamma"):
+        block[key][failed] = np.nan
+    block["xi"][0] = [np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308]
+    block["gamma"][-1] = [1e300, -1e-300, 0.1, 0.5, 123456789.0]
+    return block
+
+
+@pytest.mark.parametrize("precision", [1, 8, 12, 17])
+def test_remainders_csv_holds_the_bytes_of_np_savetxt(tmp_path, precision):
+    cfg = e.SimulationConfig(n_grid=(25,), replications=100)
+    writer = mc._StudyWriter(tmp_path, cfg, 1, precision)
+    # ids past 2^20; one block spans several formatted slices, one is a single row
+    blocks = [_awkward_block(2**20 + 3, 2 * mc._CSV_ROWS + 17, 1),
+              _awkward_block(2**20 + 3 + 2 * mc._CSV_ROWS + 17, 1, 2),
+              _awkward_block(2**21, mc._CSV_ROWS, 3)]
+    assert list(writer.remainders(25, iter(blocks))) == blocks
+    header, body = (tmp_path / "remainders_25.csv").read_text().split("\n", 1)
+    assert header.split(",")[:3] == ["replicate", "theta_hat", "standardized"]
+    assert body == "".join(_savetxt_rows(b, precision, 14) for b in blocks)
+
+
+def test_a_multi_block_remainders_csv_is_its_blocks_through_savetxt(tmp_path):
+    cfg = e.SimulationConfig(family="logistic", n_grid=(400,), replications=300)
+    e.run_study(cfg, out_dir=tmp_path)
+    model = mle._cached_model(mle._model_key(cfg.family, cfg.family_params))
+    moments = e.compute_moment_set(model, tol=cfg.moment_tol)
+    rows = mle.BLOCK_ELEMENTS // 400
+    blocks = [_simulate_block(model, 400, start, min(start + rows, 300), cfg.base_seed,
+                              moments.a, moments.fisher, cfg.orders, cfg.solver_tol)
+              for start in range(0, 300, rows)]
+    assert len(blocks) == 4
+    body = (tmp_path / "remainders_400.csv").read_text().split("\n", 1)[1]
+    assert body == "".join(_savetxt_rows(b, 12, 14) for b in blocks)
 
 
 def test_study_reports_solver_counters():
