@@ -2,12 +2,15 @@
 
 Subcommands: moments, cdf, quantile, mle, simulate, validate,
 collapse-check, compose-check.  Exit codes: 0 success, 1 validation failure
-or runtime error, 2 usage error.  Every run that writes an output directory
-also writes a manifest.json recording the resolved configuration, the seed
-and a checksum per output file (a study's, written by ``run_study``, also
-records its precision); ``simulate --replay manifest.json`` re-runs the study
-at that precision (in a temporary directory unless --out-dir names another
-one) and verifies the new outputs reproduce those checksums.
+or runtime error, 2 usage error.  cdf and quantile are one table command,
+which --out-dir also writes to ``<command>.csv``; CSV rows and JSON text come
+from the study writers' ``_csv_rows`` and ``_json_text``.  Every run that
+writes an output directory also writes a manifest.json recording the resolved
+configuration, the seed and a checksum per output file (a study's, written by
+``run_study``, also records its precision); ``simulate --replay
+manifest.json`` re-runs the study at that precision (in a temporary directory
+unless --out-dir names another one) and verifies the new outputs reproduce
+those checksums.
 """
 from __future__ import annotations
 
@@ -23,14 +26,14 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import __version__
-from .density import _json_data, check_density, make_model
+from .density import _json_data, _json_text, check_density, make_model
 from .errors import (DomainError, InversionFailure, MomentDivergence, NoConvergence,
                      SingularInformation, StudyAborted, UnsupportedOrder)
 from .expansion import (ORDERS, collapse_report, compose_check, cornish_fisher_quantile,
                         edgeworth_cdf)
 from .mle import solve_mle
 from .moments import compute_moment_set, validate_conditions
-from .montecarlo import SimulationConfig, run_study, write_manifest
+from .montecarlo import SimulationConfig, _csv_rows, run_study, write_manifest
 
 _HANDLED = (DomainError, InversionFailure, MomentDivergence, NoConvergence,
             SingularInformation, StudyAborted, UnsupportedOrder, ValueError,
@@ -38,18 +41,12 @@ _HANDLED = (DomainError, InversionFailure, MomentDivergence, NoConvergence,
 _MAX_GRID_POINTS = 10**6  # most points a start:stop:step grid may hold
 
 
-def _fmt(value, precision: int) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), f".{precision}g")
-
-
-def _print_json(payload: dict, precision: int):
-    # strict JSON: a nan prints as null and an infinity as "inf" or "-inf"
-    print(json.dumps(_json_data(payload, precision, strict=True), indent=2, sort_keys=True,
-                     allow_nan=False))
+def _json_object(path: str, what: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} {path} holds a JSON {type(data).__name__}, not an object")
+    return data
 
 
 def _parse_params(pairs) -> dict:
@@ -66,8 +63,9 @@ def _parse_params(pairs) -> dict:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """Grid syntax: 'start:stop:step' (inclusive ends; the point count is checked
-    before allocating) or a comma list, of finite numbers only."""
+    """Grid syntax: 'start:stop:step' (from start by step up to stop, which a point within
+    1e-9 steps reaches; the count is checked before allocating) or a comma list, of finite
+    numbers only."""
     values = [float(tok) for tok in (text.split(":") if ":" in text else text.split(",")) if tok]
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"grid {text!r} holds a non-finite number")
@@ -79,7 +77,7 @@ def _parse_grid(text: str) -> np.ndarray:
     if step <= 0 or stop < start:
         raise ValueError("grid needs step > 0 and stop >= start")
     span = (stop - start) / step  # inf when the division overflows
-    count = round(span) + 1 if math.isfinite(span) else math.inf
+    count = math.floor(span + 1e-9) + 1 if math.isfinite(span) else math.inf
     if count > _MAX_GRID_POINTS:
         raise ValueError(f"grid {text!r} has {count} points; at most {_MAX_GRID_POINTS} allowed")
     return np.round(start + step * np.arange(count), 12)
@@ -96,34 +94,40 @@ def _model_from_args(args):
 def _cmd_moments(args) -> int:
     ms = compute_moment_set(_model_from_args(args), tol=args.tol)
     if args.format == "json":
-        _print_json(ms.to_dict(), args.precision)
-    else:
-        rows = [("fisher", ms.fisher, ms.quadrature_error["fisher"])]
-        rows += [(f"a{j}", ms.a[j - 1], ms.quadrature_error[f"a{j}"]) for j in range(1, 7)]
-        rows += [(f"eta{k}", ms.eta[k], ms.quadrature_error[f"eta{k}"]) for k in range(2, 11)]
-        print("name,value,est_error")
-        for name, value, err in rows:
-            print(f"{name},{_fmt(value, args.precision)},{_fmt(err, args.precision)}")
+        sys.stdout.write(_json_text(ms.to_dict(), args.precision))
+        return 0
+    rows = [("fisher", ms.fisher, ms.quadrature_error["fisher"])]
+    rows += [(f"a{j}", ms.a[j - 1], ms.quadrature_error[f"a{j}"]) for j in range(1, 7)]
+    rows += [(f"eta{k}", ms.eta[k], ms.quadrature_error[f"eta{k}"]) for k in range(2, 11)]
+    sys.stdout.write("name,value,est_error\n")
+    row = "%s" + f",%.{args.precision}g" * 2 + "\n"
+    sys.stdout.writelines(_csv_rows(row, np.array(rows, dtype=object)))
     return 0
 
 
-def _grid_table(args, evaluate, header_tail, flag_fn=None) -> int:
+def _cmd_table(args) -> int:
+    """cdf or quantile: the expansion at every order up to --order, one row per grid point."""
     grid = _parse_grid(args.grid)
     ms = compute_moment_set(_model_from_args(args), tol=args.tol)
     orders = range(1, args.order + 1)
-    cols = [evaluate(ms, k, grid) for k in orders]
-    lines = ["point," + ",".join(f"value_order{k}" for k in orders) + header_tail]
-    for i, x in enumerate(grid):
-        row = [_fmt(x, args.precision)] + [_fmt(col[i], args.precision) for col in cols]
-        if flag_fn is not None:
-            row.append(str(bool(flag_fn(i))).lower())
-        lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
+    header = ["point"] + [f"value_order{k}" for k in orders]
+    row = [f"%.{args.precision}g"] * len(header)
+    expansion = edgeworth_cdf if args.command == "cdf" else cornish_fisher_quantile
+    values = np.array([np.atleast_1d(expansion(ms, args.n, k, grid)) for k in orders])
+    columns = [grid, *values]
+    if args.command == "cdf":
+        # flag the raw values outside [0, 1], then clip them if asked
+        flags = np.any((values < 0.0) | (values > 1.0), axis=0)
+        columns = [grid, *(np.clip(values, 0.0, 1.0) if args.clamp_cdf else values),
+                   np.where(flags, "true", "false").astype(object)]
+        header.append("out_of_range_flag")
+        row.append("%s")
+    text = "".join([",".join(header) + "\n",
+                    *_csv_rows(",".join(row) + "\n", np.column_stack(columns))])
     sys.stdout.write(text)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        name = "cdf.csv" if flag_fn is not None else "quantile.csv"
-        path = os.path.join(args.out_dir, name)
+        path = os.path.join(args.out_dir, f"{args.command}.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         write_manifest(args.out_dir, [path], base_seed=None, execution={},
@@ -131,26 +135,6 @@ def _grid_table(args, evaluate, header_tail, flag_fn=None) -> int:
                                "n": args.n, "order": args.order, "grid": args.grid,
                                "precision": args.precision})
     return 0
-
-
-def _cmd_cdf(args) -> int:
-    flags = {}
-
-    def evaluate(ms, k, grid):
-        # flag the raw values outside [0, 1], then clip them if asked
-        vals = np.atleast_1d(edgeworth_cdf(ms, args.n, k, grid))
-        flags[k] = (vals < 0.0) | (vals > 1.0)
-        return np.clip(vals, 0.0, 1.0) if args.clamp_cdf else vals
-
-    return _grid_table(args, evaluate, ",out_of_range_flag",
-                       flag_fn=lambda i: any(flags[k][i] for k in flags))
-
-
-def _cmd_quantile(args) -> int:
-    def evaluate(ms, k, grid):
-        return np.atleast_1d(cornish_fisher_quantile(ms, args.n, k, grid))
-
-    return _grid_table(args, evaluate, "")
 
 
 def _cmd_mle(args) -> int:
@@ -162,7 +146,7 @@ def _cmd_mle(args) -> int:
             text = fh.read()
     values = [float(tok) for tok in text.replace(",", " ").split()]
     res = solve_mle(np.asarray(values), model, tol=args.tol)
-    _print_json({**_json_data(res), "n": len(values)}, args.precision)
+    sys.stdout.write(_json_text({**_json_data(res), "n": len(values)}, args.precision))
     return 0
 
 
@@ -170,8 +154,8 @@ def _cmd_validate(args) -> int:
     model = _model_from_args(args)
     density_report = check_density(model, tol=args.tol)
     condition_report = validate_conditions(model, tol=args.tol)
-    _print_json({"density": density_report, "conditions": condition_report.to_dict()},
-                args.precision)
+    sys.stdout.write(_json_text({"density": density_report,
+                                 "conditions": condition_report.to_dict()}, args.precision))
     failed = [k for k, v in condition_report.verdicts.items() if v == "fail"]
     ok = all(density_report[k] for k in ("integrates_to_one", "positive_on_probe",
                                          "derivs_match"))
@@ -188,7 +172,7 @@ def _cmd_collapse_check(args) -> int:
         "threshold": args.threshold,
         "coefficients_checked": len(numeric["entries"]),
     }
-    _print_json(payload, args.precision)
+    sys.stdout.write(_json_text(payload, args.precision))
     return 0 if numeric["max_abs_coefficient"] < args.threshold else 1
 
 
@@ -198,7 +182,7 @@ def _cmd_compose_check(args) -> int:
     orders = tuple(_parse_grid(args.orders)) if args.orders else ORDERS
     ms = compute_moment_set(_model_from_args(args), tol=args.tol)
     report = compose_check(ms, n_grid, v_grid=v_grid, orders=orders)
-    _print_json(report.to_dict(), args.precision)
+    sys.stdout.write(_json_text(report.to_dict(), args.precision))
     return 1 if report.flagged_order is not None else 0
 
 
@@ -208,8 +192,7 @@ def _cmd_simulate(args) -> int:
     if not args.config:
         print("usage: edgemle simulate --config FILE [or --replay MANIFEST]", file=sys.stderr)
         return 2
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config_dict = json.load(fh)
+    config_dict = _json_object(args.config, "config")
     if args.seed is not None:
         config_dict["base_seed"] = args.seed
     if args.reps is not None:
@@ -222,11 +205,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _replay(args) -> int:
-    with open(args.replay, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _json_object(args.replay, "manifest")
     expected = manifest.get("outputs")
-    if not expected:
+    if not expected or not isinstance(expected, dict):
         raise ValueError(f"manifest {args.replay} records no outputs to verify")
+    if not isinstance(manifest.get("config"), dict):
+        raise ValueError(f"manifest {args.replay} records no study config to replay")
     if args.out_dir is not None and (os.path.realpath(args.out_dir)
                                      == os.path.dirname(os.path.realpath(args.replay))):
         raise ValueError(f"--out-dir {args.out_dir} holds the replayed manifest; a replay "
@@ -284,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clamp-cdf", action="store_true",
                    help="truncate values into [0, 1] (out-of-range flag still reported)")
     p.add_argument("--out-dir", help="also write the table and a manifest here")
-    p.set_defaults(func=_cmd_cdf)
+    p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("quantile", help="evaluate the quantile expansion on a v grid")
     _add_family_flags(p)
@@ -293,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="highest truncation order to tabulate (default 5)")
     p.add_argument("--grid", default="0.05:0.95:0.05", help="probabilities, start:stop:step or comma list")
     p.add_argument("--out-dir", help="also write the table and a manifest here")
-    p.set_defaults(func=_cmd_quantile)
+    p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("mle", help="solve the location MLE for a sample")
     _add_family_flags(p)

@@ -34,6 +34,7 @@ import decimal
 import functools
 import inspect
 import itertools
+import json
 import math
 import os
 from math import comb
@@ -92,6 +93,12 @@ def _json_data(value, precision=None, strict=False):
     if isinstance(value, (list, tuple)):
         return [_json_data(v, precision, strict) for v in value]
     return os.fspath(value)
+
+
+def _json_text(value, precision=None) -> str:
+    """The text of every JSON the package prints or writes: strict, indented, keys sorted."""
+    return json.dumps(_json_data(value, precision, strict=True), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def _neg_log(value):

@@ -46,7 +46,7 @@ import numpy as np
 from . import __version__
 # no study calls model_from_descriptor, but perfbench/spans.py patches it here
 # (Tracer.install raises AttributeError without it)
-from .density import DensityModel, _json_data, _whole, model_from_descriptor
+from .density import DensityModel, _json_data, _json_text, _whole, model_from_descriptor
 from .errors import StudyAborted
 from .expansion import ORDERS, compute_xi_batch, edgeworth_cdf, stochastic_expansion_batch
 from .mle import BLOCK_ELEMENTS, _cached_model, _model_key, solve_mle_batch
@@ -211,6 +211,8 @@ class SimulationConfig:
             raise ValueError("n_grid must be strictly increasing")
         if self.n_grid[0] < 1:
             raise ValueError("n_grid must hold positive sample sizes")
+        if len(set(self.orders)) < len(self.orders):
+            raise ValueError(f"orders must not repeat, got {list(self.orders)}")
         if not set(self.orders) <= set(ORDERS):
             raise ValueError(f"orders must be a subset of {ORDERS}")
         if not self.orders:
@@ -371,13 +373,20 @@ def write_manifest(out_dir: str, files, **fields) -> str:
                 "outputs": {os.path.basename(p): _sha256(p) for p in files}}
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(manifest))
     return path
 
 
-#: rows per formatted slice of a remainders CSV, which bounds the string one write builds
+#: rows per formatted slice of a CSV, which bounds the string one write builds
 _CSV_ROWS = 256
+
+
+def _csv_rows(row: str, table: np.ndarray):
+    """The rows of ``table`` through the %-template ``row``: one string, and one ``%``, per
+    slice of at most ``_CSV_ROWS`` rows, so no string grows with the table."""
+    for i in range(0, table.shape[0], _CSV_ROWS):
+        part = table[i:i + _CSV_ROWS]
+        yield (row * len(part)) % tuple(part.ravel().tolist())
 
 
 class _StudyWriter:
@@ -405,10 +414,8 @@ class _StudyWriter:
     def remainders(self, n: int, blocks):
         """Pass ``blocks`` through, streaming each one's rows to remainders_<n>.csv.
 
-        The bytes are those of ``np.savetxt`` with ``fmt=["%d", "%.<p>g",
-        ...]`` and ``delimiter=","``: the same formats on the same floats,
-        but one ``%`` per slice of at most ``_CSV_ROWS`` rows instead of one
-        per row, and no slice's string grows with the block.
+        A row is the replicate id as ``%d``, then every value as ``%.<p>g``,
+        written through :func:`_csv_rows`.
         """
         header = (["replicate", "theta_hat", "standardized"] + [f"xi{j}" for j in range(1, 7)]
                   + [f"gamma_order{k}" for k in self.orders])
@@ -416,19 +423,16 @@ class _StudyWriter:
         with self._open(f"remainders_{n}.csv") as fh:
             fh.write(",".join(header) + "\n")
             for block in blocks:
-                replicate_ids = block["start"] + np.arange(block["theta"].size)
-                rows = np.column_stack([replicate_ids, block["theta"], block["standardized"],
-                                        block["xi"], block["gamma"]])
-                for i in range(0, rows.shape[0], _CSV_ROWS):
-                    part = rows[i:i + _CSV_ROWS]
-                    fh.write((row * part.shape[0]) % tuple(part.ravel().tolist()))
+                fh.writelines(_csv_rows(row, np.column_stack(
+                    [block["start"] + np.arange(block["theta"].size), block["theta"],
+                     block["standardized"], block["xi"], block["gamma"]])))
                 yield block
 
     def ecdf(self, n: int, grid: np.ndarray, curves: dict):
+        row = ",".join([f"%.{self.precision}g"] * (len(curves) + 1)) + "\n"
         with self._open(f"ecdf_{n}.csv") as fh:
-            np.savetxt(fh, np.column_stack([grid, *curves.values()]),
-                       fmt=f"%.{self.precision}g", delimiter=",",
-                       header=",".join(["x", *curves]), comments="")
+            fh.write(",".join(["x", *curves]) + "\n")
+            fh.writelines(_csv_rows(row, np.column_stack([grid, *curves.values()])))
 
     def finish(self, grid: np.ndarray, curves_by_n: dict, report: dict) -> list:
         """Write curves.csv, report.json and last the manifest; returns the files it seals."""
@@ -436,16 +440,14 @@ class _StudyWriter:
         with self._open("curves.csv") as fh:
             fh.write("x,order,value\n")
             for n, curves in curves_by_n.items():
+                # one row per grid point: x, label, value for every column in turn
                 columns = {f"ecdf_n{n}": curves["ecdf_upper"]}
                 columns.update({f"order{k}_n{n}": curves[f"pred_order{k}"] for k in self.orders})
-                for i, x in enumerate(grid):
-                    fh.writelines(f"{x:.{p}g},{label},{col[i]:.{p}g}\n"
-                                  for label, col in columns.items())
+                row = "".join(f"%.{p}g,{label},%.{p}g\n" for label in columns)
+                fh.writelines(_csv_rows(row, np.column_stack(
+                    [c for col in columns.values() for c in (grid, col)])))
         with self._open("report.json") as fh:
-            # strict JSON: an undefined slope is null, not NaN
-            json.dump(_json_data(report, p, strict=True), fh, indent=2, sort_keys=True,
-                      allow_nan=False)
-            fh.write("\n")
+            fh.write(_json_text(report, p))  # strict: an undefined slope is null, not NaN
         write_manifest(self.out_dir, self.files, **self.replay)
         return self.files
 
@@ -489,10 +491,11 @@ def run_study(config: SimulationConfig, out_dir=None, workers: int = 1,
     stream to ``remainders_<n>.csv`` as blocks finish, the ECDF against every
     order's prediction lands in ``ecdf_<n>.csv``, a long-format
     ``curves.csv`` serves plotting, and ``report.json`` holds the aggregate;
-    every file is written from memory, at ``precision`` significant digits,
-    and nothing the study reports is read back from a file.  ``manifest.json``
-    comes last: config, seed, workers, precision and a sha256 per file (read
-    back once to hash it), all ``simulate --replay`` needs.
+    every file is written from memory (CSV rows by :func:`_csv_rows`, JSON
+    by ``_json_text``) at ``precision`` significant digits, and nothing the
+    study reports is read back from a file.  ``manifest.json`` comes last:
+    config, seed, workers, precision and a sha256 per file (read back once
+    to hash it), all ``simulate --replay`` needs.
     A ``workers`` or ``precision`` below 1 is a ValueError before any work.
 
     The family is built once per process, in the model cache that the blocks

@@ -10,7 +10,8 @@ import pytest
 
 import edgemle as e
 from conftest import logistic_table
-from edgemle.cli import dispatch
+import edgemle.montecarlo as mc
+from edgemle.cli import _parse_grid, dispatch
 
 
 def run(capsys, *argv):
@@ -100,6 +101,56 @@ def test_unbounded_grid_ranges_are_errors(capsys, grid, problem):
     assert err.startswith("error:") and problem in err
     code, _, err = run(capsys, "compose-check", "--family", "normal", f"--n-grid={grid}")
     assert code == 1 and err.startswith("error:") and problem in err
+
+
+@pytest.mark.parametrize("grid, count", [("0:1:0.35", 3), ("-3:3:0.5", 13), ("-3:3:0.7", 9),
+                                         ("0.05:0.95:0.05", 19), ("0:0.3:0.1", 4),
+                                         ("1:1:0.5", 1)])
+def test_grid_ranges_stop_at_or_below_stop(grid, count):
+    start, stop, step = map(float, grid.split(":"))
+    points = _parse_grid(grid)
+    assert points.size == count and points[0] == start
+    assert points[-1] <= stop < points[-1] + step
+
+
+def _cell_table(grid, columns, p, flags=None):
+    """The per-cell loop that wrote the cdf and quantile rows: their reference bytes."""
+    lines = []
+    for i, x in enumerate(grid):
+        row = [format(float(x), f".{p}g")] + [format(float(col[i]), f".{p}g") for col in columns]
+        if flags is not None:
+            row.append(str(bool(flags[i])).lower())
+        lines.append(",".join(row) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("precision", [1, 8, 12, 17])
+def test_csv_rows_hold_the_format_of_every_value(precision):
+    rng = np.random.default_rng(precision)
+    rows = 2 * mc._CSV_ROWS + 3
+    values = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-30, 30, (rows, 3))
+    values.flat[:8] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+                       1e300]
+    flags = rng.random(rows) < 0.5
+    table = np.column_stack([values, np.where(flags, "true", "false").astype(object)])
+    row = ",".join([f"%.{precision}g"] * 3 + ["%s"]) + "\n"
+    assert "".join(mc._csv_rows(row, table)) == _cell_table(values[:, 0], values[:, 1:].T,
+                                                            precision, flags)
+
+
+def test_a_quantile_range_stops_inside_the_unit_interval(capsys, tmp_path):
+    # 0.05:0.95:0.35 once ran on to 1.1, which the quantile expansion refuses
+    code, out, err = run(capsys, "quantile", "--family", "logistic", "--n", "50", "--grid",
+                         "0.05:0.95:0.35", "--precision", "17", "--out-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    ms = e.compute_moment_set(e.make_model("logistic"), tol=1e-10)
+    grid = np.array([0.05, 0.4, 0.75])
+    cols = [e.cornish_fisher_quantile(ms, 50, k, grid) for k in range(1, 6)]
+    assert out == ("point,value_order1,value_order2,value_order3,value_order4,value_order5\n"
+                   + _cell_table(grid, cols, 17))
+    assert (tmp_path / "quantile.csv").read_text() == out
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["outputs"] == {"quantile.csv": hashlib.sha256(out.encode()).hexdigest()}
 
 
 def test_mle_reads_stdin(capsys, monkeypatch):
@@ -279,7 +330,7 @@ def _config_file(tmp_path, **overrides):
                                         ("n_grid", []), ("n_grid", 25), ("orders", [1.5, 2]),
                                         ("orders", [True, 2]), ("orders", 2), ("eval_grid", 0.5),
                                         ("solver_tol", "1e-11"), ("epsilon_exponent", "0.5"),
-                                        ("family_params", [1]),
+                                        ("family_params", [1]), ("orders", [3, 3, 5]),
                                         ("require_valid_conditions", "no"),
                                         ("base_seed", -1), ("base_seed", 2**128)])
 def test_simulate_malformed_config_is_an_error(capsys, tmp_path, key, value):
@@ -425,7 +476,7 @@ def test_library_study_writes_a_replayable_manifest(capsys, tmp_path):
     assert out == "replay verified: 4 files bit-identical\n"
 
 
-@pytest.mark.parametrize("outputs", [{}, None])
+@pytest.mark.parametrize("outputs", [{}, None, ["report.json"]])
 def test_simulate_replay_refuses_a_manifest_without_outputs(capsys, tmp_path, outputs):
     cfg_path = _config_file(tmp_path)
     first = tmp_path / "first"
@@ -444,6 +495,20 @@ def test_simulate_replay_refuses_a_manifest_without_outputs(capsys, tmp_path, ou
     assert not (tmp_path / "second").exists()
 
 
+@pytest.mark.parametrize("flag, content, problem", [
+    ("--replay", {"outputs": {"report.json": "0" * 64}}, "manifest {} records no study config"),
+    ("--replay", [1, 2], "manifest {} holds a JSON list, not an object"),
+    ("--config", [1, 2], "config {} holds a JSON list, not an object")])
+def test_simulate_names_a_file_that_is_no_config_or_manifest(capsys, tmp_path, flag, content,
+                                                             problem):
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, "simulate", flag, str(path), "--out-dir", str(tmp_path / "run"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: " + problem.format(path)) and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("flag, shown", [("--precision=-1", "precision"),
                                          ("--workers=-2", "workers")])
 def test_simulate_refuses_a_bad_precision_or_worker_count_before_any_work(capsys, tmp_path,
@@ -456,15 +521,29 @@ def test_simulate_refuses_a_bad_precision_or_worker_count_before_any_work(capsys
     assert not (tmp_path / "run").exists()
 
 
-def test_cdf_out_of_range_flag_and_clamp(capsys):
+def test_cdf_out_of_range_flag_and_clamp(capsys, tmp_path):
     # the Gumbel's order-2 expansion at n = 2 dips below 0 at -3; the flag
     # reads the raw value, --clamp-cdf clips what is printed
     argv = ("cdf", "--family", "expression", "--param", "expr=exp(-x - exp(-x))",
-            "--n", "2", "--order", "2", "--grid", "-3")
+            "--n", "2", "--order", "2")
     for clamp, value in (((), "-0.0043953837547"), (("--clamp-cdf",), "0")):
-        code, out, _ = run(capsys, *argv, *clamp)
+        code, out, _ = run(capsys, *argv, "--grid", "-3", *clamp)
         assert code == 0
         assert out.splitlines()[1] == f"-3,0.00134989803163,{value},true"
+    # a whole grid of flagged and unflagged rows, against the per-cell loop
+    ms = e.compute_moment_set(e.make_model("expression", expr="exp(-x - exp(-x))"), tol=1e-10)
+    grid = np.round(-3.0 + 0.5 * np.arange(13), 12)
+    raw = [e.edgeworth_cdf(ms, 2, k, grid) for k in (1, 2)]
+    flags = np.logical_or.reduce([(col < 0.0) | (col > 1.0) for col in raw])
+    assert 0 < flags.sum() < grid.size
+    for clamp in ((), ("--clamp-cdf",)):
+        cols = [np.clip(col, 0.0, 1.0) for col in raw] if clamp else raw
+        out_dir = tmp_path / f"clamp{len(clamp)}"
+        code, out, _ = run(capsys, *argv, "--grid=-3:3:0.5", *clamp, "--out-dir", str(out_dir))
+        assert code == 0
+        assert out == ("point,value_order1,value_order2,out_of_range_flag\n"
+                       + _cell_table(grid, cols, 12, flags))
+        assert (out_dir / "cdf.csv").read_text() == out
 
 
 def test_cdf_out_dir_writes_manifest(capsys, tmp_path):

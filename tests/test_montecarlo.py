@@ -271,6 +271,10 @@ def test_config_validation():
         e.SimulationConfig(n_grid=[])
     with pytest.raises(ValueError, match="eval_grid must be nonempty"):
         e.SimulationConfig(eval_grid=[])
+    # a repeated order would repeat its CSV columns and keep one report entry
+    for orders in ([3, 3, 5], (1, 1)):
+        with pytest.raises(ValueError, match=r"^orders must not repeat, got \["):
+            e.SimulationConfig.from_dict({"orders": orders})
     # numpy integers are integers
     cfg = e.SimulationConfig(n_grid=[np.int64(25)], replications=np.int32(200),
                              base_seed=np.uint64(3))
@@ -400,6 +404,55 @@ def test_remainders_csv_holds_the_bytes_of_np_savetxt(tmp_path, precision):
     header, body = (tmp_path / "remainders_25.csv").read_text().split("\n", 1)
     assert header.split(",")[:3] == ["replicate", "theta_hat", "standardized"]
     assert body == "".join(_savetxt_rows(b, precision, 14) for b in blocks)
+
+
+def _awkward_values(shape, seed):
+    """Floats over 60 decades with nan, +-inf, -0.0, subnormals and 1e300 planted in them."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, shape)
+    values.flat[:8] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+                       1e300]
+    return values
+
+
+def _curves_loop(grid, curves_by_n, orders, p):
+    """The per-cell f-string loop that wrote curves.csv: the writer's reference bytes."""
+    out = io.StringIO()
+    out.write("x,order,value\n")
+    for n, curves in curves_by_n.items():
+        columns = {f"ecdf_n{n}": curves["ecdf_upper"]}
+        columns.update({f"order{k}_n{n}": curves[f"pred_order{k}"] for k in orders})
+        for i, x in enumerate(grid):
+            out.writelines(f"{x:.{p}g},{label},{col[i]:.{p}g}\n" for label, col in columns.items())
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("precision", [1, 8, 12, 17])
+def test_ecdf_curves_and_report_hold_the_bytes_of_the_former_writers(tmp_path, precision):
+    cfg = e.SimulationConfig(n_grid=(25, 400), replications=100, orders=[1, 3, 5])
+    writer = mc._StudyWriter(tmp_path, cfg, 1, precision)
+    # more grid points than one formatted slice holds
+    grid = _awkward_values(mc._CSV_ROWS + 9, 1)
+    curves_by_n = {}
+    for n, seed in ((25, 2), (400, 3)):
+        keys = ["ecdf_lower", "ecdf_upper"] + [f"pred_order{k}" for k in cfg.orders]
+        curves_by_n[n] = dict(zip(keys, _awkward_values((len(keys), grid.size), seed)))
+        writer.ecdf(n, grid, curves_by_n[n])
+        savetxt = io.StringIO()
+        np.savetxt(savetxt, np.column_stack([grid, *curves_by_n[n].values()]),
+                   fmt=f"%.{precision}g", delimiter=",",
+                   header=",".join(["x", *curves_by_n[n]]), comments="")
+        assert (tmp_path / f"ecdf_{n}.csv").read_text() == savetxt.getvalue()
+    report = {"slope": math.nan, "bounds": [math.inf, -math.inf, -0.0, 1 / 3]}
+    writer.finish(grid, curves_by_n, report)
+    assert (tmp_path / "curves.csv").read_text() == _curves_loop(grid, curves_by_n, cfg.orders,
+                                                                precision)
+    dumped = json.dumps(mc._json_data(report, precision, strict=True), indent=2, sort_keys=True,
+                        allow_nan=False)
+    assert (tmp_path / "report.json").read_text() == dumped + "\n"
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == ["curves.csv", "ecdf_25.csv", "ecdf_400.csv",
+                                           "report.json"]
 
 
 def test_a_multi_block_remainders_csv_is_its_blocks_through_savetxt(tmp_path):
