@@ -41,7 +41,6 @@ from math import comb
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, InversionFailure, UnsupportedOrder
 
@@ -99,6 +98,14 @@ def _json_text(value, precision=None) -> str:
     """The text of every JSON the package prints or writes: strict, indented, keys sorted."""
     return json.dumps(_json_data(value, precision, strict=True), indent=2, sort_keys=True,
                       allow_nan=False) + "\n"
+
+
+def _special():
+    # scipy.special, imported by the first family that needs it: the normal
+    # family, Student-t's CDF and its quantile outside _T_SERIES_NU; the
+    # logistic and Student-t(1 <= nu <= 12) samplers never load it
+    from scipy import special
+    return special
 
 
 def _neg_log(value):
@@ -458,6 +465,7 @@ def normal() -> DensityModel:
         for _ in range(3, MAX_DERIVATIVE_ORDER + 1):
             yield np.zeros_like(y) if isinstance(y, np.ndarray) else 0.0
 
+    special = _special()
     return DensityModel(
         "normal", (-np.inf, np.inf), pdf,
         cdf=special.ndtr,
@@ -517,10 +525,35 @@ def logistic() -> DensityModel:
         u *= r
         yield u
 
+    def cdf(x):
+        # 1/(1 + e^-x), as e^x/(1 + e^x) below 0, where e^-x would overflow first
+        xa = np.asarray(x, dtype=float)
+        e = np.exp(-np.abs(xa))
+        return _scalar_like(x, np.where(xa >= 0.0, 1.0, e) / (1.0 + e))
+
+    def ppf(u):
+        # log(u / (1 - u)), but 2 artanh(2u - 1) on [0.3, 0.65], where the ratio
+        # is near 1 and 2u - 1 is exact; 0 and 1 give -inf and +inf, and a u
+        # outside [0, 1] or nan gives nan, as scipy's logit does
+        ua = np.asarray(u, dtype=float)
+        x = np.subtract(1.0, ua, out=np.empty(ua.shape))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(ua, x, out=x)
+            np.log(x, out=x)
+        at = np.flatnonzero((ua >= 0.3) & (ua <= 0.65))
+        if at.size:
+            m = ua.take(at)
+            m *= 2.0
+            m -= 1.0
+            np.arctanh(m, out=m)
+            m *= 2.0
+            x.reshape(-1)[at] = m
+        return _scalar_like(u, x)
+
     return DensityModel(
         "logistic", (-np.inf, np.inf), pdf,
-        cdf=special.expit,
-        ppf=lambda u: special.logit(np.asarray(u, dtype=float)),
+        cdf=cdf,
+        ppf=ppf,
         rho=rho,
         rho_chain=_first_orders(orders),
         log_concave=True,
@@ -538,9 +571,13 @@ def student_t(nu: float = 7.0) -> DensityModel:
     t = sqrt(nu) cot(phi) in the tails (min(u, 1-u) < 1/4) or
     t = sqrt(nu) tan(theta) in the centre, by Halley steps on a power series
     of the tail probability or of the centre mass built with the model (see
-    :func:`_t_quantile`).  It is within 16 ulp of the exact quantile, where
+    :func:`_t_quantile`; the edge between the two, t_{3/4}, comes from the
+    centre series itself).  It is within 16 ulp of the exact quantile, where
     scipy's ``stdtrit`` can be off by 1e5 ulp and more near u = 1/2.  Other
-    nu keep ``stdtrit``; the CDF is scipy's ``stdtr`` for every nu.
+    nu keep ``stdtrit``, and their model loads scipy.special when it is
+    built; the CDF is scipy's ``stdtr`` for every nu, loaded on its first
+    call, so sampling, solving and the moments of 1 <= nu <= 12 never load
+    scipy.
     """
     nu = float(nu)
     if not (math.isfinite(nu) and nu > 0):  # a nan or inf nu would build a nan density
@@ -593,12 +630,14 @@ def student_t(nu: float = 7.0) -> DensityModel:
     def stdtrit(u):
         # scipy's stdtrit(nu, 0) is +inf (scipy 1.17.1); the quantile there is -inf
         u = np.asarray(u, dtype=float)
-        return _scalar_like(u, np.where(u == 0.0, -np.inf, special.stdtrit(nu, u)))
+        return _scalar_like(u, np.where(u == 0.0, -np.inf, _special().stdtrit(nu, u)))
 
     lo, hi = _T_SERIES_NU
+    if not lo <= nu <= hi:
+        _special()  # the sampler's scipy loads with the model, not with its first block
     return DensityModel(
         "student_t", (-np.inf, np.inf), pdf,
-        cdf=lambda x: special.stdtr(nu, x),
+        cdf=lambda x: _special().stdtr(nu, x),
         ppf=_t_quantile(nu) if lo <= nu <= hi else stdtrit,
         rho=rho,
         rho_chain=_first_orders(orders),
@@ -653,6 +692,14 @@ def _horner(c, w, out):
     return out
 
 
+def _decimal_horner(c, w):
+    # sum_j c[j] w^j for decimal coefficients and point
+    total = c[-1]
+    for cj in c[-2::-1]:
+        total = total * w + cj
+    return total
+
+
 def _t_quantile(nu: float):
     """The Student-t(nu) quantile from two series in elementary functions, for 1 <= nu <= 12.
 
@@ -662,10 +709,11 @@ def _t_quantile(nu: float):
     = C theta B(theta^2).  kappa = (nu-1)/6 takes out the Gaussian decay of
     (sin x/x)^(nu-1), so R has no large terms of opposite sign; its
     coefficients are summed in 40-digit decimals, and so is C, from both
-    series at pi/4.  Each series stops where
-    its terms fall below 2^-60 at the edge of its region (t_{3/4} from
-    stdtrit, once), and below 2^-24 in the steps before the last.  A tail
-    probability q = min(u, 1-u) < 1/4 takes three Halley steps on
+    series at pi/4.  Each series stops where its terms fall below 2^-60 at
+    the edge of its region, and below 2^-24 in the steps before the last;
+    the edge is t_{3/4}, whose angle solves P(theta) = 1/4 by Newton steps
+    on the centre series in the same decimals.  A tail probability
+    q = min(u, 1-u) < 1/4 takes three Halley steps on
     log G = log q in log phi from phi = (nu q / C)^(1/nu); a centre point
     takes two on P = |u - 1/2| (exact, by Sterbenz) from a three-term
     reversion.  The last step moves t, not the angle: t comes from
@@ -685,7 +733,8 @@ def _t_quantile(nu: float):
         for j in range(1, n):
             decay.append(decay[-1] * (d - 1) / 6 / j)
         tail = np.array([float(sum(a[i] * decay[j - i] for i in range(j + 1))) for j in range(n)])
-        b = [g / (2 * j + 1) for j, g in enumerate(_power_series(cosine, d - 1, n))]
+        slope = _power_series(cosine, d - 1, n)  # cos^(nu-1) = (theta B(theta^2))'
+        b = [g / (2 * j + 1) for j, g in enumerate(slope)]
         centre = np.array([float(bj) for bj in b])
         # 1/(2C) = int_0^(pi/2) sin^(nu-1) = both series at pi/4, so that C is
         # correctly rounded (1/beta(nu/2, 1/2) is off by up to 5 ulp)
@@ -693,10 +742,21 @@ def _t_quantile(nu: float):
         half = (x ** d * sum(aj * x ** (2 * j) for j, aj in enumerate(a))
                 + x * sum(bj * x ** (2 * j) for j, bj in enumerate(b)))
         c = float(1 / (2 * half))
+        # the angle of t_{3/4}, where the centre mass is 1/4: Newton on
+        # theta B(theta^2) = half / 2 from theta = half / 2, below the root
+        # (the mass is concave in theta), so that each step rises towards it
+        edge = target = half / 2
+        for _ in range(_ROUNDS):
+            w = edge * edge
+            step = (target - edge * _decimal_horner(b, w)) / _decimal_horner(slope, w)
+            if edge + step == edge:
+                break
+            edge += step
+        tail_edge = float(_PI_DECIMAL / 2 - edge)
+        edge = float(edge)
     m, kappa, root_nu = nu - 1.0, (nu - 1.0) / 6.0, math.sqrt(nu)
-    edge = float(special.stdtrit(nu, 0.75))
-    tails = _per_step(tail, math.atan(root_nu / edge) ** 2, _T_STEPS[0])
-    centres = _per_step(centre, math.atan(edge / root_nu) ** 2, _T_STEPS[1])
+    tails = _per_step(tail, tail_edge ** 2, _T_STEPS[0])
+    centres = _per_step(centre, edge ** 2, _T_STEPS[1])
     b1, b2 = np.append(centre, [0.0, 0.0])[1:3]
     reversion = np.array([1.0, -b1, 3.0 * b1 * b1 - b2])  # theta of C theta B(theta^2) = p
     far = root_nu * (c / nu) ** (1.0 / nu)

@@ -29,6 +29,7 @@ the Gaussian etas; against an exact law order 5 decays only like n^-2.
 from __future__ import annotations
 
 import math
+import statistics
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -37,7 +38,6 @@ from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
-from scipy import special
 
 from .density import DensityModel, _json_data, _require_usable, _scalar_like, _whole
 from .errors import SingularInformation, UnsupportedOrder
@@ -377,16 +377,25 @@ def _coefficient_arrays(kind: str, eta_key: tuple) -> np.ndarray:
 _SKEW_FLOOR = 1e-8
 
 
-def _add_corrections(start, kind: str, moments, n: int, order: int, t):
-    """``start`` plus the sum of n^-((o-1)/2) P_o(t) over o = 2..order.
+@lru_cache(maxsize=1024)
+def _weighted_coefficients(kind: str, eta_key: tuple, n: int, order: int) -> tuple:
+    """sum_(o=2..order) n^-((o-1)/2) P_o of table ``kind``, by power of t, as floats."""
+    width = 1 + max(_table(kind)[order])  # no lower order reaches a higher power
+    return tuple((_n_weights(n)[1:order] @ _coefficient_arrays(kind, eta_key)[:order - 1, :width])
+                 .tolist())
+
+
+def _corrections(kind: str, moments, n: int, order: int) -> tuple:
+    """The coefficients, by power of t, of the sum of n^-((o-1)/2) P_o(t) over o = 2..order.
 
     P_o is the order-o polynomial of table ``kind``, its coefficients
     evaluated at the family's etas (once per eta tuple) and indexed by power
-    of t; the weighted orders are summed by power first, so one Horner pass
-    covers them all.  Order 5 warns for a skewed family.
+    of t; the weighted orders are summed by power (once per eta tuple, n and
+    order), so one Horner pass covers them all.  Order 1 has none.  Order 5
+    warns for a skewed family.
     """
     if order < 2:
-        return start
+        return ()
     eta = _eta_mapping(moments)
     if order == 5 and abs(eta[3]) > _SKEW_FLOOR:
         warnings.warn(f"order 5 is unreliable for a skewed family (eta3 = {float(eta[3]):.6g}): "
@@ -394,9 +403,68 @@ def _add_corrections(start, kind: str, moments, n: int, order: int, t):
                       UserWarning, stacklevel=3)
     # a MomentSet builds its key once; a plain mapping builds it per call
     eta_key = moments.eta_key if isinstance(moments, MomentSet) else _eta_key(eta)
-    width = 1 + max(_table(kind)[order])  # no lower order reaches a higher power
-    coeffs = _n_weights(n)[1:order] @ _coefficient_arrays(kind, eta_key)[:order - 1, :width]
-    return start + np.polynomial.polynomial.polyval(t, coeffs)
+    return _weighted_coefficients(kind, eta_key, n, order)
+
+
+def _polynomial(c: tuple, t):
+    """sum_j c[j] t^j at a float or an array t, in numpy polyval's float steps.
+
+    c[-1] + t*0, then c[j] + acc*t for j down to 0; 0.0 for no c.
+    """
+    if not c:
+        return 0.0
+    acc = c[-1] + t * 0
+    for cj in c[-2::-1]:
+        acc = cj + acc * t
+    return acc
+
+
+_SQRT_HALF = math.sqrt(0.5)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_LEAST_NORMAL = float(np.finfo(float).tiny)
+_inv_cdf = statistics.NormalDist().inv_cdf
+
+
+def _normal_cdf(x: float) -> float:
+    """Phi(x) = erfc(-x / sqrt 2) / 2, 0 at -inf and 1 at +inf."""
+    return 0.5 * math.erfc(x * -_SQRT_HALF)  # not -x: a nan keeps its sign
+
+
+def _normal_quantile(p: float) -> float:
+    """Phi^-1(p): Wichura's AS241, then one Newton step; ValueError unless 0 < p < 1.
+
+    The step's residual Phi(z) - p is read where it is accurate: through
+    erfc in the tails (1 - p is exact above 3/4), through erf against the
+    exact p - 1/2 in between.  Below the least normal float the step is
+    skipped: a subnormal residual has too few bits to correct z.
+    """
+    if not 0.0 < p < 1.0:  # nan too
+        raise ValueError("probabilities must lie strictly inside (0, 1)")
+    z = _inv_cdf(p)
+    if p < _LEAST_NORMAL:
+        return z
+    if p < 0.25:
+        r = 0.5 * math.erfc(-z * _SQRT_HALF) - p
+    elif p <= 0.75:
+        r = 0.5 * math.erf(z * _SQRT_HALF) - (p - 0.5)
+    else:
+        r = (1.0 - p) - 0.5 * math.erfc(z * _SQRT_HALF)
+    return z - r / (_INV_SQRT_2PI * math.exp(-0.5 * z * z))
+
+
+def _normal_quantiles(v) -> list:
+    # Phi^-1 at each point of v, flattened; ValueError unless all lie inside (0, 1)
+    return [_normal_quantile(p) for p in np.asarray(v, dtype=float).ravel().tolist()]
+
+
+#: from this many points on, one Horner pass over the arrays costs less than one
+#: per point (the two take the same float steps)
+_ARRAY_POINTS = 32
+
+
+def _per_point(values, like):
+    # a list of per-point floats, as a float or an array of the shape of ``like``
+    return _scalar_like(like, np.array(values, dtype=float).reshape(np.shape(like)))
 
 
 def _check_n(n) -> int:
@@ -419,19 +487,24 @@ def edgeworth_cdf(moments, n, order, x):
     xa = np.asarray(x, dtype=float)
     # phi is 0 from |x| = 38.6 on; capping |x| at 40 keeps x^2 from overflowing
     phi = np.exp(-0.5 * np.minimum(np.abs(xa), 40.0) ** 2) / np.sqrt(2 * np.pi)
-    corr = _add_corrections(0.0, "edgeworth", moments, m, k, np.where(phi > 0, xa, 0.0))
-    return _scalar_like(x, special.ndtr(xa) + corr * phi)
+    c = _corrections("edgeworth", moments, m, k)
+    if xa.size < _ARRAY_POINTS:
+        return _per_point([_normal_cdf(t) + _polynomial(c, t if f > 0 else 0.0) * f
+                           for t, f in zip(xa.ravel().tolist(), phi.ravel().tolist())], x)
+    normal = _per_point([_normal_cdf(t) for t in xa.ravel().tolist()], xa)
+    return normal + _polynomial(c, np.where(phi > 0, xa, 0.0)) * phi
 
 
 def cornish_fisher_quantile(moments, n, order, v):
     """Quantile expansion matching :func:`edgeworth_cdf` at the same order."""
     m = _check_n(n)
     k = _check_order(order)
-    va = np.asarray(v, dtype=float)
-    if np.any(~((va > 0.0) & (va < 1.0))):
-        raise ValueError("probabilities must lie strictly inside (0, 1)")
-    z = np.asarray(special.ndtri(va), dtype=float)
-    return _scalar_like(v, _add_corrections(z, "cornish-fisher", moments, m, k, z))
+    z = _normal_quantiles(v)
+    c = _corrections("cornish-fisher", moments, m, k)
+    if len(z) < _ARRAY_POINTS:
+        return _per_point([t + _polynomial(c, t) for t in z], v)
+    z = _per_point(z, v)
+    return z + _polynomial(c, z)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +557,8 @@ def compose_check(moments, n, v_grid=None, orders=ORDERS) -> CompositionReport:
     if v_grid is None:
         v_grid = np.linspace(0.05, 0.95, 19)
     v_grid = np.asarray(v_grid, dtype=float)
+    # the normal quantile first: a v outside (0, 1) is cornish_fisher_quantile's ValueError
+    z = _per_point(_normal_quantiles(v_grid), v_grid)
     orders = tuple(_check_order(k) for k in orders)
     for name, grid in (("n grid", n_grid), ("v grid", v_grid), ("order list", orders)):
         if len(grid) == 0:
@@ -492,7 +567,6 @@ def compose_check(moments, n, v_grid=None, orders=ORDERS) -> CompositionReport:
     residuals: dict[int, dict[int, float]] = {k: {} for k in orders}
     base_res: dict[int, dict[int, float]] = {k: {} for k in orders}
     worst_v: dict[int, float] = {}
-    z = special.ndtri(v_grid)
     for m in n_grid:
         for k in orders:
             q = cornish_fisher_quantile(moments, m, k, v_grid)

@@ -68,8 +68,10 @@ def sample_iid(model: DensityModel, n: int, seed, replicates=None) -> np.ndarray
     platform and under any threading, and they live strictly inside (0, 1).
     The points are the model's quantile function at those uniforms, whose
     last bits depend on the numpy/scipy build and on the SIMD paths the CPU
-    selects (Student-t's follow numpy's ``tan``, ``exp``, ``log`` and
-    ``power`` for 1 <= nu <= 12, scipy's ``stdtrit`` otherwise); on one
+    selects (the logistic's follow numpy's ``log`` and ``arctanh``,
+    Student-t's numpy's ``tan``, ``exp``, ``log`` and ``power`` for
+    1 <= nu <= 12 and scipy's ``stdtrit`` otherwise, and the normal's
+    scipy's ``ndtri``); on one
     installation the same call gives bit-identical output for any worker
     count.  The uniforms are the 53-bit draws ``np.random.Generator(
     np.random.Philox(key=seed)).integers(0, 2**53, size=n, dtype=np.uint64)``,

@@ -1,7 +1,17 @@
+import mpmath
 import numpy as np
 import pytest
 
 import edgemle as e
+
+
+def mp_ulps(got, exact):
+    """|got - exact| in units of the float spacing at the mpmath value ``exact``.
+
+    The spacing of a subnormal, or of 0, is the least subnormal.
+    """
+    return float(abs(mpmath.mpf(float(got)) - exact)
+                 / max(np.spacing(abs(float(exact))), 5e-324))
 
 
 def logistic_table(built):

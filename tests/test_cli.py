@@ -283,6 +283,13 @@ def test_compose_check_refuses_empty_grids(capsys, flag, problem):
     assert code == 1 and out == "" and problem in err
 
 
+def test_compose_check_refuses_a_v_grid_outside_the_unit_interval(capsys):
+    # 0:1:0.5 reaches 0 and 1, where the normal quantile is undefined
+    code, out, err = run(capsys, "compose-check", "--family", "logistic", "--n-grid=100,400",
+                         "--grid", "0:1:0.5")
+    assert code == 1 and out == "" and "probabilities must lie strictly inside (0, 1)" in err
+
+
 def test_error_reporting_returns_one(capsys):
     code, _, err = run(capsys, "mle", "--family", "normal", "--input",
                        "/nonexistent/sample.csv")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import edgemle as e
-from conftest import logistic_table
+from conftest import logistic_table, mp_ulps
 from edgemle.density import check_density
 
 PROBE = np.array([-2.7, -1.3, -0.4, 0.0, 0.6, 1.1, 2.9])
@@ -656,6 +656,52 @@ def test_make_model_names_missing_parameters():
         e.make_model("expression")
     with pytest.raises(ValueError, match="path and columns"):
         e.make_model("table")
+
+
+# ---------------------------------------------------------------------------
+# the logistic CDF and quantile
+# ---------------------------------------------------------------------------
+
+def test_logistic_cdf_is_as_accurate_as_scipys_expit(models):
+    from scipy.special import expit
+    x = np.concatenate([np.linspace(-745.0, 40.0, 786), np.linspace(-5.0, 5.0, 201),
+                        [-709.9, -720.0, -1e-300, 1e-300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = models["logistic"].cdf(x)
+        edges = models["logistic"].cdf(np.array([-np.inf, -0.0, 0.0, np.inf, np.nan]))
+        assert type(models["logistic"].cdf(0.3)) is float
+    with mp.workprec(120):
+        exact = [1 / (1 + mp.exp(-mp.mpf(float(v)))) for v in x]
+        ulps = [mp_ulps(g, ex) for g, ex in zip(ours, exact)]
+        theirs = [mp_ulps(g, ex) for g, ex in zip(expit(x), exact)]
+    # expit's 1/(1 + e^-x) is 0 below x = -709.78; e^x/(1 + e^x) there keeps 2 ulp
+    assert max(ulps) <= min(2.0, max(theirs))
+    assert np.array_equal(edges, expit(np.array([-np.inf, -0.0, 0.0, np.inf, np.nan])),
+                          equal_nan=True)
+
+
+def test_logistic_quantile_is_as_accurate_as_scipys_logit(models):
+    from scipy.special import logit
+    u = np.concatenate([10.0 ** -np.linspace(0.5, 300.0, 300), np.linspace(5e-4, 1 - 5e-4, 999),
+                        [np.nextafter(0.3, 0.0), 0.3, np.nextafter(0.65, 1.0), 0.65],
+                        0.5 + 2.0 ** -np.arange(2.0, 54.0), 0.5 - 2.0 ** -np.arange(2.0, 54.0),
+                        1.0 - 2.0 ** -np.arange(2.0, 54.0), 1.0 - 10.0 ** -np.linspace(1, 15, 50),
+                        _T_GRID])
+    model = models["logistic"]
+    edges = np.array([0.0, -0.0, 1.0, np.nan, -0.5, 1.5, -np.inf, np.inf, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = model.ppf(u)
+        assert np.array_equal(model.ppf(edges), logit(edges), equal_nan=True)
+        assert type(model.ppf(0.3)) is float and model.ppf(0.0) == -np.inf
+        assert model.ppf(u.reshape(-1, 1)).shape == (u.size, 1)
+        assert np.array_equal(model.ppf(np.asfortranarray(u.reshape(-1, 4))), ours.reshape(-1, 4))
+    with mp.workprec(120):
+        exact = [mp.log(mp.mpf(float(p)) / (1 - mp.mpf(float(p)))) for p in u]
+        ulps = [mp_ulps(g, ex) for g, ex in zip(ours, exact)]
+        theirs = [mp_ulps(g, ex) for g, ex in zip(logit(u), exact)]
+    assert max(ulps) <= min(2.0, max(theirs))
 
 
 # ---------------------------------------------------------------------------

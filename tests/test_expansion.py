@@ -3,14 +3,17 @@ import pickle
 import warnings
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammaincc, gammainccinv, ndtr, ndtri
 
 import edgemle as e
-from edgemle.expansion import (EDGEWORTH_TABLE, GAUSSIAN_ETA, _add_corrections,
-                               _coefficient_arrays, _n_weights, _stochastic_table, _table,
+from conftest import mp_ulps
+from edgemle.expansion import (_ARRAY_POINTS, EDGEWORTH_TABLE, GAUSSIAN_ETA,
+                               _coefficient_arrays, _corrections, _n_weights, _normal_cdf, _normal_quantile,
+                               _polynomial, _stochastic_table, _table, _weighted_coefficients,
                                evaluate_terms)
 
 CORNISH_FISHER_TABLE = _table("cornish-fisher")
@@ -331,9 +334,19 @@ def test_expansion_batch_matches_scalar(logistic_moments):
 # Edgeworth CDF
 # ---------------------------------------------------------------------------
 
+def _ulps(got, want):
+    # |got - want| in units of the spacing of the floats at want
+    want = np.asarray(want, dtype=float)
+    return np.abs(np.asarray(got) - want) / np.spacing(np.abs(want))
+
+
 def test_cdf_order_one_is_plain_normal(logistic_moments):
     grid = np.linspace(-4, 4, 33)
-    assert np.array_equal(e.edgeworth_cdf(logistic_moments, 77, 1, grid), ndtr(grid))
+    order_one = e.edgeworth_cdf(logistic_moments, 77, 1, grid)
+    assert np.array_equal(order_one, [_normal_cdf(x) for x in grid])
+    # scipy's Phi agrees within both errors against mpmath on [-5, 0] (20.4 and
+    # 20.6 ulp; test_normal_cdf_is_as_accurate_as_scipys)
+    assert np.max(_ulps(order_one, ndtr(grid))) <= 42
 
 
 def test_cdf_collapses_for_normal_moments(normal_moments):
@@ -443,7 +456,11 @@ def test_truncation_steps_scale_with_their_omitted_term(logistic_moments):
 
 def test_quantile_order_one_is_normal_quantile(logistic_moments):
     v = np.linspace(0.01, 0.99, 21)
-    assert np.array_equal(e.cornish_fisher_quantile(logistic_moments, 64, 1, v), ndtri(v))
+    order_one = e.cornish_fisher_quantile(logistic_moments, 64, 1, v)
+    assert np.array_equal(order_one, [_normal_quantile(p) for p in v])
+    # scipy's ndtri agrees within both error bounds against mpmath (2.0 and 2.7
+    # ulp; test_normal_quantile_is_as_accurate_as_scipys)
+    assert np.max(_ulps(order_one, ndtri(v))) <= 4.7
 
 
 def test_quantile_collapses_for_normal_moments(normal_moments):
@@ -470,9 +487,50 @@ def test_quantile_rejects_nan_probabilities(logistic_moments):
             e.cornish_fisher_quantile(logistic_moments, 10, 3, bad)
 
 
+def test_normal_cdf_is_as_accurate_as_scipys():
+    # against mpmath, region by region, from x = -38.5 (a subnormal Phi) to 8.5
+    x = np.linspace(-38.5, 8.5, 941)
+    with mpmath.workprec(120), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact = [mpmath.ncdf(mpmath.mpf(float(p))) for p in x]
+        ours = np.array([mp_ulps(_normal_cdf(float(p)), ex) for p, ex in zip(x, exact)])
+        theirs = np.array([mp_ulps(ndtr(p), ex) for p, ex in zip(x, exact)])
+    for lo, hi in ((-38.5, -37.5), (-37.5, -20.0), (-20.0, -5.0), (-5.0, 0.0), (0.0, 8.5)):
+        at = (x >= lo) & (x <= hi)
+        assert np.max(ours[at]) <= np.max(theirs[at]), (lo, hi)
+    # the argument's rounding costs x^2 ulp or so; the bound holds where Phi is normal
+    normal = x >= -37.5
+    assert np.all(ours[normal] <= 1.5 * (1.0 + x[normal] ** 2))
+    assert [_normal_cdf(p) for p in (-math.inf, 0.0, -0.0, math.inf)] == [0.0, 0.5, 0.5, 1.0]
+    assert math.isnan(_normal_cdf(math.nan))
+
+
+def test_normal_quantile_is_as_accurate_as_scipys():
+    # against mpmath from p = 1e-300 up to 1 - 2^-53, the largest float below 1
+    p = np.concatenate([10.0 ** -np.linspace(1.0, 300.0, 300), np.linspace(5e-4, 1 - 5e-4, 500),
+                        1.0 - 2.0 ** -np.arange(2.0, 54.0), 1.0 - 10.0 ** -np.linspace(1, 15, 50)])
+    with mpmath.workprec(120), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact = [mpmath.findroot(lambda z, q=mpmath.mpf(float(q)): mpmath.ncdf(z) - q,
+                                 mpmath.mpf(float(ndtri(q)))) for q in p]
+        ours = np.array([mp_ulps(_normal_quantile(float(q)), ex) for q, ex in zip(p, exact)])
+        theirs = np.array([mp_ulps(ndtri(q), ex) for q, ex in zip(p, exact)])
+    assert np.max(ours) <= min(2.5, np.max(theirs))
+    # below the least normal float the Newton step is skipped, and AS241 alone is left
+    assert _normal_quantile(5e-324) == pytest.approx(float(ndtri(5e-324)), rel=1e-13)
+    assert _normal_quantile(0.5) == 0.0
+    assert _normal_quantile(0.25) == -_normal_quantile(0.75)
+
+
 # ---------------------------------------------------------------------------
 # composition diagnostic
 # ---------------------------------------------------------------------------
+
+def _clear_coefficient_caches():
+    # the coefficient matrices and the weighted sums of their rows built from them
+    _coefficient_arrays.cache_clear()
+    _weighted_coefficients.cache_clear()
+
 
 def _cdf_and_quantile(moments):
     x = np.linspace(-3.0, 3.0, 13)
@@ -483,7 +541,7 @@ def _cdf_and_quantile(moments):
 def test_coefficient_cache_follows_the_eta_values(logistic_moments, t7_moments):
     fresh = {}
     for name, ms in (("logistic", logistic_moments), ("t7", t7_moments)):
-        _coefficient_arrays.cache_clear()
+        _clear_coefficient_caches()
         fresh[name] = _cdf_and_quantile(ms)
     for _ in range(3):
         assert _cdf_and_quantile(logistic_moments) == fresh["logistic"]
@@ -493,7 +551,7 @@ def test_coefficient_cache_follows_the_eta_values(logistic_moments, t7_moments):
     before = e.cornish_fisher_quantile(eta, 50, 5, 0.9)
     eta[4] += 0.5  # the same dict object, mutated between calls
     after = e.cornish_fisher_quantile(eta, 50, 5, 0.9)
-    _coefficient_arrays.cache_clear()
+    _clear_coefficient_caches()
     assert after == e.cornish_fisher_quantile(eta, 50, 5, 0.9) != before
 
 
@@ -505,7 +563,7 @@ def test_coefficient_cache_keeps_fraction_etas_exact():
     floats = {k: float(val) for k, val in exact.items()}
     assert floats == exact
     x = np.linspace(-3.0, 3.0, 25)
-    _coefficient_arrays.cache_clear()
+    _clear_coefficient_caches()
     with pytest.warns(UserWarning, match="order 5 is unreliable"):  # eta3 = 5/4: skewed
         fresh = e.edgeworth_cdf(exact, 30, 5, x)
     with pytest.warns(UserWarning, match="order 5 is unreliable"):
@@ -514,22 +572,53 @@ def test_coefficient_cache_keeps_fraction_etas_exact():
         assert e.edgeworth_cdf(exact, 30, 5, x).tobytes() == fresh.tobytes()
     v = np.array([0.1, 0.5, 0.9])
     e.cornish_fisher_quantile({k: float(val) for k, val in GAUSSIAN_ETA.items()}, 30, 5, v)
-    assert np.array_equal(e.cornish_fisher_quantile(GAUSSIAN_ETA, 30, 5, v), ndtri(v))
+    gaussian = e.cornish_fisher_quantile(GAUSSIAN_ETA, 30, 5, v)
+    assert np.array_equal(gaussian, [_normal_quantile(p) for p in v])
+    assert np.max(_ulps(gaussian, ndtri(v))) <= 4.7
     assert e.collapse_report()["max_abs_coefficient"] == 0
 
 
 def test_one_coefficient_matrix_per_table_and_eta_set(logistic_moments):
-    _coefficient_arrays.cache_clear()
+    _clear_coefficient_caches()
     for k in e.ORDERS:
         e.edgeworth_cdf(logistic_moments, 40, k, np.linspace(-3.0, 3.0, 7))
         e.cornish_fisher_quantile(logistic_moments, 40, k, [0.1, 0.5, 0.9])
     assert _coefficient_arrays.cache_info().currsize == 2
+    # one weighted vector per table and order 2..5 at this n, read on every call
+    assert _weighted_coefficients.cache_info().currsize == 8
+    for kind in ("edgeworth", "cornish-fisher"):
+        for k in e.ORDERS[1:]:
+            weighted = _weighted_coefficients(kind, logistic_moments.eta_key, 40, k)
+            assert weighted == tuple(_n_weights(40)[1:k] @ _coefficient_arrays(
+                kind, logistic_moments.eta_key)[:k - 1, :1 + max(_table(kind)[k])])
     eta_key = tuple((i, v, repr(v)) for i, v in sorted(logistic_moments.eta.items()))
     assert logistic_moments.eta_key == eta_key
     for kind, table in (("edgeworth", EDGEWORTH_TABLE), ("cornish-fisher", CORNISH_FISHER_TABLE)):
         matrix = _coefficient_arrays(kind, eta_key)
         assert not matrix.flags.writeable
         assert matrix.shape == (4, 1 + max(table[5]))
+
+
+@pytest.mark.parametrize("points", [5, _ARRAY_POINTS - 1, _ARRAY_POINTS, 55])
+def test_tables_hold_the_bits_of_numpys_polyval(logistic_moments, t7_moments, points):
+    # the former array form: polyval over all points, then Phi + corr * phi,
+    # and z + corr for the quantile; a table of fewer than _ARRAY_POINTS
+    # points runs per point, in the same float steps
+    x = np.concatenate([[-0.0, np.inf, -np.inf, np.nan, -40.0, 38.0],
+                        np.linspace(-6.0, 6.0, 49)])[:points]
+    v = np.concatenate([[1e-300, 1.0 - 2.0 ** -53], np.linspace(0.01, 0.99, 53)])[:points]
+    phi = np.exp(-0.5 * np.minimum(np.abs(x), 40.0) ** 2) / np.sqrt(2 * np.pi)
+    z = np.array([_normal_quantile(p) for p in v])
+    for ms in (logistic_moments, t7_moments):
+        for n in (5, 100):
+            for k in e.ORDERS:
+                cdf_c = np.array(_corrections("edgeworth", ms, n, k) or (0.0,))
+                corr = np.polynomial.polynomial.polyval(np.where(phi > 0, x, 0.0), cdf_c)
+                want = np.array([_normal_cdf(t) for t in x]) + corr * phi
+                assert e.edgeworth_cdf(ms, n, k, x).tobytes() == want.tobytes()
+                want = z + np.polynomial.polynomial.polyval(
+                    z, np.array(_corrections("cornish-fisher", ms, n, k) or (0.0,)))
+                assert e.cornish_fisher_quantile(ms, n, k, v).tobytes() == want.tobytes()
 
 
 def test_a_moment_set_builds_its_table_key_once(logistic_moments):
@@ -581,7 +670,7 @@ def test_summed_orders_match_exact_rational_evaluation(n):
             for t in (-3.5, -1.25, -0.5, 0.0, 0.75, 2.0, 3.25):
                 terms = [root ** (o - 1) * evaluate_terms(table[o][p], eta) * F(t) ** p
                          for o in range(2, order + 1) for p in table[o]]
-                have = _add_corrections(0.0, kind, eta, n, order, t)
+                have = _polynomial(_corrections(kind, eta, n, order), t)
                 slack = 8 * np.finfo(float).eps * float(sum(abs(term) for term in terms))
                 assert abs(F(float(have)) - sum(terms)) <= F(slack), (kind, order, t)
 
@@ -624,6 +713,15 @@ def test_compose_refuses_empty_grids(logistic_moments):
         e.compose_check(logistic_moments, [100, 200], v_grid=[])
     with pytest.raises(ValueError, match="order list must not be empty"):
         e.compose_check(logistic_moments, [100, 200], orders=())
+
+
+def test_compose_refuses_probabilities_outside_the_unit_interval(logistic_moments):
+    # the v grid reaches the normal quantile before any residual; the error is
+    # cornish_fisher_quantile's, not the stdlib's StatisticsError
+    for bad in ([0.0, 0.5], [0.5, 1.0], [0.5, math.nan], [-0.1]):
+        with pytest.raises(ValueError, match="strictly inside") as caught:
+            e.compose_check(logistic_moments, [100, 200], v_grid=bad)
+        assert type(caught.value) is ValueError
 
 
 def test_compose_rejects_unsorted_grid(logistic_moments):

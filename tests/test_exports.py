@@ -12,16 +12,60 @@ def test_every_exported_name_resolves_once():
     assert missing == []
 
 
-def test_import_loads_no_heavy_module_and_derives_no_table():
-    # a fresh interpreter: the test session itself has loaded sympy and more
-    probe = ("import json, sys, edgemle.expansion as x; print(json.dumps("
-             "{'loaded': [m for m in ('sympy', 'scipy.optimize', 'scipy.integrate', "
-             "'scipy.interpolate') if m in sys.modules], "
-             "'tables': x._table.cache_info().currsize "
-             "+ x._stochastic_table.cache_info().currsize}))")
+def _fresh(code: str):
+    """The JSON that ``code`` prints, run in a fresh interpreter on this package.
+
+    A fresh interpreter: the test session itself has loaded sympy and scipy.
+    """
     src = os.path.dirname(os.path.dirname(e.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert json.loads(out) == {"loaded": [], "tables": 0}
+    return json.loads(out)
+
+
+#: the loaded modules of sympy and scipy, as a Python expression
+_HEAVY = "sorted(m for m in sys.modules if m.split('.')[0] in ('sympy', 'scipy'))"
+
+
+def test_import_loads_no_heavy_module_and_derives_no_table():
+    probe = ("import json, sys, edgemle.expansion as x; print(json.dumps("
+             f"{{'loaded': {_HEAVY}, "
+             "'tables': x._table.cache_info().currsize "
+             "+ x._stochastic_table.cache_info().currsize}))")
+    assert _fresh(probe) == {"loaded": [], "tables": 0}
+
+
+_BUILTIN_PATHS = """
+import json, sys
+import numpy as np
+import edgemle as e
+for family, params in (("logistic", {}), ("student_t", {"nu": 7})):
+    config = e.SimulationConfig(family=family, family_params=params, n_grid=(25, 50),
+                                replications=128, base_seed=5)
+    e.run_study(config, out_dir=None, workers=1)
+    model = e.make_model(family, **params)
+    ms = e.compute_moment_set(model)
+    e.validate_conditions(model)
+    e.edgeworth_cdf(ms, 50, 5, np.linspace(-3.0, 3.0, 13))
+    e.cornish_fisher_quantile(ms, 50, 5, [0.025, 0.5, 0.975])
+    e.compose_check(ms, [25, 100])
+    x = e.sample_iid(model, 40, 7)
+    e.LocationMLE(family=family, family_params=params).fit(x).confidence_interval()
+print(json.dumps(%s))
+"""
+
+
+def test_builtin_logistic_and_t_paths_never_load_scipy():
+    # studies, moments, conditions, both tables and CIs of the logistic and
+    # Student-t(7) families run on numpy and the stdlib alone
+    assert _fresh(_BUILTIN_PATHS % _HEAVY) == []
+    # what does load scipy.special, on first use inside the family: the
+    # normal sampler (ndtri), Student-t outside 1 <= nu <= 12 (stdtrit), and
+    # from_expression (sympy's lambdify to scipy and numpy)
+    for code in ("e.sample_iid(e.normal(), 10, 1)", "e.student_t(20)",
+                 "e.from_expression('exp(-x**2/2)/sqrt(2*pi)')"):
+        probe = (f"import json, sys, edgemle as e; {code}; "
+                 "print(json.dumps('scipy.special' in sys.modules))")
+        assert _fresh(probe) is True, code

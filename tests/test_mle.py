@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -370,6 +371,20 @@ def test_no_convergence_raises(logistic_model):
         e.solve_mle(x, logistic_model, tol=1e-14, max_iter=1)
 
 
+#: sample_iid's Philox uniforms themselves: the draws of a quantile that is the identity
+_UNIFORM = SimpleNamespace(ppf=lambda u: u)
+
+
+def _pinned_rows(family, n):
+    # the seeded rows of the solver pin; the logistic rows are scipy's logit
+    # of the Philox uniforms, the family's quantile when the pin was recorded
+    seeds = range(1000 * n, 1000 * n + 128)
+    if family == "logistic":
+        from scipy.special import logit
+        return np.stack([logit(e.sample_iid(_UNIFORM, n, s)) for s in seeds])
+    return np.stack([e.sample_iid(e.make_model(family), n, s) for s in seeds])
+
+
 def test_log_concave_solver_output_is_pinned():
     # sha256 over theta_hat and the iteration counts of seeded normal and
     # logistic blocks.  It was recorded before score and curvature shared
@@ -379,12 +394,25 @@ def test_log_concave_solver_output_is_pinned():
     for family in ("normal", "logistic"):
         model = e.make_model(family)
         for n in (25, 100, 400):
-            samples = np.stack([e.sample_iid(model, n, s)
-                                for s in range(1000 * n, 1000 * n + 128)])
+            samples = _pinned_rows(family, n)
             batch = e.solve_mle_batch(samples, model)
             digest.update(batch.theta_hat.tobytes())
             digest.update(batch.iterations.astype("<i8").tobytes())
     assert digest.hexdigest() == "1ef4a531c00403e075064548970126a928ae9c142b36120c9e105fa688df543d"
+
+
+def test_logistic_sampler_rows_are_pinned():
+    # sha256 over the logistic family's own rows at the pin's seeds: numpy's
+    # log(u/(1-u)), and 2 artanh(2u-1) on [0.3, 0.65]; within 2 ulp of scipy's
+    # logit, whose rows the solver pin reads
+    digest = hashlib.sha256()
+    model = e.logistic()
+    for n in (25, 100, 400):
+        rows = np.stack([e.sample_iid(model, n, s) for s in range(1000 * n, 1000 * n + 128)])
+        logit_rows = _pinned_rows("logistic", n)
+        assert np.all(np.abs(rows - logit_rows) <= 2 * np.spacing(np.abs(logit_rows)))
+        digest.update(rows.tobytes())
+    assert digest.hexdigest() == "ec5c19b536878b1aa7b836a54a991e72f317d46785781ed7c9aafbf6e3abbb1c"
 
 
 def test_batch_rows_match_scalar_solves(logistic_model, normal_model):
