@@ -204,6 +204,16 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _kernels(manifest: dict) -> str:
+    # the numpy kernel set a study manifest records, as text; "" if it records none
+    execution = manifest.get("execution")
+    if not isinstance(execution, dict) or "numpy" not in execution:
+        return ""
+    simd = execution.get("simd")
+    targets = " ".join(map(str, simd)) if isinstance(simd, list) and simd else "none"
+    return f"numpy {execution['numpy']} with SIMD targets {targets}"
+
+
 def _replay(args) -> int:
     manifest = _json_object(args.replay, "manifest")
     expected = manifest.get("outputs")
@@ -223,10 +233,14 @@ def _replay(args) -> int:
         run_study(config, out_dir=out_dir, workers=args.workers,
                   precision=manifest.get("precision", args.precision))
         with open(os.path.join(out_dir, "manifest.json"), "r", encoding="utf-8") as fh:
-            produced = json.load(fh)["outputs"]
-    mismatched = sorted(k for k in expected if produced.get(k) != expected[k])
+            produced = json.load(fh)
+    mismatched = sorted(k for k in expected if produced["outputs"].get(k) != expected[k])
     if mismatched:
         print(f"replay mismatch in: {', '.join(mismatched)}", file=sys.stderr)
+        recorded, current = _kernels(manifest), _kernels(produced)
+        if recorded and recorded != current:
+            print(f"the manifest was written on {recorded}, and this replay ran on {current}: "
+                  "numpy's kernels can differ in the last bits", file=sys.stderr)
         return 1
     print(f"replay verified: {len(expected)} files bit-identical")
     return 0

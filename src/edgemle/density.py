@@ -10,8 +10,9 @@ supplies everything downstream code needs at theta = 0:
 * the CDF and its inverse (for inverse-transform sampling).
 
 Built-in families (standard normal, logistic, Student-t) carry closed-form
-derivatives.  User families come either from a sympy expression string or
-from a tabulated grid that lists f and its six derivatives.  No family's
+derivatives.  User families come either from an expression string, whose
+log f a compiled tape evaluates as a Taylor jet (:mod:`edgemle.expression`),
+or from a tabulated grid that lists f and its six derivatives.  No family's
 derivatives are differenced numerically: the fifth-order expansions need
 rho^(1)..rho^(6), and sixth-order differences of f are noise.  Nor does
 :func:`check_density` difference f to check them: it integrates each f^(j)
@@ -192,9 +193,17 @@ def _de_map(support, centre, width):
     return lambda u: (centre + width * np.sinh(u), abs(width) * np.cosh(u))
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre(n):
+    # the n-point Gauss-Legendre rule on [-1, 1], read-only: every caller shares it
+    t, w = np.polynomial.legendre.leggauss(n)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 def _panels(a, b, n):
     """Nodes and weights of the n-point Gauss-Legendre rule on each [a_i, b_i], a row each."""
-    t, w = np.polynomial.legendre.leggauss(n)
+    t, w = _legendre(n)
     half, mid = (b - a)[..., None] / 2, (b + a)[..., None] / 2
     return mid + half * t, half * w
 
@@ -302,9 +311,9 @@ class DensityModel:
     families compute their shared intermediates once per call (tanh(y/2) for
     the logistic, y^2 + nu and the recurrence for Re(y + i sqrt(nu))^j for
     Student-t, f and the spline ratios f_i/f for a table) and use only
-    arithmetic after them; :func:`from_expression`, which compiles each
-    derivative on its own, chains its six callables in turn, and a
-    hand-built model can do the same.
+    arithmetic after them; :func:`from_expression` evaluates its tape to
+    degree k once per call, and a hand-built model can chain six callables
+    in turn.
 
     ``psi_chain(x, k)`` returns psi_1(x), ..., psi_k(x), by default from the
     logarithmic-derivative recursion on one pass of the rho chain to order
@@ -871,52 +880,56 @@ def _t_quantile(nu: float):
 def from_expression(expr: str, support=(-np.inf, np.inf), name: str = "expression") -> DensityModel:
     """Build a family from a density expression in the variable ``x``.
 
-    The expression is parsed with sympy.  The contrast rho = -log f is
-    expanded symbolically and differentiated six times; each derivative is
-    compiled to one numpy callable, which takes a float as a float and an
-    array as an array.  The psi ratios come from those derivatives through
-    the logarithmic-derivative recursion rather than as ratios f^(i)/f,
-    whose numerators and denominators overflow or underflow together in
-    exponential tails.  The CDF is summed once over double-exponential nodes
-    placed on the peak and inverted for a whole array at once.
+    The expression may use numbers, ``x``, ``pi``, ``E``, ``+ - * / **``,
+    ``exp``, ``log``, ``sqrt``, ``cosh`` and, of arguments free of x,
+    ``gamma``; any other name, function, attribute access, subscript or
+    lambda is a ValueError naming it, and nothing in the text is executed
+    (:mod:`edgemle.expression`).  It is compiled once, here, to a tape that
+    evaluates log f as a Taylor jet in x: rho^(j) = -j! (log f)_j for
+    j <= k in one pass, rho = -log f and f = exp(log f).  Products, powers
+    and sums of positive terms are formed on log-jets, so the contrast and
+    its derivatives stay finite in tails where f underflows or where e^-x
+    and (1 + e^-x)^2 would overflow together.  The psi ratios come from the
+    chain through the logarithmic-derivative recursion.  The CDF is summed
+    once over double-exponential nodes placed on the peak and inverted for a
+    whole array at once.
     """
-    import sympy as sp
+    # imported here, so that a process without an expression family never compiles the parser
+    from .expression import compile_log_density
 
-    xsym = sp.Symbol("x")
-    fexpr = sp.sympify(expr)
-    extra = fexpr.free_symbols - {xsym}
-    if extra:
-        raise ValueError(f"expression may only use the variable x; found {sorted(map(str, extra))}")
-    kinks = sorted({str(a.func).lower() for a in fexpr.atoms(sp.Abs, sp.sign)})
-    if kinks:
-        raise ValueError(f"unsupported function(s) {', '.join(kinks)} in expression: the "
-                         "contrast must be six times differentiable")
+    run = compile_log_density(str(expr))  # (jet of log|f|, sign of f or None where positive)
 
-    def lambdify_vec(e):
-        fn = sp.lambdify(xsym, e, modules=["scipy", "numpy"])
+    def pdf(x):
+        (lf,), sign = run(x, 0)
+        return _at_points(x, np.exp(lf) if sign is None else sign * np.exp(lf))
 
-        def wrapped(x):
-            if not isinstance(x, np.ndarray):
-                # a numpy scalar overflows to inf, where a float would raise
-                return float(fn(np.float64(x)))
-            out = np.asarray(fn(np.asarray(x, dtype=float)), dtype=float)
-            return out if out.shape == x.shape else np.broadcast_to(out, x.shape).copy()
+    def rho(x):
+        (lf,), sign = run(x, 0)
+        return _at_points(x, -lf if sign is None else np.where(sign >= 0, -lf, np.nan))
 
-        return wrapped
+    def chain(x, k):
+        jet, _ = run(x, k)
+        return (_at_points(x, None if c is None else -math.factorial(j) * c)
+                for j, c in enumerate(jet[1:], 1))
 
-    # expanding -log f symbolically keeps the contrast finite in the tails
-    # where the density itself underflows (safe: f > 0 on its support)
-    rho_expr = sp.expand_log(-sp.log(fexpr), force=True)
-    derivs = tuple(lambdify_vec(sp.diff(rho_expr, xsym, j)) for j in range(1, 7))
     return DensityModel(
-        name, support, lambdify_vec(fexpr),
-        rho_chain=lambda x, k: (r(x) for r in derivs[:k]),
-        rho=lambdify_vec(rho_expr),
+        name, support, pdf, rho_chain=chain, rho=rho,
         descriptor={"family": "expression",
                     "params": {"expr": str(expr),
                                "support": [float(support[0]), float(support[1])],
                                "name": name}},
     )
+
+
+def _at_points(x, value):
+    # value at the points of x, a float for a float point: value is a structural zero
+    # (None), a constant or an array of x's shape that no one else holds
+    shape = np.shape(x)
+    if value is None:
+        value = np.zeros(shape)
+    elif np.shape(value) != shape:
+        value = np.full(shape, value, dtype=float)
+    return _scalar_like(x, value)
 
 
 _TABLE_COLUMNS = ("x", "f", "f1", "f2", "f3", "f4", "f5", "f6")

@@ -368,6 +368,21 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def kernel_set() -> dict:
+    """numpy's version and the SIMD targets of its run-time kernel dispatch that this CPU runs.
+
+    numpy chooses its kernels for log, exp and the like when it loads, and
+    kernels of different targets can give different last bits, so a study's
+    manifest records the set its outputs were computed on.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return {"numpy": np.__version__,
+            "simd": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]}
+
+
 def write_manifest(out_dir: str, files, **fields) -> str:
     """Seal ``out_dir`` with manifest.json: tool, time, ``fields``, a sha256 per file."""
     manifest = {"tool": "edgemle", "version": __version__, **fields,
@@ -406,7 +421,8 @@ class _StudyWriter:
         self.files = []
         # what manifest.json records besides the files: all a replay needs
         self.replay = {"base_seed": config.base_seed, "config": config.to_dict(),
-                       "execution": {"workers": int(workers)}, "precision": int(precision)}
+                       "execution": {"workers": int(workers), **kernel_set()},
+                       "precision": int(precision)}
 
     def _open(self, name: str):
         path = os.path.join(self.out_dir, name)

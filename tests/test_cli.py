@@ -438,6 +438,34 @@ def test_simulate_replay_detects_tampering(capsys, tmp_path):
     assert "replay mismatch" in err
 
 
+def test_replay_mismatch_names_both_kernel_sets(capsys, tmp_path):
+    # the manifest records numpy's version and SIMD targets; when a replay
+    # mismatches on another kernel set, the message names both sets
+    cfg_path = _config_file(tmp_path)
+    first = tmp_path / "first"
+    run(capsys, "simulate", "--config", str(cfg_path), "--out-dir", str(first))
+    manifest = json.loads((first / "manifest.json").read_text())
+    current = mc.kernel_set()
+    assert {k: manifest["execution"][k] for k in current} == current
+    manifest["outputs"]["report.json"] = "0" * 64
+    manifest["execution"].update(numpy="1.26.4", simd=["X86_V3"])
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(manifest))
+    code, _, err = run(capsys, "simulate", "--replay", str(tampered),
+                       "--out-dir", str(tmp_path / "second"))
+    assert code == 1
+    assert "replay mismatch in: report.json" in err
+    targets = " ".join(current["simd"]) or "none"
+    assert (f"written on numpy 1.26.4 with SIMD targets X86_V3, and this replay ran on "
+            f"numpy {current['numpy']} with SIMD targets {targets}") in err
+    # the same mismatch on the recorded kernel set says nothing about kernels
+    manifest["execution"].update(current)
+    tampered.write_text(json.dumps(manifest))
+    code, _, err = run(capsys, "simulate", "--replay", str(tampered),
+                       "--out-dir", str(tmp_path / "third"))
+    assert code == 1 and "SIMD" not in err
+
+
 def test_simulate_replay_uses_the_recorded_precision(capsys, tmp_path):
     cfg_path = _config_file(tmp_path)
     first = tmp_path / "first"
@@ -445,7 +473,7 @@ def test_simulate_replay_uses_the_recorded_precision(capsys, tmp_path):
         "--precision", "8")
     manifest = json.loads((first / "manifest.json").read_text())
     assert manifest["precision"] == 8
-    assert manifest["execution"] == {"workers": 1}
+    assert manifest["execution"] == {"workers": 1, **mc.kernel_set()}
     code, out, err = run(capsys, "simulate", "--replay", str(first / "manifest.json"))
     assert (code, err) == (0, "")
     assert out == f"replay verified: {len(manifest['outputs'])} files bit-identical\n"
@@ -473,7 +501,7 @@ def test_library_study_writes_a_replayable_manifest(capsys, tmp_path):
     cfg = e.SimulationConfig(family="logistic", n_grid=(25,), replications=256, base_seed=5)
     report = e.run_study(cfg, out_dir=tmp_path / "out", precision=np.int64(9))
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert (manifest["precision"], manifest["execution"]) == (9, {"workers": 1})
+    assert (manifest["precision"], manifest["execution"]) == (9, {"workers": 1, **mc.kernel_set()})
     assert manifest["outputs"] == {
         os.path.basename(p): hashlib.sha256(Path(p).read_bytes()).hexdigest()
         for p in report.output_files}

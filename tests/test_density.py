@@ -1,5 +1,6 @@
 import functools
 import math
+import os
 import warnings
 
 import mpmath as mp
@@ -304,6 +305,51 @@ def test_expression_family_rejects_foreign_symbols():
 def test_expression_family_names_abs_as_unsupported():
     with pytest.raises(ValueError, match="abs"):
         e.from_expression("exp(-abs(x)**3)/(2*gamma(4/3))")
+
+
+@pytest.mark.parametrize("expr, construct", [
+    ("exp(-x**2/2)/sqrt(2*pi) + 0*len(__import__('os').getcwd())", "attribute access"),
+    ("exp(-x**2) + __import__('os').environ.__setitem__('EDGEMLE_EXPR_PROBE', '1')",
+     "attribute access"),
+    ("__import__('os')", "the call \"__import__('os')\""),
+    ("exp(-x**2)*len(x)", "the call 'len(x)'"),
+    ("exp(-x.real**2/2)", "attribute access 'x.real'"),
+    ("exp(-x**2)[0]", "subscript"),
+    ("(lambda t: exp(-t**2))(x)", "lambda"),
+    ("exp(-y**2)", "found ['y']"),
+    ("gamma(x)", "gamma of an argument in x"),
+    ("x if x > 0 else 1", "conditional"),
+])
+def test_expression_parsing_refuses_what_it_cannot_differentiate(monkeypatch, expr, construct):
+    # the expression is parsed, never evaluated: a call outside the function
+    # list, attribute access, subscripts, lambdas and other names are refused
+    # by name before anything runs
+    monkeypatch.delenv("EDGEMLE_EXPR_PROBE", raising=False)
+    with pytest.raises(ValueError) as exc:
+        e.from_expression(expr)
+    assert construct in str(exc.value)
+    assert "EDGEMLE_EXPR_PROBE" not in os.environ
+
+
+def _mp_sech(t):
+    return 1 / (2 * mp.cosh(mp.pi * t / 2))
+
+
+@pytest.mark.parametrize("expr, f", [("exp(-x)/(1+exp(-x))**2", _mp_density("logistic")),
+                                     ("1/(2*cosh(pi*x/2))", _mp_sech)],
+                         ids=["logistic", "sech"])
+def test_expression_chain_keeps_its_relative_accuracy_in_the_tails(expr, f):
+    # the jets form log(1 + e^-x) and log cosh by softplus on log-jets, so
+    # rho^(j) stays accurate relative to its own size, ~e^-|x| far out,
+    # where the symbolic derivatives overflowed to inf/inf
+    grid = _CHAIN_GRID
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        have = np.array(list(e.from_expression(expr).rho_chain(grid, 6)))
+        far = np.array(list(e.from_expression(expr).rho_chain(np.array([-1e4, -800.0, 800.0]), 6)))
+    want = np.array([_mp_contrast_derivs(f, x) for x in grid]).T
+    assert np.all(np.abs(have - want) <= 1e-13 * np.abs(want)), np.max(np.abs(have - want) / np.abs(want))
+    assert np.all(np.isfinite(far))
 
 
 def test_table_family_reproduces_logistic(tmp_path, models):

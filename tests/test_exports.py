@@ -15,7 +15,8 @@ def test_every_exported_name_resolves_once():
 def _fresh(code: str):
     """The JSON that ``code`` prints, run in a fresh interpreter on this package.
 
-    A fresh interpreter: the test session itself has loaded sympy and scipy.
+    A fresh interpreter: the test session itself has loaded sympy (the tests
+    derive tables symbolically) and scipy.
     """
     src = os.path.dirname(os.path.dirname(e.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -62,10 +63,33 @@ def test_builtin_logistic_and_t_paths_never_load_scipy():
     # Student-t(7) families run on numpy and the stdlib alone
     assert _fresh(_BUILTIN_PATHS % _HEAVY) == []
     # what does load scipy.special, on first use inside the family: the
-    # normal sampler (ndtri), Student-t outside 1 <= nu <= 12 (stdtrit), and
-    # from_expression (sympy's lambdify to scipy and numpy)
-    for code in ("e.sample_iid(e.normal(), 10, 1)", "e.student_t(20)",
-                 "e.from_expression('exp(-x**2/2)/sqrt(2*pi)')"):
+    # normal sampler (ndtri) and Student-t outside 1 <= nu <= 12 (stdtrit)
+    for code in ("e.sample_iid(e.normal(), 10, 1)", "e.student_t(20)"):
         probe = (f"import json, sys, edgemle as e; {code}; "
                  "print(json.dumps('scipy.special' in sys.modules))")
         assert _fresh(probe) is True, code
+
+
+_EXPRESSION_PATHS = """
+import json, sys
+import numpy as np
+import edgemle as e
+for expr in ("exp(-x**2/2)/sqrt(2*pi)", "exp(-x - exp(-x))"):
+    model = e.from_expression(expr)
+    e.compute_moment_set(model)
+    e.validate_conditions(model)
+config = e.SimulationConfig(family="expression", family_params={"expr": "exp(-x - exp(-x))"},
+                            n_grid=(25, 50), replications=128, base_seed=5)
+e.run_study(config, out_dir=None, workers=1)
+x = e.sample_iid(e.from_expression("exp(-x - exp(-x))"), 40, 7)
+e.LocationMLE(family="expression",
+              family_params={"expr": "exp(-x - exp(-x))"}).fit(x).confidence_interval()
+print(json.dumps(%s))
+"""
+
+
+def test_expression_families_load_neither_sympy_nor_scipy():
+    # from_expression parses with ast and differentiates by Taylor jets: the
+    # Gaussian and Gumbel expressions' builds, moment sets and conditions, a
+    # two-n study and a CI load no heavy module
+    assert _fresh(_EXPRESSION_PATHS % _HEAVY) == []

@@ -112,6 +112,51 @@ def test_expression_families_match_closed_form_moments(expr, a, eta):
     assert e.validate_conditions(model).all_pass
 
 
+#: (I, a1..a6, eta2..eta10) of three expression families as computed from
+#: sympy's symbolic derivatives of -log f, before Taylor jets replaced them
+_SYMBOLIC_MOMENTS = {
+    "exp(-x**2/2)/sqrt(2*pi)": (
+        1.0, -1.728405166929882e-17, 1.0, 0.0, 0.0, 0.0, 0.0, 2.0, 1.5462909825139916e-16,
+        3.0, 6.437726158708402e-16, 7.96371981822054e-17, 15.0, 8.0, 6.000000000000001,
+        6.000000000000001),
+    "exp(-x - exp(-x))": (
+        1.0, -1.7997756063259374e-17, 1.0, -1.0, 1.0, -1.0, 1.0, 5.0, 2.0000000000000004, 9.0,
+        43.999999999999986, 12.999999999999995, 264.9999999999999, 141.99999999999994,
+        72.99999999999997, 101.99999999999997),
+    "exp(x - exp(x))": (
+        1.0, 2.222614453595284e-17, 1.0, 1.0, 1.0, 1.0, 1.0, 5.0, -2.0, 9.0, -43.99999999999999,
+        -12.999999999999996, 264.9999999999999, 141.99999999999994, 72.99999999999997,
+        101.99999999999996),
+}
+
+
+def _vector(ms):
+    return [ms.fisher, *ms.a, *(ms.eta[k] for k in range(2, 11))]
+
+
+@pytest.mark.parametrize("expr", _SYMBOLIC_MOMENTS, ids=["gaussian", "gumbel", "mirrored"])
+def test_jet_moments_match_the_symbolic_derivatives(expr):
+    got = _vector(e.compute_moment_set(e.from_expression(expr)))
+    assert got == pytest.approx(_SYMBOLIC_MOMENTS[expr], rel=0, abs=1e-12)
+
+
+def test_logistic_expression_matches_the_builtin_logistic():
+    # sympy's derivatives were inf/inf for x < -709/k here, which failed a4
+    model = e.from_expression("exp(-x)/(1+exp(-x))**2")
+    built = e.logistic()
+    assert _vector(e.compute_moment_set(model)) == pytest.approx(
+        _vector(e.compute_moment_set(built)), rel=0, abs=1e-9)
+    assert e.validate_conditions(model).verdicts == e.validate_conditions(built).verdicts
+
+
+def test_hyperbolic_secant_expression_has_its_closed_form_information():
+    # f = sech(pi x / 2) / 2: I = pi^2 / 8, and the odd a_j vanish by symmetry
+    ms = e.compute_moment_set(e.from_expression("1/(2*cosh(pi*x/2))"))
+    assert ms.fisher == pytest.approx(math.pi ** 2 / 8, rel=0, abs=1e-9)
+    for j in (1, 3, 5):
+        assert ms.a[j - 1] == pytest.approx(0.0, abs=1e-12), f"a{j}"
+
+
 def test_half_line_rule_matches_gamma_closed_forms():
     # Gamma(8): rho' = 1 - 7/x and rho^(j) = 7 (j-1)! (-1)^j / x^j for j >= 2,
     # with E x^-j = Gamma(8-j)/Gamma(8)
