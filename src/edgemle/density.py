@@ -102,11 +102,19 @@ def _json_text(value, precision=None) -> str:
 
 
 def _special():
-    # scipy.special, imported by the first family that needs it: the normal
-    # family, Student-t's CDF and its quantile outside _T_SERIES_NU; the
-    # logistic and Student-t(1 <= nu <= 12) samplers never load it
+    # scipy.special, imported by the first family that needs it: Student-t's
+    # CDF and its quantile outside _T_SERIES_NU; the normal, logistic and
+    # Student-t(1 <= nu <= 12) samplers never load it
     from scipy import special
     return special
+
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _normal_cdf(x: float) -> float:
+    """Phi(x) = erfc(-x / sqrt 2) / 2, 0 at -inf and 1 at +inf."""
+    return 0.5 * math.erfc(x * -_SQRT_HALF)  # not -x: a nan keeps its sign
 
 
 def _neg_log(value):
@@ -474,11 +482,15 @@ def normal() -> DensityModel:
         for _ in range(3, MAX_DERIVATIVE_ORDER + 1):
             yield np.zeros_like(y) if isinstance(y, np.ndarray) else 0.0
 
-    special = _special()
+    def cdf(x):
+        xa = np.asarray(x, dtype=float)
+        return _scalar_like(x, np.reshape([_normal_cdf(t) for t in xa.ravel().tolist()],
+                                          xa.shape))
+
     return DensityModel(
         "normal", (-np.inf, np.inf), pdf,
-        cdf=special.ndtr,
-        ppf=lambda u: special.ndtri(np.asarray(u, dtype=float)),
+        cdf=cdf,
+        ppf=_normal_quantile,
         rho=rho,
         rho_chain=_first_orders(orders),
         log_concave=True,
@@ -658,6 +670,91 @@ def student_t(nu: float = 7.0) -> DensityModel:
 
 
 # ---------------------------------------------------------------------------
+# the normal quantile
+# ---------------------------------------------------------------------------
+
+#: Wichura's AS241 (PPND16) rationals, numerator and denominator, constant
+#: first: the centre's in r = 0.180625 - q^2 for |q| = |u - 1/2| <= 0.425, the
+#: tail's in t - 1.6 for t = sqrt(-log min(u, 1 - u)) <= 5 and in t - 5 beyond
+_AS241_CENTRE = (
+    (3.3871328727963666080e+0, 1.3314166789178437745e+2, 1.9715909503065514427e+3,
+     1.3731693765509461125e+4, 4.5921953931549871457e+4, 6.7265770927008700853e+4,
+     3.3430575583588128105e+4, 2.5090809287301226727e+3),
+    (1.0, 4.2313330701600911252e+1, 6.8718700749205790830e+2,
+     5.3941960214247511077e+3, 2.1213794301586595867e+4, 3.9307895800092710610e+4,
+     2.8729085735721942674e+4, 5.2264952788528545610e+3))
+_AS241_TAIL = (
+    (1.4234371107496835773e+0, 4.6303378461565452959e+0, 5.7694972214606914055e+0,
+     3.6478483247632045605e+0, 1.2704582524523683826e+0, 2.4178072517745061177e-1,
+     2.2723844989269184583e-2, 7.7454501427834140764e-4),
+    (1.0, 2.0531916266377588219e+0, 1.6763848301838038494e+0,
+     6.8976733498510000455e-1, 1.4810397642748007459e-1, 1.5198666563616457197e-2,
+     5.4759380849953449460e-4, 1.0507500716444168432e-9))
+_AS241_FAR = (
+    (6.6579046435011037772e+0, 5.4637849111641143699e+0, 1.7848265399172913358e+0,
+     2.9656057182850489123e-1, 2.6532189526576123093e-2, 1.2426609473880784386e-3,
+     2.7115555687434875782e-5, 2.0103343992922881327e-7),
+    (1.0, 5.9983220655588793769e-1, 1.3692988092273580531e-1,
+     1.4875361290850614853e-2, 7.8686913114561325910e-4, 1.8463183175100546818e-5,
+     1.4215117583164458887e-7, 2.0442631033899397856e-15))
+#: points of one pass of the centre rational; its output tile and two work arrays stay in cache
+_AS241_TILE = 2**14
+
+
+def _normal_quantile(u):
+    """Phi^-1(u) by Wichura's AS241 (Appl. Statist. 37, 1988, 477-484), on arrays.
+
+    The centre rational runs over every point, in tiles of ``_AS241_TILE``
+    through one work array, and the tail rationals only where
+    |u - 1/2| > 0.425 (about 15% of uniform points), in the float steps of
+    the reference algorithm.  u = 0 and 1 give -inf and +inf, and a u
+    outside [0, 1] or nan gives nan, as scipy's ``ndtri`` does.  No Newton
+    step follows: it is within 6 ulp of the exact quantile
+    (tests/test_density.py), and in the tails its last bits follow numpy's
+    ``log``.
+    """
+    ua = np.asarray(u, dtype=float)
+    x = np.empty(ua.shape)
+    uf, xf = ua.reshape(-1), x.reshape(-1)
+    work = np.empty((2, min(uf.size, _AS241_TILE)))
+    tails = []
+    with np.errstate(divide="ignore", invalid="ignore"):  # an infinite u is nan, as any u > 1
+        for s in range(0, uf.size, _AS241_TILE):
+            ut, r = uf[s:s + _AS241_TILE], xf[s:s + _AS241_TILE]
+            num, den = work[:, :r.size]
+            np.subtract(ut, 0.5, out=r)
+            np.multiply(r, r, out=r)
+            np.subtract(0.180625, r, out=r)
+            _horner(_AS241_CENTRE[0], r, num)
+            _horner(_AS241_CENTRE[1], r, den)
+            q = np.subtract(ut, 0.5, out=r)
+            tails.append(np.flatnonzero((q < -0.425) | (q > 0.425)) + s)  # nan is no tail point
+            num *= q
+            np.divide(num, den, out=q)
+        if tails:
+            tail = np.concatenate(tails)
+            xf[tail] = _normal_tail(uf.take(tail))
+    return _scalar_like(u, x)
+
+
+def _normal_tail(p):
+    # AS241 at points with |p - 1/2| > 0.425, with the sign of p - 1/2
+    r = np.minimum(p, 1.0 - p)  # 1 - p is exact above 1/2
+    t = np.sqrt(-np.log(r))
+    z = _rational(_AS241_TAIL, t - 1.6)
+    far = np.flatnonzero(~(t <= 5.0))  # nan too
+    if far.size:
+        z[far] = _rational(_AS241_FAR, t.take(far) - 5.0)
+        z[r == 0.0] = np.inf
+    return np.copysign(z, p - 0.5)
+
+
+def _rational(coefs, r):
+    num = _horner(coefs[0], r, np.empty_like(r))
+    return np.divide(num, _horner(coefs[1], r, np.empty_like(r)), out=num)
+
+
+# ---------------------------------------------------------------------------
 # the Student-t quantile
 # ---------------------------------------------------------------------------
 
@@ -693,11 +790,15 @@ def _per_step(c, w, steps):
 
 
 def _horner(c, w, out):
-    # sum_j c[j] w^j into out
-    out.fill(c[-1])
-    for cj in c[-2::-1]:
-        out *= w
+    # sum_j c[j] w^j into out, in the float steps of (c[-1] w + c[-2]) w + ...
+    if len(c) == 1:
+        out.fill(c[0])
+        return out
+    np.multiply(w, c[-1], out=out)
+    for cj in c[-2:0:-1]:
         out += cj
+        out *= w
+    out += c[0]
     return out
 
 

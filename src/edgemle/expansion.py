@@ -39,7 +39,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .density import DensityModel, _json_data, _require_usable, _scalar_like, _whole
+from .density import (_SQRT_HALF, DensityModel, _json_data, _normal_cdf, _require_usable,
+                      _scalar_like, _whole)
 from .errors import SingularInformation, UnsupportedOrder
 from .moments import MomentSet, _eta_key
 
@@ -419,15 +420,9 @@ def _polynomial(c: tuple, t):
     return acc
 
 
-_SQRT_HALF = math.sqrt(0.5)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LEAST_NORMAL = float(np.finfo(float).tiny)
 _inv_cdf = statistics.NormalDist().inv_cdf
-
-
-def _normal_cdf(x: float) -> float:
-    """Phi(x) = erfc(-x / sqrt 2) / 2, 0 at -inf and 1 at +inf."""
-    return 0.5 * math.erfc(x * -_SQRT_HALF)  # not -x: a nan keeps its sign
 
 
 def _normal_quantile(p: float) -> float:

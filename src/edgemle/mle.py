@@ -354,16 +354,7 @@ def solve_mle_batch(samples, model: DensityModel, tol: float = 1e-10,
         raise ValueError("samples must be a nonempty (M, n) array")
     _require_usable(model, s)
 
-    med, scale = _median_and_scale(s)
-    # every search interval stays inside the shifts that leave the sample feasible
-    t_lo, t_hi = model.feasible_shift_interval(s, margin=1e-9 * np.maximum(scale, 1.0))
-    lo = np.maximum(med - GRID_SPAN * scale, t_lo)
-    hi = np.minimum(med + GRID_SPAN * scale, t_hi)
-    if not np.all(lo < hi):
-        raise DomainError("no feasible shift interval for some rows")
-
-    search = _score_bracket if model.log_concave else _grid_basins
-    rows, start, lo, hi, unresolved = search(s, model, med, lo, hi, t_lo, t_hi)
+    rows, start, lo, hi, unresolved = _search(s, model)
     m = s.shape[0]
     x = s if rows.size == m else s[rows]
     theta, grad, iters, lo, hi, active = _newton_refine(x, model, start, lo, hi, tol, max_iter)
@@ -383,16 +374,66 @@ def solve_mle_batch(samples, model: DensityModel, tol: float = 1e-10,
     return BatchMleResult(theta, grad, iters, lo, hi, multimodal, active[:m] | unresolved)
 
 
+def _search(s, model):
+    """(rows, start, lo, hi, unresolved) of the basin search for the rows of ``s``, as above."""
+    med, scale = _median_and_scale(s)
+    # every search interval stays inside the shifts that leave the sample feasible
+    t_lo, t_hi = model.feasible_shift_interval(s, margin=1e-9 * np.maximum(scale, 1.0))
+    lo = np.maximum(med - GRID_SPAN * scale, t_lo)
+    hi = np.minimum(med + GRID_SPAN * scale, t_hi)
+    if not np.all(lo < hi):
+        raise DomainError("no feasible shift interval for some rows")
+    search = _score_bracket if model.log_concave else _grid_basins
+    return search(s, model, med, lo, hi, t_lo, t_hi)
+
+
+def _failure(x, model, tol, max_iter, batch) -> str:
+    """Why the one-row solve of ``x`` failed, given its ``batch`` result.
+
+    The search and the Newton run on the row's own candidate are run again
+    alone, with the same bits (Newton treats each candidate on its own), to
+    tell an unresolved search from a Newton run that ended on an end of the
+    search's bracket (a basin without a root), ran out of iterations, or
+    stopped at a fixed point.
+    """
+    s = x[None, :]
+    _, start, lo, hi, unresolved = _search(s, model)
+    ends = (lo[0], hi[0])
+    theta, grad, iters, *_ = _newton_refine(s, model, start[:1], lo[:1], hi[:1], tol, max_iter)
+    theta, iters = theta[0], int(iters[0])
+    if unresolved[0]:
+        where = ("the score kept one sign at an end of" if model.log_concave
+                 else "the contrast scan's minimum stayed on the edge of")
+        cause = (f"its basin search was unresolved: {where} the search interval "
+                 f"after {_WIDEN_STEPS} widenings")
+    elif theta in ends:
+        cause = "its own basin held no root: Newton ended on an end of the search's bracket"
+    elif iters >= max_iter:
+        cause = f"Newton ran out of its {max_iter} iterations"
+    else:
+        cause = "Newton stopped at a fixed point (a step left theta unchanged)"
+    text = (f"MLE solver failed: {cause}; its own candidate ran {iters} iterations to "
+            f"theta = {theta:.6g}, |score| = {abs(grad[0]):.3g} (tol {tol})")
+    if batch.theta_hat[0] != theta:
+        text += (f"; another basin converged at theta = {batch.theta_hat[0]:.6g} in "
+                 f"{batch.iterations[0]} iterations, |score| = "
+                 f"{abs(batch.gradient_at_solution[0]):.3g}")
+    return text
+
+
 def solve_mle(sample, model: DensityModel, tol: float = 1e-10, max_iter: int = 200) -> MleResult:
     """Solve the location MLE for one sample.
 
-    Raises NoConvergence after ``max_iter`` Newton/bisection steps; the
-    returned gradient always satisfies |L'| <= tol on success.
+    Raises NoConvergence, naming the cause, when the basin search is
+    unresolved or Newton on the sample's own candidate ends above ``tol``:
+    on a bracket end, after ``max_iter`` Newton/bisection steps, or at a
+    fixed point.  The returned gradient always satisfies |L'| <= tol on
+    success.
     """
     x = np.asarray(sample, dtype=float).ravel()
     batch = solve_mle_batch(x[None, :], model, tol=tol, max_iter=max_iter)
     if batch.failed[0]:
-        raise NoConvergence(f"MLE solver did not meet |score| <= {tol} in {max_iter} iterations")
+        raise NoConvergence(_failure(x, model, tol, max_iter, batch))
     return MleResult(
         theta_hat=float(batch.theta_hat[0]),
         gradient_at_solution=float(batch.gradient_at_solution[0]),

@@ -2,6 +2,7 @@ import functools
 import math
 import os
 import warnings
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -748,6 +749,74 @@ def test_logistic_quantile_is_as_accurate_as_scipys_logit(models):
         ulps = [mp_ulps(g, ex) for g, ex in zip(ours, exact)]
         theirs = [mp_ulps(g, ex) for g, ex in zip(logit(u), exact)]
     assert max(ulps) <= min(2.0, max(theirs))
+
+
+# ---------------------------------------------------------------------------
+# the normal CDF and quantile
+# ---------------------------------------------------------------------------
+
+#: centre points, both sides of AS241's centre/tail split at |u - 1/2| = 0.425
+#: and of its tail split at t = 5 (u = e^-25), tails down to 1e-300 and
+#: 1 - 1e-15, the least subnormal, and Philox uniforms
+_NORMAL_GRID = np.concatenate([
+    np.linspace(0.001, 0.999, 201), 10.0 ** -np.linspace(1.0, 300.0, 150),
+    1.0 - 10.0 ** -np.linspace(1.0, 15.0, 57),
+    [np.nextafter(0.075, 0.0), 0.075, 0.925, np.nextafter(0.925, 1.0),
+     np.nextafter(math.exp(-25.0), 0.0), math.exp(-25.0), 5e-324],
+    ((np.random.Philox(key=20261020).random_raw(50) >> np.uint64(11)) + 0.5) * 2.0**-53,
+])
+
+
+def _normal_ulps(u, z):
+    """|z - Phi^-1(u)| in ulp: mpmath's findroot on ncdf from z, at 120 bits."""
+    with mp.workprec(120):
+        p = mp.mpf(float(u))
+        return mp_ulps(z, mp.findroot(lambda w: mp.ncdf(w) - p, mp.mpf(float(z))))
+
+
+def test_normal_quantile_is_within_6_ulp_of_the_exact_quantile(models):
+    # AS241 without a Newton step reads 4.6 ulp at most here, scipy's ndtri 3.0
+    z = models["normal"].ppf(_NORMAL_GRID)
+    assert np.all(np.sign(z) == np.sign(_NORMAL_GRID - 0.5))
+    ulps = [_normal_ulps(u, x) for u, x in zip(_NORMAL_GRID, z)]
+    assert max(ulps) <= 6.0, (max(ulps), _NORMAL_GRID[int(np.argmax(ulps))])
+
+
+def test_normal_sampler_is_within_9_ulp_of_ndtri():
+    # the two quantiles are within 6 and 3 ulp of the exact one; no digest of
+    # the rows, since numpy's log and sqrt bits follow its SIMD kernels
+    from scipy.special import ndtri
+    model = e.normal()
+    for n in (25, 100, 400):
+        rows = e.sample_iid(model, n, 20261020 + n, range(7, 7 + 2**15 // n))
+        ref = ndtri(e.sample_iid(SimpleNamespace(ppf=lambda u: u), n, 20261020 + n,
+                                 range(7, 7 + 2**15 // n)))
+        assert np.all(np.abs(rows - ref) <= 9 * np.spacing(np.abs(ref)))
+
+
+def test_normal_quantile_keeps_the_input_form_and_ndtris_edges(models):
+    from scipy.special import ndtri
+    model = models["normal"]
+    edges = np.array([0.0, -0.0, 1.0, np.nan, -0.5, 1.5, -np.inf, np.inf, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(model.ppf(edges), ndtri(edges), equal_nan=True)
+        assert model.ppf(0.0) == -np.inf and model.ppf(1.0) == np.inf
+        assert type(model.ppf(0.3)) is float
+        assert model.ppf(_NORMAL_GRID.reshape(-1, 1)).shape == (_NORMAL_GRID.size, 1)
+        grid = _NORMAL_GRID[:400]
+        assert np.array_equal(model.ppf(np.asfortranarray(grid.reshape(-1, 4))),
+                              model.ppf(grid).reshape(-1, 4))
+        assert model.ppf(np.empty((0, 3))).shape == (0, 3)
+
+
+def test_normal_cdf_is_the_expansions_phi(models):
+    from edgemle.expansion import _normal_cdf
+    x = np.concatenate([np.linspace(-40.0, 10.0, 501), [-np.inf, np.inf]])
+    model = models["normal"]
+    assert model.cdf(x).tolist() == [_normal_cdf(t) for t in x.tolist()]
+    assert type(model.cdf(0.3)) is float and model.cdf(np.zeros((2, 3))).shape == (2, 3)
+    assert math.isnan(model.cdf(math.nan))
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ _BUILTIN_PATHS = """
 import json, sys
 import numpy as np
 import edgemle as e
-for family, params in (("logistic", {}), ("student_t", {"nu": 7})):
+for family, params in (("normal", {}), ("logistic", {}), ("student_t", {"nu": 7})):
     config = e.SimulationConfig(family=family, family_params=params, n_grid=(25, 50),
                                 replications=128, base_seed=5)
     e.run_study(config, out_dir=None, workers=1)
@@ -58,16 +58,15 @@ print(json.dumps(%s))
 """
 
 
-def test_builtin_logistic_and_t_paths_never_load_scipy():
-    # studies, moments, conditions, both tables and CIs of the logistic and
-    # Student-t(7) families run on numpy and the stdlib alone
+def test_builtin_family_paths_never_load_scipy():
+    # studies, moments, conditions, both tables and CIs of the normal,
+    # logistic and Student-t(7) families run on numpy and the stdlib alone
     assert _fresh(_BUILTIN_PATHS % _HEAVY) == []
-    # what does load scipy.special, on first use inside the family: the
-    # normal sampler (ndtri) and Student-t outside 1 <= nu <= 12 (stdtrit)
-    for code in ("e.sample_iid(e.normal(), 10, 1)", "e.student_t(20)"):
-        probe = (f"import json, sys, edgemle as e; {code}; "
-                 "print(json.dumps('scipy.special' in sys.modules))")
-        assert _fresh(probe) is True, code
+    # what does load scipy.special, when the family is built: Student-t
+    # outside 1 <= nu <= 12 (stdtrit)
+    probe = ("import json, sys, edgemle as e; e.student_t(20); "
+             "print(json.dumps('scipy.special' in sys.modules))")
+    assert _fresh(probe) is True
 
 
 _EXPRESSION_PATHS = """

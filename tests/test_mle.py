@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -371,18 +372,48 @@ def test_no_convergence_raises(logistic_model):
         e.solve_mle(x, logistic_model, tol=1e-14, max_iter=1)
 
 
+def test_no_convergence_names_its_cause():
+    # a Cauchy row whose own basin holds no root: Newton from the best grid
+    # point ends on its bracket end, while another basin converges and is
+    # returned; the message says so, with the iterations each ran and their
+    # |score|, and names no iteration cap
+    x = np.array([-34.362474, 53.624074, -45.067761, -16.278722, 12.05913, 26.196185])
+    model = e.student_t(1)
+    batch = e.solve_mle_batch(x, model)
+    assert batch.failed[0] and abs(batch.gradient_at_solution[0]) <= 1e-10
+    with pytest.raises(e.NoConvergence) as info:
+        e.solve_mle(x, model)
+    text = str(info.value)
+    own = re.search(r"its own basin held no root: Newton ended on an end of the search's "
+                    r"bracket; its own candidate ran (\d+) iterations to theta = 17.3503, "
+                    r"\|score\| = 0.0361 \(tol 1e-10\)", text)
+    assert own and 0 < int(own.group(1)) < 200 and "200" not in text
+    assert text.endswith(f"; another basin converged at theta = {batch.theta_hat[0]:.6g} in "
+                         f"{batch.iterations[0]} iterations, |score| = "
+                         f"{abs(batch.gradient_at_solution[0]):.3g}")
+    # the other causes: an unresolved search, the iteration cap, a fixed point
+    with pytest.raises(e.NoConvergence, match="basin search was unresolved: the score kept "
+                       "one sign at an end of the search interval after 8 widenings"):
+        e.solve_mle([0.0, 0.0, 0.0, 0.0, 1.0, 1e12], e.normal())
+    sample = [0.3, -1.7, 2.2, 0.9, -0.4, 1.1, 5.0]  # its score rounds to 1.6e-17, never to 0
+    with pytest.raises(e.NoConvergence, match="ran out of its 1 iterations; its own "
+                       "candidate ran 1 iterations"):
+        e.solve_mle(sample, e.logistic(), tol=1e-14, max_iter=1)
+    with pytest.raises(e.NoConvergence, match="stopped at a fixed point"):
+        e.solve_mle(sample, e.logistic(), tol=0.0)
+
+
 #: sample_iid's Philox uniforms themselves: the draws of a quantile that is the identity
 _UNIFORM = SimpleNamespace(ppf=lambda u: u)
 
 
 def _pinned_rows(family, n):
-    # the seeded rows of the solver pin; the logistic rows are scipy's logit
-    # of the Philox uniforms, the family's quantile when the pin was recorded
-    seeds = range(1000 * n, 1000 * n + 128)
-    if family == "logistic":
-        from scipy.special import logit
-        return np.stack([logit(e.sample_iid(_UNIFORM, n, s)) for s in seeds])
-    return np.stack([e.sample_iid(e.make_model(family), n, s) for s in seeds])
+    # the seeded rows of the solver pin: scipy's ndtri and logit of the Philox
+    # uniforms, the families' quantiles when the pin was recorded
+    from scipy.special import logit, ndtri
+    quantile = {"normal": ndtri, "logistic": logit}[family]
+    return np.stack([quantile(e.sample_iid(_UNIFORM, n, s))
+                     for s in range(1000 * n, 1000 * n + 128)])
 
 
 def test_log_concave_solver_output_is_pinned():

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,6 +65,35 @@ def test_batched_sample_iid_matches_numpy_philox_bit_for_bit(logistic_model, n):
         assert np.concatenate(parts).tobytes() == whole.tobytes()
         assert e.sample_iid(logistic_model, n, seed, range(0, 2))[0].tobytes() == \
             scalar.tobytes()
+
+
+#: a quantile that is the identity: sample_iid then returns its uniforms
+_UNIFORM = SimpleNamespace(ppf=lambda u: u)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 25, 100, 400])
+def test_float_uniforms_are_the_half_offset_53_bit_draws(n):
+    # Generator.random's k 2**-53 plus 2**-54 is the integer path's
+    # (k + 0.5) 2**-53, on a replicate range that does not start at 0
+    counters = math.ceil(n / 4)
+    rows = range(5, 702)
+    raw = np.random.Philox(key=987654321 + n, counter=rows.start * counters).random_raw(
+        len(rows) * 4 * counters).reshape(len(rows), 4 * counters)[:, :n]
+    expected = ((raw >> np.uint64(11)) + 0.5) * 2.0**-53
+    got = e.sample_iid(_UNIFORM, n, 987654321 + n, rows)
+    assert got.flags.c_contiguous and got.tobytes() == expected.tobytes()
+
+
+def test_the_top_53_bit_draw_stays_below_one():
+    # (2**53 - 1 + 0.5) 2**-53 ties to 1.0 under round-half-even; it becomes
+    # the largest float below 1, which no other draw gives
+    k = np.array([0, 2**52, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+    u = mc._centred(k * 2.0**-53)
+    below_one = np.nextafter(1.0, 0.0)
+    assert u.tolist() == [2.0**-54, 0.5, 1.0 - 2.0**-52, below_one]
+    assert ((k[:3] + 0.5) * 2.0**-53).tolist() == u[:3].tolist()
+    assert (k[3] + 0.5) * 2.0**-53 == 1.0
+    assert np.isfinite(e.normal().ppf(u)).all()
 
 
 @pytest.mark.parametrize("seed, shown", [(1.5, "1.5"), (True, "True")])
