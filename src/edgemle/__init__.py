@@ -16,9 +16,8 @@ The package computes, for a smooth location family:
 
 __version__ = "0.1.0"
 
-from .density import (BUILTIN_FAMILIES, DensityModel, check_density, from_expression,
-                      from_table, logistic, make_model, model_from_descriptor, normal, psi,
-                      rho_deriv, student_t)
+from .density import (BUILTIN_FAMILIES, DensityModel, from_expression, from_table, logistic,
+                      make_model, model_from_descriptor, normal, psi, rho_deriv, student_t)
 from .errors import (DomainError, InversionFailure, MomentDivergence, NoConvergence,
                      SingularInformation, StudyAborted, UnsupportedOrder)
 from .expansion import (GAUSSIAN_ETA, ORDERS, CompositionReport, XiVector,
@@ -26,22 +25,21 @@ from .expansion import (GAUSSIAN_ETA, ORDERS, CompositionReport, XiVector,
                         cornish_fisher_quantile, edgeworth_cdf, stochastic_expansion,
                         stochastic_expansion_batch)
 from .mle import BatchMleResult, LocationMLE, MleResult, contrast, solve_mle, solve_mle_batch
-from .moments import (ConditionReport, MomentSet, compute_moment_set, fisher_information,
-                      validate_conditions)
+from .moments import (ConditionReport, MomentSet, check_density, compute_moment_set,
+                      fisher_information, validate_conditions)
 from .montecarlo import ComparisonReport, SimulationConfig, ecdf_distance, run_study, sample_iid
 
 __all__ = [
     "__version__",
     # families
-    "BUILTIN_FAMILIES", "DensityModel", "check_density", "from_expression",
-    "from_table", "logistic", "make_model", "model_from_descriptor", "normal", "psi",
-    "rho_deriv", "student_t",
+    "BUILTIN_FAMILIES", "DensityModel", "from_expression", "from_table", "logistic",
+    "make_model", "model_from_descriptor", "normal", "psi", "rho_deriv", "student_t",
     # errors
     "DomainError", "InversionFailure", "MomentDivergence", "NoConvergence",
     "SingularInformation", "StudyAborted", "UnsupportedOrder",
     # moments
-    "ConditionReport", "MomentSet", "compute_moment_set", "fisher_information",
-    "validate_conditions",
+    "ConditionReport", "MomentSet", "check_density", "compute_moment_set",
+    "fisher_information", "validate_conditions",
     # expansions
     "GAUSSIAN_ETA", "ORDERS", "CompositionReport", "XiVector", "collapse_report",
     "compose_check", "compute_xi", "compute_xi_batch", "cornish_fisher_quantile",

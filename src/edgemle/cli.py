@@ -26,13 +26,13 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import __version__
-from .density import _json_data, _json_text, check_density, make_model
+from .density import _json_data, _json_text, make_model
 from .errors import (DomainError, InversionFailure, MomentDivergence, NoConvergence,
                      SingularInformation, StudyAborted, UnsupportedOrder)
 from .expansion import (ORDERS, collapse_report, compose_check, cornish_fisher_quantile,
                         edgeworth_cdf)
 from .mle import solve_mle
-from .moments import compute_moment_set, validate_conditions
+from .moments import check_density, compute_moment_set, validate_conditions
 from .montecarlo import SimulationConfig, _csv_rows, run_study, write_manifest
 
 _HANDLED = (DomainError, InversionFailure, MomentDivergence, NoConvergence,

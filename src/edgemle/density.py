@@ -15,9 +15,9 @@ log f a compiled tape evaluates as a Taylor jet (:mod:`edgemle.expression`),
 or from a tabulated grid that lists f and its six derivatives.  No family's
 derivatives are differenced numerically: the fifth-order expansions need
 rho^(1)..rho^(6), and sixth-order differences of f are noise.  Nor does
-:func:`check_density` difference f to check them: it integrates each f^(j)
-and compares with the increments of f^(j-1), which quadrature resolves to
-rounding.
+:func:`edgemle.moments.check_density` difference f to check them: it
+integrates each f^(j) and compares with the increments of f^(j-1), which
+quadrature resolves to rounding.
 
 Every model has one derivative chain, ``rho_chain(x, k)``, which yields
 rho^(1)(x), ..., rho^(k)(x) in order and shares its intermediates between
@@ -27,6 +27,9 @@ is psi_j f.  Only a table states psi itself: its columns f^(1)..f^(6) become
 psi as the ratio f^(i)/f, and its rho chain runs the inverse recursion.
 Neither direction differences -log f, which would cancel catastrophically in
 the tails where f is tiny.
+
+The module also holds the package's one polynomial kernel, ``_horner``, and
+the normal law: Phi, the sampler's Phi^-1 and the expansions' Phi^-1.
 """
 from __future__ import annotations
 
@@ -38,6 +41,7 @@ import itertools
 import json
 import math
 import os
+import statistics
 from math import comb
 from typing import Mapping, Sequence
 
@@ -109,14 +113,6 @@ def _special():
     return special
 
 
-_SQRT_HALF = math.sqrt(0.5)
-
-
-def _normal_cdf(x: float) -> float:
-    """Phi(x) = erfc(-x / sqrt 2) / 2, 0 at -inf and 1 at +inf."""
-    return 0.5 * math.erfc(x * -_SQRT_HALF)  # not -x: a nan keeps its sign
-
-
 def _neg_log(value):
     # -log f; +inf where f underflows to zero, without the numpy warning
     with np.errstate(divide="ignore"):
@@ -183,6 +179,7 @@ _T_END = 4.5  # the double-exponential maps run over t in [-4.5, 4.5]
 _CDF_STEP = 2.0 ** -5  # t step of the CDF node table
 _PANEL_NODES = 10  # Gauss-Legendre nodes per gap of the CDF node table
 _ROUNDS = 64  # most rounds of the node search and of the quantile's Newton iteration
+_MASS_TOL = 1e-6  # the largest |Z - 1| of a family whose f the node table sums to Z
 
 
 def _de_map(support, centre, width):
@@ -223,6 +220,7 @@ def _numeric_cdf(pdf, rho, support):
     underflows) and the width shrinks while rho rises by over 1 in a gap; the
     nodes then take the width w = 1/(2 f) there (a half-line the centre end + w).
     F sums a Gauss-Legendre panel per gap to end at 1; F(x) adds one from the node below.
+    A sum Z of all gaps with |Z - 1| > ``_MASS_TOL`` is a ValueError naming Z.
     """
     n = round(_T_END / _CDF_STEP)
     u = math.pi / 2 * np.sinh(_CDF_STEP * np.arange(-n, n + 1))
@@ -247,6 +245,9 @@ def _numeric_cdf(pdf, rho, support):
         return np.sum(weights * f[..., :-1], axis=-1), f[..., -1]
 
     mass = np.cumsum(panel(nodes[:-1], nodes[1:])[0])
+    if not abs(mass[-1] - 1.0) <= _MASS_TOL:  # nan and inf too
+        raise ValueError(f"f integrates to Z = {mass[-1]:.10g} over {support}, not to 1 "
+                         "(values that overflow count as 0): normalize f or bound its support")
     values = np.concatenate([[0.0], mass / mass[-1]])
 
     def cdf_pdf(x):
@@ -333,9 +334,12 @@ class DensityModel:
     bit.  Derivatives are never estimated from f by differences.
 
     Unless stated, ``cdf`` sums a node table built here once and ``ppf``
-    inverts it for a whole array; a stated ``cdf`` needs its ``ppf``.  The
-    integrates-to-one, positivity and derivative invariants are not enforced
-    here (models are built in hot paths); :func:`check_density` verifies them.
+    inverts it for a whole array; a stated ``cdf`` needs its ``ppf``.  An f
+    that the table sums to Z with |Z - 1| > ``_MASS_TOL`` is a ValueError
+    naming Z: the sampler would draw from f/Z while the moments integrate f.
+    The positivity and derivative invariants are not enforced here (models
+    are built in hot paths); :func:`edgemle.moments.check_density` verifies
+    them.
 
     ``log_concave`` (read-only) states that f is log-concave, so the contrast
     rho = -log f is convex and every sample's empirical contrast has a single
@@ -482,15 +486,10 @@ def normal() -> DensityModel:
         for _ in range(3, MAX_DERIVATIVE_ORDER + 1):
             yield np.zeros_like(y) if isinstance(y, np.ndarray) else 0.0
 
-    def cdf(x):
-        xa = np.asarray(x, dtype=float)
-        return _scalar_like(x, np.reshape([_normal_cdf(t) for t in xa.ravel().tolist()],
-                                          xa.shape))
-
     return DensityModel(
         "normal", (-np.inf, np.inf), pdf,
-        cdf=cdf,
-        ppf=_normal_quantile,
+        cdf=_normal_cdfs,
+        ppf=_normal_ppf,
         rho=rho,
         rho_chain=_first_orders(orders),
         log_concave=True,
@@ -670,8 +669,82 @@ def student_t(nu: float = 7.0) -> DensityModel:
 
 
 # ---------------------------------------------------------------------------
-# the normal quantile
+# polynomials and the normal law
 # ---------------------------------------------------------------------------
+
+def _horner(c, w, out=None):
+    """sum_j c[j] w^j in the float steps (c[-1] w + c[-2]) w + ... + c[0]; 0.0 for no c.
+
+    Without ``out`` it works on floats, Decimals and arrays alike.  With
+    ``out``, an array of w's shape, the steps run in place there and ``out``
+    is returned, so the series of the samplers allocate nothing per step.
+    """
+    if out is None:
+        if not len(c):
+            return 0.0
+        total = c[-1]
+        for cj in c[-2::-1]:
+            total = total * w + cj
+        return total
+    if len(c) == 1:
+        out.fill(c[0])
+        return out
+    np.multiply(w, c[-1], out=out)
+    for cj in c[-2:0:-1]:
+        out += cj
+        out *= w
+    out += c[0]
+    return out
+
+
+_SQRT_HALF = math.sqrt(0.5)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_LEAST_NORMAL = float(np.finfo(float).tiny)
+_inv_cdf = statistics.NormalDist().inv_cdf
+
+
+def _normal_cdf(x: float) -> float:
+    """Phi(x) = erfc(-x / sqrt 2) / 2, 0 at -inf and 1 at +inf."""
+    return 0.5 * math.erfc(x * -_SQRT_HALF)  # not -x: a nan keeps its sign
+
+
+def _normal_cdfs(x):
+    """:func:`_normal_cdf` at each point of x: a float for a float, else an array of x's shape."""
+    xa = np.asarray(x, dtype=float)
+    return _scalar_like(x, np.reshape([_normal_cdf(t) for t in xa.ravel().tolist()], xa.shape))
+
+
+def _normal_quantile(p: float) -> float:
+    """The expansions' Phi^-1(p): AS241, then one Newton step; ValueError unless 0 < p < 1.
+
+    AS241 is the stdlib's, on one float.  The step's residual Phi(z) - p is
+    read where it is accurate: through erfc in the tails (1 - p is exact
+    above 3/4), through erf against the exact p - 1/2 in between.  Below the
+    least normal float the step is skipped: a subnormal residual has too few
+    bits to correct z.  Within 2.3 ulp of the exact quantile, on the 2-19
+    points of a table or interval call.  Keep it apart from the sampler's
+    :func:`_normal_ppf`, with no size switch between them: the stdlib's
+    ``log`` and numpy's differ at some tail points, so a switch would move a
+    sample point's bits with the size of its array.
+    """
+    if not 0.0 < p < 1.0:  # nan too
+        raise ValueError("probabilities must lie strictly inside (0, 1)")
+    z = _inv_cdf(p)
+    if p < _LEAST_NORMAL:
+        return z
+    if p < 0.25:
+        r = 0.5 * math.erfc(-z * _SQRT_HALF) - p
+    elif p <= 0.75:
+        r = 0.5 * math.erf(z * _SQRT_HALF) - (p - 0.5)
+    else:
+        r = (1.0 - p) - 0.5 * math.erfc(z * _SQRT_HALF)
+    return z - r / (_INV_SQRT_2PI * math.exp(-0.5 * z * z))
+
+
+def _normal_quantiles(v) -> list:
+    # Phi^-1 at each point of v, flattened; ValueError unless all lie inside (0, 1)
+    return [_normal_quantile(p) for p in np.asarray(v, dtype=float).ravel().tolist()]
+
 
 #: Wichura's AS241 (PPND16) rationals, numerator and denominator, constant
 #: first: the centre's in r = 0.180625 - q^2 for |q| = |u - 1/2| <= 0.425, the
@@ -701,8 +774,8 @@ _AS241_FAR = (
 _AS241_TILE = 2**14
 
 
-def _normal_quantile(u):
-    """Phi^-1(u) by Wichura's AS241 (Appl. Statist. 37, 1988, 477-484), on arrays.
+def _normal_ppf(u):
+    """The sampler's Phi^-1(u): Wichura's AS241 (Appl. Statist. 37, 1988, 477-484), on arrays.
 
     The centre rational runs over every point, in tiles of ``_AS241_TILE``
     through one work array, and the tail rationals only where
@@ -711,7 +784,10 @@ def _normal_quantile(u):
     outside [0, 1] or nan gives nan, as scipy's ``ndtri`` does.  No Newton
     step follows: it is within 6 ulp of the exact quantile
     (tests/test_density.py), and in the tails its last bits follow numpy's
-    ``log``.
+    ``log``.  A point gets the same bits in any array, so row r of a sample
+    block equals row r drawn alone.  Keep it apart from the expansions'
+    :func:`_normal_quantile`, with no size switch between them: the
+    stdlib's ``log`` and numpy's differ at 4 of 370k tail points.
     """
     ua = np.asarray(u, dtype=float)
     x = np.empty(ua.shape)
@@ -789,27 +865,6 @@ def _per_step(c, w, steps):
     return [rough] * (steps - 1) + [full]
 
 
-def _horner(c, w, out):
-    # sum_j c[j] w^j into out, in the float steps of (c[-1] w + c[-2]) w + ...
-    if len(c) == 1:
-        out.fill(c[0])
-        return out
-    np.multiply(w, c[-1], out=out)
-    for cj in c[-2:0:-1]:
-        out += cj
-        out *= w
-    out += c[0]
-    return out
-
-
-def _decimal_horner(c, w):
-    # sum_j c[j] w^j for decimal coefficients and point
-    total = c[-1]
-    for cj in c[-2::-1]:
-        total = total * w + cj
-    return total
-
-
 def _t_quantile(nu: float):
     """The Student-t(nu) quantile from two series in elementary functions, for 1 <= nu <= 12.
 
@@ -858,7 +913,7 @@ def _t_quantile(nu: float):
         edge = target = half / 2
         for _ in range(_ROUNDS):
             w = edge * edge
-            step = (target - edge * _decimal_horner(b, w)) / _decimal_horner(slope, w)
+            step = (target - edge * _horner(b, w)) / _horner(slope, w)
             if edge + step == edge:
                 break
             edge += step
@@ -993,7 +1048,8 @@ def from_expression(expr: str, support=(-np.inf, np.inf), name: str = "expressio
     and (1 + e^-x)^2 would overflow together.  The psi ratios come from the
     chain through the logarithmic-derivative recursion.  The CDF is summed
     once over double-exponential nodes placed on the peak and inverted for a
-    whole array at once.
+    whole array at once; an f whose sum there is not 1 to 1e-6 is a
+    ValueError naming it.
     """
     # imported here, so that a process without an expression family never compiles the parser
     from .expression import compile_log_density
@@ -1158,59 +1214,3 @@ def model_from_descriptor(descriptor: dict) -> DensityModel:
     """Rebuild a model from :meth:`DensityModel.descriptor` output."""
     d = dict(descriptor)
     return make_model(d["family"], **dict(d.get("params", {})))
-
-
-# ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
-
-_DERIV_RTOL = 1e-6  # integrals of f^(j) against increments of f^(j-1), relative
-_GAUSS_NODES = 32  # Gauss-Legendre nodes per probe interval
-
-
-def check_density(model: DensityModel, tol: float = 1e-9) -> dict:
-    """Run the density sanity checks and return a report dict.
-
-    The probe is the 2%, 10%, ..., 98% quantiles (13 points).  Checks: f
-    integrates to one over the support (to ``tol``); f is positive on the
-    probe; each derivative f^(j), j = 1..6, integrates to the increments of
-    f^(j-1) (f^(0) = f) between consecutive probe points, to ``_DERIV_RTOL``
-    relative to the largest |f^(j-1)| on the probe; the first three
-    derivatives integrate to zero over the support (boundary decay), all
-    three and f itself over the nodes of the moment integrals.
-
-    The identities use one Gauss-Legendre rule of ``_GAUSS_NODES`` nodes per
-    probe interval, and each f^(j) is evaluated in one array call on the
-    probe and the nodes together.  A wrong derivative (a user table's f6
-    column negated, say, or f2 off by 1e-5 relative) fails the identity at
-    the order it enters, where it drifts from the integral of the order
-    above or below; ``deriv_max_rel_err`` is the largest relative gap.
-    """
-    from .moments import _integrate, _rule
-    probe = np.asarray(model.ppf(np.linspace(0.02, 0.98, 13)), dtype=float)
-    (total, *boundary), (err, *_), _ = _integrate(  # f and f^(j) = psi_j f, j = 1..3
-        model, _rule(model), lambda x: [np.ones_like(x), *model.psi_chain(x, 3)],
-        lambda values: tol)
-
-    nodes, weights = _panels(probe[:-1], probe[1:], _GAUSS_NODES)  # a row per probe interval
-    points = np.concatenate([probe, nodes.ravel()])
-    f = np.asarray(model.pdf(points), dtype=float)
-    below = f[:probe.size]  # f^(j-1) on the probe
-    positive = bool(np.all(below > 0.0))
-    gaps = []  # a nan gap (a non-finite derivative) stays nan in the maximum
-    for p in model.psi_chain(points, MAX_DERIVATIVE_ORDER):
-        values = np.asarray(p, dtype=float) * f  # f^(j) = psi_j f
-        integrals = np.sum(weights * values[probe.size:].reshape(nodes.shape), axis=1)
-        gaps.append(np.max(np.abs(integrals - np.diff(below))) / np.max(np.abs(below)))
-        below = values[:probe.size]
-    max_rel = float(np.max(gaps))
-
-    return {
-        "integral": float(total),
-        "integral_error": float(err),
-        "integrates_to_one": bool(abs(total - 1.0) <= tol),
-        "positive_on_probe": positive,
-        "deriv_max_rel_err": max_rel,
-        "derivs_match": bool(max_rel <= _DERIV_RTOL),
-        "deriv_boundary_integrals": dict(zip((1, 2, 3), map(float, boundary))),
-    }

@@ -29,7 +29,6 @@ the Gaussian etas; against an exact law order 5 decays only like n^-2.
 from __future__ import annotations
 
 import math
-import statistics
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -39,8 +38,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .density import (_SQRT_HALF, DensityModel, _json_data, _normal_cdf, _require_usable,
-                      _scalar_like, _whole)
+from .density import (DensityModel, _horner, _json_data, _normal_cdf, _normal_cdfs,
+                      _normal_quantiles, _require_usable, _scalar_like, _whole)
 from .errors import SingularInformation, UnsupportedOrder
 from .moments import MomentSet, _eta_key
 
@@ -407,51 +406,6 @@ def _corrections(kind: str, moments, n: int, order: int) -> tuple:
     return _weighted_coefficients(kind, eta_key, n, order)
 
 
-def _polynomial(c: tuple, t):
-    """sum_j c[j] t^j at a float or an array t, in numpy polyval's float steps.
-
-    c[-1] + t*0, then c[j] + acc*t for j down to 0; 0.0 for no c.
-    """
-    if not c:
-        return 0.0
-    acc = c[-1] + t * 0
-    for cj in c[-2::-1]:
-        acc = cj + acc * t
-    return acc
-
-
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_LEAST_NORMAL = float(np.finfo(float).tiny)
-_inv_cdf = statistics.NormalDist().inv_cdf
-
-
-def _normal_quantile(p: float) -> float:
-    """Phi^-1(p): Wichura's AS241, then one Newton step; ValueError unless 0 < p < 1.
-
-    The step's residual Phi(z) - p is read where it is accurate: through
-    erfc in the tails (1 - p is exact above 3/4), through erf against the
-    exact p - 1/2 in between.  Below the least normal float the step is
-    skipped: a subnormal residual has too few bits to correct z.
-    """
-    if not 0.0 < p < 1.0:  # nan too
-        raise ValueError("probabilities must lie strictly inside (0, 1)")
-    z = _inv_cdf(p)
-    if p < _LEAST_NORMAL:
-        return z
-    if p < 0.25:
-        r = 0.5 * math.erfc(-z * _SQRT_HALF) - p
-    elif p <= 0.75:
-        r = 0.5 * math.erf(z * _SQRT_HALF) - (p - 0.5)
-    else:
-        r = (1.0 - p) - 0.5 * math.erfc(z * _SQRT_HALF)
-    return z - r / (_INV_SQRT_2PI * math.exp(-0.5 * z * z))
-
-
-def _normal_quantiles(v) -> list:
-    # Phi^-1 at each point of v, flattened; ValueError unless all lie inside (0, 1)
-    return [_normal_quantile(p) for p in np.asarray(v, dtype=float).ravel().tolist()]
-
-
 #: from this many points on, one Horner pass over the arrays costs less than one
 #: per point (the two take the same float steps)
 _ARRAY_POINTS = 32
@@ -484,10 +438,9 @@ def edgeworth_cdf(moments, n, order, x):
     phi = np.exp(-0.5 * np.minimum(np.abs(xa), 40.0) ** 2) / np.sqrt(2 * np.pi)
     c = _corrections("edgeworth", moments, m, k)
     if xa.size < _ARRAY_POINTS:
-        return _per_point([_normal_cdf(t) + _polynomial(c, t if f > 0 else 0.0) * f
+        return _per_point([_normal_cdf(t) + _horner(c, t if f > 0 else 0.0) * f
                            for t, f in zip(xa.ravel().tolist(), phi.ravel().tolist())], x)
-    normal = _per_point([_normal_cdf(t) for t in xa.ravel().tolist()], xa)
-    return normal + _polynomial(c, np.where(phi > 0, xa, 0.0)) * phi
+    return _normal_cdfs(xa) + _horner(c, np.where(phi > 0, xa, 0.0)) * phi
 
 
 def cornish_fisher_quantile(moments, n, order, v):
@@ -497,9 +450,9 @@ def cornish_fisher_quantile(moments, n, order, v):
     z = _normal_quantiles(v)
     c = _corrections("cornish-fisher", moments, m, k)
     if len(z) < _ARRAY_POINTS:
-        return _per_point([t + _polynomial(c, t) for t in z], v)
+        return _per_point([t + _horner(c, t) for t in z], v)
     z = _per_point(z, v)
-    return z + _polynomial(c, z)
+    return z + _horner(c, z)
 
 
 # ---------------------------------------------------------------------------

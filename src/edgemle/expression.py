@@ -366,10 +366,13 @@ def compile_log_density(expr: str):
     else a float or an array.  Raises ValueError for an expression outside
     the grammar, naming the construct.
     """
+    too_deep = f"expression {expr[:40]!r}... nests too deeply"
     try:
         tree = ast.parse(expr.strip(), mode="eval")
     except (SyntaxError, ValueError) as exc:
         raise ValueError(f"cannot parse expression {expr!r}: {exc}") from None
+    except RecursionError:
+        raise ValueError(too_deep) from None
     for node in ast.walk(tree):  # constructs first: a lambda's parameter is no foreign name
         if type(node) in _CONSTRUCTS:
             _refuse(node)
@@ -381,7 +384,7 @@ def compile_log_density(expr: str):
     try:
         tape = _compile(tree.body).tape("log")
     except RecursionError:
-        raise ValueError(f"expression {expr[:40]!r}... nests too deeply") from None
+        raise ValueError(too_deep) from None
 
     def run(x, k):
         x, stack = np.asarray(x, dtype=float), []

@@ -15,7 +15,7 @@ Indexing starts at 2 on purpose (there is no eta_1) so every coefficient in
 the expansion tables can be read against this list without renumbering.
 
 All sixteen integrals, and those of :func:`validate_conditions` and
-:func:`edgemle.density.check_density`, take one node rule (:func:`_rule`, after
+:func:`check_density`, take one node rule (:func:`_rule`, after
 Takahasi & Mori 1974 and Mori & Sugihara 2001) and, per level, one ``pdf`` call
 and one pass of ``model.rho_chain(x, 6)``.  psi_1..psi_3 follow from that pass
 by the recursion of ``model.psi_chain``, bit for bit :func:`edgemle.density.psi`
@@ -32,7 +32,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .density import _T_END, DensityModel, _de_map, _json_data, _panels, _psi_from_log_derivs
+from .density import (_T_END, MAX_DERIVATIVE_ORDER, DensityModel, _de_map, _json_data,
+                      _panels, _psi_from_log_derivs)
 from .errors import InversionFailure, MomentDivergence
 
 ETA_INDICES = tuple(range(2, 11))
@@ -221,7 +222,7 @@ def compute_moment_set(model: DensityModel, tol: float = 1e-10) -> MomentSet:
 
 
 # ---------------------------------------------------------------------------
-# numeric validation of the regularity conditions
+# numeric checks of the regularity conditions and of the density
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -370,3 +371,54 @@ def validate_conditions(model: DensityModel, tol: float = 1e-8) -> ConditionRepo
     details[4] = {"per_alpha": {str(k): v for k, v in per_alpha.items()}}
 
     return ConditionReport(model.name, verdicts, details)
+
+
+_DERIV_RTOL = 1e-6  # integrals of f^(j) against increments of f^(j-1), relative
+_GAUSS_NODES = 32  # Gauss-Legendre nodes per probe interval
+
+
+def check_density(model: DensityModel, tol: float = 1e-9) -> dict:
+    """Run the density sanity checks and return a report dict.
+
+    The probe is the 2%, 10%, ..., 98% quantiles (13 points).  Checks: f
+    integrates to one over the support (to ``tol``); f is positive on the
+    probe; each derivative f^(j), j = 1..6, integrates to the increments of
+    f^(j-1) (f^(0) = f) between consecutive probe points, to ``_DERIV_RTOL``
+    relative to the largest |f^(j-1)| on the probe; the first three
+    derivatives integrate to zero over the support (boundary decay), all
+    three and f itself over the nodes of the moment integrals.
+
+    The identities use one Gauss-Legendre rule of ``_GAUSS_NODES`` nodes per
+    probe interval, and each f^(j) is evaluated in one array call on the
+    probe and the nodes together.  A wrong derivative (a user table's f6
+    column negated, say, or f2 off by 1e-5 relative) fails the identity at
+    the order it enters, where it drifts from the integral of the order
+    above or below; ``deriv_max_rel_err`` is the largest relative gap.
+    """
+    probe = np.asarray(model.ppf(np.linspace(0.02, 0.98, 13)), dtype=float)
+    (total, *boundary), (err, *_), _ = _integrate(  # f and f^(j) = psi_j f, j = 1..3
+        model, _rule(model), lambda x: [np.ones_like(x), *model.psi_chain(x, 3)],
+        lambda values: tol)
+
+    nodes, weights = _panels(probe[:-1], probe[1:], _GAUSS_NODES)  # a row per probe interval
+    points = np.concatenate([probe, nodes.ravel()])
+    f = np.asarray(model.pdf(points), dtype=float)
+    below = f[:probe.size]  # f^(j-1) on the probe
+    positive = bool(np.all(below > 0.0))
+    gaps = []  # a nan gap (a non-finite derivative) stays nan in the maximum
+    for p in model.psi_chain(points, MAX_DERIVATIVE_ORDER):
+        values = np.asarray(p, dtype=float) * f  # f^(j) = psi_j f
+        integrals = np.sum(weights * values[probe.size:].reshape(nodes.shape), axis=1)
+        gaps.append(np.max(np.abs(integrals - np.diff(below))) / np.max(np.abs(below)))
+        below = values[:probe.size]
+    max_rel = float(np.max(gaps))
+
+    return {
+        "integral": float(total),
+        "integral_error": float(err),
+        "integrates_to_one": bool(abs(total - 1.0) <= tol),
+        "positive_on_probe": positive,
+        "deriv_max_rel_err": max_rel,
+        "derivs_match": bool(max_rel <= _DERIV_RTOL),
+        "deriv_boundary_integrals": dict(zip((1, 2, 3), map(float, boundary))),
+    }

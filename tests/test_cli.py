@@ -311,6 +311,17 @@ def test_unknown_family_parameter_is_reported(capsys, params):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("expr, problem", [
+    ("exp(-" + "x*x+" * 3000 + "x*x)", "nests too deeply"),
+    ("exp(-x**2/2)", "f integrates to Z = 2.506628275 "),
+])
+def test_an_expression_that_cannot_be_built_is_one_error_line(capsys, expr, problem):
+    # too deep for the parser, or a density that does not integrate to one
+    code, out, err = run(capsys, "moments", "--family", "expression", "--param", f"expr={expr}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and problem in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("nu", ["NaN", "Infinity"])
 def test_a_nonfinite_nu_is_named_as_the_cause(capsys, nu):
     code, out, err = run(capsys, "moments", "--family", "student_t", "--param", f"nu={nu}")

@@ -10,7 +10,7 @@ import pytest
 
 import edgemle as e
 from conftest import logistic_table, mp_ulps
-from edgemle.density import check_density
+from edgemle.moments import check_density
 
 PROBE = np.array([-2.7, -1.3, -0.4, 0.0, 0.6, 1.1, 2.9])
 
@@ -320,6 +320,16 @@ def test_expression_family_names_abs_as_unsupported():
     ("exp(-y**2)", "found ['y']"),
     ("gamma(x)", "gamma of an argument in x"),
     ("x if x > 0 else 1", "conditional"),
+    ("exp(-x**2)*'a'", "the literal \"'a'\""),
+    ("exp(-x**2 % 2)", "the operator in '-x ** 2 % 2'"),
+    ("exp(-x**2, 2)", "exp takes one argument"),
+    ("exp(-x**2)*exp(1000)", "the constant exp(1000) is not a finite real number"),
+    ("exp(-x**2)/0", "divides by zero"),
+    ("exp(-x**2", "cannot parse expression"),
+    ("(-2)**x", "positive constant base, got -2.0"),
+    ("(x, x)", "the construct Tuple '(x, x)'"),
+    ("exp(-" + "x*x+" * 600 + "x*x)", "nests too deeply"),
+    ("exp(-" + "x*x+" * 3000 + "x*x)", "nests too deeply"),
 ])
 def test_expression_parsing_refuses_what_it_cannot_differentiate(monkeypatch, expr, construct):
     # the expression is parsed, never evaluated: a call outside the function
@@ -332,24 +342,79 @@ def test_expression_parsing_refuses_what_it_cannot_differentiate(monkeypatch, ex
     assert "EDGEMLE_EXPR_PROBE" not in os.environ
 
 
+@pytest.mark.parametrize("expr, support, z", [
+    ("exp(-x**2/2)", (-np.inf, np.inf), "Z = 2.506628275 "),
+    ("exp(-x)", (-np.inf, np.inf), "Z = 0 "),
+    ("exp(x**2)", (-np.inf, np.inf), "Z = 0 "),
+    ("1/x", (1.0, np.inf), "Z = 69.99"),
+    ("exp(-x**2/2)/sqrt(2*pi)", (0.0, np.inf), "Z = 0.5 "),
+])
+def test_expression_whose_density_does_not_integrate_to_one_is_refused(expr, support, z):
+    # the sampler would draw from f/Z while the moments integrate f itself,
+    # and every condition check passes such an f; a divergent integral sums
+    # to 0 (where f overflows) or to what the node table reaches (1/x)
+    with pytest.raises(ValueError) as exc:
+        e.from_expression(expr, support=support)
+    assert z in str(exc.value) and "not to 1" in str(exc.value)
+
+
+@pytest.mark.parametrize("expr, f", [
+    ("exp(x/(2+x**2))", lambda t: mp.exp(t / (2 + t**2))),
+    ("exp(sqrt(1+x**2))", lambda t: mp.exp(mp.sqrt(1 + t**2))),
+    ("2**(-x**2) + log(2+x**2)", lambda t: 2 ** (-t**2) + mp.log(2 + t**2)),
+    ("0*x + 1*exp(-x**2) + +x**0 + (1+x**2)**1", lambda t: mp.exp(-t**2) + 2 + t**2),
+], ids=["quotient_plain", "log_to_plain", "exponent_in_x", "folds"])
+def test_expression_grammar_paths_match_mpmath(expr, f):
+    # the plain jet of a quotient, a log-only node (a non-whole power) made
+    # plain for exp, an exponent in x, log of an x-expression, and the folds
+    # of 0 x, 1 a, +a, a^0 and a^1: the jet of log f, to degree 6, against
+    # mpmath's Taylor coefficients
+    from edgemle.expression import compile_log_density
+    x = np.array([-2.3, -0.7, 0.4, 1.9])
+    jet, sign = compile_log_density(expr)(x, 6)
+    have = np.array([np.zeros_like(x) if c is None else np.broadcast_to(c, x.shape) for c in jet])
+    with mp.workdps(40):
+        want = np.array([[float(c) for c in mp.taylor(lambda t: mp.log(f(t)), mp.mpf(float(p)), 6)]
+                         for p in x]).T
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(have - want) <= 1e-13 * (np.abs(want) + scale))
+    assert sign is None or np.all(np.asarray(sign) > 0)
+
+
 def _mp_sech(t):
     return 1 / (2 * mp.cosh(mp.pi * t / 2))
 
 
-@pytest.mark.parametrize("expr, f", [("exp(-x)/(1+exp(-x))**2", _mp_density("logistic")),
-                                     ("1/(2*cosh(pi*x/2))", _mp_sech)],
-                         ids=["logistic", "sech"])
-def test_expression_chain_keeps_its_relative_accuracy_in_the_tails(expr, f):
+@pytest.mark.parametrize("expr, f, floor", [
+    ("exp(-x)/(1+exp(-x))**2", _mp_density("logistic"), 0.0),
+    ("1/(2*cosh(pi*x/2))", _mp_sech, 0.0),
+    ("2**(-x**2)*sqrt(log(2)/pi)", lambda t: 2 ** (-t**2) * mp.sqrt(mp.log(2) / mp.pi), 1e-14),
+    ("exp(-log(cosh(x)))/pi", lambda t: 1 / (mp.pi * mp.cosh(t)), 1e-14),
+    ("(1/(1+x**2) + 1/(4+x**2))/(1.5*pi)",
+     lambda t: (1 / (1 + t**2) + 1 / (4 + t**2)) / (1.5 * mp.pi), 1e-14),
+    ("((1+x**2)**(-1.5) + (2+x**2)**(-1.5))/3",
+     lambda t: ((1 + t**2) ** mp.mpf(-1.5) + (2 + t**2) ** mp.mpf(-1.5)) / 3, 1e-14),
+    ("1/(2*sqrt(1+x**2)**3)", lambda t: 1 / (2 * mp.sqrt(1 + t**2) ** 3), 1e-14),
+    ("0.75*(1+x**2)**(-2.5)", lambda t: mp.mpf(0.75) * (1 + t**2) ** mp.mpf(-2.5), 1e-14),
+], ids=["logistic", "sech", "gauss_base2", "exp_log_cosh", "cauchy_mix", "power_mix",
+        "sqrt_cubed", "power_2_5"])
+def test_expression_chain_keeps_its_relative_accuracy_in_the_tails(expr, f, floor):
     # the jets form log(1 + e^-x) and log cosh by softplus on log-jets, so
     # rho^(j) stays accurate relative to its own size, ~e^-|x| far out,
-    # where the symbolic derivatives overflowed to inf/inf
+    # where the symbolic derivatives overflowed to inf/inf.  Where an order
+    # crosses zero the bound adds ``floor`` times that order's largest value
+    # on the grid, and where an order vanishes (the Gaussian's orders 3..6)
+    # ``floor`` times 1e-16 of the chain's largest value, above the ~1e-198
+    # noise of mpmath's differences there
     grid = _CHAIN_GRID
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         have = np.array(list(e.from_expression(expr).rho_chain(grid, 6)))
         far = np.array(list(e.from_expression(expr).rho_chain(np.array([-1e4, -800.0, 800.0]), 6)))
     want = np.array([_mp_contrast_derivs(f, x) for x in grid]).T
-    assert np.all(np.abs(have - want) <= 1e-13 * np.abs(want)), np.max(np.abs(have - want) / np.abs(want))
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    bound = 1e-13 * np.abs(want) + floor * (scale + 1e-16 * np.max(scale))
+    assert np.all(np.abs(have - want) <= bound), np.max(np.abs(have - want) / bound)
     assert np.all(np.isfinite(far))
 
 
@@ -811,7 +876,7 @@ def test_normal_quantile_keeps_the_input_form_and_ndtris_edges(models):
 
 
 def test_normal_cdf_is_the_expansions_phi(models):
-    from edgemle.expansion import _normal_cdf
+    from edgemle.density import _normal_cdf
     x = np.concatenate([np.linspace(-40.0, 10.0, 501), [-np.inf, np.inf]])
     model = models["normal"]
     assert model.cdf(x).tolist() == [_normal_cdf(t) for t in x.tolist()]

@@ -11,10 +11,10 @@ from scipy.special import gammaincc, gammainccinv, ndtr, ndtri
 
 import edgemle as e
 from conftest import mp_ulps
+from edgemle.density import _horner, _normal_cdf, _normal_quantile
 from edgemle.expansion import (_ARRAY_POINTS, EDGEWORTH_TABLE, GAUSSIAN_ETA,
-                               _coefficient_arrays, _corrections, _n_weights, _normal_cdf, _normal_quantile,
-                               _polynomial, _stochastic_table, _table, _weighted_coefficients,
-                               evaluate_terms)
+                               _coefficient_arrays, _corrections, _n_weights, _stochastic_table,
+                               _table, _weighted_coefficients, evaluate_terms)
 
 CORNISH_FISHER_TABLE = _table("cornish-fisher")
 
@@ -670,7 +670,7 @@ def test_summed_orders_match_exact_rational_evaluation(n):
             for t in (-3.5, -1.25, -0.5, 0.0, 0.75, 2.0, 3.25):
                 terms = [root ** (o - 1) * evaluate_terms(table[o][p], eta) * F(t) ** p
                          for o in range(2, order + 1) for p in table[o]]
-                have = _polynomial(_corrections(kind, eta, n, order), t)
+                have = _horner(_corrections(kind, eta, n, order), t)
                 slack = 8 * np.finfo(float).eps * float(sum(abs(term) for term in terms))
                 assert abs(F(float(have)) - sum(terms)) <= F(slack), (kind, order, t)
 
