@@ -22,6 +22,11 @@ the Gaussian etas, every term obeys the reflection parity rule, the tables
 compose to the identity through n^-2, and the stochastic table solves the
 score equation symbolically.
 
+:func:`compose_check` runs its whole (n, order) grid as rows of one coefficient
+stack through the helpers of the tables' array branches, bit for bit theirs.
+A confidence level whose quantiles leave the interval about 0 on which the
+quantile polynomial increases is refused.
+
 Known slip: order 5 lacks +D at x^5 and -D at x^3, D = eta2/2 - eta4/3 +
 eta7/5 - eta10/2 - eta3^2/8, and the quantile table inherits it.  D is 0 at
 the Gaussian etas; against an exact law order 5 decays only like n^-2.
@@ -401,9 +406,44 @@ def _corrections(kind: str, moments, n: int, order: int) -> tuple:
         warnings.warn(f"order 5 is unreliable for a skewed family (eta3 = {float(eta[3]):.6g}): "
                       "its error decays like n^-2 instead of n^-5/2; use order 4",
                       UserWarning, stacklevel=3)
+    return _weighted_coefficients(kind, _table_key(moments), n, order)
+
+
+def _table_key(moments) -> tuple:
     # a MomentSet builds its key once; a plain mapping builds it per call
-    eta_key = moments.eta_key if isinstance(moments, MomentSet) else _eta_key(eta)
-    return _weighted_coefficients(kind, eta_key, n, order)
+    return moments.eta_key if isinstance(moments, MomentSet) else _eta_key(_eta_mapping(moments))
+
+
+@lru_cache(maxsize=1024)
+def _increasing_range(eta_key: tuple, n: int, order: int) -> tuple:
+    """(lo, hi, top) of the order-``order`` quantile z + sum_j c_j z^j at one eta tuple and n.
+
+    It increases on (lo, hi), between the nearest real roots of its derivative about 0
+    (empty if the slope at 0 is not positive); ``top`` is the largest central level inside.
+    """
+    c = _weighted_coefficients("cornish-fisher", eta_key, n, order) if order > 1 else ()
+    p = np.zeros(max(2, len(c)))  # the quantile's coefficients by power of z
+    p[:len(c)] = c
+    p[1] += 1.0
+    slope = np.arange(1, len(p)) * p[1:]
+    if not slope[0] > 0:
+        return 0.0, 0.0, 0.0
+    roots = np.roots(slope[::-1])
+    real = roots.real[roots.imag == 0].tolist()  # LAPACK leaves a real root's imag exactly 0
+    lo = max((r for r in real if r < 0), default=-math.inf)
+    hi = min((r for r in real if r > 0), default=math.inf)
+    return lo, hi, math.erf(min(-lo, hi) * math.sqrt(0.5))
+
+
+def _check_increasing(moments, n: int, order: int, level: float):
+    """Refuse a central ``level`` whose two quantiles the order-``order`` expansion
+    cannot give: a ValueError unless both lie where the quantile increases."""
+    lo, hi, top = _increasing_range(_table_key(moments), n, _check_order(order))
+    if not level < top:
+        raise ValueError(f"the order-{order} quantile expansion at n = {n} increases only for "
+                         f"z in ({lo:.4g}, {hi:.4g}), so it orders the quantiles of central "
+                         f"levels below {top:.4g} only, not of level {level}; use a lower order "
+                         "or a larger sample")
 
 
 #: from this many points on, one Horner pass over the arrays costs less than one
@@ -423,6 +463,22 @@ def _check_n(n) -> int:
     return m
 
 
+def _phi(x):
+    # phi is 0 from |x| = 38.6 on; capping |x| at 40 keeps x^2 from overflowing
+    return np.exp(-0.5 * np.minimum(np.abs(x), 40.0) ** 2) / np.sqrt(2 * np.pi)
+
+
+def _edgeworth(c, x):
+    """Phi(x) + phi(x) sum_j c[j] x^j, per point; ``c`` may stack rows as (power, row, 1)."""
+    phi = _phi(x)
+    return _normal_cdfs(x) + _horner(c, np.where(phi > 0, x, 0.0)) * phi
+
+
+def _cornish_fisher(c, z):
+    """z + sum_j c[j] z^j, with ``c`` as in :func:`_edgeworth`."""
+    return z + _horner(c, z)
+
+
 def edgeworth_cdf(moments, n, order, x):
     """Edgeworth expansion of the CDF of sqrt(n I)(thetahat - theta0).
 
@@ -434,13 +490,11 @@ def edgeworth_cdf(moments, n, order, x):
     m = _check_n(n)
     k = _check_order(order)
     xa = np.asarray(x, dtype=float)
-    # phi is 0 from |x| = 38.6 on; capping |x| at 40 keeps x^2 from overflowing
-    phi = np.exp(-0.5 * np.minimum(np.abs(xa), 40.0) ** 2) / np.sqrt(2 * np.pi)
     c = _corrections("edgeworth", moments, m, k)
-    if xa.size < _ARRAY_POINTS:
-        return _per_point([_normal_cdf(t) + _horner(c, t if f > 0 else 0.0) * f
-                           for t, f in zip(xa.ravel().tolist(), phi.ravel().tolist())], x)
-    return _normal_cdfs(xa) + _horner(c, np.where(phi > 0, xa, 0.0)) * phi
+    if xa.size >= _ARRAY_POINTS:
+        return _edgeworth(c, xa)
+    return _per_point([_normal_cdf(t) + _horner(c, t if f > 0 else 0.0) * f
+                       for t, f in zip(xa.ravel().tolist(), _phi(xa).ravel().tolist())], x)
 
 
 def cornish_fisher_quantile(moments, n, order, v):
@@ -451,8 +505,7 @@ def cornish_fisher_quantile(moments, n, order, v):
     c = _corrections("cornish-fisher", moments, m, k)
     if len(z) < _ARRAY_POINTS:
         return _per_point([t + _horner(c, t) for t in z], v)
-    z = _per_point(z, v)
-    return z + _horner(c, z)
+    return _cornish_fisher(c, _per_point(z, v))
 
 
 # ---------------------------------------------------------------------------
@@ -505,23 +558,32 @@ def compose_check(moments, n, v_grid=None, orders=ORDERS) -> CompositionReport:
     if v_grid is None:
         v_grid = np.linspace(0.05, 0.95, 19)
     v_grid = np.asarray(v_grid, dtype=float)
-    # the normal quantile first: a v outside (0, 1) is cornish_fisher_quantile's ValueError
+    # the normal quantile first: a v outside (0, 1) is its ValueError
     z = _per_point(_normal_quantiles(v_grid), v_grid)
     orders = tuple(_check_order(k) for k in orders)
     for name, grid in (("n grid", n_grid), ("v grid", v_grid), ("order list", orders)):
         if len(grid) == 0:
             raise ValueError(f"{name} must not be empty")
 
+    # every (n, order) pair is a row: its corrections stacked by power, zero above its
+    # own top power (0 w + c is exactly c for finite w), so one pass covers all rows
+    pairs = [(m, k) for m in n_grid for k in orders]
+    c = {}
+    for kind in ("cornish-fisher", "edgeworth"):
+        c[kind] = np.zeros((1 + max(map(max, _table(kind).values())), len(pairs), 1))
+        for i, (m, k) in enumerate(pairs):  # in a loop, the order-5 warning names the caller
+            row = _corrections(kind, moments, m, k)
+            c[kind][:len(row), i, 0] = row
+    q = _cornish_fisher(c["cornish-fisher"], z)
+    per_v = np.abs(_edgeworth(c["edgeworth"], q) - v_grid)
+    base = np.abs(_edgeworth(c["edgeworth"], z) - v_grid)  # Phi(z), phi(z) once for all rows
     residuals: dict[int, dict[int, float]] = {k: {} for k in orders}
     base_res: dict[int, dict[int, float]] = {k: {} for k in orders}
-    worst_v: dict[int, float] = {}
-    for m in n_grid:
-        for k in orders:
-            q = cornish_fisher_quantile(moments, m, k, v_grid)
-            per_v = np.abs(edgeworth_cdf(moments, m, k, q) - v_grid)
-            residuals[k][m] = float(np.max(per_v))
-            worst_v[k] = float(v_grid[int(np.argmax(per_v))])
-            base_res[k][m] = float(np.max(np.abs(edgeworth_cdf(moments, m, k, z) - v_grid)))
+    worst_v: dict[int, float] = {}  # at the largest n
+    for (m, k), row, base_row in zip(pairs, per_v, base):
+        residuals[k][m] = float(np.max(row))
+        worst_v[k] = float(v_grid[int(np.argmax(row))])
+        base_res[k][m] = float(np.max(base_row))
 
     exponents: dict[int, float | None] = {}
     expected = {k: k / 2.0 for k in orders}

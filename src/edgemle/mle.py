@@ -558,4 +558,5 @@ class LocationMLE:
         alpha = (1.0 - level) / 2.0
         q_lo, q_hi = expansion.cornish_fisher_quantile(ms, self.n_samples_, order,
                                                        [alpha, 1.0 - alpha])
+        expansion._check_increasing(ms, self.n_samples_, order, level)
         return (self.theta_ - q_hi / s, self.theta_ - q_lo / s)

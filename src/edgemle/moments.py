@@ -16,8 +16,9 @@ the expansion tables can be read against this list without renumbering.
 
 All sixteen integrals, and those of :func:`validate_conditions` and
 :func:`check_density`, take one node rule (:func:`_rule`, after
-Takahasi & Mori 1974 and Mori & Sugihara 2001) and, per level, one ``pdf`` call
-and one pass of ``model.rho_chain(x, 6)``.  psi_1..psi_3 follow from that pass
+Takahasi & Mori 1974 and Mori & Sugihara 2001), built once per model and kept,
+read-only, as long as the model lives, and, per level, one ``pdf`` call and one
+pass of ``model.rho_chain(x, 6)``.  psi_1..psi_3 follow from that pass
 by the recursion of ``model.psi_chain``, bit for bit :func:`edgemle.density.psi`
 except for a table (whose ``psi_chain`` gives its column ratios).  Tolerances
 are absolute per entry; an entry without a value raises
@@ -26,9 +27,10 @@ are absolute per entry; an entry without a value raises
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -110,29 +112,39 @@ _CELL_NODES = (4, 8, 16)  # a table's Gauss-Legendre nodes per cell, per level
 _FLOOR_ULPS = 4  # rounding floor of a level's change, in ulps of sum |w g f|
 
 
-def _rule(model: DensityModel) -> list:
+_RULES = weakref.WeakKeyDictionary()  # model -> its node rule, which lives as long as the model
+
+
+def _rule(model: DensityModel) -> tuple:
     """Levels (x, w, carry, ends) of the node rule on the support, coarsest first.
 
     A level's estimate of int g f is ``carry`` times the last one plus sum
     w g(x) f(x); ``ends`` indexes the end nodes.  A table takes Gauss-Legendre
     nodes per cell; other supports the trapezoid rule in t, each level adding
     only its new nodes, of :func:`_de_map` at u = pi/2 sinh t, placed by the quartiles.
+    Built once per model (models never mutate), with read-only arrays.
     """
+    if model in _RULES:
+        return _RULES[model]
     if model.grid is not None:
         g = np.array(model.grid)
-        return [(x.ravel(), w.ravel(), 0.0, []) for x, w in
-                (_panels(g[:-1], g[1:], n) for n in _CELL_NODES)]
-    q1, q3 = ((0.0, 0.0) if all(map(math.isfinite, model.support))  # an interval needs none
-              else np.asarray(model.ppf(np.array([0.25, 0.75])), dtype=float).tolist())
-    mapped = _de_map(model.support, (q1 + q3) / 2, (q3 - q1) / 2)
-    levels = []
-    for k, h in enumerate(_STEPS):
-        n = round(_T_END / h)
-        t = h * (np.arange(1 - n, n, 2) if k else np.arange(-n, n + 1))
-        x, dx = mapped(math.pi / 2 * np.sinh(t))
-        levels.append((x, h * math.pi / 2 * np.cosh(t) * dx, 0.5 if k else 0.0,
-                       [] if k else [0, -1]))
-    return levels
+        levels = [(x.ravel(), w.ravel(), 0.0, ()) for x, w in
+                  (_panels(g[:-1], g[1:], n) for n in _CELL_NODES)]
+    else:
+        q1, q3 = ((0.0, 0.0) if all(map(math.isfinite, model.support))  # an interval needs none
+                  else np.asarray(model.ppf(np.array([0.25, 0.75])), dtype=float).tolist())
+        mapped = _de_map(model.support, (q1 + q3) / 2, (q3 - q1) / 2)
+        levels = []
+        for k, h in enumerate(_STEPS):
+            n = round(_T_END / h)
+            t = h * (np.arange(1 - n, n, 2) if k else np.arange(-n, n + 1))
+            x, dx = mapped(math.pi / 2 * np.sinh(t))
+            levels.append((x, h * math.pi / 2 * np.cosh(t) * dx, 0.5 if k else 0.0,
+                           () if k else (0, -1)))
+    for x, w, *_ in levels:
+        x.flags.writeable = w.flags.writeable = False
+    _RULES[model] = rule = tuple(levels)
+    return rule
 
 
 def _terms(model: DensityModel, rows: Callable, x):
@@ -143,7 +155,7 @@ def _terms(model: DensityModel, rows: Callable, x):
         return np.where((f > 0) & np.isfinite(f), np.where(np.isfinite(v), v, np.inf), 0.0)
 
 
-def _integrate(model: DensityModel, rule: list, rows: Callable, target: Callable) -> tuple:
+def _integrate(model: DensityModel, rule: Sequence, rows: Callable, target: Callable) -> tuple:
     """int g f for each row g of ``rows(x)``, level by level: (values, errors, causes).
 
     A row may carry its own nodes (a leading axis of x).  The levels stop once each

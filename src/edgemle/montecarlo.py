@@ -37,7 +37,6 @@ import numbers
 import operator
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Mapping
@@ -572,6 +571,8 @@ def run_study(config: SimulationConfig, out_dir=None, workers: int = 1,
     writer = None if out_dir is None else _StudyWriter(out_dir, config, workers, precision)
 
     per_n, curves = {}, {}
+    if workers > 1:  # imported here: it loads multiprocessing, socket and selectors
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for n in config.n_grid:
             rows = max(1, BLOCK_ELEMENTS // n)

@@ -13,8 +13,8 @@ import edgemle as e
 from conftest import mp_ulps
 from edgemle.density import _horner, _normal_cdf, _normal_quantile
 from edgemle.expansion import (_ARRAY_POINTS, EDGEWORTH_TABLE, GAUSSIAN_ETA,
-                               _coefficient_arrays, _corrections, _n_weights, _stochastic_table,
-                               _table, _weighted_coefficients, evaluate_terms)
+                               _coefficient_arrays, _corrections, _increasing_range, _n_weights,
+                               _stochastic_table, _table, _weighted_coefficients, evaluate_terms)
 
 CORNISH_FISHER_TABLE = _table("cornish-fisher")
 
@@ -717,7 +717,7 @@ def test_compose_refuses_empty_grids(logistic_moments):
 
 def test_compose_refuses_probabilities_outside_the_unit_interval(logistic_moments):
     # the v grid reaches the normal quantile before any residual; the error is
-    # cornish_fisher_quantile's, not the stdlib's StatisticsError
+    # the package's ValueError, not the stdlib's StatisticsError
     for bad in ([0.0, 0.5], [0.5, 1.0], [0.5, math.nan], [-0.1]):
         with pytest.raises(ValueError, match="strictly inside") as caught:
             e.compose_check(logistic_moments, [100, 200], v_grid=bad)
@@ -727,6 +727,51 @@ def test_compose_refuses_probabilities_outside_the_unit_interval(logistic_moment
 def test_compose_rejects_unsorted_grid(logistic_moments):
     with pytest.raises(ValueError):
         e.compose_check(logistic_moments, [400, 100])
+
+
+@pytest.fixture(params=["normal", "logistic", "t7", "expression", "gumbel"])
+def any_moments(request):
+    """The moment sets of the four benchmark families and of the skewed Gumbel expression."""
+    if request.param == "expression":
+        return e.compute_moment_set(e.from_expression("exp(-x**2/2)/sqrt(2*pi)"))
+    if request.param == "gumbel":
+        return request.getfixturevalue("gumbel")[1]
+    return request.getfixturevalue(f"{request.param}_moments")
+
+
+@pytest.mark.filterwarnings("ignore:order 5 is unreliable")
+@pytest.mark.parametrize("n_grid, v_grid, orders, plain", [
+    ((25,), None, e.ORDERS, False),
+    ((25, 50, 100, 200, 400), None, e.ORDERS, False),
+    ((2, 25, 1000), np.linspace(0.01, 0.99, _ARRAY_POINTS + 8), e.ORDERS, False),
+    ((50, 400), None, (5, 2), True),
+])
+def test_compose_check_holds_the_bits_of_the_public_tables(any_moments, n_grid, v_grid, orders,
+                                                           plain):
+    # compose_check runs every (n, order) pair in one array pass; a loop over the
+    # public functions, per point below _ARRAY_POINTS and per array from there
+    # on, gives the same bits
+    ms = dict(any_moments.eta) if plain else any_moments
+    report = e.compose_check(ms, n_grid[0] if len(n_grid) == 1 else n_grid, v_grid, orders)
+    v = np.linspace(0.05, 0.95, 19) if v_grid is None else v_grid
+    z = e.cornish_fisher_quantile(ms, 1, 1, v)
+    for k in orders:
+        for m in n_grid:
+            q = e.cornish_fisher_quantile(ms, m, k, v)
+            assert report.residuals[k][m] == np.max(np.abs(e.edgeworth_cdf(ms, m, k, q) - v))
+            assert report.normal_quantile_residuals[k][m] == np.max(
+                np.abs(e.edgeworth_cdf(ms, m, k, z) - v))
+    assert report.n_grid == n_grid and report.orders == orders
+
+
+def test_compose_check_warns_for_order_five_of_a_skewed_family(gumbel):
+    _, ms = gumbel
+    with pytest.warns(UserWarning, match="eta3 = 2.*use order 4") as caught:
+        e.compose_check(ms, [25, 100], orders=(4, 5))
+    assert len(caught) == 4  # each n, each table
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e.compose_check(ms, [25, 100], orders=(1, 2, 3, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -838,3 +883,48 @@ def test_order_four_and_symmetric_families_stay_silent(gumbel, logistic_model, l
         e.cornish_fisher_quantile(logistic_moments, 50, 5, [0.1, 0.9])
         logistic_est.confidence_interval(order=5, moments=logistic_moments)
         _study("logistic", {}, 5)
+
+
+# ---------------------------------------------------------------------------
+# confidence intervals only where the quantile expansion increases
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def cauchy_moments():
+    return e.compute_moment_set(e.student_t(1))
+
+
+@pytest.mark.parametrize("n, level, ends", [(2, 0.95, "1.414"), (4, 0.99, "1.854")])
+def test_confidence_interval_refuses_a_level_past_the_increasing_range(cauchy_moments, n, level,
+                                                                       ends):
+    alpha = (1.0 - level) / 2.0
+    q_lo, q_hi = e.cornish_fisher_quantile(cauchy_moments, n, 5, [alpha, 1.0 - alpha])
+    q = e.cornish_fisher_quantile(cauchy_moments, n, 5, np.linspace(alpha, 1.0 - alpha, 99))
+    # at n = 2 the pair comes out inverted; at n = 4 in order, over a stretch that decreases
+    assert (q_lo > q_hi) if n == 2 else (q_lo < q_hi and np.any(np.diff(q) < 0))
+    est = e.LocationMLE("student_t", {"nu": 1}).fit(np.linspace(-0.3, 0.5, n))
+    with pytest.raises(ValueError, match=rf"order-5 quantile expansion at n = {n} increases only "
+                                         rf"for z in \(-{ends}, {ends}\).*not of level {level}"):
+        est.confidence_interval(level, order=5, moments=cauchy_moments)
+    # a lower order, or a level inside the range, is served
+    lo, hi = est.confidence_interval(level, order=4, moments=cauchy_moments)
+    assert lo < hi
+    lo, hi = est.confidence_interval(0.8, order=5, moments=cauchy_moments)
+    assert lo < est.theta_ < hi
+
+
+@pytest.mark.parametrize("family", ["logistic", "t7"])
+@pytest.mark.parametrize("n", [25, 100, 400])
+def test_logistic_and_t7_intervals_are_served_inside_the_increasing_range(request, family, n):
+    ms = request.getfixturevalue(f"{family}_moments")
+    lo, hi, top = _increasing_range(ms.eta_key, n, 5)
+    assert lo < -2.58 and hi > 2.58 and top > 0.99
+    x = np.linspace(-1.0, 1.2, n)
+    est = e.LocationMLE(*(("logistic", None) if family == "logistic" else ("student_t", {"nu": 7})))
+    est.fit(x)
+    s = math.sqrt(n * ms.fisher)
+    for level in (0.9, 0.95, 0.99):
+        alpha = (1.0 - level) / 2.0
+        q_lo, q_hi = e.cornish_fisher_quantile(ms, n, 5, [alpha, 1.0 - alpha])
+        assert est.confidence_interval(level, order=5, moments=ms) == (est.theta_ - q_hi / s,
+                                                                       est.theta_ - q_lo / s)

@@ -38,6 +38,14 @@ def test_import_loads_no_heavy_module_and_derives_no_table():
     assert _fresh(probe) == {"loaded": [], "tables": 0}
 
 
+def test_import_loads_no_process_pool():
+    # concurrent.futures' pool loads multiprocessing, socket and selectors; only a
+    # study with workers > 1 imports it
+    probe = ("import json, sys, edgemle, edgemle.cli; print(json.dumps(sorted(m for m in "
+             "sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing', 'socket'))))")
+    assert _fresh(probe) == []
+
+
 _BUILTIN_PATHS = """
 import json, sys
 import numpy as np

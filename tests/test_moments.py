@@ -1,9 +1,12 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import edgemle as e
+import edgemle.moments as moments
 from conftest import LOGISTIC_EXACT, NORMAL_EXACT, logistic_table
 
 
@@ -299,3 +302,32 @@ def test_tail_scale_falls_back_only_on_an_inversion_failure():
     assert report.all_pass, report.to_dict()
     with pytest.raises(TypeError, match="no tail quantile"):
         e.validate_conditions(_logistic_with_tail_ppf(TypeError))
+
+
+def test_the_node_rule_is_built_once_per_model_and_released_with_it():
+    # the rule's quartiles are its one ppf call; the moment set, the condition checks
+    # and the density checks all integrate over the same read-only rule
+    lg = e.logistic()
+    quartile_calls = []
+
+    def ppf(u):
+        quartile_calls.append(np.array_equal(u, [0.25, 0.75]))
+        return lg.ppf(u)
+
+    model = e.DensityModel("counted", lg.support, lg.pdf, rho_chain=lg.rho_chain, ppf=ppf,
+                           cdf=lg.cdf, rho=lg.rho)
+    e.compute_moment_set(model)
+    e.validate_conditions(model)
+    e.check_density(model)
+    assert sum(quartile_calls) == 1 and len(quartile_calls) > 1
+    rule = moments._rule(model)
+    assert rule is moments._rule(model) and isinstance(rule, tuple)
+    for x, w, _carry, ends in rule:
+        assert isinstance(ends, tuple)
+        for a in (x, w):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+    alive = weakref.ref(model)
+    del model
+    gc.collect()
+    assert alive() is None
