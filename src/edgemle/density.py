@@ -429,9 +429,10 @@ class DensityModel:
 def _require_usable(model: DensityModel, x):
     """Raise ValueError unless every point of ``x`` is finite, then DomainError unless interior."""
     xs = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xs)):
+    if not np.isfinite(xs).all():
         raise ValueError("sample contains non-finite values")
-    if not np.all(model.interior(xs)):
+    # on the whole line a finite point is interior
+    if model.support != (-math.inf, math.inf) and not model.interior(xs).all():
         raise DomainError(f"sample contains points outside the open support {model.support}")
 
 

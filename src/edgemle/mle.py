@@ -49,11 +49,20 @@ iteration and stops there, unconverged.
 
 A vectorized batch path solves many replicates at once; the scalar
 :func:`solve_mle` is the batch path with a single row, so both always agree.
+Newton keeps the indices of its running rows, which shrink as rows stop,
+and where they sit among the rows of the last score evaluation, so a step
+touches only running rows and never scans all of them.  A one-row solve of
+a few hundred points costs numpy's fixed cost per call more than
+arithmetic, so the pipeline keeps calls few: ndarray methods rather than
+numpy's Python-level wrappers, no check that cannot fail, and the
+other-basin bookkeeping only when some row shows several basins.
 """
 from __future__ import annotations
 
 import json
+import math
 import numbers
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -165,10 +174,11 @@ def _median_and_scale(samples: np.ndarray) -> tuple:
     n = srt.shape[1]
     med = _mean(srt[:, (n - 1) // 2:n // 2 + 1], 1)
     scale = (_sorted_quantile(srt, 0.75) - _sorted_quantile(srt, 0.25)) / _IQR_TO_SIGMA
-    flat = ~(scale > 0)  # the std only where the IQR gives no scale
-    if np.any(flat):
+    flat = ~(scale > 0)  # the std only where the IQR gives no scale, and 1 where neither does
+    if flat.any():
         scale[flat] = np.std(samples[flat], axis=1)
-    return med, np.where(scale > 0, scale, 1.0)
+        scale[~(scale > 0)] = 1.0
+    return med, scale
 
 
 def _cells_ruled_out(thetas, values, m2):
@@ -236,33 +246,34 @@ def _newton_refine(samples, model, theta, lo, hi, tol, max_iter):
     """
     rows = theta.shape[0]
     iterations = np.zeros(rows, dtype=np.int64)
-    grad, chain = _score_and_chain(samples, model, theta)
-    evaluated = np.arange(rows)
-    running = np.abs(grad) > tol
-    it = 0
-    while np.any(running) and it < max_iter:
-        it += 1
-        idx = np.flatnonzero(running)
-        g = grad[idx]
-        # the curvature comes from the chain of the last score evaluation
-        # (rows ``evaluated``, which include idx), and only when some row
-        # takes another step; the spent chain is dropped before the next one
-        h = _mean(next(chain), 1)[running[evaluated]]
-        del chain
-        t = theta[idx]
-        # the score increases through a minimum: negative means the root is right
-        lo[idx] = np.where(g < 0, t, lo[idx])
-        hi[idx] = np.where(g > 0, t, hi[idx])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand = t - g / h
-        ok = (h > 0) & np.isfinite(cand) & (cand > lo[idx]) & (cand < hi[idx])
-        step = np.where(ok, cand, 0.5 * (lo[idx] + hi[idx]))
-        theta[idx] = step
-        g, chain = _score_and_chain(samples[idx], model, step)
-        grad[idx] = g
-        evaluated = idx
-        iterations[idx] += 1
-        running[idx] = (np.abs(g) > tol) & (step != t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad, chain = _score_and_chain(samples, model, theta)
+        # ``idx``: the running rows; ``at``: their places among the rows of the last chain
+        at = np.abs(grad) > tol
+        idx = at.nonzero()[0]
+        for it in range(1, max_iter + 1):
+            if not idx.size:
+                break
+            g = grad[idx]
+            # the curvature comes from the chain of the last score evaluation,
+            # and only when some row takes another step; the spent chain is
+            # dropped before the next one
+            h = _mean(next(chain), 1)[at]
+            del chain
+            t = theta[idx]
+            # the score increases through a minimum: negative means the root is right
+            a = np.where(g < 0, t, lo[idx])
+            b = np.where(g > 0, t, hi[idx])
+            lo[idx], hi[idx] = a, b
+            cand = t - g / h  # a nan or infinite one fails a strict bracket test
+            step = np.where((h > 0) & (cand > a) & (cand < b), cand, 0.5 * (a + b))
+            theta[idx] = step
+            g, chain = _score_and_chain(samples if idx.size == rows else samples[idx],
+                                        model, step)
+            grad[idx] = g
+            iterations[idx] = it  # a row runs from the first step until it stops
+            at = (np.abs(g) > tol) & (step != t)
+            idx = idx[at]
     return theta, grad, iterations, lo, hi, np.abs(grad) > tol
 
 
@@ -283,14 +294,14 @@ def _score_bracket(s, model, med, lo, hi, t_lo, t_hi):
     g_hi = _score_rows(s, model, hi)
     # the score increases through the minimum, so L'(lo) <= 0 <= L'(hi) brackets it
     for _ in range(_WIDEN_STEPS):
-        edge = np.flatnonzero((g_lo > 0) | (g_hi < 0))
+        edge = ((g_lo > 0) | (g_hi < 0)).nonzero()[0]
         if edge.size == 0:
             break
         _widen(lo, hi, edge, g_lo[edge] > 0, g_hi[edge] < 0, t_lo, t_hi)
         g_lo[edge] = _score_rows(s[edge], model, lo[edge])
         g_hi[edge] = _score_rows(s[edge], model, hi[edge])
     # with a finite end of the support the median itself can be an infeasible shift
-    return (np.arange(s.shape[0]), np.clip(med, lo, hi), lo, hi,
+    return (np.arange(s.shape[0]), np.minimum(np.maximum(med, lo), hi), lo, hi,
             (g_lo > 0) | (g_hi < 0))
 
 
@@ -306,34 +317,35 @@ def _grid_basins(s, model, med, lo, hi, t_lo, t_hi):
     basins, since the rule can only remove one.
     """
     thetas, values = _grid_scan(s, model, lo, hi)
-    j = np.argmin(values, axis=1)
+    j = values.argmin(axis=1)
     for _ in range(_WIDEN_STEPS):
-        edge = np.flatnonzero((j == 0) | (j == GRID_POINTS - 1))
+        edge = ((j == 0) | (j == GRID_POINTS - 1)).nonzero()[0]
         if edge.size == 0:
             break
         _widen(lo, hi, edge, j[edge] == 0, j[edge] == GRID_POINTS - 1, t_lo, t_hi)
         thetas[edge], values[edge] = _grid_scan(s[edge], model, lo[edge], hi[edge])
-        j[edge] = np.argmin(values[edge], axis=1)
+        j[edge] = values[edge].argmin(axis=1)
+    rows, b = np.arange(s.shape[0]), j
     mid = values[:, 1:-1]
     basins = (values[:, :-2] > mid) & (values[:, 2:] >= mid)  # column k is grid point k + 1
-    several = np.sum(basins, axis=1) > 1
-    if model.rho2_max is not None and np.any(several):
-        # a basin needs evaluated neighbours: the pruned scan leaves ruled-out points at inf
-        finite = np.isfinite(values)
-        basins &= finite[:, :-2] & finite[:, 2:]
-        # a row scanned whole rules its cells out here
-        r = np.flatnonzero(several & np.all(finite, axis=1))
-        if r.size:
-            out = np.zeros((r.size, GRID_POINTS), dtype=bool)  # inside a ruled-out cell
-            out[:, np.arange(GRID_POINTS) % _COARSE != 0] = np.repeat(
-                _cells_ruled_out(thetas[r], values[r], model.rho2_max), _COARSE - 1, axis=1)
-            basins[r] &= ~(out[:, :-2] | out[:, 1:-1] | out[:, 2:])
-        several = np.sum(basins, axis=1) > 1
-    # an edge argmin is not a basin, so then every basin is another one
-    other = basins & several[:, None] & (np.arange(1, GRID_POINTS - 1) != j[:, None])
-    extra_rows, extra_cols = np.nonzero(other)
-    rows = np.concatenate([np.arange(s.shape[0]), extra_rows])
-    b = np.concatenate([j, extra_cols + 1])
+    several = basins.sum(axis=1) > 1
+    if several.any():
+        if model.rho2_max is not None:
+            # a basin needs evaluated neighbours: the pruned scan leaves ruled-out points at inf
+            finite = np.isfinite(values)
+            basins &= finite[:, :-2] & finite[:, 2:]
+            # a row scanned whole rules its cells out here
+            r = (several & finite.all(axis=1)).nonzero()[0]
+            if r.size:
+                out = np.zeros((r.size, GRID_POINTS), dtype=bool)  # inside a ruled-out cell
+                out[:, np.arange(GRID_POINTS) % _COARSE != 0] = np.repeat(
+                    _cells_ruled_out(thetas[r], values[r], model.rho2_max), _COARSE - 1, axis=1)
+                basins[r] &= ~(out[:, :-2] | out[:, 1:-1] | out[:, 2:])
+            several = basins.sum(axis=1) > 1
+        # an edge argmin is not a basin, so then every basin is another one
+        other = basins & several[:, None] & (np.arange(1, GRID_POINTS - 1) != j[:, None])
+        extra_rows, extra_cols = other.nonzero()
+        rows, b = np.concatenate([rows, extra_rows]), np.concatenate([j, extra_cols + 1])
     return (rows, thetas[rows, b], thetas[rows, np.maximum(b - 1, 0)],
             thetas[rows, np.minimum(b + 1, GRID_POINTS - 1)],
             (j == 0) | (j == GRID_POINTS - 1))
@@ -358,8 +370,9 @@ def solve_mle_batch(samples, model: DensityModel, tol: float = 1e-10,
     m = s.shape[0]
     x = s if rows.size == m else s[rows]
     theta, grad, iters, lo, hi, active = _newton_refine(x, model, start, lo, hi, tol, max_iter)
-    multimodal = np.bincount(rows, minlength=m) > 1
+    multimodal = np.zeros(m, dtype=bool)
     if rows.size > m:
+        multimodal = np.bincount(rows, minlength=m) > 1
         # a stable sort by (row, contrast) puts first each row's lowest
         # candidate, its own or else the earliest basin among ties
         val = np.full(rows.size, np.inf)
@@ -381,7 +394,7 @@ def _search(s, model):
     t_lo, t_hi = model.feasible_shift_interval(s, margin=1e-9 * np.maximum(scale, 1.0))
     lo = np.maximum(med - GRID_SPAN * scale, t_lo)
     hi = np.minimum(med + GRID_SPAN * scale, t_hi)
-    if not np.all(lo < hi):
+    if not (lo < hi).all():
         raise DomainError("no feasible shift interval for some rows")
     search = _score_bracket if model.log_concave else _grid_basins
     return search(s, model, med, lo, hi, t_lo, t_hi)
@@ -447,6 +460,10 @@ def solve_mle(sample, model: DensityModel, tol: float = 1e-10, max_iter: int = 2
 # ---------------------------------------------------------------------------
 # estimator front end
 # ---------------------------------------------------------------------------
+
+#: model -> the moment set of its intervals asked without one, which lives as long as the model
+_INTERVAL_MOMENTS = weakref.WeakKeyDictionary()
+
 
 @lru_cache(maxsize=8)
 def _cached_model(model_key: str) -> DensityModel:
@@ -543,20 +560,23 @@ class LocationMLE:
 
     def confidence_interval(self, level: float = 0.95, order: int = 5,
                             moments=None) -> tuple:
-        """Quantile-expansion confidence interval for the location.
+        """Quantile-expansion confidence interval for the location, as two floats.
 
         Inverts the expansion of the distribution of
         sqrt(n I)(thetahat - theta): higher orders tighten the normal-theory
-        interval using the family's moment functionals (computed by
-        quadrature unless ``moments`` is supplied).
+        interval using the family's moment functionals.  Unless ``moments``
+        is supplied, they are computed by quadrature once per model, at the
+        default tolerance, and kept as long as the model lives.
         """
         self._check_fitted()
         if not 0.0 < level < 1.0:
             raise ValueError("level must be in (0, 1)")
-        ms = moments if moments is not None else _moments.compute_moment_set(self.model_)
-        s = np.sqrt(self.n_samples_ * ms.fisher)
+        ms = moments if moments is not None else _INTERVAL_MOMENTS.get(self.model_)
+        if ms is None:
+            ms = _INTERVAL_MOMENTS[self.model_] = _moments.compute_moment_set(self.model_)
+        s = math.sqrt(self.n_samples_ * ms.fisher)
         alpha = (1.0 - level) / 2.0
         q_lo, q_hi = expansion.cornish_fisher_quantile(ms, self.n_samples_, order,
-                                                       [alpha, 1.0 - alpha])
+                                                       np.array([alpha, 1.0 - alpha]))
         expansion._check_increasing(ms, self.n_samples_, order, level)
-        return (self.theta_ - q_hi / s, self.theta_ - q_lo / s)
+        return float(self.theta_ - q_hi / s), float(self.theta_ - q_lo / s)

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import json
 import math
 import os
 import re
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -664,6 +666,47 @@ def test_t7_solver_output_is_pinned():
         _AVX2: "ab1ccd394d79214a4a885335ed24e245af041956424a12583653c229f6a35a8d"})
 
 
+#: per family, batch rows whose Newton runs stop after different numbers of
+#: steps: rows converged at their start (0 steps), which leave the first
+#: running set shorter than the score evaluation, student_t(1) rows that add
+#: other basins (the spread-Cauchy row among them), and a t7 block (None: the
+#: seeded rows below) large enough for the pruned scan.  The iteration counts
+#: and multimodal rows were read before Newton shrank its set of running rows
+_MIXED_ROWS = {
+    "normal": (e.normal, [[-1.0, 0.0, 1.0], [0.3, -1.2, 2.5], [5.0, -3.0, 0.5]],
+               [0, 1, 1], []),
+    "logistic": (e.logistic, [[-2.0, -1.0, 0.0, 1.0, 2.0], [-2.0, -1.0, 0.0, 1.0, 2.001],
+                              [-5.3, -0.7, -3.9, 1.7, -2.1], [0.9, 0.7, -2.6, 0.9, -0.8],
+                              [2.3, 2.1, 3.1, -1.0, -1.0], [0.1, 0.0, -1.4, -0.1, 1.4]],
+                 [0, 1, 2, 3, 4, 0], []),
+    "student_t(1)": (lambda: e.student_t(1),
+                     [_SPREAD_CAUCHY, [-4.3, 15.9, -39.1, 29.4, 17.6, -21.2, -12.0, 36.2, 0.3],
+                      [0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 4.0, -4.0]],
+                     [2, 5, 0], [0, 1]),
+    "student_t(7)": (lambda: e.student_t(7), None,
+                     [2, 2, 2, 3, 2, 2, 2, 2, 2, 3, 2, 2, 2, 2, 2, 2], []),
+}
+
+
+@pytest.mark.parametrize("family", list(_MIXED_ROWS))
+def test_mixed_batch_rows_match_their_one_row_solves(family):
+    make, rows, iterations, multimodal = _MIXED_ROWS[family]
+    model = make()
+    samples = np.array(rows) if rows else e.sample_iid(model, 100, 37, range(16))
+    assert (samples.size * GRID_POINTS > BLOCK_ELEMENTS) == (rows is None)
+    batch = e.solve_mle_batch(samples, model)
+    assert batch.iterations.tolist() == iterations
+    assert np.flatnonzero(batch.multimodal_flag).tolist() == multimodal
+    assert not batch.failed.any()
+    for i, x in enumerate(samples):
+        res = e.solve_mle(x, model)
+        got = (res.theta_hat, res.gradient_at_solution, *res.bracket)
+        row = (batch.theta_hat[i], batch.gradient_at_solution[i],
+               batch.bracket_lo[i], batch.bracket_hi[i])
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in row], (family, i)
+        assert (res.iterations, res.multimodal_flag) == (iterations[i], i in multimodal)
+
+
 def test_sorted_row_statistics_match_numpy_bit_for_bit():
     rng = np.random.default_rng(5)
     for n in list(range(1, 61)) + [100, 101, 400, 401]:
@@ -803,10 +846,40 @@ def test_location_mle_confidence_interval(logistic_moments):
     x = np.asarray(e.sample_iid(e.logistic(), 120, 9000))
     est = e.LocationMLE(family="logistic").fit(x)
     lo, hi = est.confidence_interval(level=0.95, order=5, moments=logistic_moments)
+    assert type(lo) is type(hi) is float
     assert lo < est.theta_ < hi
     width95 = hi - lo
     lo99, hi99 = est.confidence_interval(level=0.99, order=5, moments=logistic_moments)
     assert hi99 - lo99 > width95
+
+
+def test_intervals_without_moments_compute_them_once_per_model(monkeypatch, logistic_moments):
+    monkeypatch.setattr(mle, "_INTERVAL_MOMENTS", weakref.WeakKeyDictionary())
+    calls = []
+    compute = e.compute_moment_set
+    monkeypatch.setattr(e.moments, "compute_moment_set",
+                        lambda model: calls.append(model) or compute(model))
+    fits = [e.LocationMLE(family="logistic").fit(np.asarray(e.sample_iid(e.logistic(), n, 31)))
+            for n in (60, 90)]
+    for est in fits:
+        for level in (0.9, 0.95, 0.99):
+            for order in (3, 4):
+                got = est.confidence_interval(level, order=order)
+                assert got == est.confidence_interval(level, order, moments=logistic_moments)
+                assert type(got[0]) is type(got[1]) is float
+    assert calls == [fits[0].model_] and fits[1].model_ is fits[0].model_
+
+
+def test_interval_moments_live_as_long_as_their_model(monkeypatch):
+    # a table model, built by each fit, is not pinned by its intervals' moment set
+    monkeypatch.setattr(mle, "_INTERVAL_MOMENTS", weakref.WeakKeyDictionary())
+    est = e.LocationMLE(family="table", family_params={"columns": logistic_table(e.logistic())})
+    est.fit(np.linspace(-2.0, 3.0, 30)).confidence_interval(0.95, order=4)
+    model = weakref.ref(est.model_)
+    assert list(mle._INTERVAL_MOMENTS) == [model()]
+    del est
+    gc.collect()
+    assert model() is None and len(mle._INTERVAL_MOMENTS) == 0
 
 
 def test_location_mle_rejects_bad_input():
